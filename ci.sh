@@ -24,6 +24,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
 cargo build --release
 cargo test -q --lib --bins --tests
 
+# The benchmark harness is a workspace of its own (perfbench/), so the
+# workspace build above does not compile it; build it here so an API
+# change that breaks the benchmark fails CI, not the benchmark run.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 # Doctests explicitly: the README-facing examples (Engine::for_scenario
 # spec strings, the spec parser) must stay runnable.
 cargo test -q --doc

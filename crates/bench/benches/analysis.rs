@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hm_core::puzzles::attack::generals_builder;
-use hm_engine::check_spec;
+use hm_engine::{check_spec, Budget};
 use hm_kripke::{AgentGroup, AgentId};
 use hm_logic::{compile, simplify, Analyzer, Formula, F};
 use std::hint::black_box;
@@ -49,7 +49,9 @@ fn foldable_query() -> F {
 }
 
 fn bench_analysis_cost(c: &mut Criterion) {
-    let isys = generals_builder(10, false).unwrap().build();
+    let isys = generals_builder(10, &Budget::unlimited(), false)
+        .unwrap()
+        .build();
     let f = ladder_query();
     let mut group = c.benchmark_group("analysis_cost");
     // The pass itself, frame-resolved: what every Session.ask pays once
@@ -69,7 +71,9 @@ fn bench_analysis_cost(c: &mut Criterion) {
 }
 
 fn bench_simplification_payoff(c: &mut Criterion) {
-    let isys = generals_builder(10, false).unwrap().build();
+    let isys = generals_builder(10, &Budget::unlimited(), false)
+        .unwrap()
+        .build();
     let f = foldable_query();
     let mut group = c.benchmark_group("analysis_payoff");
     // Evaluation cost as written vs after one simplify pass (singleton-C
@@ -98,7 +102,9 @@ fn bench_pre_bind_rejection(c: &mut Criterion) {
     // bind time.
     group.bench_function("build_then_bind_fail", |b| {
         b.iter(|| {
-            let isys = generals_builder(10, false).unwrap().build();
+            let isys = generals_builder(10, &Budget::unlimited(), false)
+                .unwrap()
+                .build();
             let compiled = compile(&Formula::common(
                 AgentGroup::all(2),
                 Formula::atom("dispatchd"),

@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use hm_core::puzzles::attack::generals_builder;
 use hm_core::puzzles::r2d2::r2d2_parts;
-use hm_engine::{Engine, Query};
+use hm_engine::{Budget, Engine, Query};
 use hm_kripke::AgentId;
 use hm_logic::{compile, evaluate_tree, Formula, F};
 use hm_netsim::scenarios::R2d2Mode;
@@ -41,7 +41,9 @@ fn ladder_query() -> F {
 
 fn bench_compiled_vs_tree(c: &mut Criterion) {
     // B16-sized frame: the generals' system at horizon 10 (E3/B03/B16).
-    let isys = generals_builder(10, false).unwrap().build();
+    let isys = generals_builder(10, &Budget::unlimited(), false)
+        .unwrap()
+        .build();
     let f = ladder_query();
     let mut group = c.benchmark_group("engine_eval");
     group.bench_function("tree_walk", |b| {

@@ -3,23 +3,26 @@
 //! themselves come from `cargo run -p hm-bench --bin experiments`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hm_core::agreement::{agreement_interpreted, agreement_system, check_safety, AgreementSpec};
+use hm_core::agreement::{
+    agreement_builder, agreement_system, check_safety, AgreementSpec, Reduction,
+};
 use hm_core::attain::{check_ck_twin_invariance, uncertain_start_interpreted};
 use hm_core::consistency::{find_internally_consistent_subsystem, BeliefAssignment};
 use hm_core::discovery::{deadlock_system, discovery_trajectory};
 use hm_core::hierarchy::hierarchy;
 use hm_core::kbp::{knows_own_state_rule, KnowledgeProtocol, Turns};
-use hm_core::puzzles::attack::{generals_interpreted, ladder_depth_at_end_cached};
+use hm_core::puzzles::attack::{generals_builder, ladder_depth_at_end};
 use hm_core::puzzles::muddy::MuddyChildren;
-use hm_core::puzzles::r2d2::{ladder_onsets_cached, r2d2_interpreted};
+use hm_core::puzzles::r2d2::{ladder_onsets, r2d2_interpreted};
 use hm_core::variants::{
     check_theorem9, conjunction_gap, ok_interpreted, skewed_broadcast_interpreted,
 };
+use hm_engine::Budget;
 use hm_kripke::{random_model, AgentGroup, AgentId, RandomModelSpec, WorldSet};
 use hm_logic::axioms::{check_s5, sample_sets, ModalOp};
 use hm_logic::{EvalCache, Formula, Frame};
 use hm_netsim::scenarios::R2d2Mode;
-use hm_runs::conditions;
+use hm_runs::{conditions, InterpretedSystem};
 use std::hint::black_box;
 
 fn g2() -> AgentGroup {
@@ -38,6 +41,13 @@ fn b01_muddy(c: &mut Criterion) {
     group.finish();
 }
 
+/// The generals' system at `horizon`, interpreted.
+fn generals(horizon: u64) -> InterpretedSystem {
+    generals_builder(horizon, &Budget::unlimited(), false)
+        .unwrap()
+        .build()
+}
+
 fn b02_hierarchy(c: &mut Criterion) {
     let p = MuddyChildren::new(8);
     c.bench_function("b02_hierarchy_n8", |b| {
@@ -46,7 +56,7 @@ fn b02_hierarchy(c: &mut Criterion) {
 }
 
 fn b03_attack_ladder(c: &mut Criterion) {
-    let isys = generals_interpreted(10).unwrap();
+    let isys = generals(10);
     // Warm cache: the bench measures the steady-state sweep, where every
     // ladder level is already compiled and bound (the first iteration
     // pays the one-time cost).
@@ -54,14 +64,14 @@ fn b03_attack_ladder(c: &mut Criterion) {
     c.bench_function("b03_generals_ladder", |b| {
         b.iter(|| {
             for d in 0..=5 {
-                black_box(ladder_depth_at_end_cached(&isys, d, 9, &mut cache));
+                black_box(ladder_depth_at_end(&isys, d, 9, &mut cache));
             }
         })
     });
 }
 
 fn b04_theorem5(c: &mut Criterion) {
-    let isys = generals_interpreted(8).unwrap();
+    let isys = generals(8);
     let fact = Formula::atom("dispatched");
     c.bench_function("b04_twin_invariance", |b| {
         b.iter(|| black_box(check_ck_twin_invariance(&isys, &g2(), &fact).unwrap()))
@@ -78,9 +88,7 @@ fn b06_r2d2(c: &mut Criterion) {
     let analysis = r2d2_interpreted(2, 4, 4, R2d2Mode::Uncertain);
     let mut cache = EvalCache::new();
     c.bench_function("b06_r2d2_ladder_onsets", |b| {
-        b.iter(|| {
-            black_box(ladder_onsets_cached(&analysis.isys, &analysis.meta, 3, &mut cache).unwrap())
-        })
+        b.iter(|| black_box(ladder_onsets(&analysis.isys, &analysis.meta, 3, &mut cache).unwrap()))
     });
 }
 
@@ -92,7 +100,7 @@ fn b07_imprecision(c: &mut Criterion) {
 }
 
 fn b08_variants(c: &mut Criterion) {
-    let isys = generals_interpreted(8).unwrap();
+    let isys = generals(8);
     let fact = Formula::atom("dispatched");
     c.bench_function("b08_ceps_eval", |b| {
         let f = Formula::common_eps(g2(), 2, fact.clone());
@@ -115,7 +123,7 @@ fn b09_ok_protocol(c: &mut Criterion) {
 }
 
 fn b10_conjunction_gap(c: &mut Criterion) {
-    let isys = generals_interpreted(10).unwrap();
+    let isys = generals(10);
     let fact = Formula::atom("dispatched");
     c.bench_function("b10_conjunction_gap", |b| {
         b.iter(|| black_box(conjunction_gap(&isys, &g2(), &fact, 5).unwrap()))
@@ -189,7 +197,7 @@ fn b15_discovery(c: &mut Criterion) {
 fn b16_views(c: &mut Criterion) {
     // Interpretation-building cost (partition interning) per view.
     c.bench_function("b16_interpret_generals", |b| {
-        b.iter(|| black_box(generals_interpreted(10).unwrap()))
+        b.iter(|| black_box(generals(10)))
     });
 }
 
@@ -207,11 +215,17 @@ fn b18_agreement(c: &mut Criterion) {
     c.bench_function("b18_agreement_build_check", |b| {
         b.iter(|| {
             let spec = AgreementSpec { n: 3, f: 1 };
-            let system = agreement_system(spec);
+            let system = agreement_system(spec, Reduction::Naive, &Budget::unlimited()).unwrap();
             black_box(check_safety(&system))
         })
     });
-    let isys = agreement_interpreted(AgreementSpec { n: 3, f: 1 });
+    let isys = agreement_builder(
+        AgreementSpec { n: 3, f: 1 },
+        Reduction::Naive,
+        &Budget::unlimited(),
+    )
+    .unwrap()
+    .build();
     let f = Formula::common(AgentGroup::all(3), Formula::atom("min0"));
     c.bench_function("b18_agreement_ck_eval", |b| {
         b.iter(|| black_box(isys.eval(&f).unwrap()))

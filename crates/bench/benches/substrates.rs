@@ -2,6 +2,7 @@
 //! knowledge kernels, reachability, and run enumeration scaling.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use hm_engine::Limits;
 use hm_kripke::{
     random_model, AgentGroup, AgentId, Partition, RandomModelSpec, SplitMix64, WorldId, WorldSet,
 };
@@ -108,8 +109,9 @@ fn bench_enumeration(c: &mut Criterion) {
                         enumerate_runs(
                             &protocol,
                             &LossyFixedDelay { delay: 1 },
-                            &ExecutionSpec::simple(2, msgs as u64 + 2),
-                            1 << 14,
+                            &[ExecutionSpec::simple(2, msgs as u64 + 2)],
+                            &Limits::none().max_runs(1 << 14).budget(),
+                            false,
                         )
                         .unwrap(),
                     )

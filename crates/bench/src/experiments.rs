@@ -18,7 +18,7 @@
 //! model.
 
 use hm_core::agreement::{
-    agreement_system_budgeted, check_safety, ck_onset_in_clean_run, AgreementSpec,
+    agreement_system, check_safety, ck_onset_in_clean_run, AgreementSpec, Reduction,
 };
 use hm_core::attain::{
     check_ck_run_constant, check_ck_twin_invariance, check_proposition13, ck_set,
@@ -30,11 +30,9 @@ use hm_core::consistency::{
 use hm_core::discovery::{discovery_trajectory, has_deadlock, publication_stamp};
 use hm_core::hierarchy::hierarchy;
 use hm_core::kbp::{knows_own_state_rule, KnowledgeProtocol, Turns};
-use hm_core::puzzles::attack::{
-    classify_attack_rule, ladder_depth_at_end_cached, AttackRuleOutcome,
-};
+use hm_core::puzzles::attack::{classify_attack_rule, ladder_depth_at_end, AttackRuleOutcome};
 use hm_core::puzzles::muddy::MuddyChildren;
-use hm_core::puzzles::r2d2::{ck_sent_cached, first_time_cached, ladder_onsets_cached, r2d2_parts};
+use hm_core::puzzles::r2d2::{ck_sent, first_time, ladder_onsets, r2d2_parts};
 use hm_core::variants::{
     check_theorem12a, check_theorem12b, check_theorem12c, check_theorem9, check_variant_hierarchy,
     conjunction_gap,
@@ -180,7 +178,7 @@ fn e3(limits: &Limits) -> Result<(), EngineError> {
     for d in 0..=5usize {
         println!(
             "  d = {d}: depth {}",
-            ladder_depth_at_end_cached(isys(&session), d, 9, &mut cache)
+            ladder_depth_at_end(isys(&session), d, 9, &mut cache)
         );
     }
     Ok(())
@@ -259,7 +257,7 @@ fn e6(limits: &Limits) -> Result<(), EngineError> {
             .build()?;
         // Caches are frame-tied: each session gets its own.
         let mut cache = EvalCache::new();
-        let onsets = ladder_onsets_cached(isys(&session), &meta, 3, &mut cache).unwrap();
+        let onsets = ladder_onsets(isys(&session), &meta, 3, &mut cache).unwrap();
         let ts = meta.ts;
         print!("eps={eps}: t_S={ts}, (K_R K_D)^k onsets:");
         for (k, o) in onsets.iter().enumerate() {
@@ -272,7 +270,7 @@ fn e6(limits: &Limits) -> Result<(), EngineError> {
         .limits(limits.clone())
         .build()?;
     let mut cache = EvalCache::new();
-    let ck = ck_sent_cached(isys(&session), &mut cache).unwrap();
+    let ck = ck_sent(isys(&session), &mut cache).unwrap();
     let last_send = 8 * 2;
     let in_window: usize = session
         .system()
@@ -295,7 +293,7 @@ fn e6(limits: &Limits) -> Result<(), EngineError> {
             .build()?;
         let mut cache = EvalCache::new();
         let f = Formula::common(g2(), Formula::atom(atom));
-        let onset = first_time_cached(isys(&session), meta.focus_slow, &f, &mut cache).unwrap();
+        let onset = first_time(isys(&session), meta.focus_slow, &f, &mut cache).unwrap();
         println!(
             "{mode:?}: C onset {:?} (paper: t_S + eps = {})",
             onset,
@@ -561,7 +559,7 @@ fn e17(_limits: &Limits) -> Result<(), EngineError> {
 
 fn e18(limits: &Limits) -> Result<(), EngineError> {
     let spec = AgreementSpec { n: 3, f: 1 };
-    let system = agreement_system_budgeted(spec, &limits.budget())?;
+    let system = agreement_system(spec, Reduction::Naive, &limits.budget())?;
     let report = check_safety(&system);
     println!(
         "crash-failure EA, n=3 f=1: {} runs, agreement violations {}, validity violations {}",

@@ -25,7 +25,7 @@
 //!
 //! Beyond `f = 2` the naive product is impractical, so this module also
 //! provides a **symmetry-reduced** enumeration
-//! ([`agreement_system_reduced_budgeted`]): crash patterns are
+//! ([`Reduction::Symmetric`]): crash patterns are
 //! canonicalised up to process renaming ([`canonicalize_pattern`]) and
 //! only one representative per orbit is executed, with the orbit size
 //! recorded as a multiplicity ([`canonical_patterns`]). Every binary
@@ -40,7 +40,10 @@
 use hm_kripke::{AgentGroup, AgentId};
 use hm_limits::{failpoints, Admission, Budget, LimitExceeded, Phase, Resource};
 use hm_logic::{EvalError, Formula};
-use hm_runs::{CompleteHistory, Event, InterpretedSystem, Message, RunBuilder, System};
+use hm_runs::{
+    CompleteHistory, Event, InterpretedSystem, InterpretedSystemBuilder, Message, RunBuilder,
+    System,
+};
 
 /// Message tag for a round broadcast; `data` encodes the sender's current
 /// seen-set (bitmask of initial values observed, by processor).
@@ -91,29 +94,37 @@ pub struct Crash {
 /// by crasher; empty means failure-free.
 pub type CrashPattern = Vec<Crash>;
 
-/// Builds the full system of runs of the `f + 1`-round full-information
+/// Which crash-pattern space an agreement build executes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Reduction {
+    /// Every crash pattern ([`crash_patterns`]), interpreted under
+    /// complete history.
+    Naive,
+    /// One representative per process-renaming orbit
+    /// ([`canonical_patterns`]), interpreted under [`SymmetricHistory`].
+    /// The reduced system is an induced subsystem of the naive one (run
+    /// names included), smaller by roughly the orbit factor, and answers
+    /// process-symmetric epistemic queries identically at the surviving
+    /// points — the contract pinned by the differential suite in
+    /// `crates/engine/tests/symmetry.rs`. This is what makes `f = 3`
+    /// buildable interactively.
+    Symmetric,
+}
+
+/// Builds the system of runs of the `f + 1`-round full-information
 /// protocol: every input assignment in `{0,1}^n` × every crash pattern
-/// of at most `f` crashes.
+/// of at most `f` crashes — or, under [`Reduction::Symmetric`], × every
+/// canonical crash pattern only.
 ///
 /// Timeline: round `r` messages are sent at time `r` and received at
 /// time `r` (entering histories at `r + 1`); decisions are recorded at
 /// time `f + 2`. The horizon is `f + 3`.
 ///
-/// # Panics
-///
-/// Panics unless `spec.f ∈ {1, 2, 3}` and `spec.n ∈ {3, 4, 5}` and
-/// `spec.n > spec.f` (the implemented range; the structure generalises
-/// but enumeration grows fast — beyond `f = 2` prefer
-/// [`agreement_system_reduced`]).
-pub fn agreement_system(spec: AgreementSpec) -> System {
-    agreement_system_budgeted(spec, &Budget::unlimited())
-        .expect("unlimited budget cannot be exceeded")
-}
-
-/// [`agreement_system`] under a resource [`Budget`]: each run is admitted
-/// against the budget's run ceiling before it is executed, and deadlines
-/// and cancellation are checked at the same granularity. Under a strict
-/// budget exhaustion is a typed [`LimitExceeded`]; under
+/// Each run is admitted against the budget's run ceiling before it is
+/// executed, and deadlines and cancellation are checked at the same
+/// granularity (pattern canonicalisation is polled per naive pattern, so
+/// they interrupt even the pre-execution phase). Under a strict budget
+/// exhaustion is a typed [`LimitExceeded`]; under
 /// [`hm_limits::Limits::allow_partial`] the enumeration truncates instead
 /// and the returned [`System`] is flagged
 /// [`is_truncated`](System::is_truncated) (each run present is complete —
@@ -126,13 +137,62 @@ pub fn agreement_system(spec: AgreementSpec) -> System {
 ///
 /// # Panics
 ///
-/// As for [`agreement_system`] on an out-of-range `spec`.
-pub fn agreement_system_budgeted(
+/// Panics unless `spec.f ∈ {1, 2, 3}` and `spec.n ∈ {3, 4, 5}` and
+/// `spec.n > spec.f` (the implemented range; the structure generalises
+/// but enumeration grows fast — beyond `f = 2` prefer
+/// [`Reduction::Symmetric`]).
+pub fn agreement_system(
     spec: AgreementSpec,
+    reduction: Reduction,
     budget: &Budget,
 ) -> Result<System, LimitExceeded> {
-    let patterns = crash_patterns(spec);
-    system_over_patterns(spec, &patterns, budget)
+    let patterns = match reduction {
+        Reduction::Naive => crash_patterns(spec),
+        Reduction::Symmetric => {
+            failpoints::check("core::canonicalize", Phase::Enumerate)?;
+            canonical_patterns_budgeted(spec, budget)?
+                .into_iter()
+                .map(|(p, _)| p)
+                .collect()
+        }
+    };
+    let n = spec.n;
+    let rounds = spec.f + 1;
+    let decide_at = (rounds + 1) as u64; // decisions enter history by then
+    let horizon = decide_at + 1;
+
+    let mut runs = Vec::new();
+    let mut truncated = false;
+    'enumeration: for inputs in 0..(1u64 << n) {
+        for pattern in &patterns {
+            // Admission before execution: runs past the ceiling are
+            // never built, and deadline/cancellation are polled here.
+            match budget.admit_run(Phase::Enumerate) {
+                Ok(Admission::Admit) => {}
+                Ok(Admission::Truncate) => {
+                    truncated = true;
+                    break 'enumeration;
+                }
+                Err(e) => return Err(e),
+            }
+            runs.push(execute(n, rounds, horizon, inputs, pattern));
+        }
+    }
+    if runs.is_empty() {
+        // A zero-run partial budget: report it as the exhaustion it is
+        // rather than panicking in `System::new`.
+        return Err(LimitExceeded {
+            resource: Resource::Runs,
+            phase: Phase::Enumerate,
+            spent: 1,
+            limit: 0,
+        });
+    }
+    let mut system = System::new(runs);
+    if truncated {
+        system.mark_truncated();
+    }
+    Ok(system)
 }
 
 /// Every single crash of `spec`, in (crasher, round, subset-mask) order.
@@ -204,52 +264,6 @@ fn combos_into(
         combos_into(singles, k + 1, left - 1, combo, out);
         combo.pop();
     }
-}
-
-/// Executes `inputs × patterns` under the budget — the shared back end
-/// of the naive and reduced enumerations.
-fn system_over_patterns(
-    spec: AgreementSpec,
-    patterns: &[CrashPattern],
-    budget: &Budget,
-) -> Result<System, LimitExceeded> {
-    let n = spec.n;
-    let rounds = spec.f + 1;
-    let decide_at = (rounds + 1) as u64; // decisions enter history by then
-    let horizon = decide_at + 1;
-
-    let mut runs = Vec::new();
-    let mut truncated = false;
-    'enumeration: for inputs in 0..(1u64 << n) {
-        for pattern in patterns {
-            // Admission before execution: runs past the ceiling are
-            // never built, and deadline/cancellation are polled here.
-            match budget.admit_run(Phase::Enumerate) {
-                Ok(Admission::Admit) => {}
-                Ok(Admission::Truncate) => {
-                    truncated = true;
-                    break 'enumeration;
-                }
-                Err(e) => return Err(e),
-            }
-            runs.push(execute(n, rounds, horizon, inputs, pattern));
-        }
-    }
-    if runs.is_empty() {
-        // A zero-run partial budget: report it as the exhaustion it is
-        // rather than panicking in `System::new`.
-        return Err(LimitExceeded {
-            resource: Resource::Runs,
-            phase: Phase::Enumerate,
-            spent: 1,
-            limit: 0,
-        });
-    }
-    let mut system = System::new(runs);
-    if truncated {
-        system.mark_truncated();
-    }
-    Ok(system)
 }
 
 /// All permutations of `0..n` in lexicographic order (identity first).
@@ -527,43 +541,6 @@ pub fn canonical_patterns(spec: AgreementSpec) -> Vec<(CrashPattern, usize)> {
         .expect("unlimited budget cannot be exceeded")
 }
 
-/// The symmetry-reduced counterpart of [`agreement_system`]: executes
-/// every binary input assignment against only the canonical crash
-/// patterns ([`canonical_patterns`]). The reduced system is an induced
-/// subsystem of the naive one (run names included), smaller by roughly
-/// the renaming-orbit factor, and answers process-symmetric epistemic
-/// queries identically at the surviving points — the contract pinned by
-/// the differential suite in `crates/engine/tests/symmetry.rs`. This is
-/// what makes `f = 3` buildable interactively.
-///
-/// # Panics
-///
-/// As for [`agreement_system`] on an out-of-range `spec`.
-pub fn agreement_system_reduced(spec: AgreementSpec) -> System {
-    agreement_system_reduced_budgeted(spec, &Budget::unlimited())
-        .expect("unlimited budget cannot be exceeded")
-}
-
-/// [`agreement_system_reduced`] under a resource [`Budget`] — strict
-/// and partial semantics as for [`agreement_system_budgeted`]. Pattern
-/// canonicalisation itself is budget-polled per naive pattern, so
-/// deadlines and cancellation interrupt even the pre-execution phase.
-///
-/// # Errors
-///
-/// As for [`agreement_system_budgeted`].
-pub fn agreement_system_reduced_budgeted(
-    spec: AgreementSpec,
-    budget: &Budget,
-) -> Result<System, LimitExceeded> {
-    failpoints::check("core::canonicalize", Phase::Enumerate)?;
-    let patterns: Vec<CrashPattern> = {
-        let reps = canonical_patterns_budgeted(spec, budget)?;
-        reps.into_iter().map(|(p, _)| p).collect()
-    };
-    system_over_patterns(spec, &patterns, budget)
-}
-
 /// [`canonical_patterns`] with a budget poll per naive pattern.
 fn canonical_patterns_budgeted(
     spec: AgreementSpec,
@@ -729,72 +706,35 @@ pub fn check_safety(system: &System) -> SafetyReport {
     report
 }
 
-/// Interprets the agreement system with the facts `decided0` /
-/// `decided1` ("some processor has decided v in its history") and
-/// `min0` ("the minimum input is 0" — the clean-run decision value).
-pub fn agreement_interpreted(spec: AgreementSpec) -> InterpretedSystem {
-    agreement_builder(spec).build()
-}
-
-/// The un-built form of [`agreement_interpreted`], for callers that set
-/// build options (the `hm-engine` scenario registry).
-pub fn agreement_builder(spec: AgreementSpec) -> hm_runs::InterpretedSystemBuilder {
-    builder_with_facts(agreement_system(spec), spec.n)
-}
-
-/// [`agreement_builder`] over a budgeted enumeration — see
-/// [`agreement_system_budgeted`] for the strict/partial semantics.
+/// The agreement system ([`agreement_system`]) interpreted with the
+/// facts `decided0` / `decided1` ("some processor has decided v in its
+/// history") and `min0` ("the minimum input is 0" — the clean-run
+/// decision value), as an un-built builder for callers that set build
+/// options (the `hm-engine` scenario registry). Under
+/// [`Reduction::Symmetric`] the view coarsens to [`SymmetricHistory`],
+/// which is what keeps the epistemic verdicts aligned with the naive
+/// build (see its docs).
 ///
 /// # Errors
 ///
-/// As for [`agreement_system_budgeted`].
-pub fn agreement_builder_budgeted(
+/// As for [`agreement_system`].
+pub fn agreement_builder(
     spec: AgreementSpec,
+    reduction: Reduction,
     budget: &Budget,
-) -> Result<hm_runs::InterpretedSystemBuilder, LimitExceeded> {
-    Ok(builder_with_facts(
-        agreement_system_budgeted(spec, budget)?,
-        spec.n,
-    ))
+) -> Result<InterpretedSystemBuilder, LimitExceeded> {
+    let system = agreement_system(spec, reduction, budget)?;
+    Ok(match reduction {
+        Reduction::Naive => builder_with_facts(system, spec.n, CompleteHistory),
+        Reduction::Symmetric => builder_with_facts(system, spec.n, SymmetricHistory::new(spec.n)),
+    })
 }
 
-/// [`agreement_builder_budgeted`] over the symmetry-reduced enumeration
-/// ([`agreement_system_reduced_budgeted`]) — the facts are identical,
-/// the run set shrinks to canonical crash patterns, and the view
-/// coarsens to [`SymmetricHistory`] (which is what keeps the epistemic
-/// verdicts aligned with the naive build — see its docs).
-///
-/// # Errors
-///
-/// As for [`agreement_system_budgeted`].
-pub fn agreement_builder_reduced_budgeted(
-    spec: AgreementSpec,
-    budget: &Budget,
-) -> Result<hm_runs::InterpretedSystemBuilder, LimitExceeded> {
-    Ok(builder_with_facts_view(
-        agreement_system_reduced_budgeted(spec, budget)?,
-        spec.n,
-        SymmetricHistory::new(spec.n),
-    ))
-}
-
-/// Interprets the symmetry-reduced agreement system — the reduced
-/// counterpart of [`agreement_interpreted`].
-pub fn agreement_interpreted_reduced(spec: AgreementSpec) -> InterpretedSystem {
-    agreement_builder_reduced_budgeted(spec, &Budget::unlimited())
-        .expect("unlimited budget cannot be exceeded")
-        .build()
-}
-
-fn builder_with_facts(system: System, n: usize) -> hm_runs::InterpretedSystemBuilder {
-    builder_with_facts_view(system, n, CompleteHistory)
-}
-
-fn builder_with_facts_view(
+fn builder_with_facts(
     system: System,
     n: usize,
     view: impl hm_runs::ViewFunction + 'static,
-) -> hm_runs::InterpretedSystemBuilder {
+) -> InterpretedSystemBuilder {
     InterpretedSystem::builder(system, view)
         .fact("min0", move |run, _t| {
             (0..n).any(|i| run.proc(AgentId::new(i)).initial_state == 0)
@@ -847,9 +787,19 @@ mod tests {
 
     const SPEC: AgreementSpec = AgreementSpec { n: 3, f: 1 };
 
+    fn build_system(spec: AgreementSpec, reduction: Reduction) -> System {
+        agreement_system(spec, reduction, &Budget::unlimited()).unwrap()
+    }
+
+    fn build_interpreted(spec: AgreementSpec, reduction: Reduction) -> InterpretedSystem {
+        agreement_builder(spec, reduction, &Budget::unlimited())
+            .unwrap()
+            .build()
+    }
+
     #[test]
     fn safety_across_all_crash_patterns() {
-        let system = agreement_system(SPEC);
+        let system = build_system(SPEC, Reduction::Naive);
         // 2 rounds × 3 crashers × 4 subsets = 24 patterns + clean = 25,
         // times 8 input vectors = 200 runs.
         assert_eq!(system.num_runs(), 200);
@@ -860,7 +810,7 @@ mod tests {
 
     #[test]
     fn decisions_are_simultaneous() {
-        let system = agreement_system(SPEC);
+        let system = build_system(SPEC, Reduction::Naive);
         for (_, run) in system.runs() {
             let times: Vec<u64> = (0..3)
                 .filter_map(|i| {
@@ -876,7 +826,7 @@ mod tests {
 
     #[test]
     fn ck_of_decision_value_at_round_f_plus_1_not_before() {
-        let isys = agreement_interpreted(SPEC);
+        let isys = build_interpreted(SPEC, Reduction::Naive);
         // Inputs 0b110: p0 holds 0, so min0; clean run.
         let onset = ck_onset_in_clean_run(&isys, 0b110).unwrap();
         // Round-2 messages land at t=2 and enter histories at t=3 — the
@@ -891,7 +841,7 @@ mod tests {
         // at the end of round 1 (t=2) in the 2-round system — it fails,
         // which is the knowledge-theoretic content of the f+1 lower
         // bound.
-        let isys = agreement_interpreted(SPEC);
+        let isys = build_interpreted(SPEC, Reduction::Naive);
         let n = 3;
         let g = AgentGroup::all(n);
         let ck = isys
@@ -907,7 +857,7 @@ mod tests {
 
     #[test]
     fn safety_with_two_crashes() {
-        let system = agreement_system(AgreementSpec { n: 3, f: 2 });
+        let system = build_system(AgreementSpec { n: 3, f: 2 }, Reduction::Naive);
         // Singles: 3 crashers x 3 rounds x 4 subsets = 36; pairs with
         // distinct crashers: C(36,2) - 3*C(12,2) = 432; + clean = 469
         // patterns, times 8 input vectors.
@@ -931,7 +881,7 @@ mod tests {
 
     #[test]
     fn ck_onset_moves_to_round_f_plus_1_for_f2() {
-        let isys = agreement_interpreted(AgreementSpec { n: 3, f: 2 });
+        let isys = build_interpreted(AgreementSpec { n: 3, f: 2 }, Reduction::Naive);
         // With f = 2 the protocol runs f + 1 = 3 rounds; round-3
         // messages enter histories at t = 4, so CK of the decision
         // value arrives exactly there — one round later than f = 1.
@@ -944,9 +894,9 @@ mod tests {
         // The reduced frame must reproduce the paper's onset KATs
         // exactly: CK of the decision value at the end of round f+1,
         // not before, in the clean run.
-        let isys = agreement_interpreted_reduced(SPEC);
+        let isys = build_interpreted(SPEC, Reduction::Symmetric);
         assert_eq!(ck_onset_in_clean_run(&isys, 0b110).unwrap(), Some(3));
-        let isys = agreement_interpreted_reduced(AgreementSpec { n: 3, f: 2 });
+        let isys = build_interpreted(AgreementSpec { n: 3, f: 2 }, Reduction::Symmetric);
         assert_eq!(ck_onset_in_clean_run(&isys, 0b110).unwrap(), Some(4));
     }
 
@@ -967,7 +917,7 @@ mod tests {
     #[test]
     fn safety_holds_on_reduced_systems() {
         for (n, f) in [(3, 1), (3, 2), (4, 1)] {
-            let system = agreement_system_reduced(AgreementSpec { n, f });
+            let system = build_system(AgreementSpec { n, f }, Reduction::Symmetric);
             let report = check_safety(&system);
             assert_eq!(report.agreement_violations, 0, "agreement (n={n}, f={f})");
             assert_eq!(report.validity_violations, 0, "validity (n={n}, f={f})");
@@ -989,12 +939,12 @@ mod tests {
             137_345,
             "naive pattern count covered"
         );
-        let system = agreement_system_reduced(spec);
+        let system = build_system(spec, Reduction::Symmetric);
         assert_eq!(system.num_runs(), 6081 * 16, "16 input vectors per orbit");
         let report = check_safety(&system);
         assert_eq!(report.agreement_violations, 0, "agreement");
         assert_eq!(report.validity_violations, 0, "validity");
-        let isys = agreement_interpreted_reduced(spec);
+        let isys = build_interpreted(spec, Reduction::Symmetric);
         assert_eq!(
             ck_onset_in_clean_run(&isys, 0b0110).unwrap(),
             Some(5),
@@ -1006,7 +956,7 @@ mod tests {
     fn f1_run_names_are_stable() {
         // The f = 1 enumeration (order and names) is pinned: the E18
         // driver output and the recorded experiments depend on it.
-        let system = agreement_system(SPEC);
+        let system = build_system(SPEC, Reduction::Naive);
         let first: Vec<&str> = system
             .runs()
             .take(3)
@@ -1017,7 +967,7 @@ mod tests {
 
     #[test]
     fn crashed_processor_does_not_decide() {
-        let system = agreement_system(SPEC);
+        let system = build_system(SPEC, Reduction::Naive);
         let (_, run) = system
             .runs()
             .find(|(_, r)| r.name.contains("-c0r1s") && !r.name.contains("s12"))

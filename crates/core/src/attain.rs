@@ -17,9 +17,10 @@
 //!   delivery plus uncertain start times yields temporal imprecision.
 
 use hm_kripke::{AgentGroup, AgentId, WorldSet};
+use hm_limits::Limits;
 use hm_logic::{EvalError, Formula, F};
 use hm_netsim::{
-    enumerate_system, BoundedUncertainDelay, Clocks, Command, EnumerateError, ExecutionSpec,
+    enumerate_runs, BoundedUncertainDelay, Clocks, Command, EnumerateError, ExecutionSpec,
     FnProtocol, LocalView,
 };
 use hm_runs::{CompleteHistory, InterpretedSystem, Message, RunId, System};
@@ -213,7 +214,8 @@ pub fn uncertain_start_system(horizon: u64, global_clock: bool) -> Result<System
             }
         }
     }
-    enumerate_system(&protocol, &adversary, &specs, 4096)
+    let budget = Limits::none().max_runs(4096).budget();
+    enumerate_runs(&protocol, &adversary, &specs, &budget, false)?.into_system()
 }
 
 /// Interprets [`uncertain_start_system`] with the fact `sent` ("p0 has
@@ -265,7 +267,8 @@ impl RunExt for hm_runs::Run {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::puzzles::attack::generals_interpreted;
+    use crate::puzzles::attack::generals_builder;
+    use hm_limits::Budget;
     use hm_runs::conditions;
 
     fn g2() -> AgentGroup {
@@ -274,7 +277,9 @@ mod tests {
 
     #[test]
     fn theorem5_on_the_generals() {
-        let isys = generals_interpreted(6).unwrap();
+        let isys = generals_builder(6, &Budget::unlimited(), false)
+            .unwrap()
+            .build();
         // Hypothesis: communication is not guaranteed (NG1 + NG2).
         assert_eq!(conditions::check_ng1(isys.system()), None);
         assert_eq!(conditions::check_ng2(isys.system()), None);
@@ -288,7 +293,9 @@ mod tests {
 
     #[test]
     fn proposition13_on_the_generals() {
-        let isys = generals_interpreted(6).unwrap();
+        let isys = generals_builder(6, &Budget::unlimited(), false)
+            .unwrap()
+            .build();
         let fact = Formula::atom("dispatched");
         assert!(check_proposition13(&isys, &g2(), &fact).unwrap().is_empty());
     }

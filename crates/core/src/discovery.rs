@@ -13,9 +13,10 @@
 //! timestamped common knowledge — plain C being unattainable, Section 8).
 
 use hm_kripke::{AgentGroup, AgentId, WorldSet};
+use hm_limits::Limits;
 use hm_logic::{EvalError, Formula};
 use hm_netsim::{
-    enumerate_system, Clocks, Command, EnumerateError, ExecutionSpec, FnProtocol, LocalView,
+    enumerate_runs, Clocks, Command, EnumerateError, ExecutionSpec, FnProtocol, LocalView,
     SynchronousDelay,
 };
 use hm_runs::{CompleteHistory, Event, InterpretedSystem, Message};
@@ -179,7 +180,9 @@ pub fn deadlock_builder(
             break;
         }
     }
-    let sys = enumerate_system(&protocol, &SynchronousDelay { delay: 1 }, &specs, 8192)?;
+    let budget = Limits::none().max_runs(8192).budget();
+    let adversary = SynchronousDelay { delay: 1 };
+    let sys = enumerate_runs(&protocol, &adversary, &specs, &budget, false)?.into_system()?;
     Ok(InterpretedSystem::builder(sys, CompleteHistory)
         .fact("deadlock", |run, _t| {
             let targets: Vec<u64> = run.procs.iter().map(|p| p.initial_state).collect();

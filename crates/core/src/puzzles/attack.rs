@@ -1,7 +1,7 @@
 //! The coordinated attack problem (Sections 4 and 7).
 //!
 //! Analyses of the generals' handshake system built by
-//! [`hm_netsim::scenarios::generals_system`]:
+//! [`generals_system`]:
 //!
 //! - the *knowledge ladder*: each delivered message adds exactly one level
 //!   of interleaved knowledge `K_B m`, `K_A K_B m`, `K_B K_A K_B m`, …
@@ -13,109 +13,57 @@
 //!   rules, each of which is either unsafe or never attacks.
 
 use hm_kripke::{AgentGroup, AgentId, WorldSet};
-use hm_limits::{Budget, LimitExceeded, Phase, Resource};
+use hm_limits::Budget;
 use hm_logic::{EvalCache, Formula, F};
-use hm_netsim::scenarios::{
-    attacks_in, generals_attack_system, generals_system_budgeted, generals_system_opts, ACT_ATTACK,
+use hm_netsim::scenarios::{attacks_in, generals_attack_system, generals_system, ACT_ATTACK};
+use hm_netsim::{
+    enumerate_runs, Command, EnumerateError, ExecutionSpec, FnProtocol, LocalView, UnboundedDelay,
 };
-use hm_netsim::{enumeration_to_system, EnumerateError, Enumeration};
-use hm_runs::{CompleteHistory, Event, InterpretedSystem, InterpretedSystemBuilder, RunId};
+use hm_runs::{
+    CompleteHistory, Event, InterpretedSystem, InterpretedSystemBuilder, Message, RunId,
+};
 
-/// Converts a possibly-truncated [`Enumeration`] into a [`System`],
-/// reporting a zero-run result as the budget exhaustion it is (a
-/// [`System`](hm_runs::System) cannot be empty).
-fn enumeration_to_nonempty_system(e: Enumeration) -> Result<hm_runs::System, EnumerateError> {
-    if e.runs.is_empty() {
-        return Err(EnumerateError::Limit(LimitExceeded {
-            resource: Resource::Runs,
-            phase: Phase::Enumerate,
-            spent: 1,
-            limit: 0,
-        }));
-    }
-    Ok(enumeration_to_system(e))
-}
-
-/// The generals' system interpreted under complete history, with the
-/// facts used by the analyses:
+/// The generals' system ([`generals_system`]) interpreted under complete
+/// history, as an un-built builder so callers (the `hm-engine` scenario
+/// registry) can set build options — minimisation, in particular —
+/// before materialising. The facts used by the analyses:
 ///
 /// - `dispatched` — A has sent its first message (stable);
 /// - `attacking` — both generals have the attack action in their history
 ///   (used with the attack-rule family).
 ///
-/// # Errors
-///
-/// Propagates [`EnumerateError`] from run enumeration.
-pub fn generals_interpreted(horizon: u64) -> Result<InterpretedSystem, EnumerateError> {
-    Ok(generals_builder(horizon, false)?.build())
-}
-
-/// The un-built form of [`generals_interpreted`]: the interpretation
-/// builder with the facts attached, for callers (the `hm-engine`
-/// scenario registry) that set build options — minimisation, in
-/// particular — before materialising. `parallel` selects threaded run
-/// enumeration; the system is identical either way.
-///
-/// # Errors
-///
-/// Propagates [`EnumerateError`] from run enumeration.
-pub fn generals_builder(
-    horizon: u64,
-    parallel: bool,
-) -> Result<InterpretedSystemBuilder, EnumerateError> {
-    Ok(builder_with_facts(generals_system_opts(horizon, parallel)?))
-}
-
-/// [`generals_builder`] under a caller-supplied resource [`Budget`]. The
-/// strict/partial semantics are those of
-/// [`hm_netsim::enumerate_runs_budgeted`]; under a partial budget the
-/// underlying system may be flagged truncated, which the built
+/// `budget` and `parallel` govern run enumeration as for
+/// [`hm_netsim::enumerate_runs`]; under a partial budget the underlying
+/// system may be flagged truncated, which the built
 /// [`InterpretedSystem`] reports via `is_partial`.
 ///
 /// # Errors
 ///
 /// [`EnumerateError`] on strict exhaustion, or when a partial budget
 /// admitted zero runs.
-pub fn generals_builder_budgeted(
+pub fn generals_builder(
     horizon: u64,
-    parallel: bool,
     budget: &Budget,
+    parallel: bool,
 ) -> Result<InterpretedSystemBuilder, EnumerateError> {
-    let e = generals_system_budgeted(horizon, parallel, budget)?;
-    Ok(builder_with_facts(enumeration_to_nonempty_system(e)?))
+    generals_system(horizon, budget, parallel).map(builder_with_facts)
 }
 
 /// The Theorem 7 frame (Section 7): a single would-be send from A to B
 /// under **unbounded** delivery delay (NG1′ instead of NG1), one run
 /// family per intent bit. The fact `sent` is "A has dispatched its
 /// message" (stable). This is the `generals-unbounded` registry
-/// scenario and the E5 frame.
-///
-/// # Errors
-///
-/// Propagates [`EnumerateError`] from run enumeration.
-pub fn generals_unbounded_builder(
-    horizon: u64,
-) -> Result<InterpretedSystemBuilder, EnumerateError> {
-    let budget = hm_limits::Limits::none().max_runs(1024).budget();
-    generals_unbounded_builder_budgeted(horizon, &budget)
-}
-
-/// [`generals_unbounded_builder`] under a caller-supplied resource
-/// [`Budget`] — see [`generals_builder_budgeted`] for the semantics.
+/// scenario and the E5 frame. `budget` spans both intents, with the
+/// semantics of [`generals_builder`].
 ///
 /// # Errors
 ///
 /// [`EnumerateError`] on strict exhaustion, or when a partial budget
 /// admitted zero runs.
-pub fn generals_unbounded_builder_budgeted(
+pub fn generals_unbounded_builder(
     horizon: u64,
     budget: &Budget,
 ) -> Result<InterpretedSystemBuilder, EnumerateError> {
-    use hm_netsim::{
-        enumerate_runs_budgeted, Command, ExecutionSpec, FnProtocol, LocalView, UnboundedDelay,
-    };
-    use hm_runs::Message;
     let protocol = FnProtocol::new("oneshot", |v: &LocalView<'_>| {
         if v.me.index() == 0 && v.initial_state == 1 && v.sent().count() == 0 {
             vec![Command::Send {
@@ -126,24 +74,15 @@ pub fn generals_unbounded_builder_budgeted(
             Vec::new()
         }
     });
-    let mut runs = Vec::new();
-    let mut truncated = false;
-    for intent in 0..=1u64 {
-        let e = enumerate_runs_budgeted(
-            &protocol,
-            &UnboundedDelay { min_delay: 1 },
-            &ExecutionSpec::simple(2, horizon)
+    let specs: Vec<ExecutionSpec> = (0..=1u64)
+        .map(|intent| {
+            ExecutionSpec::simple(2, horizon)
                 .with_initial_states(vec![intent, 0])
-                .with_label(format!("i{intent}")),
-            budget,
-        )?;
-        runs.extend(e.runs);
-        if e.truncated {
-            truncated = true;
-            break;
-        }
-    }
-    let system = enumeration_to_nonempty_system(Enumeration { runs, truncated })?;
+                .with_label(format!("i{intent}"))
+        })
+        .collect();
+    let adversary = UnboundedDelay { min_delay: 1 };
+    let system = enumerate_runs(&protocol, &adversary, &specs, budget, false)?.into_system()?;
     Ok(
         InterpretedSystem::builder(system, CompleteHistory).fact("sent", |run, t| {
             run.proc(AgentId::new(0))
@@ -207,26 +146,15 @@ pub fn ladder_formula(depth: usize, fact: F) -> F {
 
 /// For the run of the generals' system with exactly `d` deliveries,
 /// returns the deepest ladder level that holds at the end of the run
-/// (checked up to `max_depth`).
+/// (checked up to `max_depth`). Each ladder level is compiled and bound
+/// once per `cache`, however many delivery counts `d` the caller sweeps;
+/// the cache must be used with this `isys` only.
 ///
 /// # Panics
 ///
 /// Panics if the system has no run with exactly `d` deliveries, or on an
 /// evaluation error (ill-formed system).
-pub fn ladder_depth_at_end(isys: &InterpretedSystem, d: usize, max_depth: usize) -> usize {
-    let mut cache = EvalCache::new();
-    ladder_depth_at_end_cached(isys, d, max_depth, &mut cache)
-}
-
-/// [`ladder_depth_at_end`] through an [`EvalCache`]: each ladder level is
-/// compiled and bound once per cache, however many delivery counts `d` the
-/// caller sweeps. The cache must be used with this `isys` only.
-///
-/// # Panics
-///
-/// Panics if the system has no run with exactly `d` deliveries, or on an
-/// evaluation error (ill-formed system).
-pub fn ladder_depth_at_end_cached(
+pub fn ladder_depth_at_end(
     isys: &InterpretedSystem,
     d: usize,
     max_depth: usize,
@@ -382,10 +310,13 @@ mod tests {
     #[test]
     fn ladder_grows_one_level_per_delivery() {
         // Horizon 8 admits runs with d = 0..=4 deliveries.
-        let isys = generals_interpreted(8).unwrap();
+        let isys = generals_builder(8, &Budget::unlimited(), false)
+            .unwrap()
+            .build();
+        let mut cache = EvalCache::new();
         for d in 0..=4usize {
             assert_eq!(
-                ladder_depth_at_end(&isys, d, 7),
+                ladder_depth_at_end(&isys, d, 7, &mut cache),
                 d,
                 "after {d} deliveries the ladder has depth exactly {d}"
             );
@@ -394,7 +325,9 @@ mod tests {
 
     #[test]
     fn dispatch_never_common_knowledge() {
-        let isys = generals_interpreted(8).unwrap();
+        let isys = generals_builder(8, &Budget::unlimited(), false)
+            .unwrap()
+            .build();
         assert!(common_knowledge_of_dispatch(&isys).is_empty());
     }
 

@@ -14,11 +14,12 @@
 //! probability `p`. Then `P(B attacks | A attacks) = 1 − (1−p)^k → 1`.
 
 use hm_kripke::AgentId;
+use hm_limits::Limits;
 use hm_netsim::scenarios::ACT_ATTACK;
 use hm_netsim::{
     enumerate_runs, Command, EnumerateError, ExecutionSpec, FnProtocol, LocalView, LossyFixedDelay,
 };
-use hm_runs::{Message, Run, System};
+use hm_runs::{Message, Run};
 
 /// An exact non-negative rational (numerator/denominator in lowest
 /// terms). Sufficient for run-weighting; not a general arithmetic type.
@@ -173,13 +174,15 @@ pub fn probabilistic_attack(k: u32, p: Ratio) -> Result<AttackStats, EnumerateEr
         }
         cmds
     });
-    let runs = enumerate_runs(
+    let budget = Limits::none().max_runs(1 << (k + 2)).budget();
+    let system = enumerate_runs(
         &protocol,
         &LossyFixedDelay { delay: 1 },
-        &ExecutionSpec::simple(2, horizon),
-        1 << (k + 2),
-    )?;
-    let system = System::new(runs);
+        &[ExecutionSpec::simple(2, horizon)],
+        &budget,
+        false,
+    )?
+    .into_system()?;
     let mut p_coordinated = Ratio::zero();
     let mut p_lone = Ratio::zero();
     let q = p.complement();

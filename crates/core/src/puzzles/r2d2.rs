@@ -73,29 +73,16 @@ pub fn rd_ladder(k: usize, fact: F) -> F {
     f
 }
 
-/// First time at which `formula` holds in `run`, if any.
+/// First time at which `formula` holds in `run`, if any. The formula
+/// is compiled and bound through `cache` on first sight, so onset scans
+/// that revisit the same ladder levels (different runs, different
+/// `k_max`) stop re-walking the tree. The cache must be used with this
+/// `isys` only.
 ///
 /// # Errors
 ///
 /// Propagates [`EvalError`].
 pub fn first_time(
-    isys: &InterpretedSystem,
-    run: RunId,
-    formula: &F,
-) -> Result<Option<u64>, EvalError> {
-    let mut cache = EvalCache::new();
-    first_time_cached(isys, run, formula, &mut cache)
-}
-
-/// [`first_time`] through an [`EvalCache`]: the formula is compiled and
-/// bound on first sight, so onset scans that revisit the same ladder
-/// levels (different runs, different `k_max`) stop re-walking the tree.
-/// The cache must be used with this `isys` only.
-///
-/// # Errors
-///
-/// Propagates [`EvalError`].
-pub fn first_time_cached(
     isys: &InterpretedSystem,
     run: RunId,
     formula: &F,
@@ -108,6 +95,8 @@ pub fn first_time_cached(
 
 /// The onset times of the ladder levels `k = 0..=k_max` in the focus slow
 /// run: `onsets[k]` is the first time `(K_R K_D)^k sent` holds there.
+/// Each ladder level is compiled and bound once per `cache`, however many
+/// sweeps share it.
 ///
 /// # Errors
 ///
@@ -116,47 +105,26 @@ pub fn ladder_onsets(
     isys: &InterpretedSystem,
     meta: &R2d2,
     k_max: usize,
-) -> Result<Vec<Option<u64>>, EvalError> {
-    let mut cache = EvalCache::new();
-    ladder_onsets_cached(isys, meta, k_max, &mut cache)
-}
-
-/// [`ladder_onsets`] through an [`EvalCache`]: each ladder level is
-/// compiled and bound once per cache, however many sweeps share it.
-///
-/// # Errors
-///
-/// Propagates [`EvalError`].
-pub fn ladder_onsets_cached(
-    isys: &InterpretedSystem,
-    meta: &R2d2,
-    k_max: usize,
     cache: &mut EvalCache,
 ) -> Result<Vec<Option<u64>>, EvalError> {
-    let mut out = Vec::with_capacity(k_max + 1);
-    for k in 0..=k_max {
-        let f = rd_ladder(k, Formula::atom("sent"));
-        out.push(first_time_cached(isys, meta.focus_slow, &f, cache)?);
-    }
-    Ok(out)
+    (0..=k_max)
+        .map(|k| {
+            first_time(
+                isys,
+                meta.focus_slow,
+                &rd_ladder(k, Formula::atom("sent")),
+                cache,
+            )
+        })
+        .collect()
 }
 
-/// `C_{R2,D2} sent` as a world set.
+/// `C_{R2,D2} sent` as a world set, evaluated through `cache`.
 ///
 /// # Errors
 ///
 /// Propagates [`EvalError`].
-pub fn ck_sent(isys: &InterpretedSystem) -> Result<hm_kripke::WorldSet, EvalError> {
-    let mut cache = EvalCache::new();
-    ck_sent_cached(isys, &mut cache)
-}
-
-/// [`ck_sent`] through an [`EvalCache`].
-///
-/// # Errors
-///
-/// Propagates [`EvalError`].
-pub fn ck_sent_cached(
+pub fn ck_sent(
     isys: &InterpretedSystem,
     cache: &mut EvalCache,
 ) -> Result<hm_kripke::WorldSet, EvalError> {
@@ -176,7 +144,8 @@ mod tests {
         // convention). The increments must be exactly ε.
         for eps in [2u64, 3] {
             let analysis = r2d2_interpreted(eps, 4, 4, R2d2Mode::Uncertain);
-            let onsets = ladder_onsets(&analysis.isys, &analysis.meta, 3).unwrap();
+            let onsets =
+                ladder_onsets(&analysis.isys, &analysis.meta, 3, &mut EvalCache::new()).unwrap();
             let ts = analysis.meta.ts;
             assert_eq!(onsets[0], Some(ts), "level 0 = the fact itself");
             for k in 1..=3usize {
@@ -194,7 +163,7 @@ mod tests {
     fn common_knowledge_never_attained_with_uncertainty() {
         let (pre, post, eps) = (3usize, 3usize, 2u64);
         let analysis = r2d2_interpreted(eps, pre, post, R2d2Mode::Uncertain);
-        let ck = ck_sent(&analysis.isys).unwrap();
+        let ck = ck_sent(&analysis.isys, &mut EvalCache::new()).unwrap();
         // The chain r_j ~R2 r'_j ~D2 r_{j+1} … always reaches a run whose
         // send lies in the future, so C sent holds nowhere — as long as
         // such a run exists, i.e. before the finite family's last send
@@ -215,7 +184,7 @@ mod tests {
     #[test]
     fn exact_delay_attains_common_knowledge_at_ts_plus_eps() {
         let analysis = r2d2_interpreted(3, 2, 2, R2d2Mode::Exact);
-        let ck = ck_sent(&analysis.isys).unwrap();
+        let ck = ck_sent(&analysis.isys, &mut EvalCache::new()).unwrap();
         let ts = analysis.meta.ts;
         let eps = analysis.meta.eps;
         let focus = analysis.meta.focus_slow;
@@ -223,6 +192,7 @@ mod tests {
             &analysis.isys,
             focus,
             &Formula::common(AgentGroup::all(2), Formula::atom("sent")),
+            &mut EvalCache::new(),
         )
         .unwrap();
         // Receipt at t_S + ε enters D2's history one tick later.
@@ -236,7 +206,8 @@ mod tests {
         let ts = analysis.meta.ts;
         let eps = analysis.meta.eps;
         let f = Formula::common(AgentGroup::all(2), Formula::atom("sent_focus"));
-        let onset = first_time(&analysis.isys, analysis.meta.focus_slow, &f).unwrap();
+        let mut cache = EvalCache::new();
+        let onset = first_time(&analysis.isys, analysis.meta.focus_slow, &f, &mut cache).unwrap();
         assert_eq!(
             onset,
             Some(ts + eps + 1),
@@ -245,7 +216,8 @@ mod tests {
         // The fast focus run attains it at the same wall-clock time (the
         // paper: R2 cannot tell which of r0/r1 occurred, but both have CK
         // by t_S + ε).
-        let onset_fast = first_time(&analysis.isys, analysis.meta.focus_fast.unwrap(), &f).unwrap();
+        let fast = analysis.meta.focus_fast.unwrap();
+        let onset_fast = first_time(&analysis.isys, fast, &f, &mut cache).unwrap();
         assert_eq!(onset_fast, Some(ts + eps + 1));
     }
 

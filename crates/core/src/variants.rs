@@ -16,10 +16,11 @@
 //!   broadcast system ([`skewed_broadcast_interpreted`]).
 
 use hm_kripke::{AgentGroup, AgentId, WorldId, WorldSet};
+use hm_limits::Limits;
 use hm_logic::{EvalError, Formula, F};
 use hm_netsim::scenarios::{ok_protocol_system, ok_psi, TAG_OK};
 use hm_netsim::{
-    enumerate_system, Clocks, Command, EnumerateError, ExecutionSpec, FnProtocol, LocalView,
+    enumerate_runs, Clocks, Command, EnumerateError, ExecutionSpec, FnProtocol, LocalView,
     SynchronousDelay,
 };
 use hm_runs::{CompleteHistory, InterpretedSystem, Message, RunId};
@@ -281,7 +282,9 @@ pub fn skewed_broadcast_builder(
                 .with_label(format!("skew{d}"))
         })
         .collect();
-    let sys = enumerate_system(&protocol, &SynchronousDelay { delay: 1 }, &specs, 64)?;
+    let budget = Limits::none().max_runs(64).budget();
+    let adversary = SynchronousDelay { delay: 1 };
+    let sys = enumerate_runs(&protocol, &adversary, &specs, &budget, false)?.into_system()?;
     Ok(
         InterpretedSystem::builder(sys, CompleteHistory).fact("sent_v", |run, t| {
             run.proc(AgentId::new(0))
@@ -380,7 +383,8 @@ fn at_stamp_points(isys: &InterpretedSystem, g: &AgentGroup, stamp: u64) -> Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::puzzles::attack::generals_interpreted;
+    use crate::puzzles::attack::{generals_builder, generals_unbounded_builder};
+    use hm_limits::Budget;
     use hm_logic::axioms::{
         check_fixed_point_axiom, check_induction_rule, check_s5, sample_sets, ModalOp,
     };
@@ -389,9 +393,15 @@ mod tests {
         AgentGroup::all(2)
     }
 
+    fn generals(horizon: u64) -> InterpretedSystem {
+        generals_builder(horizon, &Budget::unlimited(), false)
+            .unwrap()
+            .build()
+    }
+
     #[test]
     fn temporal_hierarchy_on_generals() {
-        let isys = generals_interpreted(8).unwrap();
+        let isys = generals(8);
         let fact = Formula::atom("dispatched");
         let v = check_variant_hierarchy(&isys, &g2(), &fact, &[1, 2, 4]).unwrap();
         assert_eq!(v, None, "C ⊆ Cε1 ⊆ Cε2 ⊆ C◇ must hold");
@@ -399,7 +409,7 @@ mod tests {
 
     #[test]
     fn theorem9_on_generals() {
-        let isys = generals_interpreted(8).unwrap();
+        let isys = generals(8);
         let fact = Formula::atom("dispatched");
         for eps in [Some(1), Some(2), None] {
             let out = check_theorem9(&isys, &g2(), &fact, eps).unwrap();
@@ -467,7 +477,7 @@ mod tests {
 
     #[test]
     fn ceps_cev_satisfy_a3_r1_and_fixed_point() {
-        let isys = generals_interpreted(6).unwrap();
+        let isys = generals(6);
         let suite = sample_sets(&isys, &["dispatched"], 4, 11);
         for op in [
             ModalOp::CommonEps(g2(), 1),
@@ -483,38 +493,9 @@ mod tests {
 
     #[test]
     fn theorem11_on_unbounded_delay_generals() {
-        // Rebuild the generals under unbounded delay: C^ε unattainable.
-        use hm_netsim::{enumerate_runs, UnboundedDelay};
-        let protocol = FnProtocol::new("oneshot", |v: &LocalView<'_>| {
-            if v.me.index() == 0 && v.initial_state == 1 && v.sent().count() == 0 {
-                vec![Command::Send {
-                    to: AgentId::new(1),
-                    msg: Message::tagged(1),
-                }]
-            } else {
-                Vec::new()
-            }
-        });
-        let mut runs = Vec::new();
-        for intent in 0..=1u64 {
-            runs.extend(
-                enumerate_runs(
-                    &protocol,
-                    &UnboundedDelay { min_delay: 1 },
-                    &ExecutionSpec::simple(2, 6)
-                        .with_initial_states(vec![intent, 0])
-                        .with_label(format!("i{intent}")),
-                    512,
-                )
-                .unwrap(),
-            );
-        }
-        let isys = InterpretedSystem::builder(hm_runs::System::new(runs), CompleteHistory)
-            .fact("sent", |run, t| {
-                run.proc(AgentId::new(0))
-                    .events_before(t + 1)
-                    .any(|e| matches!(e.event, hm_runs::Event::Send { .. }))
-            })
+        // The generals under unbounded delay: C^ε unattainable.
+        let isys = generals_unbounded_builder(6, &Budget::unlimited())
+            .unwrap()
             .build();
         assert_eq!(
             hm_runs::conditions::check_ng1_prime(isys.system()),
@@ -528,7 +509,7 @@ mod tests {
 
     #[test]
     fn conjunction_gap_on_generals() {
-        let isys = generals_interpreted(8).unwrap();
+        let isys = generals(8);
         let fact = Formula::atom("dispatched");
         let gaps = conjunction_gap(&isys, &g2(), &fact, 4).unwrap();
         // The 4-delivery run reaches (E^◇)^k depth ≥ 2 at t=0 yet C^◇

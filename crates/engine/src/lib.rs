@@ -56,8 +56,9 @@ pub use cache::CompiledStore;
 pub use scenario::{Scenario, ScenarioFrame, ScenarioParams, ScenarioRegistry, Surface};
 pub use spec::{ParamDescriptor, ParamKind, ParamValue, ParamValues, ScenarioSpec, SpecError};
 
-// The analysis types `Session::check` and `check_spec` return.
-pub use hm_logic::{Diagnostic, Diagnostics, Severity};
+// The analysis types `Session::check` and `check_spec` return, and the
+// JSON codec they (and `hm serve`) speak.
+pub use hm_logic::{json, Diagnostic, Diagnostics, Severity};
 
 // The resource-governance vocabulary, so engine users need no direct
 // `hm-limits` dependency.

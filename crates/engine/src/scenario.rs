@@ -35,13 +35,11 @@
 
 use crate::spec::{nearest_name, ParamDescriptor, ParamValues, ScenarioSpec, SpecError};
 use crate::EngineError;
-use hm_core::agreement::{
-    agreement_builder_budgeted, agreement_builder_reduced_budgeted, AgreementSpec,
-};
+use hm_core::agreement::{agreement_builder, AgreementSpec, Reduction};
 use hm_core::attain::uncertain_start_builder;
 use hm_core::discovery::deadlock_builder;
 use hm_core::frames::{consistency_builder, two_send_views_builder, ViewKind};
-use hm_core::puzzles::attack::{generals_builder_budgeted, generals_unbounded_builder_budgeted};
+use hm_core::puzzles::attack::{generals_builder, generals_unbounded_builder};
 use hm_core::puzzles::muddy::MuddyChildren;
 use hm_core::puzzles::r2d2::r2d2_parts;
 use hm_core::variants::{ok_builder, skewed_broadcast_builder};
@@ -431,10 +429,10 @@ impl Scenario for Generals {
     }
 
     fn build(&self, params: &ScenarioParams) -> Result<ScenarioFrame, EngineError> {
-        Ok(ScenarioFrame::Interpreted(generals_builder_budgeted(
+        Ok(ScenarioFrame::Interpreted(generals_builder(
             params.horizon_or(params.values.int("horizon")),
-            params.parallel,
             &params.budget,
+            params.parallel,
         )?))
     }
 }
@@ -476,12 +474,10 @@ impl Scenario for GeneralsUnbounded {
     }
 
     fn build(&self, params: &ScenarioParams) -> Result<ScenarioFrame, EngineError> {
-        Ok(ScenarioFrame::Interpreted(
-            generals_unbounded_builder_budgeted(
-                params.horizon_or(params.values.int("horizon")),
-                &params.budget,
-            )?,
-        ))
+        Ok(ScenarioFrame::Interpreted(generals_unbounded_builder(
+            params.horizon_or(params.values.int("horizon")),
+            &params.budget,
+        )?))
     }
 }
 
@@ -756,17 +752,18 @@ impl Scenario for Agreement {
                     .into(),
             }));
         }
-        let reduced = match params.values.choice("mode") {
-            "naive" => false,
-            "reduced" => true,
-            "auto" => spec.f >= 3 || spec.n >= 5,
+        let reduction = match params.values.choice("mode") {
+            "naive" => Reduction::Naive,
+            "reduced" => Reduction::Symmetric,
+            "auto" if spec.f >= 3 || spec.n >= 5 => Reduction::Symmetric,
+            "auto" => Reduction::Naive,
             other => unreachable!("descriptor admits only declared modes, got {other}"),
         };
-        Ok(ScenarioFrame::Interpreted(if reduced {
-            agreement_builder_reduced_budgeted(spec, &params.budget)?
-        } else {
-            agreement_builder_budgeted(spec, &params.budget)?
-        }))
+        Ok(ScenarioFrame::Interpreted(agreement_builder(
+            spec,
+            reduction,
+            &params.budget,
+        )?))
     }
 }
 

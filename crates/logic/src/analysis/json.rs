@@ -1,35 +1,11 @@
-//! Hand-rolled JSON for [`Diagnostics`] (`hm check --json`).
-//!
-//! The workspace is fully offline (no serde), so this module carries a
-//! minimal writer and a minimal recursive-descent reader, enough for the
-//! fixed report schema to round-trip: `from_json(to_json(d)) == d`.
-//! `message` and `severity` are emitted for consumers but derived on
-//! read; each diagnostic's identity is `(code, payload, path)`.
+//! The [`Diagnostics`] report schema (`hm check --json`) over the shared
+//! [`crate::json`] codec: `from_json(to_json(d)) == d`. `message` and
+//! `severity` are emitted for consumers but derived on read; each
+//! diagnostic's identity is `(code, payload, path)`.
 
 use super::{DiagKind, Diagnostic, Diagnostics, Facts, Severity};
+use crate::json::{esc, Value};
 use std::fmt::Write as _;
-
-// ---------------------------------------------------------------------------
-// Writing
-// ---------------------------------------------------------------------------
-
-fn esc(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
 
 fn opt_usize(out: &mut String, v: Option<usize>) {
     match v {
@@ -168,19 +144,22 @@ impl Diagnostics {
             .map(read_diag)
             .collect::<Result<Vec<_>, _>>()?;
         let fv = v.field("facts")?;
-        let quotient_unsafe = match fv.field("quotient_unsafe_path")? {
-            Value::Null => None,
-            p => Some((p.string()?, fv.field("quotient_unsafe_op")?.string()?)),
+        // `field` reads an explicit `null` as absent, so the nullable
+        // facts go through `opt_field`.
+        let quotient_unsafe = match fv.opt_field("quotient_unsafe_path") {
+            None => None,
+            Some(p) => Some((p.string()?, fv.field("quotient_unsafe_op")?.string()?)),
         };
+        let count = |name: &str| fv.opt_field(name).map(usize_of).transpose();
         let facts = Facts {
-            nodes: fv.field("nodes")?.usize()?,
-            modal_depth: fv.field("modal_depth")?.usize()? as u32,
-            temporal_depth: fv.field("temporal_depth")?.usize()? as u32,
+            nodes: usize_of(fv.field("nodes")?)?,
+            modal_depth: fv.field("modal_depth")?.u64()? as u32,
+            temporal_depth: fv.field("temporal_depth")?.u64()? as u32,
             agents: fv
                 .field("agents")?
                 .array()?
                 .iter()
-                .map(Value::usize)
+                .map(usize_of)
                 .collect::<Result<Vec<_>, _>>()?,
             atoms: fv
                 .field("atoms")?
@@ -190,8 +169,8 @@ impl Diagnostics {
                 .collect::<Result<Vec<_>, _>>()?,
             quotient_safe: fv.field("quotient_safe")?.boolean()?,
             quotient_unsafe,
-            instructions: fv.field("instructions")?.opt_usize()?,
-            instructions_simplified: fv.field("instructions_simplified")?.opt_usize()?,
+            instructions: count("instructions")?,
+            instructions_simplified: count("instructions_simplified")?,
             simplified: fv.field("simplified")?.string()?,
         };
         Ok(Diagnostics {
@@ -202,6 +181,10 @@ impl Diagnostics {
     }
 }
 
+fn usize_of(v: &Value) -> Result<usize, String> {
+    v.u64().map(|n| n as usize)
+}
+
 fn read_diag(v: &Value) -> Result<Diagnostic, String> {
     let code = v.field("code")?.string()?;
     let path = v.field("path")?.string()?;
@@ -209,7 +192,7 @@ fn read_diag(v: &Value) -> Result<Diagnostic, String> {
     let op = || v.field("op")?.string();
     let kind = match code.as_str() {
         "unknown-atom" => DiagKind::UnknownAtom(v.field("atom")?.string()?),
-        "agent-out-of-range" => DiagKind::AgentOutOfRange(v.field("agent")?.usize()?),
+        "agent-out-of-range" => DiagKind::AgentOutOfRange(usize_of(v.field("agent")?)?),
         "unbound-var" => DiagKind::UnboundVar(var()?),
         "non-monotone" => DiagKind::NonMonotone(var()?),
         "no-temporal-structure" => DiagKind::NoTemporalStructure(op()?),
@@ -218,248 +201,13 @@ fn read_diag(v: &Value) -> Result<Diagnostic, String> {
         "vacuous-fixpoint" => DiagKind::VacuousFixpoint(var()?),
         "constant-formula" => DiagKind::ConstantFormula(v.field("value")?.boolean()?),
         "temporal-depth-exceeds-horizon" => DiagKind::TemporalDepthExceedsHorizon {
-            depth: v.field("depth")?.usize()? as u32,
-            horizon: v.field("horizon")?.usize()? as u64,
+            depth: v.field("depth")?.u64()? as u32,
+            horizon: v.field("horizon")?.u64()?,
         },
         "not-quotient-safe" => DiagKind::NotQuotientSafe(op()?),
         other => return Err(format!("unknown diagnostic code `{other}`")),
     };
     Ok(Diagnostic { kind, path })
-}
-
-// ---------------------------------------------------------------------------
-// Reading: a minimal JSON value
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value, just enough for the report schema.
-#[derive(Debug)]
-enum Value {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Value>),
-    Obj(Vec<(String, Value)>),
-}
-
-impl Value {
-    fn parse(src: &str) -> Result<Value, String> {
-        let mut p = Parser {
-            bytes: src.as_bytes(),
-            at: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.at != p.bytes.len() {
-            return Err(format!("trailing input at byte {}", p.at));
-        }
-        Ok(v)
-    }
-
-    fn field(&self, name: &str) -> Result<&Value, String> {
-        match self {
-            Value::Obj(fields) => fields
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("missing field `{name}`")),
-            _ => Err(format!("expected object with field `{name}`")),
-        }
-    }
-
-    fn array(&self) -> Result<&[Value], String> {
-        match self {
-            Value::Arr(xs) => Ok(xs),
-            _ => Err("expected array".to_string()),
-        }
-    }
-
-    fn string(&self) -> Result<String, String> {
-        match self {
-            Value::Str(s) => Ok(s.clone()),
-            _ => Err("expected string".to_string()),
-        }
-    }
-
-    fn boolean(&self) -> Result<bool, String> {
-        match self {
-            Value::Bool(b) => Ok(*b),
-            _ => Err("expected boolean".to_string()),
-        }
-    }
-
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    fn usize(&self) -> Result<usize, String> {
-        match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Ok(*n as usize),
-            _ => Err("expected non-negative integer".to_string()),
-        }
-    }
-
-    fn opt_usize(&self) -> Result<Option<usize>, String> {
-        match self {
-            Value::Null => Ok(None),
-            v => v.usize().map(Some),
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.at)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.at += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), String> {
-        if self.bytes.get(self.at) == Some(&b) {
-            self.at += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {}", b as char, self.at))
-        }
-    }
-
-    fn lit(&mut self, word: &str, v: Value) -> Result<Value, String> {
-        if self.bytes[self.at..].starts_with(word.as_bytes()) {
-            self.at += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.at))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
-        match self.bytes.get(self.at) {
-            Some(b'n') => self.lit("null", Value::Null),
-            Some(b't') => self.lit("true", Value::Bool(true)),
-            Some(b'f') => self.lit("false", Value::Bool(false)),
-            Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => {
-                self.at += 1;
-                let mut xs = Vec::new();
-                self.skip_ws();
-                if self.bytes.get(self.at) == Some(&b']') {
-                    self.at += 1;
-                    return Ok(Value::Arr(xs));
-                }
-                loop {
-                    self.skip_ws();
-                    xs.push(self.value()?);
-                    self.skip_ws();
-                    if self.bytes.get(self.at) == Some(&b',') {
-                        self.at += 1;
-                    } else {
-                        self.eat(b']')?;
-                        return Ok(Value::Arr(xs));
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.at += 1;
-                let mut fields = Vec::new();
-                self.skip_ws();
-                if self.bytes.get(self.at) == Some(&b'}') {
-                    self.at += 1;
-                    return Ok(Value::Obj(fields));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.skip_ws();
-                    self.eat(b':')?;
-                    self.skip_ws();
-                    fields.push((key, self.value()?));
-                    self.skip_ws();
-                    if self.bytes.get(self.at) == Some(&b',') {
-                        self.at += 1;
-                    } else {
-                        self.eat(b'}')?;
-                        return Ok(Value::Obj(fields));
-                    }
-                }
-            }
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(format!("unexpected input at byte {}", self.at)),
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, String> {
-        let start = self.at;
-        while self
-            .bytes
-            .get(self.at)
-            .is_some_and(|b| matches!(b, b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9'))
-        {
-            self.at += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.at])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Value::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.at) {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.at += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.at += 1;
-                    match self.bytes.get(self.at) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.at + 1..self.at + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| format!("bad \\u escape at byte {}", self.at))?;
-                            out.push(
-                                char::from_u32(hex)
-                                    .ok_or_else(|| format!("bad code point at byte {}", self.at))?,
-                            );
-                            self.at += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.at)),
-                    }
-                    self.at += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 encoded char (input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.at..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid utf-8".to_string())?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.at += c.len_utf8();
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -488,6 +236,16 @@ mod tests {
             assert_eq!(back, d, "{src}");
             // And a second trip is byte-identical.
             assert_eq!(back.to_json(), json, "{src}");
+        }
+    }
+
+    #[test]
+    fn deep_nesting_is_rejected_without_recursing() {
+        // A report reader is a JSON reader: adversarially deep input must
+        // be a parse error at the shared depth cap, not a stack overflow.
+        for src in ["[".repeat(1 << 20), "{\"a\":".repeat(200_000)] {
+            let err = Diagnostics::from_json(&src).unwrap_err();
+            assert!(err.contains("nesting"), "{err}");
         }
     }
 

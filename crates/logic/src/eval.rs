@@ -177,11 +177,6 @@ fn eval(frame: &dyn Frame, f: &Formula, env: &mut Env) -> Result<WorldSet, EvalE
             let mut out = WorldSet::full(n);
             for x in xs {
                 out.intersect_with(&eval(frame, x, env)?);
-                if out.is_empty() {
-                    // Keep evaluating for error detection? No: semantics
-                    // are total once subformulas are well-formed; short
-                    // circuiting would hide errors, so don't.
-                }
             }
             Ok(out)
         }

@@ -1,16 +1,20 @@
-//! Minimal JSON reading and writing for the request/response schema.
+//! Minimal JSON reading and writing, shared by the workspace's two JSON
+//! surfaces: the `hm check --json` diagnostics report
+//! ([`Diagnostics::to_json`](crate::Diagnostics::to_json)) and the
+//! `hm serve` request/response schema (re-exported as `hm_serve::json`).
 //!
-//! The workspace is fully offline (no serde); like
-//! `hm-logic`'s diagnostics module, this carries a recursive-descent
-//! reader and an escape-aware writer — just enough for the fixed query
-//! schema. Numbers are parsed as `f64` and narrowed on access.
+//! The workspace is fully offline (no serde), so this carries a
+//! recursive-descent reader and an escape-aware writer — just enough for
+//! those fixed schemas. Numbers are parsed as `f64` and narrowed on
+//! access; [`Value::opt_field`] and [`Value::field`] read an explicit
+//! `null` as absent.
 //!
 //! The reader is exposed to adversarial input (any `POST /query` body up
 //! to 1 MiB), so it is hardened accordingly: nesting deeper than
 //! [`MAX_DEPTH`] is rejected with an error instead of recursing — a body
 //! of a million `[`s must answer `400`, not blow the worker stack — and
-//! the fuzz suite in `tests/props_json.rs` pins "never panics" over
-//! arbitrary and structurally-mutated inputs.
+//! the fuzz suite in `crates/serve/tests/props_json.rs` pins "never
+//! panics" over arbitrary and structurally-mutated inputs.
 
 use std::fmt::Write as _;
 
@@ -34,10 +38,10 @@ pub fn esc(out: &mut String, s: &str) {
 }
 
 /// Deepest accepted nesting of arrays/objects. Far beyond anything the
-/// request schema needs, and far below what overflows a worker stack.
+/// schemas need, and far below what overflows a worker stack.
 pub const MAX_DEPTH: usize = 64;
 
-/// A parsed JSON value, just enough for the request schema.
+/// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// `null`.
@@ -93,9 +97,7 @@ impl Value {
         }
     }
 
-    /// This value as an array slice. The request schema has no array
-    /// fields (yet); the parser still accepts arrays so future fields
-    /// and round-trip tests can use them.
+    /// This value as an array slice.
     pub fn array(&self) -> Result<&[Value], String> {
         match self {
             Value::Arr(xs) => Ok(xs),

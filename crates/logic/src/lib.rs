@@ -62,6 +62,7 @@ mod eval;
 mod formula;
 mod frame;
 mod interval;
+pub mod json;
 pub mod temporal;
 
 mod parser;

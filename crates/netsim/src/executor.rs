@@ -9,7 +9,7 @@
 use crate::adversary::{Adversary, Outcome};
 use crate::protocol::{Command, JointProtocol, LocalView, SeenEvent};
 use hm_kripke::AgentId;
-use hm_limits::{failpoints, Admission, Budget, LimitExceeded, Limits, Phase, Resource};
+use hm_limits::{failpoints, Admission, Budget, LimitExceeded, Phase, Resource};
 use hm_runs::{Event, Run, RunBuilder, System, TimedEvent};
 use std::fmt;
 
@@ -100,8 +100,7 @@ impl ExecutionSpec {
 pub enum EnumerateError {
     /// A resource ceiling, deadline, or cancellation stopped the
     /// enumeration (strict mode; in partial mode run-budget and
-    /// deadline overruns truncate instead — see
-    /// [`enumerate_runs_budgeted`]).
+    /// deadline overruns truncate instead — see [`enumerate_runs`]).
     Limit(LimitExceeded),
     /// The adversary returned no outcome for the `send_index`-th
     /// message. Every message needs at least one outcome, if only
@@ -141,13 +140,13 @@ impl From<LimitExceeded> for EnumerateError {
     }
 }
 
-/// The outcome of a budgeted enumeration: the (name-sorted) runs plus a
-/// flag recording whether a partial-mode budget cut the run set short.
-/// Truncation drops whole runs, never prefixes — every run present is a
-/// complete run of the real system.
-#[derive(Debug, Clone)]
+/// The outcome of [`enumerate_runs`]: the runs (name-sorted per spec)
+/// plus a flag recording whether a partial-mode budget cut the run set
+/// short. Truncation drops whole runs, never prefixes — every run present
+/// is a complete run of the real system.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Enumeration {
-    /// The enumerated runs, sorted by name.
+    /// The enumerated runs, sorted by name within each spec.
     pub runs: Vec<Run>,
     /// `true` when a partial-mode budget stopped enumeration early.
     pub truncated: bool,
@@ -253,112 +252,6 @@ impl Sim {
     }
 }
 
-/// Counters reported by a symmetry-/prefix-deduplicated enumeration
-/// (see [`enumerate_runs_deduped_budgeted`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PrefixStats {
-    /// Distinct canonical branch states interned.
-    pub distinct: usize,
-    /// Branches pruned because their canonical state was already
-    /// explored.
-    pub pruned: u64,
-}
-
-/// A set of canonical simulation prefixes, used by the deduplicating
-/// enumerator to prune DFS branches whose future is already covered.
-///
-/// Two branch states get the same canonical key when they agree on the
-/// resume coordinates, the send counter, every logged event with
-/// `time < cutoff`, and the in-flight messages due before `cutoff` (in
-/// send order). The adversary's *choice labels* are deliberately
-/// excluded — they name runs but carry no information any processor can
-/// ever observe — and so is everything at or after `cutoff`: with
-/// `cutoff ≥ horizon`, events at `time ≥ cutoff` are invisible to every
-/// view in the system (a view at `t` contains events strictly before
-/// `t ≤ horizon`), so branches differing only there are
-/// epistemically identical. Pass `cutoff = horizon + 1` for fully
-/// lossless content dedup (only label-variant duplicates collapse), or
-/// `cutoff = horizon` to also collapse final-tick delivery variations
-/// that no view can see.
-///
-/// Keys are hash-consed through a [`ViewInterner`](hm_runs::ViewInterner)
-/// — the interner *is* the set (a key is fresh iff interning it grew the
-/// table).
-#[derive(Debug)]
-pub struct CanonicalPrefixSet {
-    cutoff: u64,
-    interner: hm_runs::ViewInterner,
-    key: Vec<u64>,
-    stats: PrefixStats,
-    /// Scratch for sorting pending messages by send order.
-    order: Vec<usize>,
-}
-
-impl CanonicalPrefixSet {
-    /// Creates an empty set with the given event-visibility `cutoff`.
-    pub fn new(cutoff: u64) -> Self {
-        CanonicalPrefixSet {
-            cutoff,
-            interner: hm_runs::ViewInterner::new(),
-            key: Vec::new(),
-            stats: PrefixStats::default(),
-            order: Vec::new(),
-        }
-    }
-
-    /// Counters so far.
-    pub fn stats(&self) -> PrefixStats {
-        self.stats
-    }
-
-    /// Interns the canonical key of `sim` about to resume at
-    /// `(t, proc, cmd)`; returns `true` iff the state is fresh (not seen
-    /// before). Updates the counters accordingly.
-    fn observe(&mut self, sim: &Sim, t: u64, proc: usize, cmd: usize) -> bool {
-        let key = &mut self.key;
-        key.clear();
-        key.extend([t, proc as u64, cmd as u64, sim.send_count as u64]);
-        for events in &sim.events {
-            let count_at = key.len();
-            key.push(0);
-            let mut kept = 0u64;
-            for e in events.iter().take_while(|e| e.time < self.cutoff) {
-                key.push(e.time);
-                e.event.encode(key);
-                kept += 1;
-            }
-            key[count_at] = kept;
-        }
-        // In-flight messages due before the cutoff, in send order (their
-        // relative order is what fixes same-tick delivery order
-        // downstream; absolute sequence numbers are determined by the
-        // logged send events already in the key).
-        self.order.clear();
-        self.order.extend(0..sim.pending.len());
-        self.order.sort_unstable_by_key(|&k| sim.pending[k].4);
-        let count_at = key.len();
-        key.push(0);
-        let mut kept = 0u64;
-        for &k in &self.order {
-            let (dtime, to, from, msg, _) = sim.pending[k];
-            if dtime < self.cutoff {
-                key.extend([dtime, to as u64, from as u64, u64::from(msg.tag), msg.data]);
-                kept += 1;
-            }
-        }
-        key[count_at] = kept;
-        let before = self.interner.len();
-        let _ = self.interner.intern(key);
-        let fresh = self.interner.len() > before;
-        if fresh {
-            self.stats.distinct = self.interner.len();
-        } else {
-            self.stats.pruned += 1;
-        }
-        fresh
-    }
-}
-
 /// The coordinates of one sent message: when, who, to whom, what, and its
 /// global sequence number.
 #[derive(Debug, Clone, Copy)]
@@ -368,6 +261,28 @@ struct SendCtx {
     to: AgentId,
     msg: hm_runs::Message,
     seq: usize,
+}
+
+/// A resumable branch of the exploration: the simulation state plus the
+/// `(t, proc, cmd)` coordinates to continue from. `(0, 0)` at `t` means
+/// the tick is fresh and deliveries for it still have to happen.
+struct Task {
+    sim: Sim,
+    t: u64,
+    proc: usize,
+    cmd: usize,
+}
+
+impl Task {
+    /// The whole run tree of `spec`: a fresh simulation at tick 0.
+    fn root(spec: &ExecutionSpec) -> Self {
+        Task {
+            sim: Sim::new(spec.num_procs),
+            t: 0,
+            proc: 0,
+            cmd: 0,
+        }
+    }
 }
 
 /// The depth-first enumerator: shared scratch plus the accumulating run
@@ -386,25 +301,26 @@ struct Enumerator<'a> {
     seen: Vec<SeenEvent>,
     /// Reused buffer for each tick's due deliveries.
     due: Vec<(u64, usize, usize, hm_runs::Message, usize)>,
-    /// Branch-state dedup (sequential deduped mode only; the parallel
-    /// driver never sets it — pruning depends on exploration order, which
-    /// scheduling would make nondeterministic).
-    dedup: Option<CanonicalPrefixSet>,
 }
 
-impl Enumerator<'_> {
-    /// Continues the simulation of `sim` from tick `t0`, starting at
-    /// processor `proc0` and skipping that processor's first `cmd0`
-    /// commands (already applied on this branch). `(0, 0)` at `t0` means
-    /// the tick is fresh and deliveries for it still have to happen.
-    ///
-    /// At an adversary choice with `k > 1` distinct outcomes, outcomes
-    /// `0..k-1` recurse on a clone of `sim` and the last one continues in
-    /// place, so choices are explored in option order and the shared
-    /// prefix is never re-simulated. Protocol steps interrupted by a
-    /// branch are re-issued on resume; this is sound because protocols
-    /// are deterministic functions of the view and the view only contains
-    /// events strictly before the current tick.
+impl<'a> Enumerator<'a> {
+    fn new(
+        protocol: &'a dyn JointProtocol,
+        adversary: &'a dyn Adversary,
+        spec: &'a ExecutionSpec,
+        budget: &'a Budget,
+    ) -> Self {
+        Enumerator {
+            protocol,
+            adversary,
+            spec,
+            budget,
+            runs: Vec::new(),
+            seen: Vec::new(),
+            due: Vec::new(),
+        }
+    }
+
     /// Maps a budget failure to the DFS unwind signal: under partial
     /// mode, deadline overruns and cancellation stop enumeration in an
     /// orderly way (keeping admitted runs); everything else — and every
@@ -419,64 +335,43 @@ impl Enumerator<'_> {
         }
     }
 
-    /// Consults the prefix-dedup set (when installed) for the branch
-    /// state `sim` about to resume at `(t, proc, cmd)`: `Ok(true)` means
-    /// explore it, `Ok(false)` means an equivalent state was already
-    /// explored and the branch must be pruned. Fresh states are charged
-    /// to the visited-state budget.
-    fn admit_branch(
-        &mut self,
-        sim: &Sim,
-        t: u64,
-        proc: usize,
-        cmd: usize,
-    ) -> Result<bool, Interrupt> {
-        let Some(dedup) = self.dedup.as_mut() else {
-            return Ok(true);
-        };
-        if !dedup.observe(sim, t, proc, cmd) {
-            return Ok(false);
+    /// Explores `tasks` to completion, in order. Returns `true` when a
+    /// partial-mode budget stopped the exploration early (the runs
+    /// admitted so far stay in `self.runs`).
+    fn explore_all(&mut self, tasks: Vec<Task>) -> Result<bool, EnumerateError> {
+        for task in tasks {
+            match self.drive(task, false) {
+                Ok(rest) => debug_assert!(rest.is_empty(), "recursive mode never yields tasks"),
+                Err(Interrupt::Stop) => return Ok(true),
+                Err(Interrupt::Err(e)) => return Err(e),
+            }
         }
-        self.budget
-            .charge(Phase::Enumerate, 1)
-            .map_err(|e| self.interrupted(e))?;
-        Ok(true)
+        Ok(false)
     }
 
-    fn explore(&mut self, sim: Sim, t0: u64, proc0: usize, cmd0: usize) -> Result<(), Interrupt> {
-        let tasks = self.drive(sim, t0, proc0, cmd0, false)?;
-        debug_assert!(tasks.is_empty(), "recursive mode never yields tasks");
-        Ok(())
-    }
-
-    /// Continues the simulation of `sim` like [`explore`](Self::explore),
-    /// but stops at the first adversary choice with more than one
-    /// outcome, returning one resumable task per outcome instead of
-    /// recursing. Branch-free suffixes complete and materialise in place.
-    /// This is the task-splitting front end of the parallel enumerator.
-    fn run_until_branch(
-        &mut self,
-        sim: Sim,
-        t0: u64,
-        proc0: usize,
-        cmd0: usize,
-    ) -> Result<Vec<Task>, Interrupt> {
-        self.drive(sim, t0, proc0, cmd0, true)
-    }
-
-    /// The one stepping loop behind both exploration modes. At an
-    /// adversary choice with `k > 1` distinct outcomes: in recursive
-    /// mode (`split == false`) outcomes `0..k-1` recurse on a clone of
-    /// `sim` and the last continues in place; in split mode every
-    /// outcome becomes a resumable [`Task`] and the function returns.
-    fn drive(
-        &mut self,
-        mut sim: Sim,
-        t0: u64,
-        proc0: usize,
-        cmd0: usize,
-        split: bool,
-    ) -> Result<Vec<Task>, Interrupt> {
+    /// Continues the simulation of `task.sim` from `(task.t, task.proc)`,
+    /// skipping that processor's first `task.cmd` commands (already
+    /// applied on this branch).
+    ///
+    /// At an adversary choice with `k > 1` distinct outcomes: in
+    /// recursive mode (`split == false`) outcomes `0..k-1` recurse on a
+    /// clone of the simulation and the last continues in place, so
+    /// choices are explored in option order and the shared prefix is
+    /// never re-simulated; in split mode every outcome becomes a
+    /// resumable [`Task`] and the function returns them (the
+    /// task-splitting front end of the parallel enumerator). Branch-free
+    /// suffixes complete and materialise in place either way. Protocol
+    /// steps interrupted by a branch are re-issued on resume; this is
+    /// sound because protocols are deterministic functions of the view
+    /// and the view only contains events strictly before the current
+    /// tick.
+    fn drive(&mut self, task: Task, split: bool) -> Result<Vec<Task>, Interrupt> {
+        let Task {
+            mut sim,
+            t: t0,
+            proc: proc0,
+            cmd: cmd0,
+        } = task;
         let spec = self.spec;
         let n = spec.num_procs;
         for t in t0..=spec.horizon {
@@ -542,35 +437,25 @@ impl Enumerator<'_> {
                                 msg,
                                 seq,
                             };
+                            let branch = |sim: &Sim, opt: Outcome| {
+                                let mut child = sim.clone();
+                                child.apply_outcome(opt, &send, spec.horizon);
+                                Task {
+                                    sim: child,
+                                    t,
+                                    proc: i,
+                                    cmd: ci + 1,
+                                }
+                            };
                             if split && options.len() > 1 {
-                                return Ok(options
-                                    .iter()
-                                    .map(|&opt| {
-                                        let mut child = sim.clone();
-                                        child.apply_outcome(opt, &send, spec.horizon);
-                                        Task {
-                                            sim: child,
-                                            t,
-                                            proc: i,
-                                            cmd: ci + 1,
-                                        }
-                                    })
-                                    .collect());
+                                return Ok(options.iter().map(|&opt| branch(&sim, opt)).collect());
                             }
                             let (&last, rest) = options.split_last().expect("non-empty");
                             for &opt in rest {
-                                let mut child = sim.clone();
-                                child.apply_outcome(opt, &send, spec.horizon);
-                                if !self.admit_branch(&child, t, i, ci + 1)? {
-                                    continue; // canonical state already explored
-                                }
-                                self.explore(child, t, i, ci + 1)?;
+                                self.drive(branch(&sim, opt), false)?;
                             }
                             // Last option continues on this branch.
                             sim.apply_outcome(last, &send, spec.horizon);
-                            if !self.admit_branch(&sim, t, i, ci + 1)? {
-                                return Ok(Vec::new()); // prune this branch too
-                            }
                         }
                     }
                 }
@@ -639,237 +524,89 @@ fn dedup_outcomes(options: &mut Vec<Outcome>) {
     }
 }
 
-/// Enumerates **all** runs of `protocol` against `adversary` under `spec`,
-/// by depth-first search over the adversary's choices. The state of the
+/// Enumerates **all** runs of `protocol` against `adversary` for every
+/// execution spec in `specs` (e.g. all initial configurations), by
+/// depth-first search over the adversary's choices. The state of the
 /// shared prefix is cloned at each branch point rather than replayed, so
 /// enumeration is linear in the total size of the run tree. Adversary
-/// option lists are deduplicated first (see the stock adversaries — they
-/// never offer duplicates, so for them the run set is exactly the product
-/// of the per-message choices).
+/// option lists are deduplicated first (the stock adversaries never offer
+/// duplicates, so for them the run set is exactly the product of the
+/// per-message choices).
 ///
-/// This is the convenience wrapper with a bare run ceiling; see
-/// [`enumerate_runs_budgeted`] for deadlines, cancellation, and partial
-/// results.
+/// The result lists each spec's runs sorted by name, concatenated in spec
+/// order, so a full enumeration is deterministic. [`Enumeration::into_system`]
+/// turns it into a [`System`].
 ///
-/// # Errors
+/// **Budget.** One [`Budget`] spans every spec: its run ceiling bounds
+/// the *total*, and its visited-state ceiling, deadline and cancellation
+/// are all honored. Under a strict budget any exhaustion is a typed
+/// [`EnumerateError::Limit`]. Under [`Limits::allow_partial`](hm_limits::Limits::allow_partial),
+/// exceeding the run ceiling, the deadline, or cancellation instead
+/// *truncates*: the runs admitted so far are returned with
+/// [`Enumeration::truncated`]` == true`, and later specs are skipped.
+/// Truncation drops whole runs only — every run present is complete,
+/// which is what keeps run-local temporal operators exact under
+/// three-valued evaluation downstream.
 ///
-/// Returns [`EnumerateError::Limit`] if more than `max_runs` runs would
-/// be produced, and [`EnumerateError::NoOutcome`] if the adversary offers
-/// no outcome for some message.
-pub fn enumerate_runs(
-    protocol: &dyn JointProtocol,
-    adversary: &dyn Adversary,
-    spec: &ExecutionSpec,
-    max_runs: usize,
-) -> Result<Vec<Run>, EnumerateError> {
-    let budget = Limits::none().max_runs(max_runs as u64).budget();
-    enumerate_runs_budgeted(protocol, adversary, spec, &budget).map(|e| e.runs)
-}
-
-/// [`enumerate_runs`] under a full resource [`Budget`]: run ceiling,
-/// visited-state ceiling, deadline, and cancellation are all honored.
+/// **Parallelism.** With `parallel`, each spec's run tree is first split
+/// breadth-first into at least `4 × available_parallelism` resumable
+/// tasks (branch-free prefixes complete inline), and the tasks are
+/// explored on `std::thread::scope` workers, each running the sequential
+/// enumerator. The subtrees below distinct adversary choices never
+/// interact, and the per-spec name-sort makes a full enumeration
+/// **identical to the sequential one** regardless of scheduling (run
+/// names encode the adversary schedule, so they are unique within one
+/// spec). `HM_NETSIM_THREADS` overrides the detected parallelism. The
+/// budget's counters are shared by all workers (each clones the handle,
+/// keeping its own amortized tick cell), so a blow-up stops every worker
+/// at its next materialised run. Under a partial ceiling only the *size*
+/// of the admitted set is bounded; which runs are admitted depends on
+/// scheduling.
 ///
-/// Under a strict budget any exhaustion is a typed
-/// [`EnumerateError::Limit`]. Under [`Limits::allow_partial`], exceeding
-/// the run ceiling, the deadline, or cancellation instead *truncates*:
-/// the runs admitted so far are returned with
-/// [`Enumeration::truncated`]` == true`. Truncation drops whole runs only
-/// — every run present is complete, which is what keeps run-local
-/// temporal operators exact under three-valued evaluation downstream.
+/// # Panics
+///
+/// Panics if `specs` is empty.
 ///
 /// # Errors
 ///
 /// [`EnumerateError::Limit`] on budget exhaustion (strict mode, or a hard
 /// resource in partial mode); [`EnumerateError::NoOutcome`] if the
-/// adversary offers no outcome for some message.
-pub fn enumerate_runs_budgeted(
-    protocol: &dyn JointProtocol,
-    adversary: &dyn Adversary,
-    spec: &ExecutionSpec,
-    budget: &Budget,
-) -> Result<Enumeration, EnumerateError> {
-    failpoints::check("netsim::enumerate", Phase::Enumerate)?;
-    let mut enumerator = Enumerator {
-        protocol,
-        adversary,
-        spec,
-        budget,
-        runs: Vec::new(),
-        seen: Vec::new(),
-        due: Vec::new(),
-        dedup: None,
-    };
-    let truncated = match enumerator.explore(Sim::new(spec.num_procs), 0, 0, 0) {
-        Ok(()) => false,
-        Err(Interrupt::Stop) => true,
-        Err(Interrupt::Err(e)) => return Err(e),
-    };
-    let mut runs = enumerator.runs;
-    // Canonical order: sort by name for reproducibility.
-    runs.sort_by(|a, b| a.name.cmp(&b.name));
-    Ok(Enumeration { runs, truncated })
-}
-
-/// [`enumerate_runs_budgeted`] with branch-state deduplication through a
-/// [`CanonicalPrefixSet`]: whenever the DFS reaches an adversary branch
-/// whose canonical state (logged events and in-flight messages below
-/// `cutoff`, labels excluded) was already explored, the branch is pruned
-/// — its subtree can only re-derive run contents the kept subtree
-/// already produces. Typical collapse: loss vs. delivery chosen for a
-/// message that could never be observed before the horizon.
-///
-/// `cutoff` must be at least `spec.horizon`; see [`CanonicalPrefixSet`]
-/// for the `horizon` vs. `horizon + 1` trade-off. Each *fresh* canonical
-/// state is charged against the budget's visited-state ceiling
-/// ([`Limits::max_states_visited`]), so a blow-up of distinct states is
-/// a typed failure, not an OOM. Enumeration is strictly sequential —
-/// pruning depends on exploration order, which parallel scheduling would
-/// make nondeterministic.
-///
-/// Run *names* still record the adversary schedule of the kept branch,
-/// so the deduped run set is a name-subset of the full enumeration's
-/// only when pruning never fires; contents, not names, are the stable
-/// interface.
-///
-/// # Panics
-///
-/// Panics if `cutoff < spec.horizon` (such a cutoff would merge states
-/// that some view can still distinguish).
-///
-/// # Errors
-///
-/// As for [`enumerate_runs_budgeted`], plus
-/// [`EnumerateError::Limit`]`(`[`Resource::StatesVisited`]`)` when the
-/// distinct-state ceiling is hit (a hard error even in partial mode —
-/// unlike run truncation, stopping mid-prune keeps no usable guarantee).
-pub fn enumerate_runs_deduped_budgeted(
-    protocol: &dyn JointProtocol,
-    adversary: &dyn Adversary,
-    spec: &ExecutionSpec,
-    cutoff: u64,
-    budget: &Budget,
-) -> Result<(Enumeration, PrefixStats), EnumerateError> {
-    assert!(
-        cutoff >= spec.horizon,
-        "dedup cutoff {cutoff} below horizon {} would merge observably distinct states",
-        spec.horizon
-    );
-    failpoints::check("netsim::enumerate", Phase::Enumerate)?;
-    let mut enumerator = Enumerator {
-        protocol,
-        adversary,
-        spec,
-        budget,
-        runs: Vec::new(),
-        seen: Vec::new(),
-        due: Vec::new(),
-        dedup: Some(CanonicalPrefixSet::new(cutoff)),
-    };
-    let truncated = match enumerator.explore(Sim::new(spec.num_procs), 0, 0, 0) {
-        Ok(()) => false,
-        Err(Interrupt::Stop) => true,
-        Err(Interrupt::Err(e)) => return Err(e),
-    };
-    let stats = enumerator
-        .dedup
-        .as_ref()
-        .expect("dedup set installed above")
-        .stats();
-    let mut runs = enumerator.runs;
-    runs.sort_by(|a, b| a.name.cmp(&b.name));
-    Ok((Enumeration { runs, truncated }, stats))
-}
-
-/// Convenience wrapper over [`enumerate_runs_deduped_budgeted`] with a
-/// bare run ceiling and `cutoff = horizon` (epistemic dedup).
-///
-/// # Errors
-///
-/// As for [`enumerate_runs_deduped_budgeted`].
-pub fn enumerate_runs_deduped(
-    protocol: &dyn JointProtocol,
-    adversary: &dyn Adversary,
-    spec: &ExecutionSpec,
-    max_runs: usize,
-) -> Result<(Vec<Run>, PrefixStats), EnumerateError> {
-    let budget = Limits::none().max_runs(max_runs as u64).budget();
-    enumerate_runs_deduped_budgeted(protocol, adversary, spec, spec.horizon, &budget)
-        .map(|(e, stats)| (e.runs, stats))
-}
-
-/// A resumable branch of the exploration: the simulation state plus the
-/// `(t, proc, cmd)` coordinates to continue from.
-struct Task {
-    sim: Sim,
-    t: u64,
-    proc: usize,
-    cmd: usize,
-}
-
-/// Parallel [`enumerate_runs`]: explores independent adversary branches
-/// on scoped threads and merges their run lists.
-///
-/// The DFS enumerator clones its simulation at every adversary choice
-/// point, and the subtrees below distinct choices never interact — the
-/// work is embarrassingly parallel. This driver first splits the run tree
-/// breadth-first into at least `4 × available_parallelism` resumable
-/// tasks (branch-free prefixes complete inline), then distributes the
-/// task list over `std::thread::scope` workers, each running the
-/// sequential enumerator, and concatenates the results. The final
-/// name-sort makes the output **identical to the sequential enumerator's**
-/// regardless of scheduling (run names encode the adversary schedule, so
-/// they are unique within one enumeration).
-///
-/// Requires `Sync` protocol and adversary; all stock implementations and
-/// any `FnProtocol` over captured `Sync` data qualify.
-///
-/// # Errors
-///
-/// Returns [`EnumerateError::Limit`] if more than `max_runs` runs would
-/// be produced. The ceiling is enforced through one counter shared by
-/// all workers, so on a blow-up every worker sees the overshoot at its
-/// next materialised run and the whole enumeration stops promptly — no
-/// worker keeps exploring its subtree to a private limit.
-pub fn enumerate_runs_parallel(
+/// adversary offers no outcome for some message;
+/// [`EnumerateError::WorkerPanic`] if a parallel worker panics (caught at
+/// join instead of aborting the caller).
+pub fn enumerate_runs(
     protocol: &(dyn JointProtocol + Sync),
     adversary: &(dyn Adversary + Sync),
-    spec: &ExecutionSpec,
-    max_runs: usize,
-) -> Result<Vec<Run>, EnumerateError> {
-    let budget = Limits::none().max_runs(max_runs as u64).budget();
-    enumerate_runs_parallel_budgeted(protocol, adversary, spec, &budget).map(|e| e.runs)
+    specs: &[ExecutionSpec],
+    budget: &Budget,
+    parallel: bool,
+) -> Result<Enumeration, EnumerateError> {
+    assert!(!specs.is_empty(), "need at least one execution spec");
+    failpoints::check("netsim::enumerate", Phase::Enumerate)?;
+    let threads = if parallel { worker_threads() } else { 1 };
+    let mut all = Enumeration {
+        runs: Vec::new(),
+        truncated: false,
+    };
+    for spec in specs {
+        let (mut runs, truncated) = enumerate_spec(protocol, adversary, spec, budget, threads)?;
+        runs.sort_by(|a, b| a.name.cmp(&b.name));
+        all.runs.append(&mut runs);
+        if truncated {
+            // The shared run counter is exhausted: later specs would
+            // admit nothing, so stop cleanly here.
+            all.truncated = true;
+            break;
+        }
+    }
+    Ok(all)
 }
 
-/// [`enumerate_runs_parallel`] under a full resource [`Budget`]. Budget
-/// semantics match [`enumerate_runs_budgeted`]: the ceilings, deadline,
-/// and cancellation are global across workers (the shared counters live
-/// behind one `Arc`; each worker clones the budget handle, keeping its
-/// own amortized tick cell). A worker that panics is caught at join and
-/// surfaced as [`EnumerateError::WorkerPanic`] instead of aborting the
-/// caller.
-///
-/// Under [`Limits::allow_partial`], a worker that runs out of budget
-/// keeps the runs it already admitted and stops; the merged result is
-/// flagged [`Enumeration::truncated`]. Note the *set* of admitted runs
-/// under a partial ceiling depends on scheduling — only its size is
-/// bounded — unlike the full enumeration, which is deterministic.
-///
-/// # Errors
-///
-/// [`EnumerateError::Limit`] on strict budget exhaustion,
-/// [`EnumerateError::NoOutcome`] on an adversary with no outcome,
-/// [`EnumerateError::WorkerPanic`] if a worker thread panics.
-pub fn enumerate_runs_parallel_budgeted(
-    protocol: &(dyn JointProtocol + Sync),
-    adversary: &(dyn Adversary + Sync),
-    spec: &ExecutionSpec,
-    budget: &Budget,
-) -> Result<Enumeration, EnumerateError> {
-    failpoints::check("netsim::enumerate", Phase::Enumerate)?;
-    // `HM_NETSIM_THREADS` overrides the detected parallelism — to pin
-    // worker counts in tests/benches, or to force the sequential
-    // fallback (=1) / real workers on single-core machines.
-    let threads = std::env::var("HM_NETSIM_THREADS")
+/// The worker count for parallel enumeration: `HM_NETSIM_THREADS` when
+/// set (to pin worker counts in tests and benches, or to force real
+/// workers on single-core machines), else the detected parallelism.
+fn worker_threads() -> usize {
+    std::env::var("HM_NETSIM_THREADS")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
         .filter(|&n| n > 0)
@@ -877,33 +614,26 @@ pub fn enumerate_runs_parallel_budgeted(
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1)
-        });
-    let target_tasks = threads * 4;
+        })
+}
+
+/// One spec's (unsorted) runs and truncation flag, explored on up to
+/// `threads` workers.
+fn enumerate_spec(
+    protocol: &(dyn JointProtocol + Sync),
+    adversary: &(dyn Adversary + Sync),
+    spec: &ExecutionSpec,
+    budget: &Budget,
+    threads: usize,
+) -> Result<(Vec<Run>, bool), EnumerateError> {
+    let mut splitter = Enumerator::new(protocol, adversary, spec, budget);
+    let mut tasks = vec![Task::root(spec)];
     let mut truncated = false;
-    let mut splitter = Enumerator {
-        protocol,
-        adversary,
-        spec,
-        budget,
-        runs: Vec::new(),
-        seen: Vec::new(),
-        due: Vec::new(),
-        dedup: None,
-    };
-    // Breadth-first split until we have enough independent tasks (or the
-    // tree is exhausted). Completed branch-free prefixes land in
+    // Breadth-first split until there are enough independent tasks (or
+    // the tree is exhausted). Completed branch-free prefixes land in
     // `splitter.runs` directly.
-    let mut tasks = match splitter.run_until_branch(Sim::new(spec.num_procs), 0, 0, 0) {
-        Ok(tasks) => tasks,
-        Err(Interrupt::Stop) => {
-            truncated = true;
-            Vec::new()
-        }
-        Err(Interrupt::Err(e)) => return Err(e),
-    };
-    while !truncated && !tasks.is_empty() && tasks.len() < target_tasks {
-        let task = tasks.remove(0);
-        match splitter.run_until_branch(task.sim, task.t, task.proc, task.cmd) {
+    while threads > 1 && !tasks.is_empty() && tasks.len() < threads * 4 {
+        match splitter.drive(tasks.remove(0), true) {
             Ok(children) => tasks.extend(children),
             Err(Interrupt::Stop) => {
                 truncated = true;
@@ -912,36 +642,22 @@ pub fn enumerate_runs_parallel_budgeted(
             Err(Interrupt::Err(e)) => return Err(e),
         }
     }
-    let mut runs = std::mem::take(&mut splitter.runs);
-    if tasks.len() <= 1 || threads == 1 {
+    if tasks.len() <= 1 {
         // Not enough branching to pay for threads: finish sequentially.
-        for task in tasks {
-            match splitter.explore(task.sim, task.t, task.proc, task.cmd) {
-                Ok(()) => {}
-                Err(Interrupt::Stop) => {
-                    truncated = true;
-                    break;
-                }
-                Err(Interrupt::Err(e)) => return Err(e),
-            }
-        }
-        runs.append(&mut splitter.runs);
-        runs.sort_by(|a, b| a.name.cmp(&b.name));
-        return Ok(Enumeration { runs, truncated });
+        truncated |= splitter.explore_all(tasks)?;
+        return Ok((splitter.runs, truncated));
     }
+    let mut runs = splitter.runs;
     let chunk = tasks.len().div_ceil(threads);
-    let chunks: Vec<Vec<Task>> = {
-        let mut out = Vec::new();
-        let mut it = tasks.into_iter();
-        loop {
-            let c: Vec<Task> = it.by_ref().take(chunk).collect();
-            if c.is_empty() {
-                break;
-            }
-            out.push(c);
+    let mut chunks: Vec<Vec<Task>> = Vec::new();
+    let mut rest = tasks.into_iter();
+    loop {
+        let c: Vec<Task> = rest.by_ref().take(chunk).collect();
+        if c.is_empty() {
+            break;
         }
-        out
-    };
+        chunks.push(c);
+    }
     type WorkerResult = Result<(Vec<Run>, bool), EnumerateError>;
     let results: Vec<WorkerResult> = std::thread::scope(|scope| {
         let handles: Vec<_> = chunks
@@ -952,27 +668,8 @@ pub fn enumerate_runs_parallel_budgeted(
                 let budget = budget.clone();
                 scope.spawn(move || -> WorkerResult {
                     failpoints::check("netsim::worker", Phase::Enumerate)?;
-                    let mut worker = Enumerator {
-                        protocol,
-                        adversary,
-                        spec,
-                        budget: &budget,
-                        runs: Vec::new(),
-                        seen: Vec::new(),
-                        due: Vec::new(),
-                        dedup: None,
-                    };
-                    let mut truncated = false;
-                    for task in chunk {
-                        match worker.explore(task.sim, task.t, task.proc, task.cmd) {
-                            Ok(()) => {}
-                            Err(Interrupt::Stop) => {
-                                truncated = true;
-                                break;
-                            }
-                            Err(Interrupt::Err(e)) => return Err(e),
-                        }
-                    }
+                    let mut worker = Enumerator::new(protocol, adversary, spec, &budget);
+                    let truncated = worker.explore_all(chunk)?;
                     Ok((worker.runs, truncated))
                 })
             })
@@ -996,76 +693,33 @@ pub fn enumerate_runs_parallel_budgeted(
         runs.extend(worker_runs);
         truncated |= worker_truncated;
     }
-    runs.sort_by(|a, b| a.name.cmp(&b.name));
-    Ok(Enumeration { runs, truncated })
+    Ok((runs, truncated))
 }
 
-/// Enumerates runs over several execution specs (e.g. all initial
-/// configurations) and combines them into one [`System`].
-///
-/// # Errors
-///
-/// Returns [`EnumerateError::Limit`] if the *total* number of runs
-/// across specs exceeds `max_runs` — one budget is shared by every
-/// spec's enumeration.
-pub fn enumerate_system(
-    protocol: &dyn JointProtocol,
-    adversary: &dyn Adversary,
-    specs: &[ExecutionSpec],
-    max_runs: usize,
-) -> Result<System, EnumerateError> {
-    let budget = Limits::none().max_runs(max_runs as u64).budget();
-    let enumeration = enumerate_system_budgeted(protocol, adversary, specs, &budget)?;
-    Ok(enumeration_to_system(enumeration))
-}
-
-/// [`enumerate_system`] under a full resource [`Budget`], shared across
-/// all specs. Budget semantics match [`enumerate_runs_budgeted`]; the
-/// per-spec run lists are concatenated in spec order (each sorted by
-/// name), so output is deterministic for a full enumeration.
-///
-/// # Errors
-///
-/// As for [`enumerate_runs_budgeted`].
-pub fn enumerate_system_budgeted(
-    protocol: &dyn JointProtocol,
-    adversary: &dyn Adversary,
-    specs: &[ExecutionSpec],
-    budget: &Budget,
-) -> Result<Enumeration, EnumerateError> {
-    assert!(!specs.is_empty(), "need at least one execution spec");
-    let mut all = Vec::new();
-    let mut truncated = false;
-    for spec in specs {
-        let e = enumerate_runs_budgeted(protocol, adversary, spec, budget)?;
-        all.extend(e.runs);
-        if e.truncated {
-            // The shared run counter is exhausted: later specs would
-            // admit nothing, so stop cleanly here.
-            truncated = true;
-            break;
+impl Enumeration {
+    /// Converts the enumeration into a [`System`], carrying the
+    /// truncation flag across.
+    ///
+    /// # Errors
+    ///
+    /// A zero-run enumeration (a partial budget that admitted nothing) is
+    /// reported as the run-budget exhaustion it is, since a [`System`]
+    /// cannot be empty.
+    pub fn into_system(self) -> Result<System, EnumerateError> {
+        if self.runs.is_empty() {
+            return Err(EnumerateError::Limit(LimitExceeded {
+                resource: Resource::Runs,
+                phase: Phase::Enumerate,
+                spent: 1,
+                limit: 0,
+            }));
         }
+        let mut sys = System::new(self.runs);
+        if self.truncated {
+            sys.mark_truncated();
+        }
+        Ok(sys)
     }
-    Ok(Enumeration {
-        runs: all,
-        truncated,
-    })
-}
-
-/// Converts an [`Enumeration`] into a [`System`], carrying the truncation
-/// flag across.
-///
-/// # Panics
-///
-/// Panics if the enumeration holds no runs (a [`System`] cannot be
-/// empty); callers handling partial results should check
-/// [`Enumeration::runs`]` .is_empty()` first.
-pub fn enumeration_to_system(e: Enumeration) -> System {
-    let mut sys = System::new(e.runs);
-    if e.truncated {
-        sys.mark_truncated();
-    }
-    sys
 }
 
 #[cfg(test)]
@@ -1073,10 +727,11 @@ mod tests {
     use super::*;
     use crate::adversary::{LossyFixedDelay, SynchronousDelay};
     use crate::protocol::{FnProtocol, Silent};
+    use hm_limits::Limits;
     use hm_runs::Message;
 
     /// p0 sends one message to p1 at its first step; nothing else.
-    fn one_shot() -> impl JointProtocol {
+    fn one_shot() -> impl JointProtocol + Sync {
         FnProtocol::new("oneshot", |v: &LocalView<'_>| {
             if v.me.index() == 0 && v.sent().count() == 0 {
                 vec![Command::Send {
@@ -1089,13 +744,40 @@ mod tests {
         })
     }
 
+    /// p0 fires `msgs` lossy messages at p1: 2^msgs branches.
+    fn burst(msgs: usize) -> impl JointProtocol + Sync {
+        FnProtocol::new("burst", move |v: &LocalView<'_>| {
+            if v.me.index() == 0 && v.sent().count() < msgs {
+                vec![Command::Send {
+                    to: AgentId::new(1),
+                    msg: Message::new(1, v.sent().count() as u64),
+                }]
+            } else {
+                Vec::new()
+            }
+        })
+    }
+
+    /// One spec under a bare run ceiling, runs only.
+    fn runs_of(
+        protocol: &(dyn JointProtocol + Sync),
+        adversary: &(dyn Adversary + Sync),
+        spec: ExecutionSpec,
+        max_runs: u64,
+        parallel: bool,
+    ) -> Result<Vec<Run>, EnumerateError> {
+        let budget = Limits::none().max_runs(max_runs).budget();
+        enumerate_runs(protocol, adversary, &[spec], &budget, parallel).map(|e| e.runs)
+    }
+
     #[test]
     fn silent_protocol_yields_one_run() {
-        let runs = enumerate_runs(
+        let runs = runs_of(
             &Silent,
             &SynchronousDelay { delay: 1 },
-            &ExecutionSpec::simple(2, 3),
+            ExecutionSpec::simple(2, 3),
             10,
+            false,
         )
         .unwrap();
         assert_eq!(runs.len(), 1);
@@ -1104,11 +786,12 @@ mod tests {
 
     #[test]
     fn lossy_one_shot_yields_two_runs() {
-        let runs = enumerate_runs(
+        let runs = runs_of(
             &one_shot(),
             &LossyFixedDelay { delay: 1 },
-            &ExecutionSpec::simple(2, 3),
+            ExecutionSpec::simple(2, 3),
             10,
+            false,
         )
         .unwrap();
         assert_eq!(runs.len(), 2, "delivered and lost");
@@ -1124,8 +807,9 @@ mod tests {
     #[test]
     fn deterministic_and_sorted() {
         let spec = ExecutionSpec::simple(2, 3);
-        let a = enumerate_runs(&one_shot(), &LossyFixedDelay { delay: 1 }, &spec, 10).unwrap();
-        let b = enumerate_runs(&one_shot(), &LossyFixedDelay { delay: 1 }, &spec, 10).unwrap();
+        let adversary = LossyFixedDelay { delay: 1 };
+        let a = runs_of(&one_shot(), &adversary, spec.clone(), 10, false).unwrap();
+        let b = runs_of(&one_shot(), &adversary, spec, 10, false).unwrap();
         assert_eq!(a, b);
         let names: Vec<_> = a.iter().map(|r| r.name.clone()).collect();
         let mut sorted = names.clone();
@@ -1135,11 +819,12 @@ mod tests {
 
     #[test]
     fn run_limit_enforced() {
-        let err = enumerate_runs(
+        let err = runs_of(
             &one_shot(),
             &LossyFixedDelay { delay: 1 },
-            &ExecutionSpec::simple(2, 3),
+            ExecutionSpec::simple(2, 3),
             1,
+            false,
         )
         .unwrap_err();
         match err {
@@ -1156,26 +841,16 @@ mod tests {
 
     #[test]
     fn partial_budget_truncates_instead_of_failing() {
+        let spec = [ExecutionSpec::simple(2, 3)];
+        let adversary = LossyFixedDelay { delay: 1 };
         let budget = Limits::none().max_runs(1).allow_partial(true).budget();
-        let e = enumerate_runs_budgeted(
-            &one_shot(),
-            &LossyFixedDelay { delay: 1 },
-            &ExecutionSpec::simple(2, 3),
-            &budget,
-        )
-        .unwrap();
+        let e = enumerate_runs(&one_shot(), &adversary, &spec, &budget, false).unwrap();
         assert!(e.truncated);
         assert_eq!(e.runs.len(), 1, "runs admitted before the ceiling remain");
 
         // A generous partial budget does not truncate.
         let budget = Limits::none().max_runs(16).allow_partial(true).budget();
-        let e = enumerate_runs_budgeted(
-            &one_shot(),
-            &LossyFixedDelay { delay: 1 },
-            &ExecutionSpec::simple(2, 3),
-            &budget,
-        )
-        .unwrap();
+        let e = enumerate_runs(&one_shot(), &adversary, &spec, &budget, false).unwrap();
         assert!(!e.truncated);
         assert_eq!(e.runs.len(), 2);
     }
@@ -1185,11 +860,12 @@ mod tests {
         let cancel = hm_limits::CancelToken::new();
         cancel.cancel();
         let budget = Limits::none().cancel(cancel).budget();
-        let err = enumerate_runs_budgeted(
+        let err = enumerate_runs(
             &one_shot(),
             &LossyFixedDelay { delay: 1 },
-            &ExecutionSpec::simple(2, 3),
+            &[ExecutionSpec::simple(2, 3)],
             &budget,
+            false,
         )
         .unwrap_err();
         match err {
@@ -1214,8 +890,14 @@ mod tests {
                 Vec::new()
             }
         }
-        let err =
-            enumerate_runs(&one_shot(), &NoChoice, &ExecutionSpec::simple(2, 3), 10).unwrap_err();
+        let err = runs_of(
+            &one_shot(),
+            &NoChoice,
+            ExecutionSpec::simple(2, 3),
+            10,
+            false,
+        )
+        .unwrap_err();
         assert_eq!(err, EnumerateError::NoOutcome { send_index: 0 });
         assert!(err.to_string().contains("no outcomes"));
     }
@@ -1241,11 +923,12 @@ mod tests {
             }
             Vec::new()
         });
-        let runs = enumerate_runs(
+        let runs = runs_of(
             &pingpong,
             &LossyFixedDelay { delay: 1 },
-            &ExecutionSpec::simple(2, 4),
+            ExecutionSpec::simple(2, 4),
             10,
+            false,
         )
         .unwrap();
         assert_eq!(runs.len(), 3);
@@ -1256,20 +939,10 @@ mod tests {
         // A bursty protocol with 2^8 lossy branches: the parallel driver
         // must produce the identical sorted run list.
         let msgs = 8usize;
-        let burst = FnProtocol::new("burst", move |v: &LocalView<'_>| {
-            if v.me.index() == 0 && v.sent().count() < msgs {
-                vec![Command::Send {
-                    to: AgentId::new(1),
-                    msg: Message::new(1, v.sent().count() as u64),
-                }]
-            } else {
-                Vec::new()
-            }
-        });
         let spec = ExecutionSpec::simple(2, msgs as u64 + 2);
         let adversary = LossyFixedDelay { delay: 1 };
-        let seq = enumerate_runs(&burst, &adversary, &spec, 1 << 12).unwrap();
-        let par = enumerate_runs_parallel(&burst, &adversary, &spec, 1 << 12).unwrap();
+        let seq = runs_of(&burst(msgs), &adversary, spec.clone(), 1 << 12, false).unwrap();
+        let par = runs_of(&burst(msgs), &adversary, spec, 1 << 12, true).unwrap();
         assert_eq!(seq.len(), 1 << msgs);
         assert_eq!(seq, par);
     }
@@ -1277,29 +950,13 @@ mod tests {
     #[test]
     fn parallel_enumeration_branchless_and_limit() {
         // Branch-free tree: completes in the splitter.
-        let seq = enumerate_runs(
-            &Silent,
-            &SynchronousDelay { delay: 1 },
-            &ExecutionSpec::simple(2, 3),
-            10,
-        )
-        .unwrap();
-        let par = enumerate_runs_parallel(
-            &Silent,
-            &SynchronousDelay { delay: 1 },
-            &ExecutionSpec::simple(2, 3),
-            10,
-        )
-        .unwrap();
+        let spec = ExecutionSpec::simple(2, 3);
+        let adversary = SynchronousDelay { delay: 1 };
+        let seq = runs_of(&Silent, &adversary, spec.clone(), 10, false).unwrap();
+        let par = runs_of(&Silent, &adversary, spec.clone(), 10, true).unwrap();
         assert_eq!(seq, par);
         // Run limit still enforced.
-        let err = enumerate_runs_parallel(
-            &one_shot(),
-            &LossyFixedDelay { delay: 1 },
-            &ExecutionSpec::simple(2, 3),
-            1,
-        )
-        .unwrap_err();
+        let err = runs_of(&one_shot(), &LossyFixedDelay { delay: 1 }, spec, 1, true).unwrap_err();
         match err {
             EnumerateError::Limit(e) => {
                 assert_eq!(e.resource, Resource::Runs);
@@ -1312,15 +969,72 @@ mod tests {
     #[test]
     fn parallel_partial_budget_truncates() {
         let budget = Limits::none().max_runs(1).allow_partial(true).budget();
-        let e = enumerate_runs_parallel_budgeted(
+        let e = enumerate_runs(
             &one_shot(),
             &LossyFixedDelay { delay: 1 },
-            &ExecutionSpec::simple(2, 3),
+            &[ExecutionSpec::simple(2, 3)],
             &budget,
+            true,
         )
         .unwrap();
         assert!(e.truncated);
         assert_eq!(e.runs.len(), 1);
+    }
+
+    /// Three configurations of the burst fixture, 2^6 runs each.
+    fn burst_specs() -> Vec<ExecutionSpec> {
+        (0..3u64)
+            .map(|k| {
+                ExecutionSpec::simple(2, 8)
+                    .with_initial_states(vec![k, 0])
+                    .with_label(format!("cfg{k}"))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn multi_spec_parallel_matches_sequential() {
+        let specs = burst_specs();
+        let adversary = LossyFixedDelay { delay: 1 };
+        for limits in [Limits::none(), Limits::none().max_runs(1 << 10)] {
+            let seq = enumerate_runs(&burst(6), &adversary, &specs, &limits.budget(), false);
+            let par = enumerate_runs(&burst(6), &adversary, &specs, &limits.budget(), true);
+            let seq = seq.unwrap();
+            assert_eq!(seq.runs.len(), 3 << 6);
+            assert!(!seq.truncated);
+            assert_eq!(par.unwrap(), seq, "runs and truncation flag agree");
+            // Spec order is kept: every cfg0 run precedes every cfg1 run.
+            let labels: Vec<&str> = seq.runs.iter().map(|r| &r.name[..4]).collect();
+            assert!(labels.windows(2).all(|w| w[0] <= w[1]), "{labels:?}");
+        }
+    }
+
+    #[test]
+    fn one_run_ceiling_spans_all_specs() {
+        let specs = burst_specs();
+        let adversary = LossyFixedDelay { delay: 1 };
+        // 64 runs per spec: a ceiling of 100 admits the first spec
+        // whole, then must stop inside the second.
+        for parallel in [false, true] {
+            let strict = Limits::none().max_runs(100).budget();
+            match enumerate_runs(&burst(6), &adversary, &specs, &strict, parallel) {
+                Err(EnumerateError::Limit(e)) => {
+                    assert_eq!(e.resource, Resource::Runs, "parallel={parallel}");
+                    assert_eq!(e.limit, 100, "parallel={parallel}");
+                }
+                other => panic!("expected a run limit (parallel={parallel}), got {other:?}"),
+            }
+            let partial = Limits::none().max_runs(100).allow_partial(true).budget();
+            let e = enumerate_runs(&burst(6), &adversary, &specs, &partial, parallel).unwrap();
+            assert!(e.truncated, "parallel={parallel}");
+            assert_eq!(e.runs.len(), 100, "parallel={parallel}");
+            let first = e.runs.iter().filter(|r| r.name.starts_with("cfg0")).count();
+            assert_eq!(first, 64, "first spec admitted whole (parallel={parallel})");
+            assert!(
+                e.runs.iter().all(|r| !r.name.starts_with("cfg2")),
+                "the third spec is never started (parallel={parallel})"
+            );
+        }
     }
 
     #[test]
@@ -1329,7 +1043,7 @@ mod tests {
             .with_initial_states(vec![7, 8])
             .with_clocks(Clocks::Offset(vec![0, 5]))
             .with_label("cfg0");
-        let runs = enumerate_runs(&Silent, &SynchronousDelay { delay: 1 }, &spec, 10).unwrap();
+        let runs = runs_of(&Silent, &SynchronousDelay { delay: 1 }, spec, 10, false).unwrap();
         let r = &runs[0];
         assert!(r.name.starts_with("cfg0:"));
         assert_eq!(r.proc(AgentId::new(0)).initial_state, 7);
@@ -1346,8 +1060,19 @@ mod tests {
                 .with_initial_states(vec![1, 0])
                 .with_label("v1"),
         ];
-        let sys = enumerate_system(&Silent, &SynchronousDelay { delay: 1 }, &specs, 10).unwrap();
+        let budget = Limits::none().max_runs(10).budget();
+        let sys = enumerate_runs(
+            &Silent,
+            &SynchronousDelay { delay: 1 },
+            &specs,
+            &budget,
+            false,
+        )
+        .unwrap()
+        .into_system()
+        .unwrap();
         assert_eq!(sys.num_runs(), 2);
+        assert!(!sys.is_truncated());
     }
 
     #[test]
@@ -1366,11 +1091,12 @@ mod tests {
             }
             Vec::new()
         });
-        let runs = enumerate_runs(
+        let runs = runs_of(
             &echo,
             &crate::adversary::InstantOrLost,
-            &ExecutionSpec::simple(2, 3),
+            ExecutionSpec::simple(2, 3),
             10,
+            false,
         )
         .unwrap();
         let delivered = runs
@@ -1384,91 +1110,5 @@ mod tests {
             .find(|e| matches!(e.event, Event::Act { .. }))
             .expect("act");
         assert_eq!(act.time, 1, "recv at 0 enters history at 1");
-    }
-
-    #[test]
-    fn deduped_collapses_final_tick_delivery_with_epistemic_cutoff() {
-        // horizon 1, delay 1: the only delivery lands exactly at the
-        // horizon, where no view can ever see it. Epistemic dedup
-        // (cutoff = horizon) collapses delivery vs. loss to one run.
-        let spec = ExecutionSpec::simple(2, 1);
-        let naive = enumerate_runs(&one_shot(), &LossyFixedDelay { delay: 1 }, &spec, 10).unwrap();
-        assert_eq!(naive.len(), 2);
-        let (runs, stats) =
-            enumerate_runs_deduped(&one_shot(), &LossyFixedDelay { delay: 1 }, &spec, 10).unwrap();
-        assert_eq!(runs.len(), 1);
-        assert_eq!(stats.pruned, 1);
-        assert!(stats.distinct >= 1);
-    }
-
-    #[test]
-    fn deduped_with_lossless_cutoff_matches_naive_exactly() {
-        // cutoff = horizon + 1 keeps every event and every pending
-        // message in the key, so only genuinely identical branch states
-        // collapse — for this adversary, none do.
-        let spec = ExecutionSpec::simple(2, 2);
-        let naive = enumerate_runs(&one_shot(), &LossyFixedDelay { delay: 1 }, &spec, 10).unwrap();
-        let budget = Limits::none().max_runs(10).budget();
-        let (e, stats) = enumerate_runs_deduped_budgeted(
-            &one_shot(),
-            &LossyFixedDelay { delay: 1 },
-            &spec,
-            spec.horizon + 1,
-            &budget,
-        )
-        .unwrap();
-        assert_eq!(stats.pruned, 0);
-        assert_eq!(e.runs.len(), naive.len());
-        for (a, b) in e.runs.iter().zip(naive.iter()) {
-            assert_eq!(a.name, b.name);
-            for i in 0..2 {
-                assert_eq!(
-                    a.proc(AgentId::new(i)).events,
-                    b.proc(AgentId::new(i)).events
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn deduped_keeps_observable_distinctions() {
-        // Delivery at t=1 is visible to views from t=2 on: loss vs.
-        // delivery must stay distinct runs even under epistemic cutoff.
-        let spec = ExecutionSpec::simple(2, 2);
-        let (runs, _) =
-            enumerate_runs_deduped(&one_shot(), &LossyFixedDelay { delay: 1 }, &spec, 10).unwrap();
-        assert_eq!(runs.len(), 2);
-    }
-
-    #[test]
-    fn deduped_charges_fresh_states_against_visited_budget() {
-        let spec = ExecutionSpec::simple(2, 2);
-        let budget = Limits::none().max_states_visited(1).budget();
-        let err = enumerate_runs_deduped_budgeted(
-            &one_shot(),
-            &LossyFixedDelay { delay: 1 },
-            &spec,
-            spec.horizon,
-            &budget,
-        )
-        .unwrap_err();
-        match err {
-            EnumerateError::Limit(e) => assert_eq!(e.resource, Resource::StatesVisited),
-            other => panic!("expected a visited-state limit, got {other:?}"),
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "below horizon")]
-    fn deduped_rejects_sub_horizon_cutoff() {
-        let spec = ExecutionSpec::simple(2, 2);
-        let budget = Limits::none().budget();
-        let _ = enumerate_runs_deduped_budgeted(
-            &one_shot(),
-            &LossyFixedDelay { delay: 1 },
-            &spec,
-            1,
-            &budget,
-        );
     }
 }

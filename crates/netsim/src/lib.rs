@@ -7,7 +7,7 @@
 //! those quantifications finite and checkable: a [`JointProtocol`] is a
 //! deterministic function of local history (Section 5's definition), an
 //! [`Adversary`] enumerates the medium's choices per message, and
-//! [`enumerate_system`] explores every combination, yielding the complete
+//! [`enumerate_runs`] explores every combination, yielding the complete
 //! `hm-runs` [`System`](hm_runs::System) over a horizon.
 //!
 //! [`scenarios`] packages the paper's worked examples: the
@@ -26,10 +26,5 @@ pub use adversary::{
     Adversary, BoundedUncertainDelay, InstantOrLost, InstantOrLostWindow, LossyFixedDelay, Outcome,
     SynchronousDelay, UnboundedDelay,
 };
-pub use executor::{
-    enumerate_runs, enumerate_runs_budgeted, enumerate_runs_deduped,
-    enumerate_runs_deduped_budgeted, enumerate_runs_parallel, enumerate_runs_parallel_budgeted,
-    enumerate_system, enumerate_system_budgeted, enumeration_to_system, CanonicalPrefixSet, Clocks,
-    EnumerateError, Enumeration, ExecutionSpec, PrefixStats,
-};
+pub use executor::{enumerate_runs, Clocks, EnumerateError, Enumeration, ExecutionSpec};
 pub use protocol::{Command, FnProtocol, JointProtocol, LocalView, SeenEvent, Silent};

@@ -11,13 +11,10 @@
 //!   communication prevents `C^ε ψ`.
 
 use crate::adversary::{InstantOrLostWindow, LossyFixedDelay};
-use crate::executor::{
-    enumerate_runs, enumerate_runs_budgeted, enumerate_runs_parallel_budgeted, Clocks,
-    EnumerateError, Enumeration, ExecutionSpec,
-};
+use crate::executor::{enumerate_runs, Clocks, EnumerateError, ExecutionSpec};
 use crate::protocol::{Command, FnProtocol, LocalView};
 use hm_kripke::AgentId;
-use hm_limits::Budget;
+use hm_limits::{Budget, Limits};
 use hm_runs::{Event, Message, Run, RunBuilder, RunId, System};
 
 /// Message tag used by the generals' messenger.
@@ -41,62 +38,41 @@ pub const TAG_OK: u32 = 3;
 /// per number of delivered messages `d = 0, 1, …` up to what the horizon
 /// allows.
 ///
+/// One budget spans both intent configurations, so a run ceiling bounds
+/// the *total*; `parallel` explores the adversary branches on scoped
+/// threads, and the run set is identical either way (see
+/// [`enumerate_runs`] for both).
+///
 /// # Errors
 ///
-/// Propagates [`EnumerateError`] (the run count is linear in the horizon,
-/// so the default limit is generous).
-pub fn generals_system(horizon: u64) -> Result<System, EnumerateError> {
-    generals_system_opts(horizon, false)
-}
-
-/// [`generals_system`] with the enumeration strategy exposed: `parallel`
-/// explores the adversary branches on scoped threads
-/// ([`enumerate_runs_parallel`](crate::enumerate_runs_parallel)); the run
-/// set is identical either way.
-pub fn generals_system_opts(horizon: u64, parallel: bool) -> Result<System, EnumerateError> {
-    let budget = hm_limits::Limits::none().max_runs(4096).budget();
-    let e = generals_system_budgeted(horizon, parallel, &budget)?;
-    Ok(System::new(e.runs))
-}
-
-/// [`generals_system_opts`] under a caller-supplied resource [`Budget`]
-/// (see [`enumerate_runs_budgeted`] for the strict/partial semantics).
-/// One budget spans both intent configurations, so a run ceiling bounds
-/// the *total*.
-pub fn generals_system_budgeted(
+/// Propagates [`EnumerateError`]: budget exhaustion (the run count is
+/// linear in the horizon), or a partial budget that admitted zero runs.
+pub fn generals_system(
     horizon: u64,
-    parallel: bool,
     budget: &Budget,
-) -> Result<Enumeration, EnumerateError> {
-    let protocol = handshake_protocol();
-    enumerate_intents(&protocol, horizon, parallel, budget)
+    parallel: bool,
+) -> Result<System, EnumerateError> {
+    let adversary = LossyFixedDelay { delay: 1 };
+    enumerate_runs(
+        &handshake_protocol(),
+        &adversary,
+        &intent_specs(horizon),
+        budget,
+        parallel,
+    )?
+    .into_system()
 }
 
-fn enumerate_intents(
-    protocol: &(dyn crate::protocol::JointProtocol + Sync),
-    horizon: u64,
-    parallel: bool,
-    budget: &Budget,
-) -> Result<Enumeration, EnumerateError> {
-    let mut runs = Vec::new();
-    let mut truncated = false;
-    for intent in 0..=1u64 {
-        let spec = ExecutionSpec::simple(2, horizon)
-            .with_initial_states(vec![intent, 0])
-            .with_label(format!("intent{intent}"));
-        let adversary = LossyFixedDelay { delay: 1 };
-        let e = if parallel {
-            enumerate_runs_parallel_budgeted(protocol, &adversary, &spec, budget)?
-        } else {
-            enumerate_runs_budgeted(protocol, &adversary, &spec, budget)?
-        };
-        runs.extend(e.runs);
-        if e.truncated {
-            truncated = true;
-            break;
-        }
-    }
-    Ok(Enumeration { runs, truncated })
+/// The two initial configurations of the generals' problem: A does not
+/// (`intent0`) or does (`intent1`) want to attack.
+fn intent_specs(horizon: u64) -> Vec<ExecutionSpec> {
+    (0..=1u64)
+        .map(|intent| {
+            ExecutionSpec::simple(2, horizon)
+                .with_initial_states(vec![intent, 0])
+                .with_label(format!("intent{intent}"))
+        })
+        .collect()
 }
 
 /// The handshake rule: A sends message `k` when it wants to attack and
@@ -169,9 +145,16 @@ pub fn generals_attack_system(
         }
         cmds
     });
-    let budget = hm_limits::Limits::none().max_runs(4096).budget();
-    let e = enumerate_intents(&protocol, horizon, false, &budget)?;
-    Ok(System::new(e.runs))
+    let budget = Limits::none().max_runs(4096).budget();
+    let adversary = LossyFixedDelay { delay: 1 };
+    enumerate_runs(
+        &protocol,
+        &adversary,
+        &intent_specs(horizon),
+        &budget,
+        false,
+    )?
+    .into_system()
 }
 
 /// `true` iff processor `i` attacks somewhere in `run`.
@@ -321,8 +304,8 @@ pub fn ok_protocol_system(horizon: u64) -> Result<System, EnumerateError> {
     let adversary = InstantOrLostWindow {
         lossy_until: horizon - 2,
     };
-    let runs = enumerate_runs(&protocol, &adversary, &spec, 65536)?;
-    Ok(System::new(runs))
+    let budget = Limits::none().max_runs(65536).budget();
+    enumerate_runs(&protocol, &adversary, &[spec], &budget, false)?.into_system()
 }
 
 /// The ψ of the OK-protocol example: at `(run, t)`, some message sent at
@@ -365,7 +348,7 @@ mod tests {
         // the receive enters the recipient's history. The k-th delivery
         // lands at time 2k−1, so horizon 6 admits 0..=3 deliveries, one
         // run each.
-        let sys = generals_system(6).unwrap();
+        let sys = generals_system(6, &Budget::unlimited(), false).unwrap();
         let mut counts: Vec<usize> = sys
             .runs()
             .map(|(_, r)| r.deliveries_before(r.horizon + 1))
@@ -373,6 +356,39 @@ mod tests {
         counts.sort_unstable();
         // The extra 0 is the no-intent silent run.
         assert_eq!(counts, vec![0, 0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn generals_intents_parallel_matches_sequential() {
+        let specs = intent_specs(12);
+        let adversary = LossyFixedDelay { delay: 1 };
+        let enumerate = |limits: &Limits, parallel| {
+            enumerate_runs(
+                &handshake_protocol(),
+                &adversary,
+                &specs,
+                &limits.budget(),
+                parallel,
+            )
+        };
+        // Full enumerations: identical runs, order and flag.
+        let seq = enumerate(&Limits::none(), false).unwrap();
+        assert_eq!(seq.runs.len(), 1 + 7, "silent run plus d = 0..=6");
+        assert!(!seq.truncated);
+        assert_eq!(enumerate(&Limits::none(), true).unwrap(), seq);
+        // One ceiling spans both intents: 3 runs admits the silent
+        // intent0 run and stops inside intent1, in either mode.
+        let strict = Limits::none().max_runs(3);
+        for parallel in [false, true] {
+            assert!(matches!(
+                enumerate(&strict, parallel),
+                Err(EnumerateError::Limit(e)) if e.limit == 3
+            ));
+            let e = enumerate(&strict.clone().allow_partial(true), parallel).unwrap();
+            assert!(e.truncated, "parallel={parallel}");
+            assert_eq!(e.runs.len(), 3, "parallel={parallel}");
+            assert!(e.runs[0].name.starts_with("intent0"), "parallel={parallel}");
+        }
     }
 
     #[test]

@@ -11,11 +11,11 @@
 
 use hm_kripke::AgentId;
 use hm_limits::failpoints::{Action, ExhaustKind, FailScenario};
-use hm_limits::{Budget, Phase, Resource};
+use hm_limits::{Budget, Limits, Phase, Resource};
 use hm_netsim::Command;
 use hm_netsim::{
-    enumerate_runs_parallel, enumerate_runs_parallel_budgeted, EnumerateError, ExecutionSpec,
-    FnProtocol, LocalView, LossyFixedDelay,
+    enumerate_runs, EnumerateError, Enumeration, ExecutionSpec, FnProtocol, LocalView,
+    LossyFixedDelay,
 };
 use hm_runs::Message;
 
@@ -40,6 +40,16 @@ fn spec() -> ExecutionSpec {
     ExecutionSpec::simple(2, MSGS as u64 + 2)
 }
 
+/// The burst fixture, enumerated on parallel workers under `budget`.
+fn enumerate_parallel(budget: &Budget) -> Result<Enumeration, EnumerateError> {
+    let adversary = LossyFixedDelay { delay: 1 };
+    enumerate_runs(&burst(), &adversary, &[spec()], budget, true)
+}
+
+fn ceiling() -> Budget {
+    Limits::none().max_runs(1 << 12).budget()
+}
+
 fn force_workers() {
     std::env::set_var("HM_NETSIM_THREADS", "2");
 }
@@ -49,8 +59,7 @@ fn worker_exhaustion_is_a_typed_error() {
     let sc = FailScenario::setup();
     force_workers();
     sc.configure("netsim::worker", Action::Exhaust(ExhaustKind::Deadline));
-    let err = enumerate_runs_parallel(&burst(), &LossyFixedDelay { delay: 1 }, &spec(), 1 << 12)
-        .unwrap_err();
+    let err = enumerate_parallel(&ceiling()).unwrap_err();
     match err {
         EnumerateError::Limit(e) => {
             assert_eq!(e.resource, Resource::Deadline);
@@ -65,8 +74,7 @@ fn worker_cancellation_is_a_typed_error() {
     let sc = FailScenario::setup();
     force_workers();
     sc.configure("netsim::worker", Action::Cancel);
-    let err = enumerate_runs_parallel(&burst(), &LossyFixedDelay { delay: 1 }, &spec(), 1 << 12)
-        .unwrap_err();
+    let err = enumerate_parallel(&ceiling()).unwrap_err();
     match err {
         EnumerateError::Limit(e) => assert_eq!(e.resource, Resource::Cancelled),
         other => panic!("expected Limit, got {other:?}"),
@@ -78,8 +86,7 @@ fn worker_death_is_contained_as_a_typed_error() {
     let sc = FailScenario::setup();
     force_workers();
     sc.configure("netsim::worker", Action::Panic);
-    let err = enumerate_runs_parallel(&burst(), &LossyFixedDelay { delay: 1 }, &spec(), 1 << 12)
-        .unwrap_err();
+    let err = enumerate_parallel(&ceiling()).unwrap_err();
     match err {
         EnumerateError::WorkerPanic { message } => {
             assert!(message.contains("injected panic"), "{message}");
@@ -93,11 +100,9 @@ fn cleared_failpoint_restores_normal_enumeration() {
     let sc = FailScenario::setup();
     force_workers();
     sc.configure("netsim::worker", Action::Panic);
-    let adversary = LossyFixedDelay { delay: 1 };
-    assert!(enumerate_runs_parallel(&burst(), &adversary, &spec(), 1 << 12).is_err());
+    assert!(enumerate_parallel(&ceiling()).is_err());
     sc.clear("netsim::worker");
-    let e = enumerate_runs_parallel_budgeted(&burst(), &adversary, &spec(), &Budget::unlimited())
-        .expect("failpoint gone, enumeration recovers");
+    let e = enumerate_parallel(&Budget::unlimited()).expect("failpoint gone, enumeration recovers");
     assert_eq!(e.runs.len(), 1 << MSGS);
     assert!(!e.truncated);
 }

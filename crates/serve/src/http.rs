@@ -68,8 +68,15 @@ pub(crate) enum ReadOutcome {
     Idle,
     /// The peer closed the connection (clean EOF before a request line).
     Closed,
-    /// The declared body exceeds [`MAX_BODY`].
-    TooLarge,
+    /// The declared body exceeds [`MAX_BODY`]. Carries the declared
+    /// length and the request deadline, so the caller can drain the
+    /// unread upload after answering (see [`discard_body`]).
+    TooLarge {
+        /// The declared `Content-Length`.
+        declared: usize,
+        /// The deadline that governs the rest of this request.
+        deadline: Deadline,
+    },
     /// A request started arriving but did not complete within the
     /// request deadline (slow header or body trickle); answer `408` and
     /// close.
@@ -209,7 +216,10 @@ pub(crate) fn read_request(
         }
     }
     if content_length > MAX_BODY {
-        return ReadOutcome::TooLarge;
+        return ReadOutcome::TooLarge {
+            declared: content_length,
+            deadline,
+        };
     }
     // Body, deadline-bounded: `read_exact` is unusable under socket
     // timeouts (how much it read before an error is unspecified), so
@@ -239,6 +249,26 @@ pub(crate) fn read_request(
         body,
         keep_alive,
     })
+}
+
+/// Reads and drops up to `len` bytes of an unread request body, stopping
+/// early at EOF, a socket error, or `deadline`. A server that answers
+/// `413` and closes with the upload still unread makes the kernel reset
+/// the connection, and the reset can destroy the `413` before the client
+/// reads it; draining first lets the answer arrive.
+pub(crate) fn discard_body(reader: &mut BufReader<TcpStream>, mut len: usize, deadline: Deadline) {
+    while len > 0 && !deadline.expired() {
+        match reader.fill_buf() {
+            Ok([]) => return,
+            Ok(bytes) => {
+                let n = bytes.len().min(len);
+                reader.consume(n);
+                len -= n;
+            }
+            Err(e) if is_timeout(&e) || e.kind() == io::ErrorKind::Interrupted => {}
+            Err(_) => return,
+        }
+    }
 }
 
 /// The reason phrase for the status codes the service emits.

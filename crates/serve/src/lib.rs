@@ -91,9 +91,11 @@
 mod cache;
 pub mod faultnet;
 mod http;
-pub mod json;
 mod server;
 mod stats;
 
+/// The request/response JSON codec: `hm-logic`'s shared, depth-capped
+/// reader and writer.
+pub use hm_engine::json;
 pub use http::{http_call, http_call_headers, read_response, send_request, Response};
 pub use server::{overload_smoke, selftest, DrainReport, ServeConfig, Server, ServerHandle};

@@ -23,7 +23,7 @@
 //! so.
 
 use crate::cache::EngineCache;
-use crate::http::{read_request, write_response, ReadOutcome, Request};
+use crate::http::{discard_body, read_request, write_response, ReadOutcome, Request};
 use crate::json::{esc, Value};
 use crate::stats::{Observation, Stats};
 use hm_engine::limits::Deadline;
@@ -32,7 +32,7 @@ use hm_engine::{
 };
 use std::fmt::Write as _;
 use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
@@ -409,9 +409,13 @@ fn handle_connection(state: &ServerState, stream: TcpStream) {
                 }
             }
             ReadOutcome::Closed => return,
-            ReadOutcome::TooLarge => {
+            ReadOutcome::TooLarge { declared, deadline } => {
                 let body = error_body("request", "request body exceeds 1 MiB");
                 finish_write(state, &mut stream, 413, &body);
+                // Half-close, then drain the unread upload, so closing
+                // does not reset the connection under the unread `413`.
+                let _ = stream.shutdown(Shutdown::Write);
+                discard_body(&mut reader, declared, deadline);
                 return;
             }
             ReadOutcome::TimedOut => {

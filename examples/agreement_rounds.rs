@@ -9,12 +9,14 @@
 //! agreement needs f + 1 rounds.
 
 use halpern_moses::core::agreement::{
-    agreement_interpreted, agreement_system, check_safety, ck_onset_in_clean_run, AgreementSpec,
+    agreement_builder, agreement_system, check_safety, ck_onset_in_clean_run, AgreementSpec,
+    Reduction,
 };
+use halpern_moses::limits::Budget;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spec = AgreementSpec { n: 3, f: 1 };
-    let system = agreement_system(spec);
+    let system = agreement_system(spec, Reduction::Naive, &Budget::unlimited())?;
     println!(
         "n = {}, f = {}: {} runs (all crash patterns x all inputs)",
         spec.n,
@@ -28,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.agreement_violations, report.validity_violations, report.runs
     );
 
-    let isys = agreement_interpreted(spec);
+    let isys = agreement_builder(spec, Reduction::Naive, &Budget::unlimited())?.build();
     for inputs in [0b110u64, 0b010, 0b000] {
         let onset = ck_onset_in_clean_run(&isys, inputs)?;
         println!(

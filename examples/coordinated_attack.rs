@@ -9,9 +9,11 @@
 //! Corollary 6).
 
 use halpern_moses::core::puzzles::attack::{
-    classify_attack_rule, common_knowledge_of_dispatch, generals_interpreted, ladder_depth_at_end,
+    classify_attack_rule, common_knowledge_of_dispatch, generals_builder, ladder_depth_at_end,
     AttackRuleOutcome,
 };
+use halpern_moses::limits::Budget;
+use halpern_moses::logic::EvalCache;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let horizon: u64 = std::env::args()
@@ -19,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|s| s.parse().expect("horizon must be a number"))
         .unwrap_or(8);
 
-    let isys = generals_interpreted(horizon)?;
+    let isys = generals_builder(horizon, &Budget::unlimited(), false)?.build();
     println!(
         "generals' handshake, horizon {horizon}: {} runs, {} points",
         isys.system().num_runs(),
@@ -28,8 +30,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\ndeliveries -> interleaved knowledge depth of `dispatched`:");
     let max_d = (horizon as usize).div_ceil(2);
+    let mut cache = EvalCache::new();
     for d in 0..=max_d {
-        let depth = ladder_depth_at_end(&isys, d, max_d + 3);
+        let depth = ladder_depth_at_end(&isys, d, max_d + 3, &mut cache);
         let formula = match depth {
             0 => "(none)".to_string(),
             k => {

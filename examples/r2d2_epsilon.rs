@@ -11,7 +11,7 @@ use halpern_moses::core::puzzles::r2d2::{
     ck_sent, first_time, ladder_onsets, r2d2_interpreted, R2d2Analysis,
 };
 use halpern_moses::kripke::{AgentGroup, WorldSet};
-use halpern_moses::logic::Formula;
+use halpern_moses::logic::{EvalCache, Formula};
 use halpern_moses::netsim::scenarios::R2d2Mode;
 
 /// Points of `set` at times strictly before `cutoff`.
@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let analysis = r2d2_interpreted(eps, 4, 4, R2d2Mode::Uncertain);
     let ts = analysis.meta.ts;
     println!("message sent at t_S = {ts}; onsets in the slow run:");
-    for (k, onset) in ladder_onsets(&analysis.isys, &analysis.meta, 3)?
+    for (k, onset) in ladder_onsets(&analysis.isys, &analysis.meta, 3, &mut EvalCache::new())?
         .iter()
         .enumerate()
     {
@@ -58,14 +58,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Count CK points inside the meaningful window (before the finite
     // family's last send time, past which `sent` is vacuously valid).
     let last_send = 8 * eps; // (pre + post) · ε with pre = post = 4
-    let ck = ck_sent(&analysis.isys)?;
+    let ck = ck_sent(&analysis.isys, &mut EvalCache::new())?;
     let in_window = isys_window_count(&analysis, &ck, last_send);
     println!("C(sent) points before t = {last_send}: {in_window} (paper: unattainable)");
 
     println!("\n== delivery in exactly ε ==");
     let exact = r2d2_interpreted(eps, 2, 2, R2d2Mode::Exact);
     let f = Formula::common(AgentGroup::all(2), Formula::atom("sent"));
-    let onset = first_time(&exact.isys, exact.meta.focus_slow, &f)?;
+    let onset = first_time(
+        &exact.isys,
+        exact.meta.focus_slow,
+        &f,
+        &mut EvalCache::new(),
+    )?;
     println!(
         "C(sent) first holds at t = {:?}   [paper: t_S + ε = {}]",
         onset,
@@ -75,7 +80,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n== timestamped message, global clock ==");
     let stamped = r2d2_interpreted(eps, 2, 2, R2d2Mode::Timestamped);
     let f = Formula::common(AgentGroup::all(2), Formula::atom("sent_focus"));
-    let onset = first_time(&stamped.isys, stamped.meta.focus_slow, &f)?;
+    let onset = first_time(
+        &stamped.isys,
+        stamped.meta.focus_slow,
+        &f,
+        &mut EvalCache::new(),
+    )?;
     println!(
         "C(sent m') first holds at t = {:?}   [paper: t_S + ε = {}]",
         onset,

@@ -11,26 +11,32 @@
 
 use halpern_moses::core::attain::{check_ck_twin_invariance, check_proposition13, ck_set};
 use halpern_moses::core::puzzles::attack::{
-    classify_attack_rule, generals_attack_interpreted, generals_interpreted, ladder_depth_at_end,
-    proposition4_check, AttackRuleOutcome,
+    classify_attack_rule, generals_attack_interpreted, generals_builder,
+    generals_unbounded_builder, ladder_depth_at_end, proposition4_check, AttackRuleOutcome,
 };
-use halpern_moses::kripke::{AgentGroup, AgentId};
-use halpern_moses::logic::Formula;
-use halpern_moses::netsim::{
-    enumerate_runs, Command, ExecutionSpec, FnProtocol, LocalView, UnboundedDelay,
-};
+use halpern_moses::kripke::AgentGroup;
+use halpern_moses::limits::Budget;
+use halpern_moses::logic::{EvalCache, Formula};
 use halpern_moses::runs::conditions;
-use halpern_moses::runs::{CompleteHistory, InterpretedSystem, Message, System};
+use halpern_moses::runs::InterpretedSystem;
 
 fn g2() -> AgentGroup {
     AgentGroup::all(2)
 }
 
+/// The generals' system at `horizon`, interpreted.
+fn generals(horizon: u64) -> InterpretedSystem {
+    generals_builder(horizon, &Budget::unlimited(), false)
+        .unwrap()
+        .build()
+}
+
 #[test]
 fn e3_ladder_depth_equals_delivery_count() {
-    let isys = generals_interpreted(10).unwrap();
+    let isys = generals(10);
+    let mut cache = EvalCache::new();
     for d in 0..=5usize {
-        assert_eq!(ladder_depth_at_end(&isys, d, 9), d, "d={d}");
+        assert_eq!(ladder_depth_at_end(&isys, d, 9, &mut cache), d, "d={d}");
     }
 }
 
@@ -57,7 +63,7 @@ fn e3_proposition4_detects_unsafe_protocols() {
 #[test]
 fn e4_theorem5_with_verified_hypothesis() {
     for horizon in [4u64, 6, 8] {
-        let isys = generals_interpreted(horizon).unwrap();
+        let isys = generals(horizon);
         assert_eq!(conditions::check_ng1(isys.system()), None, "h={horizon}");
         assert_eq!(conditions::check_ng2(isys.system()), None, "h={horizon}");
         let fact = Formula::atom("dispatched");
@@ -89,36 +95,8 @@ fn e4_corollary6_sweep() {
 }
 
 fn unbounded_oneshot(horizon: u64) -> InterpretedSystem {
-    let protocol = FnProtocol::new("oneshot", |v: &LocalView<'_>| {
-        if v.me.index() == 0 && v.initial_state == 1 && v.sent().count() == 0 {
-            vec![Command::Send {
-                to: AgentId::new(1),
-                msg: Message::tagged(1),
-            }]
-        } else {
-            Vec::new()
-        }
-    });
-    let mut runs = Vec::new();
-    for intent in 0..=1u64 {
-        runs.extend(
-            enumerate_runs(
-                &protocol,
-                &UnboundedDelay { min_delay: 1 },
-                &ExecutionSpec::simple(2, horizon)
-                    .with_initial_states(vec![intent, 0])
-                    .with_label(format!("i{intent}")),
-                1024,
-            )
-            .unwrap(),
-        );
-    }
-    InterpretedSystem::builder(System::new(runs), CompleteHistory)
-        .fact("sent", |run, t| {
-            run.proc(AgentId::new(0))
-                .events_before(t + 1)
-                .any(|e| matches!(e.event, halpern_moses::runs::Event::Send { .. }))
-        })
+    generals_unbounded_builder(horizon, &Budget::unlimited())
+        .unwrap()
         .build()
 }
 
@@ -141,7 +119,7 @@ fn e3_ek_attainable_but_never_c() {
     // "The generals can attain E^k φ of many facts for arbitrarily large
     // k … but for no k does E^k suffice" — E^k(dispatched) holds at the
     // end of runs with enough deliveries, while C never does.
-    let isys = generals_interpreted(10).unwrap();
+    let isys = generals(10);
     let fact = Formula::atom("dispatched");
     let e2 = isys
         .eval(&Formula::everyone_k(g2(), 2, fact.clone()))

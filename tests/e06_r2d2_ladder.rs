@@ -8,7 +8,7 @@ use halpern_moses::core::puzzles::r2d2::{
     ck_sent, first_time, ladder_onsets, r2d2_interpreted, rd_ladder,
 };
 use halpern_moses::kripke::AgentGroup;
-use halpern_moses::logic::Formula;
+use halpern_moses::logic::{EvalCache, Formula};
 use halpern_moses::netsim::scenarios::R2d2Mode;
 use halpern_moses::runs::conditions;
 
@@ -20,7 +20,8 @@ fn g2() -> AgentGroup {
 fn e6_ladder_increments_are_exactly_eps() {
     for eps in [1u64, 2, 4] {
         let analysis = r2d2_interpreted(eps, 5, 5, R2d2Mode::Uncertain);
-        let onsets = ladder_onsets(&analysis.isys, &analysis.meta, 4).unwrap();
+        let onsets =
+            ladder_onsets(&analysis.isys, &analysis.meta, 4, &mut EvalCache::new()).unwrap();
         for k in 2..=4usize {
             let prev = onsets[k - 1].unwrap();
             let cur = onsets[k].unwrap();
@@ -34,7 +35,7 @@ fn e6_ladder_increments_are_exactly_eps() {
 fn e6_ladder_not_earlier() {
     // (K_R K_D)^k sent must FAIL at every time before its onset.
     let analysis = r2d2_interpreted(2, 4, 4, R2d2Mode::Uncertain);
-    let onsets = ladder_onsets(&analysis.isys, &analysis.meta, 3).unwrap();
+    let onsets = ladder_onsets(&analysis.isys, &analysis.meta, 3, &mut EvalCache::new()).unwrap();
     for k in 1..=3usize {
         let f = rd_ladder(k, Formula::atom("sent"));
         let set = analysis.isys.eval(&f).unwrap();
@@ -53,7 +54,7 @@ fn e6_ck_unattainable_in_window_for_all_eps() {
     for eps in [1u64, 3] {
         let (pre, post) = (4usize, 4usize);
         let analysis = r2d2_interpreted(eps, pre, post, R2d2Mode::Uncertain);
-        let ck = ck_sent(&analysis.isys).unwrap();
+        let ck = ck_sent(&analysis.isys, &mut EvalCache::new()).unwrap();
         let last_send = (pre + post) as u64 * eps;
         for (rid, _) in analysis.isys.system().runs() {
             for t in 0..last_send {
@@ -75,7 +76,13 @@ fn e6_certainty_restores_ck() {
     ] {
         let analysis = r2d2_interpreted(2, 3, 3, mode);
         let f = Formula::common(g2(), Formula::atom(atom));
-        let onset = first_time(&analysis.isys, analysis.meta.focus_slow, &f).unwrap();
+        let onset = first_time(
+            &analysis.isys,
+            analysis.meta.focus_slow,
+            &f,
+            &mut EvalCache::new(),
+        )
+        .unwrap();
         assert_eq!(
             onset,
             Some(analysis.meta.ts + analysis.meta.eps + 1),

@@ -10,25 +10,34 @@
 //! E12: Theorem 12 (a)–(c) and attainment of C^T in a skewed-clock
 //!     broadcast.
 
-use halpern_moses::core::puzzles::attack::generals_interpreted;
+use halpern_moses::core::puzzles::attack::generals_builder;
 use halpern_moses::core::variants::{
     check_theorem12a, check_theorem12b, check_theorem12c, check_theorem9, check_variant_hierarchy,
     conjunction_gap, ok_interpreted, skewed_broadcast_interpreted,
 };
 use halpern_moses::kripke::AgentGroup;
+use halpern_moses::limits::{Budget, Limits};
 use halpern_moses::logic::axioms::{
     check_fixed_point_axiom, check_induction_rule, check_s5, sample_sets, ModalOp,
 };
-use halpern_moses::logic::Formula;
+use halpern_moses::logic::{EvalCache, Formula};
 use halpern_moses::netsim::scenarios::ok_psi;
+use halpern_moses::runs::InterpretedSystem;
 
 fn g2() -> AgentGroup {
     AgentGroup::all(2)
 }
 
+/// The generals' system at `horizon`, interpreted.
+fn generals(horizon: u64) -> InterpretedSystem {
+    generals_builder(horizon, &Budget::unlimited(), false)
+        .unwrap()
+        .build()
+}
+
 #[test]
 fn e8_temporal_hierarchy_chain_valid() {
-    let isys = generals_interpreted(8).unwrap();
+    let isys = generals(8);
     let fact = Formula::atom("dispatched");
     assert_eq!(
         check_variant_hierarchy(&isys, &g2(), &fact, &[1, 2, 3]).unwrap(),
@@ -45,7 +54,7 @@ fn e8_cev_strictly_weaker_than_ceps() {
     use halpern_moses::netsim::{
         enumerate_runs, Adversary, Command, ExecutionSpec, FnProtocol, LocalView, Outcome,
     };
-    use halpern_moses::runs::{CompleteHistory, InterpretedSystem, Message, System};
+    use halpern_moses::runs::{CompleteHistory, Message};
 
     /// Guaranteed delivery, unbounded delay. Delivery is capped at
     /// horizon − 1 so the receive enters the recipient's history inside
@@ -77,21 +86,19 @@ fn e8_cev_strictly_weaker_than_ceps() {
             Vec::new()
         }
     });
-    let mut runs = Vec::new();
-    for intent in 0..=1u64 {
-        runs.extend(
-            enumerate_runs(
-                &protocol,
-                &GuaranteedUnbounded,
-                &ExecutionSpec::simple(2, 6)
-                    .with_initial_states(vec![intent, 0])
-                    .with_label(format!("i{intent}")),
-                256,
-            )
-            .unwrap(),
-        );
-    }
-    let isys = InterpretedSystem::builder(System::new(runs), CompleteHistory)
+    let specs: Vec<ExecutionSpec> = (0..=1u64)
+        .map(|intent| {
+            ExecutionSpec::simple(2, 6)
+                .with_initial_states(vec![intent, 0])
+                .with_label(format!("i{intent}"))
+        })
+        .collect();
+    let budget = Limits::none().max_runs(512).budget();
+    let system = enumerate_runs(&protocol, &GuaranteedUnbounded, &specs, &budget, false)
+        .unwrap()
+        .into_system()
+        .unwrap();
+    let isys = InterpretedSystem::builder(system, CompleteHistory)
         .fact("sent", |run, t| {
             run.proc(AgentId::new(0))
                 .events_before(t + 1)
@@ -120,7 +127,7 @@ fn e8_ceps_strictly_weaker_than_c() {
         .isys
         .eval(&Formula::common_eps(g2(), eps, fact))
         .unwrap();
-    let c = ck_sent(&analysis.isys).unwrap();
+    let c = ck_sent(&analysis.isys, &mut EvalCache::new()).unwrap();
     let last_send = (pre + post) as u64 * eps;
     // C^ε holds at the focus run shortly after the send…
     let focus = analysis.meta.focus_slow;
@@ -134,7 +141,7 @@ fn e8_ceps_strictly_weaker_than_c() {
 
 #[test]
 fn e8_s5_profile_of_variants() {
-    let isys = generals_interpreted(6).unwrap();
+    let isys = generals(6);
     let suite = sample_sets(&isys, &["dispatched"], 5, 77);
     for op in [
         ModalOp::CommonEps(g2(), 1),
@@ -150,7 +157,7 @@ fn e8_s5_profile_of_variants() {
 
 #[test]
 fn e9_theorem9_for_eps_and_ev() {
-    let isys = generals_interpreted(8).unwrap();
+    let isys = generals(8);
     let fact = Formula::atom("dispatched");
     for eps in [Some(1), Some(3), None] {
         let out = check_theorem9(&isys, &g2(), &fact, eps).unwrap();
@@ -191,7 +198,7 @@ fn e9_ok_protocol_shape() {
 
 #[test]
 fn e10_conjunction_gap() {
-    let isys = generals_interpreted(10).unwrap();
+    let isys = generals(10);
     let fact = Formula::atom("dispatched");
     let gaps = conjunction_gap(&isys, &g2(), &fact, 5).unwrap();
     let max_depth = gaps.iter().map(|(_, k, _)| *k).max().unwrap();

@@ -3,8 +3,8 @@
 //! the module tests.
 
 use halpern_moses::core::agreement::{
-    agreement_interpreted, agreement_system, check_safety, ck_onset_in_clean_run, decision_of,
-    AgreementSpec,
+    agreement_builder, agreement_system, check_safety, ck_onset_in_clean_run, decision_of,
+    AgreementSpec, Reduction,
 };
 use halpern_moses::core::discovery::{
     deadlock_system, discovery_trajectory, has_deadlock, publication_stamp,
@@ -12,6 +12,7 @@ use halpern_moses::core::discovery::{
 use halpern_moses::core::kbp::{knows_own_state_rule, KnowledgeProtocol, Turns};
 use halpern_moses::core::puzzles::muddy::MuddyChildren;
 use halpern_moses::kripke::{AgentGroup, AgentId, WorldSet};
+use halpern_moses::limits::Budget;
 use halpern_moses::logic::Formula;
 
 #[test]
@@ -97,14 +98,16 @@ fn e17_round_robin_always_terminates_with_someone_knowing() {
 #[test]
 fn e18_safety_and_ck_shape() {
     let spec = AgreementSpec { n: 3, f: 1 };
-    let system = agreement_system(spec);
+    let system = agreement_system(spec, Reduction::Naive, &Budget::unlimited()).unwrap();
     let report = check_safety(&system);
     assert_eq!(report.agreement_violations, 0);
     assert_eq!(report.validity_violations, 0);
     assert_eq!(report.runs, 200);
     // CK of the decision value at the end of round f+1 in every clean
     // run with a zero input.
-    let isys = agreement_interpreted(spec);
+    let isys = agreement_builder(spec, Reduction::Naive, &Budget::unlimited())
+        .unwrap()
+        .build();
     for inputs in 0..8u64 {
         if inputs == 0b111 {
             continue; // min is 1; the `min0` fact is false
@@ -116,7 +119,12 @@ fn e18_safety_and_ck_shape() {
 
 #[test]
 fn e18_nonfaulty_decisions_match_in_every_run() {
-    let system = agreement_system(AgreementSpec { n: 3, f: 1 });
+    let system = agreement_system(
+        AgreementSpec { n: 3, f: 1 },
+        Reduction::Naive,
+        &Budget::unlimited(),
+    )
+    .unwrap();
     for (_, run) in system.runs() {
         let decisions: Vec<u64> = (0..3)
             .filter_map(|i| decision_of(run, AgentId::new(i)))
@@ -128,7 +136,13 @@ fn e18_nonfaulty_decisions_match_in_every_run() {
 
 #[test]
 fn e18_no_ck_before_decision_round_anywhere() {
-    let isys = agreement_interpreted(AgreementSpec { n: 3, f: 1 });
+    let isys = agreement_builder(
+        AgreementSpec { n: 3, f: 1 },
+        Reduction::Naive,
+        &Budget::unlimited(),
+    )
+    .unwrap()
+    .build();
     let g = AgentGroup::all(3);
     let ck = isys
         .eval(&Formula::common(g, Formula::atom("min0")))

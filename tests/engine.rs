@@ -2,11 +2,11 @@
 //! end, and the minimisation guarantee — `.minimize(true)` never changes
 //! any verdict across the formula suite of the E1–E18 experiments.
 
-use halpern_moses::core::agreement::{agreement_builder, AgreementSpec};
+use halpern_moses::core::agreement::{agreement_builder, AgreementSpec, Reduction};
 use halpern_moses::core::attain::uncertain_start_builder;
 use halpern_moses::core::puzzles::r2d2::r2d2_parts;
 use halpern_moses::core::variants::{ok_builder, skewed_broadcast_builder};
-use halpern_moses::engine::{Engine, Query};
+use halpern_moses::engine::{Budget, Engine, Query};
 use halpern_moses::netsim::scenarios::R2d2Mode;
 
 /// Asks every formula on sessions built with and without minimisation
@@ -109,7 +109,12 @@ fn minimize_never_changes_attain_and_agreement_verdicts() {
         &["sent", "K0 sent", "K1 sent", "C{0,1} sent", "S{0,1} !sent"],
     );
     assert_minimize_invariant(
-        || Engine::from_system(agreement_builder(AgreementSpec { n: 3, f: 1 })),
+        || {
+            let spec = AgreementSpec { n: 3, f: 1 };
+            Engine::from_system(
+                agreement_builder(spec, Reduction::Naive, &Budget::unlimited()).unwrap(),
+            )
+        },
         &[
             "min0",
             "decided0",

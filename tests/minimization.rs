@@ -2,14 +2,17 @@
 //! quotient gives the same answers for the D-free language at a fraction
 //! of the size (extension X3, DESIGN.md).
 
-use halpern_moses::core::puzzles::attack::generals_interpreted;
+use halpern_moses::core::puzzles::attack::generals_builder;
 use halpern_moses::core::puzzles::muddy::MuddyChildren;
 use halpern_moses::kripke::{minimize, AgentGroup, AgentId};
+use halpern_moses::limits::Budget;
 use halpern_moses::logic::{evaluate, Formula};
 
 #[test]
 fn generals_points_compress_and_answers_agree() {
-    let isys = generals_interpreted(8).unwrap();
+    let isys = generals_builder(8, &Budget::unlimited(), false)
+        .unwrap()
+        .build();
     let model = isys.model();
     let min = minimize(model);
     assert!(
@@ -57,7 +60,9 @@ fn compression_ratio_reported() {
     // Not a claim from the paper — a sanity bound to catch regressions
     // in view interning: the generals' 54-point system should compress
     // by at least a third (quiet ticks dominate).
-    let isys = generals_interpreted(8).unwrap();
+    let isys = generals_builder(8, &Budget::unlimited(), false)
+        .unwrap()
+        .build();
     let before = isys.model().num_worlds();
     let after = minimize(isys.model()).model.num_worlds();
     assert!(

@@ -2,17 +2,36 @@
 //! and structural invariants of enumerated systems.
 
 use halpern_moses::kripke::AgentId;
+use halpern_moses::limits::Limits;
 use halpern_moses::netsim::{
-    enumerate_runs, Command, ExecutionSpec, FnProtocol, LocalView, LossyFixedDelay,
-    SynchronousDelay, UnboundedDelay,
+    enumerate_runs, Adversary, Command, EnumerateError, ExecutionSpec, FnProtocol, JointProtocol,
+    LocalView, LossyFixedDelay, SynchronousDelay, UnboundedDelay,
 };
 use halpern_moses::runs::conditions::extends;
 use halpern_moses::runs::Event;
-use halpern_moses::runs::Message;
+use halpern_moses::runs::{Message, Run};
 use proptest::prelude::*;
 
+/// Every run of one spec under a bare run ceiling.
+fn runs_of(
+    protocol: &(dyn JointProtocol + Sync),
+    adversary: &(dyn Adversary + Sync),
+    spec: &ExecutionSpec,
+    max_runs: u64,
+) -> Result<Vec<Run>, EnumerateError> {
+    let budget = Limits::none().max_runs(max_runs).budget();
+    enumerate_runs(
+        protocol,
+        adversary,
+        std::slice::from_ref(spec),
+        &budget,
+        false,
+    )
+    .map(|e| e.runs)
+}
+
 /// p0 sends `count` messages, one per tick, starting at its first step.
-fn burst(count: usize) -> impl halpern_moses::netsim::JointProtocol {
+fn burst(count: usize) -> impl JointProtocol + Sync {
     FnProtocol::new("burst", move |v: &LocalView<'_>| {
         if v.me.index() == 0 && v.sent().count() < count {
             vec![Command::Send {
@@ -33,7 +52,7 @@ proptest! {
         // Each of the `count` messages is independently delivered or
         // lost: exactly 2^count runs (every send happens regardless,
         // since the sender never reacts to the outcome).
-        let runs = enumerate_runs(
+        let runs = runs_of(
             &burst(count),
             &LossyFixedDelay { delay: 1 },
             &ExecutionSpec::simple(2, horizon),
@@ -51,7 +70,7 @@ proptest! {
     #[test]
     fn unbounded_delay_runs_partition_by_schedule(horizon in 3u64..7) {
         // One message, delays 1..=horizon or lost: horizon+1 runs.
-        let runs = enumerate_runs(
+        let runs = runs_of(
             &burst(1),
             &UnboundedDelay { min_delay: 1 },
             &ExecutionSpec::simple(2, horizon),
@@ -78,8 +97,8 @@ proptest! {
     #[test]
     fn deterministic_protocols_yield_identical_reruns(count in 1usize..3, horizon in 3u64..7) {
         let spec = ExecutionSpec::simple(2, horizon);
-        let a = enumerate_runs(&burst(count), &LossyFixedDelay { delay: 1 }, &spec, 1024).unwrap();
-        let b = enumerate_runs(&burst(count), &LossyFixedDelay { delay: 1 }, &spec, 1024).unwrap();
+        let a = runs_of(&burst(count), &LossyFixedDelay { delay: 1 }, &spec, 1024).unwrap();
+        let b = runs_of(&burst(count), &LossyFixedDelay { delay: 1 }, &spec, 1024).unwrap();
         prop_assert_eq!(a, b);
     }
 
@@ -87,7 +106,7 @@ proptest! {
     fn runs_agree_until_first_divergent_delivery(horizon in 4u64..8) {
         // Any two enumerated runs extend each other up to (just before)
         // the first time their delivery schedules differ.
-        let runs = enumerate_runs(
+        let runs = runs_of(
             &burst(2),
             &LossyFixedDelay { delay: 1 },
             &ExecutionSpec::simple(2, horizon),
@@ -126,7 +145,7 @@ proptest! {
 
     #[test]
     fn synchronous_delivery_is_reliable_and_unique(horizon in 4u64..9) {
-        let runs = enumerate_runs(
+        let runs = runs_of(
             &burst(2),
             &SynchronousDelay { delay: 2 },
             &ExecutionSpec::simple(2, horizon),
