@@ -53,6 +53,18 @@ test "$(printf '%s\n' "$out" | wc -l)" -eq 1
 code=0; out=$($HM ask "agreement:n=4,f=2" "C{0,1,2,3} min0" --max-runs 100 --partial --show 0) || code=$?
 test "$code" -eq 0
 printf '%s\n' "$out" | grep -q "unknown"
+# Partial asks share the exact path's analyzer gate: an ill-formed query
+# prints the same one-line diagnostic (exit 1) with or without --partial.
+code=0; full=$($HM ask "agreement:n=3,f=1" 'K9 (nu X. !$X)' 2>&1) || code=$?
+test "$code" -eq 1
+test "$(printf '%s\n' "$full" | wc -l)" -eq 1
+code=0; part=$($HM ask "agreement:n=3,f=1" 'K9 (nu X. !$X)' --max-runs 8 --partial 2>&1) || code=$?
+test "$code" -eq 1
+test "$part" = "$full"
+# ...and run the simplified program: `C_G true` is valid, so even a
+# truncated frame settles it everywhere.
+out=$($HM ask "agreement:n=3,f=1" "C{0,1,2} true" --max-runs 8 --partial)
+printf '%s\n' "$out" | grep -q "unknown 0 "
 
 # Symmetry reduction (PR 9): the heavy differential + KAT tests are
 # #[ignore]d for the debug tier-1 run above; run them here in release

@@ -67,8 +67,8 @@ pub use hm_limits::{Budget, CancelToken, LimitExceeded, Limits, Phase, Resource}
 
 use hm_kripke::{minimize, KripkeModel, Minimized, WorldId, WorldSet};
 use hm_logic::{
-    compile, evaluate_interval, simplify, Analyzer, Bound, CompiledFormula, EvalError, Formula,
-    Frame, IntervalSet, ParseError, F,
+    compile, simplify, Analyzer, Bound, CompiledFormula, EvalError, Formula, Frame, IntervalSet,
+    ParseError, F,
 };
 use hm_netsim::EnumerateError;
 use hm_runs::{InterpretedSystem, InterpretedSystemBuilder, RunId, System};
@@ -754,37 +754,7 @@ impl Session {
         if self.is_partial() {
             return Err(EngineError::PartialFrame);
         }
-        let f: &Formula = query.formula();
-        let cached =
-            self.cache
-                .get_or_insert_with(f, || -> Result<Arc<CachedQuery>, EngineError> {
-                    // One diagnostic source of truth: the analyzer replays
-                    // compile-then-bind errors exactly (pinned by hm-logic's
-                    // differential tests), so gate on its report of the
-                    // *original* formula, then compile the simplified one — the
-                    // program is smaller, the verdict identical.
-                    if let Some(err) = self.check(query).first_error_as_eval() {
-                        return Err(err.into());
-                    }
-                    let compiled = match &self.store {
-                        Some(store) => store.get_or_compile(query.formula())?,
-                        None => Arc::new(compile(&simplify(query.formula()))?),
-                    };
-                    let full = compiled.bind(self.frame())?;
-                    let quotient = if self.minimize && compiled.quotient_safe() {
-                        match self.quotient() {
-                            Some(q) => Some(compiled.bind(&q.model)?),
-                            None => None,
-                        }
-                    } else {
-                        None
-                    };
-                    Ok(Arc::new(CachedQuery {
-                        compiled,
-                        full,
-                        quotient,
-                    }))
-                })?;
+        let cached = self.cached(query)?;
         if let Some(qbound) = &cached.quotient {
             let q = self.quotient().expect("bound against existing quotient");
             let on_quotient =
@@ -806,14 +776,50 @@ impl Session {
         }
     }
 
+    /// The compiled-and-bound program for a query, shared by
+    /// [`ask`](Self::ask) and [`ask_partial`](Self::ask_partial):
+    /// compiled and bound on first sight, cached under the original
+    /// formula.
+    fn cached(&self, query: &Query) -> Result<Arc<CachedQuery>, EngineError> {
+        let f: &Formula = query.formula();
+        self.cache.get_or_insert_with(f, || {
+            // One diagnostic source of truth: the analyzer replays
+            // compile-then-bind errors exactly (pinned by hm-logic's
+            // differential tests), so gate on its report of the
+            // *original* formula, then compile the simplified one — the
+            // program is smaller, the verdict identical.
+            if let Some(err) = self.check(query).first_error_as_eval() {
+                return Err(err.into());
+            }
+            let compiled = match &self.store {
+                Some(store) => store.get_or_compile(query.formula())?,
+                None => Arc::new(compile(&simplify(query.formula()))?),
+            };
+            let full = compiled.bind(self.frame())?;
+            let quotient = if self.minimize && compiled.quotient_safe() {
+                match self.quotient() {
+                    Some(q) => Some(compiled.bind(&q.model)?),
+                    None => None,
+                }
+            } else {
+                None
+            };
+            Ok(Arc::new(CachedQuery {
+                compiled,
+                full,
+                quotient,
+            }))
+        })
+    }
+
     /// Answers a query with a *three-valued* verdict, sound on frames
     /// whose run set was truncated by a partial-mode budget: at every
     /// surviving point the answer is definitely-true, definitely-false,
     /// or [`Trilean::Unknown`] — never a wrong definite. On a full
-    /// (untruncated) frame this delegates to the exact compiled
-    /// evaluator, so the interval is exact and agrees with
-    /// [`ask`](Self::ask) everywhere; on a partial frame it runs the
-    /// tree-walking interval evaluator (no compiled cache, no quotient).
+    /// (untruncated) frame this delegates to [`ask`](Self::ask), so the
+    /// interval is exact. On a partial frame it runs the same cached
+    /// program `ask` would (same analyzer gate, same errors) in the
+    /// interval domain, on the frame itself — never on the quotient.
     /// Both paths charge the same session budget as `ask`.
     ///
     /// # Errors
@@ -828,11 +834,11 @@ impl Session {
                 partial: false,
             });
         }
-        let frame: &dyn Frame = match &self.frame {
-            SessionFrame::Model(m) => m,
-            SessionFrame::Interpreted(isys) => &**isys,
-        };
-        let interval = evaluate_interval(frame, query.formula(), &self.budget)?;
+        let cached = self.cached(query)?;
+        let interval =
+            cached
+                .compiled
+                .eval_bound_interval(self.frame(), &cached.full, &self.budget)?;
         Ok(PartialVerdict {
             interval,
             partial: true,

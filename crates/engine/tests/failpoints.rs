@@ -9,7 +9,7 @@
 #![cfg(feature = "failpoints")]
 
 use hm_engine::limits::failpoints::{Action, ExhaustKind, FailScenario};
-use hm_engine::{Engine, Phase, Query, Resource};
+use hm_engine::{Engine, Limits, Phase, Query, Resource};
 
 #[test]
 fn exhaustion_at_enumeration_is_typed() {
@@ -94,6 +94,29 @@ fn exhaustion_during_evaluation_leaves_the_session_usable() {
     sc.clear("logic::eval");
     let verdict = session.ask(&q).expect("session survives a failed eval");
     assert!(verdict.count() > 0);
+}
+
+#[test]
+fn exhaustion_during_partial_evaluation_on_a_truncated_frame_is_typed() {
+    let sc = FailScenario::setup();
+    let session = Engine::for_scenario("agreement:n=3,f=1")
+        .limits(Limits::none().max_runs(8).allow_partial(true))
+        .build()
+        .expect("no failpoint configured during build");
+    assert!(session.is_partial());
+    let q = Query::parse("C{0,1,2} min0").unwrap();
+
+    sc.configure("logic::eval", Action::Exhaust(ExhaustKind::States));
+    let err = session.ask_partial(&q).unwrap_err();
+    let e = err.limit().expect("typed limit");
+    assert_eq!(e.resource, Resource::StatesVisited);
+    assert_eq!(e.phase, Phase::Eval);
+
+    sc.clear("logic::eval");
+    let verdict = session
+        .ask_partial(&q)
+        .expect("session survives a failed three-valued eval");
+    assert!(verdict.from_partial_frame());
 }
 
 #[test]

@@ -148,6 +148,54 @@ fn partial_verdict_on_full_frame_is_exact_and_matches_ask() {
     }
 }
 
+/// `ask_partial` on a truncated frame goes through the same analyzer
+/// gate as `ask`, so an ill-formed query reports the same first error
+/// whichever way it is asked — not the first error some other traversal
+/// order happens to reach.
+#[test]
+fn partial_and_full_sessions_report_the_same_first_error() {
+    let full = engine().build().unwrap();
+    let part = engine()
+        .limits(Limits::none().max_runs(8).allow_partial(true))
+        .build()
+        .unwrap();
+    assert!(part.is_partial());
+    for src in [
+        "K9 (nu X. !$X)",
+        "zap & K9 min0",
+        "K0 (mu X. $Y)",
+        "next zap",
+    ] {
+        let q = Query::parse(src).unwrap();
+        let (EngineError::Eval(want), EngineError::Eval(got)) =
+            (full.ask(&q).unwrap_err(), part.ask_partial(&q).unwrap_err())
+        else {
+            panic!("{src}: expected evaluation errors");
+        };
+        assert_eq!(got, want, "{src}");
+    }
+}
+
+/// A truncated session compiles each distinct formula once, exactly like
+/// `ask` on a full one: repeat three-valued asks reuse the cached program.
+#[test]
+fn repeat_partial_asks_compile_once() {
+    let part = engine()
+        .limits(Limits::none().max_runs(8).allow_partial(true))
+        .build()
+        .unwrap();
+    let q = Query::parse("C{0,1,2} min0 | K0 decided0").unwrap();
+    let first = part.ask_partial(&q).unwrap();
+    assert_eq!(part.compiled_queries(), 1);
+    let again = part.ask_partial(&q).unwrap();
+    assert_eq!(
+        part.compiled_queries(),
+        1,
+        "no recompilation on a repeat ask"
+    );
+    assert_eq!(first, again);
+}
+
 /// The soundness contract of `ask_partial`: on a truncated frame, a
 /// `True`/`False` verdict at a surviving point must agree with the
 /// classical verdict of the *full* (unbudgeted) build at the same point;

@@ -18,6 +18,7 @@ use crate::model::{KripkeModel, ModelBuilder};
 use crate::partition::Partition;
 use crate::world::WorldId;
 use hm_limits::{failpoints, Budget, LimitExceeded, Phase};
+use std::collections::HashMap;
 
 /// The result of minimising a model: the quotient model plus the mapping
 /// from old worlds to their bisimulation class (= new world id).
@@ -60,7 +61,8 @@ pub fn minimize(model: &KripkeModel) -> Minimized {
     let relations: Vec<&Partition> = (0..model.num_agents())
         .map(|a| model.partition(AgentId::new(a)))
         .collect();
-    let classes = coarsest_refinement(init, &relations);
+    let classes = coarsest_refinement(init, &relations, &Budget::unlimited())
+        .expect("unlimited budget cannot be exceeded");
     build_quotient(model, &classes)
 }
 
@@ -71,22 +73,17 @@ pub fn minimize(model: &KripkeModel) -> Minimized {
 /// system construction can fold minimisation in before materialising a
 /// model (the per-agent relations there come straight from dense view
 /// ids, not from a built [`KripkeModel`]).
-pub fn coarsest_refinement(init: Partition, relations: &[&Partition]) -> Partition {
-    coarsest_refinement_budgeted(init, relations, &Budget::unlimited())
-        .expect("unlimited budget cannot be exceeded")
-}
-
-/// [`coarsest_refinement`] under a resource [`Budget`]: each refinement
-/// round charges one visited state per world (a round recomputes every
-/// world's signature) and re-checks the deadline/cancellation, so a
-/// runaway minimisation stops between rounds with all partial state
-/// dropped.
+///
+/// Each refinement round charges `budget` one visited state per world (a
+/// round recomputes every world's signature) and re-checks the
+/// deadline/cancellation, so a runaway minimisation stops between rounds
+/// with all partial state dropped.
 ///
 /// # Errors
 ///
 /// [`LimitExceeded`] (phase [`Phase::Minimize`]) when the budget is
 /// exhausted or the `kripke::refine` failpoint fires.
-pub fn coarsest_refinement_budgeted(
+pub fn coarsest_refinement(
     init: Partition,
     relations: &[&Partition],
     budget: &Budget,
@@ -96,7 +93,18 @@ pub fn coarsest_refinement_budgeted(
     let mut current = init;
     loop {
         budget.charge(Phase::Minimize, n as u64)?;
-        let next = Partition::from_key(n, |w| signature(relations, &current, w));
+        let class_sets: Vec<Vec<u32>> = relations
+            .iter()
+            .map(|part| block_class_sets(part, &current))
+            .collect();
+        let next = Partition::from_key(n, |w| {
+            let mut sig = Vec::with_capacity(1 + relations.len());
+            sig.push(current.block_of(w) as u32);
+            for (part, ids) in relations.iter().zip(&class_sets) {
+                sig.push(ids[part.block_of(w)]);
+            }
+            sig
+        });
         if next.num_blocks() == current.num_blocks() {
             return Ok(current);
         }
@@ -104,22 +112,25 @@ pub fn coarsest_refinement_budgeted(
     }
 }
 
-/// The refinement signature of world `w` under candidate partition `p`:
-/// its own class plus, per relation, the sorted set of classes its block
-/// meets.
-fn signature(relations: &[&Partition], p: &Partition, w: WorldId) -> Vec<u64> {
-    let mut sig: Vec<u64> = vec![p.block_of(w) as u64];
-    for part in relations {
-        let mut seen: Vec<u64> = part
-            .block_members(part.block_of(w))
-            .map(|v| p.block_of(v) as u64)
-            .collect();
-        seen.sort_unstable();
-        seen.dedup();
-        sig.push(u64::MAX); // separator
-        sig.extend(seen);
-    }
-    sig
+/// The refinement signature of a world under candidate partition `p` is
+/// its own class plus, per relation, the set of classes its block meets.
+/// All members of a block share that set, so it is computed once per
+/// block and interned: `ids[b]` is equal for two blocks of `part` iff
+/// they meet the same `p`-classes.
+fn block_class_sets(part: &Partition, p: &Partition) -> Vec<u32> {
+    let mut interned: HashMap<Vec<u32>, u32> = HashMap::new();
+    (0..part.num_blocks())
+        .map(|b| {
+            let mut seen: Vec<u32> = part
+                .block_members(b)
+                .map(|v| p.block_of(v) as u32)
+                .collect();
+            seen.sort_unstable();
+            seen.dedup();
+            let fresh = interned.len() as u32;
+            *interned.entry(seen).or_insert(fresh)
+        })
+        .collect()
 }
 
 /// Pushes each relation down to the class universe: classes `b`, `b'` are
@@ -336,6 +347,54 @@ mod tests {
             let m = random_model(seed, RandomModelSpec::default());
             let min = minimize(&m);
             assert!(min.model.num_worlds() <= m.num_worlds());
+        }
+    }
+
+    #[test]
+    fn refinement_matches_per_world_signatures() {
+        // Reference: recompute every world's signature from its own block
+        // each round. The per-block interning must give the identical
+        // partition, numbering included.
+        fn reference(init: Partition, relations: &[&Partition]) -> Partition {
+            let n = init.num_worlds();
+            let mut current = init;
+            loop {
+                let next = Partition::from_key(n, |w| {
+                    let mut sig = vec![current.block_of(w) as u64];
+                    for part in relations {
+                        let mut seen: Vec<u64> = part
+                            .block_members(part.block_of(w))
+                            .map(|v| current.block_of(v) as u64)
+                            .collect();
+                        seen.sort_unstable();
+                        seen.dedup();
+                        sig.push(u64::MAX);
+                        sig.extend(seen);
+                    }
+                    sig
+                });
+                if next.num_blocks() == current.num_blocks() {
+                    return current;
+                }
+                current = next;
+            }
+        }
+        for seed in 0..40u64 {
+            let spec = RandomModelSpec {
+                num_worlds: 64 + (seed as usize % 5) * 200,
+                max_blocks: 3 + seed as usize % 20,
+                ..RandomModelSpec::default()
+            };
+            let m = random_model(seed, spec);
+            let init = Partition::from_key(m.num_worlds(), |w| m.atom_holds(0.into(), w));
+            let relations: Vec<&Partition> = (0..m.num_agents())
+                .map(|a| m.partition(AgentId::new(a)))
+                .collect();
+            assert_eq!(
+                coarsest_refinement(init.clone(), &relations, &Budget::unlimited()).unwrap(),
+                reference(init, &relations),
+                "seed {seed}"
+            );
         }
     }
 }

@@ -28,16 +28,24 @@
 //! tree-walker would discover it. After a successful bind, execution is
 //! infallible.
 //!
+//! The machine runs in one of two value domains: exact world sets, or
+//! sound `(lo, hi)` intervals for frames whose run set was truncated
+//! (see the `interval` module). Both share every instruction, slot,
+//! register and budget check; only the operator kernels differ.
+//!
 //! [`bind`]: CompiledFormula::bind
 
 use crate::analysis::{visit_frame_reqs, FrameReq};
 use crate::eval::{check_positive, EvalError};
 use crate::formula::Formula;
 use crate::frame::{Frame, TemporalStructure};
+use crate::interval::IntervalSet;
 use crate::temporal;
 use hm_kripke::{AgentGroup, AgentId, WorldSet};
 use hm_limits::{failpoints, Budget, LimitExceeded, Phase};
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::convert::Infallible;
 
 /// One instruction of the compiled stack machine. Instructions are laid
 /// out in post-order: each pops its operands (pushed by earlier
@@ -90,20 +98,25 @@ enum Op {
     Always,
     /// See [`Op::Next`].
     Once,
-    /// Pop one, push `E^ε_G`.
-    EveryoneEps { group: u32, eps: u64 },
-    /// Pop one, push the `C^ε_G` fixed point (internal iteration).
-    CommonEps { group: u32, eps: u64 },
-    /// Pop one, push `E^◇_G`.
-    EveryoneEv(u32),
-    /// Pop one, push the `C^◇_G` fixed point.
-    CommonEv(u32),
+    /// Pop one, push `E^ε_G`, `E^◇_G` or `E^T_G`; `arg` is `ε` or `T`
+    /// (unused for `◇`). Flat fields keep `Op` at 16 bytes.
+    EveryoneAt { var: Attain, group: u32, arg: u64 },
+    /// Pop one, push the matching `C^ε_G`, `C^◇_G` or `C^T_G` fixed point
+    /// (internal iteration).
+    CommonAt { var: Attain, group: u32, arg: u64 },
     /// Pop one, push `K_i^T`.
     KnowsAt { agent: u32, stamp: u64 },
-    /// Pop one, push `E^T_G`.
-    EveryoneTs { group: u32, stamp: u64 },
-    /// Pop one, push the `C^T_G` fixed point.
-    CommonTs { group: u32, stamp: u64 },
+}
+
+/// The attainable variants of `E_G` (Sections 11–12).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Attain {
+    /// `E^ε_G`: everyone knows within `ε` time units.
+    Eps,
+    /// `E^◇_G`: everyone eventually knows.
+    Ev,
+    /// `E^T_G`: everyone knows at local timestamp `T`.
+    Ts,
 }
 
 /// A frame-compatibility check recorded at compile time, replayed by
@@ -390,23 +403,54 @@ impl CompiledFormula {
         bound: &Bound,
         budget: &Budget,
     ) -> Result<WorldSet, EvalError> {
-        failpoints::check("logic::eval", Phase::Eval)?;
-        self.run(frame, bound, budget)
+        self.run_governed(frame, bound, budget)
     }
 
-    fn run(
+    /// [`eval_bound_budgeted`](Self::eval_bound_budgeted) in the interval
+    /// domain: a sound three-valued bracket on a frame whose run set was
+    /// truncated (see [`evaluate_interval`](crate::evaluate_interval)).
+    ///
+    /// # Errors
+    ///
+    /// As for [`eval_bound_budgeted`](Self::eval_bound_budgeted).
+    ///
+    /// # Panics
+    ///
+    /// Panics (universe mismatch) if `bound` came from a frame with a
+    /// different world universe.
+    pub fn eval_bound_interval(
         &self,
         frame: &dyn Frame,
         bound: &Bound,
         budget: &Budget,
-    ) -> Result<WorldSet, EvalError> {
+    ) -> Result<IntervalSet, EvalError> {
+        self.run_governed(frame, bound, budget)
+    }
+
+    fn run_governed<D: Domain>(
+        &self,
+        frame: &dyn Frame,
+        bound: &Bound,
+        budget: &Budget,
+    ) -> Result<D, EvalError> {
+        failpoints::check("logic::eval", Phase::Eval)?;
+        self.run(frame, bound, budget)
+    }
+
+    fn run<D: Domain>(
+        &self,
+        frame: &dyn Frame,
+        bound: &Bound,
+        budget: &Budget,
+    ) -> Result<D, EvalError> {
         let n = frame.num_worlds();
+        let atoms = D::lift_atoms(&bound.atom_sets);
         let mut m = Machine {
             compiled: self,
             frame,
             ts: frame.temporal(),
-            atoms: &bound.atom_sets,
-            slots: vec![WorldSet::empty(n); self.num_slots as usize],
+            atoms: &atoms,
+            slots: vec![D::lift(WorldSet::empty(n)); self.num_slots as usize],
             regs: vec![None; self.num_regs as usize],
             stack: Vec::new(),
             n,
@@ -505,30 +549,6 @@ impl EvalCache {
         }
         let (compiled, bound) = &self.entries[f];
         Ok(compiled.eval_bound(frame, bound))
-    }
-
-    /// [`eval`](Self::eval) under a resource [`Budget`] — see
-    /// [`CompiledFormula::eval_bound_budgeted`].
-    ///
-    /// # Errors
-    ///
-    /// Compile/bind errors as for [`eval`](Self::eval), plus
-    /// [`EvalError::Limit`] on exhaustion, deadline, or cancellation.
-    /// Formulas are cached only after a successful bind, so an
-    /// interrupted evaluation leaves the cache consistent.
-    pub fn eval_budgeted(
-        &mut self,
-        frame: &dyn Frame,
-        f: &Formula,
-        budget: &Budget,
-    ) -> Result<WorldSet, EvalError> {
-        if !self.entries.contains_key(f) {
-            let compiled = compile(f)?;
-            let bound = compiled.bind(frame)?;
-            self.entries.insert(f.clone(), (compiled, bound));
-        }
-        let (compiled, bound) = &self.entries[f];
-        compiled.eval_bound_budgeted(frame, bound, budget)
     }
 
     /// Number of distinct formulas compiled so far.
@@ -721,29 +741,15 @@ impl Compiler {
                 ops.push(Op::Once);
             }
             Formula::EveryoneEps(g, eps, a) => {
-                self.mark_temporal();
-                let group = self.group(g);
-                self.emit(a, ops)?;
-                ops.push(Op::EveryoneEps { group, eps: *eps });
+                self.emit_attain(g, Attain::Eps, *eps, false, a, ops)?
             }
             Formula::CommonEps(g, eps, a) => {
-                self.mark_temporal();
-                let group = self.group(g);
-                self.emit(a, ops)?;
-                ops.push(Op::CommonEps { group, eps: *eps });
+                self.emit_attain(g, Attain::Eps, *eps, true, a, ops)?
             }
-            Formula::EveryoneEv(g, a) => {
-                self.mark_temporal();
-                let group = self.group(g);
-                self.emit(a, ops)?;
-                ops.push(Op::EveryoneEv(group));
-            }
-            Formula::CommonEv(g, a) => {
-                self.mark_temporal();
-                let group = self.group(g);
-                self.emit(a, ops)?;
-                ops.push(Op::CommonEv(group));
-            }
+            Formula::EveryoneEv(g, a) => self.emit_attain(g, Attain::Ev, 0, false, a, ops)?,
+            Formula::CommonEv(g, a) => self.emit_attain(g, Attain::Ev, 0, true, a, ops)?,
+            Formula::EveryoneTs(g, t, a) => self.emit_attain(g, Attain::Ts, *t, false, a, ops)?,
+            Formula::CommonTs(g, t, a) => self.emit_attain(g, Attain::Ts, *t, true, a, ops)?,
             Formula::KnowsAt(i, stamp, a) => {
                 self.mark_temporal();
                 self.emit(a, ops)?;
@@ -752,25 +758,28 @@ impl Compiler {
                     stamp: *stamp,
                 });
             }
-            Formula::EveryoneTs(g, stamp, a) => {
-                self.mark_temporal();
-                let group = self.group(g);
-                self.emit(a, ops)?;
-                ops.push(Op::EveryoneTs {
-                    group,
-                    stamp: *stamp,
-                });
-            }
-            Formula::CommonTs(g, stamp, a) => {
-                self.mark_temporal();
-                let group = self.group(g);
-                self.emit(a, ops)?;
-                ops.push(Op::CommonTs {
-                    group,
-                    stamp: *stamp,
-                });
-            }
         }
+        Ok(())
+    }
+
+    /// Emits an attainable `E_G` variant, or its `C_G` fixed point.
+    fn emit_attain(
+        &mut self,
+        g: &AgentGroup,
+        var: Attain,
+        arg: u64,
+        common: bool,
+        a: &Formula,
+        ops: &mut Vec<Op>,
+    ) -> Result<(), EvalError> {
+        self.mark_temporal();
+        let group = self.group(g);
+        self.emit(a, ops)?;
+        ops.push(if common {
+            Op::CommonAt { var, group, arg }
+        } else {
+            Op::EveryoneAt { var, group, arg }
+        });
         Ok(())
     }
 }
@@ -779,37 +788,98 @@ impl Compiler {
 // Execution
 // ---------------------------------------------------------------------------
 
-/// A stack value: materialised set, or a lazy reference into the atom
-/// table / fixed-point slots. Deferring materialisation means an atom
-/// operand feeds `K_i`, `∩`, `∪` by reference — no per-node clone, the
-/// very allocation the tree-walker pays at every `Atom` visit.
+/// The value domain the machine computes in: exact world sets on full
+/// frames ([`WorldSet`]), sound `(lo, hi)` brackets on truncated ones
+/// ([`IntervalSet`]). Every instruction reduces to these operations, so
+/// both domains share one machine — `Fix`, `Memo`, slots, budget ticks
+/// and the `logic::eval` failpoint included.
+pub(crate) trait Domain: Clone + PartialEq {
+    /// An exactly known set (`true`, `false`, atoms).
+    fn lift(s: WorldSet) -> Self;
+    /// The bound atom table in this domain (borrowed where [`lift`] is
+    /// the identity).
+    ///
+    /// [`lift`]: Domain::lift
+    fn lift_atoms(atoms: &[WorldSet]) -> Cow<'_, [Self]>;
+    /// Negation.
+    fn complement(&self) -> Self;
+    /// In-place conjunction.
+    fn meet_with(&mut self, other: &Self);
+    /// In-place disjunction.
+    fn join_with(&mut self, other: &Self);
+    /// A run-local temporal operator (`next`, `even`, `alw`, `once`).
+    fn both(&self, f: impl Fn(&WorldSet) -> WorldSet) -> Self;
+    /// A knowledge-like operator (`K`, `E^k`, `S`, `D`, `C`, the
+    /// attainable variants, `K@`), which may fail on a budget.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `f` returns.
+    fn try_upper<E>(&self, f: impl FnOnce(&WorldSet) -> Result<WorldSet, E>) -> Result<Self, E>;
+    /// [`try_upper`](Domain::try_upper) for an infallible operator.
+    fn upper(&self, f: impl FnOnce(&WorldSet) -> WorldSet) -> Self {
+        self.try_upper(|s| Ok::<_, Infallible>(f(s)))
+            .unwrap_or_else(|e| match e {})
+    }
+}
+
+/// The exact domain: every operator applies to the set itself.
+impl Domain for WorldSet {
+    fn lift(s: WorldSet) -> Self {
+        s
+    }
+    fn lift_atoms(atoms: &[WorldSet]) -> Cow<'_, [Self]> {
+        Cow::Borrowed(atoms)
+    }
+    fn complement(&self) -> Self {
+        WorldSet::complement(self)
+    }
+    fn meet_with(&mut self, other: &Self) {
+        self.intersect_with(other);
+    }
+    fn join_with(&mut self, other: &Self) {
+        self.union_with(other);
+    }
+    fn both(&self, f: impl Fn(&WorldSet) -> WorldSet) -> Self {
+        f(self)
+    }
+    fn try_upper<E>(&self, f: impl FnOnce(&WorldSet) -> Result<WorldSet, E>) -> Result<Self, E> {
+        f(self)
+    }
+}
+
+/// A stack value: materialised value, or a lazy reference into the atom
+/// table / fixed-point slots / CSE registers. Deferring materialisation
+/// means an atom operand feeds `K_i`, `∩`, `∪` by reference — no
+/// per-node clone, the very allocation the tree-walker pays at every
+/// `Atom` visit.
 ///
 /// Slot references are sound because a slot's value only changes inside
 /// its own `Fix` loop, *after* the body evaluation that may have pushed
 /// (and by then consumed) references to it; distinct binders get
 /// distinct slots.
 #[derive(Debug)]
-enum Val {
+enum Val<D> {
     Atom(u32),
     Slot(u32),
     Reg(u32),
-    Owned(WorldSet),
+    Owned(D),
 }
 
-struct Machine<'a> {
+struct Machine<'a, D> {
     compiled: &'a CompiledFormula,
     frame: &'a dyn Frame,
     ts: Option<&'a dyn TemporalStructure>,
-    atoms: &'a [WorldSet],
-    slots: Vec<WorldSet>,
+    atoms: &'a [D],
+    slots: Vec<D>,
     /// CSE registers, filled on first execution of their memo chunk.
-    regs: Vec<Option<WorldSet>>,
-    stack: Vec<Val>,
+    regs: Vec<Option<D>>,
+    stack: Vec<Val<D>>,
     n: usize,
     budget: &'a Budget,
 }
 
-impl Machine<'_> {
+impl<D: Domain> Machine<'_, D> {
     fn ts(&self) -> &dyn TemporalStructure {
         self.ts.expect("temporal ops validated at bind time")
     }
@@ -818,7 +888,7 @@ impl Machine<'_> {
         &self.compiled.groups[ix as usize]
     }
 
-    fn resolve<'v>(&'v self, v: &'v Val) -> &'v WorldSet {
+    fn resolve<'v>(&'v self, v: &'v Val<D>) -> &'v D {
         match v {
             Val::Atom(i) => &self.atoms[*i as usize],
             Val::Slot(i) => &self.slots[*i as usize],
@@ -829,15 +899,19 @@ impl Machine<'_> {
         }
     }
 
-    fn owned_value(&self, v: Val) -> WorldSet {
+    fn owned_value(&self, v: Val<D>) -> D {
         match v {
             Val::Owned(s) => s,
             other => self.resolve(&other).clone(),
         }
     }
 
-    fn member_knowledge(&self, g: &AgentGroup, a: &WorldSet) -> Vec<WorldSet> {
-        g.iter().map(|i| self.frame.knowledge_set(i, a)).collect()
+    fn unit(&self, full: bool) -> D {
+        D::lift(if full {
+            WorldSet::full(self.n)
+        } else {
+            WorldSet::empty(self.n)
+        })
     }
 
     /// Executes one chunk, leaving exactly one more value on the stack.
@@ -854,82 +928,64 @@ impl Machine<'_> {
         // budget this is a no-op, otherwise an amortized counter bump.
         self.budget.tick(Phase::Eval)?;
         match op {
-            Op::True => self.stack.push(Val::Owned(WorldSet::full(self.n))),
-            Op::False => self.stack.push(Val::Owned(WorldSet::empty(self.n))),
+            Op::True => self.stack.push(Val::Owned(self.unit(true))),
+            Op::False => self.stack.push(Val::Owned(self.unit(false))),
             Op::Atom(i) => self.stack.push(Val::Atom(i)),
             Op::Slot(i) => self.stack.push(Val::Slot(i)),
-            Op::Not => {
-                let a = self.pop();
-                let out = self.resolve(&a).complement();
-                self.stack.push(Val::Owned(out));
-            }
+            Op::Not => self.apply(|_, a| a.complement()),
             Op::And(k) => self.fold_n(k, true),
             Op::Or(k) => self.fold_n(k, false),
             Op::Implies => {
                 let b = self.pop();
                 let a = self.pop();
                 let mut out = self.resolve(&a).complement();
-                out.union_with(self.resolve(&b));
+                out.join_with(self.resolve(&b));
                 self.stack.push(Val::Owned(out));
             }
             Op::Iff => {
                 let b = self.pop();
                 let a = self.pop();
                 let (av, bv) = (self.resolve(&a), self.resolve(&b));
-                let both = av.intersection(bv);
-                let neither = av.complement().intersection(&bv.complement());
-                self.stack.push(Val::Owned(both.union(&neither)));
+                let mut both = av.clone();
+                both.meet_with(bv);
+                let mut neither = av.complement();
+                neither.meet_with(&bv.complement());
+                both.join_with(&neither);
+                self.stack.push(Val::Owned(both));
             }
             Op::Knows(i) => {
-                let a = self.pop();
-                let out = self
-                    .frame
-                    .knowledge_set(AgentId::new(i as usize), self.resolve(&a));
-                self.stack.push(Val::Owned(out));
+                self.apply(|m, a| a.upper(|s| m.frame.knowledge_set(AgentId::new(i as usize), s)));
             }
-            Op::EveryoneK { group, k } => {
-                let a = self.pop();
-                if k == 0 {
-                    // `E^0 φ = φ` (the constructors forbid k = 0, but the
-                    // enum variant is public; match the tree-walker).
-                    self.stack.push(a);
-                    return Ok(());
-                }
-                let g = self.group(group);
-                let mut cur = self.frame.everyone_set(g, self.resolve(&a));
-                for _ in 1..k {
-                    cur = self.frame.everyone_set(g, &cur);
-                }
-                self.stack.push(Val::Owned(cur));
-            }
-            Op::Someone(group) => {
-                let a = self.pop();
-                let g = self.group(group);
-                let av = self.resolve(&a);
-                let mut out = WorldSet::empty(self.n);
-                for i in g.iter() {
-                    out.union_with(&self.frame.knowledge_set(i, av));
-                }
-                self.stack.push(Val::Owned(out));
-            }
+            // `E^0 φ = φ` (the constructors forbid k = 0, but the enum
+            // variant is public; match the tree-walker): leave φ in place.
+            Op::EveryoneK { k: 0, .. } => {}
+            Op::EveryoneK { group, k } => self.apply(|m, a| {
+                a.upper(|s| {
+                    let g = m.group(group);
+                    let mut cur = m.frame.everyone_set(g, s);
+                    for _ in 1..k {
+                        cur = m.frame.everyone_set(g, &cur);
+                    }
+                    cur
+                })
+            }),
+            Op::Someone(group) => self.apply(|m, a| {
+                a.upper(|s| {
+                    let mut out = WorldSet::empty(m.n);
+                    for i in m.group(group).iter() {
+                        out.union_with(&m.frame.knowledge_set(i, s));
+                    }
+                    out
+                })
+            }),
             Op::Distributed(group) => {
-                let a = self.pop();
-                let out = self
-                    .frame
-                    .distributed_set(self.group(group), self.resolve(&a));
-                self.stack.push(Val::Owned(out));
+                self.apply(|m, a| a.upper(|s| m.frame.distributed_set(m.group(group), s)));
             }
             Op::Common(group) => {
-                let a = self.pop();
-                let out = self.frame.common_set(self.group(group), self.resolve(&a));
-                self.stack.push(Val::Owned(out));
+                self.apply(|m, a| a.upper(|s| m.frame.common_set(m.group(group), s)));
             }
             Op::Fix { gfp, slot, body } => {
-                self.slots[slot as usize] = if gfp {
-                    WorldSet::full(self.n)
-                } else {
-                    WorldSet::empty(self.n)
-                };
+                self.slots[slot as usize] = self.unit(gfp);
                 loop {
                     // Deadline/cancellation re-check at every iteration:
                     // a single fixed-point round can be long on large
@@ -953,109 +1009,61 @@ impl Machine<'_> {
                 }
                 self.stack.push(Val::Reg(reg));
             }
-            Op::Next => {
+            Op::Next => self.apply(|m, a| a.both(|s| temporal::next_set(m.ts(), s))),
+            Op::Eventually => self.apply(|m, a| a.both(|s| temporal::eventually_set(m.ts(), s))),
+            Op::Always => self.apply(|m, a| a.both(|s| temporal::always_set(m.ts(), s))),
+            Op::Once => self.apply(|m, a| a.both(|s| temporal::once_set(m.ts(), s))),
+            Op::EveryoneAt { var, group, arg } => {
+                self.apply(|m, a| a.upper(|s| m.attain(var, arg, m.group(group), s)));
+            }
+            Op::CommonAt { var, group, arg } => {
                 let a = self.pop();
-                let out = temporal::next_set(self.ts(), self.resolve(&a));
+                let out = self
+                    .resolve(&a)
+                    .try_upper(|s| self.attain_gfp(var, arg, self.group(group), s))?;
                 self.stack.push(Val::Owned(out));
             }
-            Op::Eventually => {
-                let a = self.pop();
-                let out = temporal::eventually_set(self.ts(), self.resolve(&a));
-                self.stack.push(Val::Owned(out));
-            }
-            Op::Always => {
-                let a = self.pop();
-                let out = temporal::always_set(self.ts(), self.resolve(&a));
-                self.stack.push(Val::Owned(out));
-            }
-            Op::Once => {
-                let a = self.pop();
-                let out = temporal::once_set(self.ts(), self.resolve(&a));
-                self.stack.push(Val::Owned(out));
-            }
-            Op::EveryoneEps { group, eps } => {
-                let a = self.pop();
-                let g = self.group(group);
-                let k_sets = self.member_knowledge(g, self.resolve(&a));
-                let out = temporal::everyone_eps_set(self.ts(), g, eps, &k_sets);
-                self.stack.push(Val::Owned(out));
-            }
-            Op::CommonEps { group, eps } => {
-                let av = self.pop();
-                let out = self.temporal_gfp(
-                    &av,
-                    |m, g, arg| {
-                        let k_sets = m.member_knowledge(g, arg);
-                        temporal::everyone_eps_set(m.ts(), g, eps, &k_sets)
-                    },
-                    group,
-                )?;
-                self.stack.push(Val::Owned(out));
-            }
-            Op::EveryoneEv(group) => {
-                let a = self.pop();
-                let g = self.group(group);
-                let k_sets = self.member_knowledge(g, self.resolve(&a));
-                let out = temporal::everyone_ev_set(self.ts(), g, &k_sets);
-                self.stack.push(Val::Owned(out));
-            }
-            Op::CommonEv(group) => {
-                let av = self.pop();
-                let out = self.temporal_gfp(
-                    &av,
-                    |m, g, arg| {
-                        let k_sets = m.member_knowledge(g, arg);
-                        temporal::everyone_ev_set(m.ts(), g, &k_sets)
-                    },
-                    group,
-                )?;
-                self.stack.push(Val::Owned(out));
-            }
-            Op::KnowsAt { agent, stamp } => {
-                let a = self.pop();
-                let i = AgentId::new(agent as usize);
-                let k = self.frame.knowledge_set(i, self.resolve(&a));
-                let out = temporal::knows_at_set(self.ts(), i, stamp, &k);
-                self.stack.push(Val::Owned(out));
-            }
-            Op::EveryoneTs { group, stamp } => {
-                let a = self.pop();
-                let g = self.group(group);
-                let k_sets = self.member_knowledge(g, self.resolve(&a));
-                let out = temporal::everyone_ts_set(self.ts(), g, stamp, &k_sets);
-                self.stack.push(Val::Owned(out));
-            }
-            Op::CommonTs { group, stamp } => {
-                let av = self.pop();
-                let out = self.temporal_gfp(
-                    &av,
-                    |m, g, arg| {
-                        let k_sets = m.member_knowledge(g, arg);
-                        temporal::everyone_ts_set(m.ts(), g, stamp, &k_sets)
-                    },
-                    group,
-                )?;
-                self.stack.push(Val::Owned(out));
-            }
+            Op::KnowsAt { agent, stamp } => self.apply(|m, a| {
+                a.upper(|s| {
+                    let i = AgentId::new(agent as usize);
+                    let k = m.frame.knowledge_set(i, s);
+                    temporal::knows_at_set(m.ts(), i, stamp, &k)
+                })
+            }),
         }
         Ok(())
     }
 
-    /// The shared `νX. Op_G(φ ∧ X)` downward iteration of the `C^ε`,
-    /// `C^◇` and `C^T` variants.
-    fn temporal_gfp(
+    /// Pops one operand and pushes `f` of it.
+    fn apply(&mut self, f: impl FnOnce(&Self, &D) -> D) {
+        let a = self.pop();
+        let out = f(self, self.resolve(&a));
+        self.stack.push(Val::Owned(out));
+    }
+
+    /// `E^ε_G`, `E^◇_G` or `E^T_G` of `s`.
+    fn attain(&self, var: Attain, arg: u64, g: &AgentGroup, s: &WorldSet) -> WorldSet {
+        let k_sets: Vec<WorldSet> = g.iter().map(|i| self.frame.knowledge_set(i, s)).collect();
+        match var {
+            Attain::Eps => temporal::everyone_eps_set(self.ts(), g, arg, &k_sets),
+            Attain::Ev => temporal::everyone_ev_set(self.ts(), g, &k_sets),
+            Attain::Ts => temporal::everyone_ts_set(self.ts(), g, arg, &k_sets),
+        }
+    }
+
+    /// The `C^ε`, `C^◇` or `C^T` fixed point `νX. E^var_G(s ∧ X)`, by
+    /// downward iteration.
+    fn attain_gfp(
         &self,
-        av: &Val,
-        step: impl Fn(&Self, &AgentGroup, &WorldSet) -> WorldSet,
-        group: u32,
+        var: Attain,
+        arg: u64,
+        g: &AgentGroup,
+        s: &WorldSet,
     ) -> Result<WorldSet, LimitExceeded> {
-        let g = self.group(group);
-        let av = self.resolve(av);
         let mut x = WorldSet::full(self.n);
         loop {
             self.budget.check_now(Phase::Eval)?;
-            let arg = av.intersection(&x);
-            let next = step(self, g, &arg);
+            let next = self.attain(var, arg, g, &s.intersection(&x));
             if next == x {
                 return Ok(x);
             }
@@ -1063,25 +1071,21 @@ impl Machine<'_> {
         }
     }
 
-    fn pop(&mut self) -> Val {
+    fn pop(&mut self) -> Val<D> {
         self.stack.pop().expect("stack discipline")
     }
 
-    /// Pops `k` operands and pushes their intersection (`and`) or union:
-    /// the first *owned* operand (if any) becomes the accumulator, so a
-    /// run of atom references costs exactly one clone.
+    /// Pops `k` operands and pushes their conjunction (`and`) or
+    /// disjunction: the first *owned* operand (if any) becomes the
+    /// accumulator, so a run of atom references costs exactly one clone.
     fn fold_n(&mut self, k: u32, and: bool) {
         if k == 0 {
-            let unit = if and {
-                WorldSet::full(self.n)
-            } else {
-                WorldSet::empty(self.n)
-            };
+            let unit = self.unit(and);
             self.stack.push(Val::Owned(unit));
             return;
         }
         let at = self.stack.len() - k as usize;
-        let mut operands: Vec<Val> = self.stack.drain(at..).collect();
+        let mut operands: Vec<Val<D>> = self.stack.drain(at..).collect();
         let acc_ix = operands
             .iter()
             .position(|v| matches!(v, Val::Owned(_)))
@@ -1089,9 +1093,9 @@ impl Machine<'_> {
         let mut acc = self.owned_value(operands.swap_remove(acc_ix));
         for v in &operands {
             if and {
-                acc.intersect_with(self.resolve(v));
+                acc.meet_with(self.resolve(v));
             } else {
-                acc.union_with(self.resolve(v));
+                acc.join_with(self.resolve(v));
             }
         }
         self.stack.push(Val::Owned(acc));

@@ -151,7 +151,7 @@ pub fn is_valid(frame: &dyn Frame, f: &Formula) -> Result<bool, EvalError> {
 
 type Env = HashMap<String, WorldSet>;
 
-pub(crate) fn group_check(frame: &dyn Frame, g: &AgentGroup) -> Result<(), EvalError> {
+fn group_check(frame: &dyn Frame, g: &AgentGroup) -> Result<(), EvalError> {
     for i in g.iter() {
         if i.index() >= frame.num_agents() {
             return Err(EvalError::AgentOutOfRange(i.index()));
@@ -340,11 +340,11 @@ fn eval(frame: &dyn Frame, f: &Formula, env: &mut Env) -> Result<WorldSet, EvalE
     }
 }
 
-pub(crate) fn member_knowledge(frame: &dyn Frame, g: &AgentGroup, a: &WorldSet) -> Vec<WorldSet> {
+fn member_knowledge(frame: &dyn Frame, g: &AgentGroup, a: &WorldSet) -> Vec<WorldSet> {
     g.iter().map(|i| frame.knowledge_set(i, a)).collect()
 }
 
-pub(crate) fn need_temporal<'a>(
+fn need_temporal<'a>(
     frame: &'a dyn Frame,
     op: &str,
 ) -> Result<&'a dyn crate::frame::TemporalStructure, EvalError> {

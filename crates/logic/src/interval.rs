@@ -3,8 +3,8 @@
 //! When enumeration is truncated by a resource budget (see `hm-limits`),
 //! the frame the engine builds contains a *subset* of the real system's
 //! points. A classical verdict computed on such a frame can be wrong in
-//! either direction, so this module computes an **interval**
-//! [`IntervalSet`] `(lo, hi)` per formula with the invariant
+//! either direction, so the compiled machine can instead compute an
+//! **interval** [`IntervalSet`] `(lo, hi)` per formula with the invariant
 //!
 //! ```text
 //! lo  ⊆  truth(φ, full system) ∩ survivors  ⊆  hi
@@ -14,7 +14,12 @@
 //! A world in `lo` definitely satisfies φ in the full system; a world
 //! outside `hi` definitely falsifies it; anything between is *unknown*.
 //!
-//! The rules exploit two structural facts about budget truncation:
+//! This module is the interval *domain* of the one compiled machine
+//! ([`CompiledFormula::eval_bound_interval`](crate::CompiledFormula::eval_bound_interval)):
+//! the machine's instructions, fixed-point slots, CSE registers and
+//! budget checks are shared with exact evaluation, and only the operator
+//! kernels below differ. They are sound by two structural facts about
+//! budget truncation:
 //!
 //! - **Whole runs survive or die.** Both the netsim depth-first
 //!   enumeration and the agreement-scenario loop admit or truncate entire
@@ -40,13 +45,13 @@
 //! needlessly wide around knowledge operators — callers with an exact
 //! frame should use [`evaluate`](crate::evaluate).
 
-use crate::eval::{check_positive, group_check, member_knowledge, need_temporal, EvalError};
+use crate::compile::{compile, Domain};
+use crate::eval::EvalError;
 use crate::formula::Formula;
 use crate::frame::Frame;
-use crate::temporal;
 use hm_kripke::{WorldId, WorldSet};
-use hm_limits::{failpoints, Budget, Phase};
-use std::collections::HashMap;
+use hm_limits::Budget;
+use std::borrow::Cow;
 
 /// A sound bracket around the (unknowable) exact truth set of a formula
 /// on a partial frame: `lo ⊆ truth ⊆ hi` over the surviving worlds.
@@ -116,311 +121,64 @@ impl IntervalSet {
     }
 }
 
-type Env = HashMap<String, IntervalSet>;
-
 /// Evaluates `f` on a (possibly truncated) frame, returning a sound
-/// truth interval (see the module docs for the exact guarantee).
+/// truth interval (see the module docs for the exact guarantee). Like
+/// [`evaluate`](crate::evaluate), this compiles, binds and runs the
+/// formula, here in the interval domain.
 ///
 /// # Errors
 ///
-/// The same well-formedness errors as [`evaluate`](crate::evaluate),
-/// plus [`EvalError::Limit`] when `budget` is exhausted, the deadline
-/// passes, or the computation is cancelled. The failpoint site
-/// `logic::eval` can inject the same errors deterministically.
+/// The same well-formedness errors as [`evaluate`](crate::evaluate), in
+/// the same order, plus [`EvalError::Limit`] when `budget` is exhausted,
+/// the deadline passes, or the computation is cancelled. The failpoint
+/// site `logic::eval` can inject the same errors deterministically.
 pub fn evaluate_interval(
     frame: &dyn Frame,
     f: &Formula,
     budget: &Budget,
 ) -> Result<IntervalSet, EvalError> {
-    failpoints::check("logic::eval", Phase::Eval)?;
-    let mut env = Env::new();
-    eval_iv(frame, f, &mut env, budget)
+    let compiled = compile(f)?;
+    compiled.eval_bound_interval(frame, &compiled.bind(frame)?, budget)
 }
 
-/// Lower bound for knowledge-like operators: empty. The missing points
-/// of a truncated frame could always refute a positive knowledge claim.
-fn upper_only(n: usize, hi: WorldSet) -> IntervalSet {
-    IntervalSet {
-        lo: WorldSet::empty(n),
-        hi,
+/// The interval kernels of the compiled machine.
+impl Domain for IntervalSet {
+    fn lift(s: WorldSet) -> Self {
+        IntervalSet::exact(s)
     }
-}
-
-#[allow(clippy::too_many_lines)] // one arm per formula clause, like `eval`
-fn eval_iv(
-    frame: &dyn Frame,
-    f: &Formula,
-    env: &mut Env,
-    budget: &Budget,
-) -> Result<IntervalSet, EvalError> {
-    budget.tick(Phase::Eval)?;
-    let n = frame.num_worlds();
-    match f {
-        Formula::True => Ok(IntervalSet::exact(WorldSet::full(n))),
-        Formula::False => Ok(IntervalSet::exact(WorldSet::empty(n))),
-        Formula::Atom(name) => frame
-            .atom_set(name)
-            .map(IntervalSet::exact)
-            .ok_or_else(|| EvalError::UnknownAtom(name.clone())),
-        Formula::Var(x) => env
-            .get(x)
-            .cloned()
-            .ok_or_else(|| EvalError::UnboundVar(x.clone())),
-        Formula::Not(a) => {
-            let v = eval_iv(frame, a, env, budget)?;
-            Ok(IntervalSet {
-                lo: v.hi.complement(),
-                hi: v.lo.complement(),
-            })
-        }
-        Formula::And(xs) => {
-            let mut lo = WorldSet::full(n);
-            let mut hi = WorldSet::full(n);
-            for x in xs {
-                let v = eval_iv(frame, x, env, budget)?;
-                lo.intersect_with(&v.lo);
-                hi.intersect_with(&v.hi);
-            }
-            Ok(IntervalSet { lo, hi })
-        }
-        Formula::Or(xs) => {
-            let mut lo = WorldSet::empty(n);
-            let mut hi = WorldSet::empty(n);
-            for x in xs {
-                let v = eval_iv(frame, x, env, budget)?;
-                lo.union_with(&v.lo);
-                hi.union_with(&v.hi);
-            }
-            Ok(IntervalSet { lo, hi })
-        }
-        Formula::Implies(a, b) => {
-            let av = eval_iv(frame, a, env, budget)?;
-            let bv = eval_iv(frame, b, env, budget)?;
-            Ok(IntervalSet {
-                lo: av.hi.complement().union(&bv.lo),
-                hi: av.lo.complement().union(&bv.hi),
-            })
-        }
-        Formula::Iff(a, b) => {
-            let av = eval_iv(frame, a, env, budget)?;
-            let bv = eval_iv(frame, b, env, budget)?;
-            let lo = av
-                .lo
-                .intersection(&bv.lo)
-                .union(&av.hi.complement().intersection(&bv.hi.complement()));
-            let hi = av
-                .hi
-                .intersection(&bv.hi)
-                .union(&av.lo.complement().intersection(&bv.lo.complement()));
-            Ok(IntervalSet { lo, hi })
-        }
-        Formula::Knows(i, a) => {
-            if i.index() >= frame.num_agents() {
-                return Err(EvalError::AgentOutOfRange(i.index()));
-            }
-            let v = eval_iv(frame, a, env, budget)?;
-            Ok(upper_only(n, frame.knowledge_set(*i, &v.hi)))
-        }
-        Formula::EveryoneK(g, k, a) => {
-            group_check(frame, g)?;
-            let v = eval_iv(frame, a, env, budget)?;
-            if *k == 0 {
-                // `E^0 φ = φ`: identity, so the whole interval passes
-                // through (match the classical evaluators).
-                return Ok(v);
-            }
-            let mut cur = v.hi;
-            for _ in 0..*k {
-                cur = frame.everyone_set(g, &cur);
-            }
-            Ok(upper_only(n, cur))
-        }
-        Formula::Someone(g, a) => {
-            group_check(frame, g)?;
-            let v = eval_iv(frame, a, env, budget)?;
-            let mut hi = WorldSet::empty(n);
-            for i in g.iter() {
-                hi.union_with(&frame.knowledge_set(i, &v.hi));
-            }
-            Ok(upper_only(n, hi))
-        }
-        Formula::Distributed(g, a) => {
-            group_check(frame, g)?;
-            let v = eval_iv(frame, a, env, budget)?;
-            Ok(upper_only(n, frame.distributed_set(g, &v.hi)))
-        }
-        Formula::Common(g, a) => {
-            group_check(frame, g)?;
-            let v = eval_iv(frame, a, env, budget)?;
-            Ok(upper_only(n, frame.common_set(g, &v.hi)))
-        }
-        Formula::Gfp(x, body) => {
-            check_positive(body, x)?;
-            let full = WorldSet::full(n);
-            fixpoint_iv(frame, x, body, env, budget, IntervalSet::exact(full))
-        }
-        Formula::Lfp(x, body) => {
-            check_positive(body, x)?;
-            let empty = WorldSet::empty(n);
-            fixpoint_iv(frame, x, body, env, budget, IntervalSet::exact(empty))
-        }
-        Formula::Next(a) => {
-            let ts = need_temporal(frame, "next")?;
-            let v = eval_iv(frame, a, env, budget)?;
-            Ok(IntervalSet {
-                lo: temporal::next_set(ts, &v.lo),
-                hi: temporal::next_set(ts, &v.hi),
-            })
-        }
-        Formula::Eventually(a) => {
-            let ts = need_temporal(frame, "even")?;
-            let v = eval_iv(frame, a, env, budget)?;
-            Ok(IntervalSet {
-                lo: temporal::eventually_set(ts, &v.lo),
-                hi: temporal::eventually_set(ts, &v.hi),
-            })
-        }
-        Formula::Always(a) => {
-            let ts = need_temporal(frame, "alw")?;
-            let v = eval_iv(frame, a, env, budget)?;
-            Ok(IntervalSet {
-                lo: temporal::always_set(ts, &v.lo),
-                hi: temporal::always_set(ts, &v.hi),
-            })
-        }
-        Formula::Once(a) => {
-            let ts = need_temporal(frame, "once")?;
-            let v = eval_iv(frame, a, env, budget)?;
-            Ok(IntervalSet {
-                lo: temporal::once_set(ts, &v.lo),
-                hi: temporal::once_set(ts, &v.hi),
-            })
-        }
-        Formula::EveryoneEps(g, eps, a) => {
-            group_check(frame, g)?;
-            let ts = need_temporal(frame, "Eeps")?;
-            let v = eval_iv(frame, a, env, budget)?;
-            let k_sets = member_knowledge(frame, g, &v.hi);
-            Ok(upper_only(
-                n,
-                temporal::everyone_eps_set(ts, g, *eps, &k_sets),
-            ))
-        }
-        Formula::EveryoneEv(g, a) => {
-            group_check(frame, g)?;
-            let ts = need_temporal(frame, "Eev")?;
-            let v = eval_iv(frame, a, env, budget)?;
-            let k_sets = member_knowledge(frame, g, &v.hi);
-            Ok(upper_only(n, temporal::everyone_ev_set(ts, g, &k_sets)))
-        }
-        Formula::KnowsAt(i, stamp, a) => {
-            if i.index() >= frame.num_agents() {
-                return Err(EvalError::AgentOutOfRange(i.index()));
-            }
-            let ts = need_temporal(frame, "K@")?;
-            let v = eval_iv(frame, a, env, budget)?;
-            let k = frame.knowledge_set(*i, &v.hi);
-            Ok(upper_only(n, temporal::knows_at_set(ts, *i, *stamp, &k)))
-        }
-        Formula::EveryoneTs(g, stamp, a) => {
-            group_check(frame, g)?;
-            let ts = need_temporal(frame, "ET")?;
-            let v = eval_iv(frame, a, env, budget)?;
-            let k_sets = member_knowledge(frame, g, &v.hi);
-            Ok(upper_only(
-                n,
-                temporal::everyone_ts_set(ts, g, *stamp, &k_sets),
-            ))
-        }
-        Formula::CommonEps(g, eps, a) => {
-            group_check(frame, g)?;
-            let ts = need_temporal(frame, "Ceps")?;
-            let v = eval_iv(frame, a, env, budget)?;
-            let mut x = WorldSet::full(n);
-            loop {
-                budget.check_now(Phase::Eval)?;
-                let arg = v.hi.intersection(&x);
-                let k_sets = member_knowledge(frame, g, &arg);
-                let next = temporal::everyone_eps_set(ts, g, *eps, &k_sets);
-                if next == x {
-                    return Ok(upper_only(n, x));
-                }
-                x = next;
-            }
-        }
-        Formula::CommonEv(g, a) => {
-            group_check(frame, g)?;
-            let ts = need_temporal(frame, "Cev")?;
-            let v = eval_iv(frame, a, env, budget)?;
-            let mut x = WorldSet::full(n);
-            loop {
-                budget.check_now(Phase::Eval)?;
-                let arg = v.hi.intersection(&x);
-                let k_sets = member_knowledge(frame, g, &arg);
-                let next = temporal::everyone_ev_set(ts, g, &k_sets);
-                if next == x {
-                    return Ok(upper_only(n, x));
-                }
-                x = next;
-            }
-        }
-        Formula::CommonTs(g, stamp, a) => {
-            group_check(frame, g)?;
-            let ts = need_temporal(frame, "CT")?;
-            let v = eval_iv(frame, a, env, budget)?;
-            let mut x = WorldSet::full(n);
-            loop {
-                budget.check_now(Phase::Eval)?;
-                let arg = v.hi.intersection(&x);
-                let k_sets = member_knowledge(frame, g, &arg);
-                let next = temporal::everyone_ts_set(ts, g, *stamp, &k_sets);
-                if next == x {
-                    return Ok(upper_only(n, x));
-                }
-                x = next;
-            }
+    fn lift_atoms(atoms: &[WorldSet]) -> Cow<'_, [Self]> {
+        Cow::Owned(atoms.iter().cloned().map(IntervalSet::exact).collect())
+    }
+    /// `¬(lo, hi) = (¬hi, ¬lo)`.
+    fn complement(&self) -> Self {
+        IntervalSet {
+            lo: self.hi.complement(),
+            hi: self.lo.complement(),
         }
     }
-}
-
-/// Iterates the `(lo, hi)` pair of a fixed-point body until both bounds
-/// stabilise. Positivity of `x` in `body` makes the lower bound of the
-/// body monotone in `env[x].lo` and the upper bound monotone in
-/// `env[x].hi`, so both sequences are monotone from their start value
-/// and the pair converges on the finite lattice.
-fn fixpoint_iv(
-    frame: &dyn Frame,
-    x: &str,
-    body: &Formula,
-    env: &mut Env,
-    budget: &Budget,
-    start: IntervalSet,
-) -> Result<IntervalSet, EvalError> {
-    let shadowed = env.insert(x.to_string(), start);
-    let result = loop {
-        match budget.check_now(Phase::Eval) {
-            Ok(()) => {}
-            Err(e) => break Err(EvalError::Limit(e)),
-        }
-        let cur = env.get(x).cloned().expect("just inserted");
-        let next = match eval_iv(frame, body, env, budget) {
-            Ok(v) => v,
-            Err(e) => break Err(e),
-        };
-        if next == cur {
-            break Ok(next);
-        }
-        env.insert(x.to_string(), next);
-    };
-    match shadowed {
-        Some(old) => {
-            env.insert(x.to_string(), old);
-        }
-        None => {
-            env.remove(x);
+    fn meet_with(&mut self, other: &Self) {
+        self.lo.intersect_with(&other.lo);
+        self.hi.intersect_with(&other.hi);
+    }
+    fn join_with(&mut self, other: &Self) {
+        self.lo.union_with(&other.lo);
+        self.hi.union_with(&other.hi);
+    }
+    /// Run-local operators are exact on both bounds.
+    fn both(&self, f: impl Fn(&WorldSet) -> WorldSet) -> Self {
+        IntervalSet {
+            lo: f(&self.lo),
+            hi: f(&self.hi),
         }
     }
-    result
+    /// `(∅, f(hi))`: the missing points of a truncated frame could always
+    /// refute a positive knowledge claim.
+    fn try_upper<E>(&self, f: impl FnOnce(&WorldSet) -> Result<WorldSet, E>) -> Result<Self, E> {
+        Ok(IntervalSet {
+            lo: WorldSet::empty(self.hi.universe_len()),
+            hi: f(&self.hi)?,
+        })
+    }
 }
 
 #[cfg(test)]

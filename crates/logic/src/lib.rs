@@ -20,6 +20,11 @@
 //!   ([`CompiledFormula`]) for repeated evaluation ([`EvalCache`] keeps
 //!   compiled+bound formulas across calls), and [`evaluate_tree`] keeps
 //!   the tree-walking reference semantics.
+//! - [`evaluate_interval`] runs the same compiled machine in the
+//!   interval domain ([`IntervalSet`]): on a frame whose run set was
+//!   truncated by a budget, it brackets each formula's full-system truth
+//!   set soundly at the surviving points — run-local temporal operators
+//!   stay exact, knowledge-like operators keep only an upper bound.
 //! - [`analysis`] lints formulas *before* bind/eval: [`Analyzer`]
 //!   produces typed [`Diagnostics`] (unknown atoms/agents, unbound
 //!   variables, dead subformulas, quotient-safety paths, …) and

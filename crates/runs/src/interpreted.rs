@@ -14,7 +14,7 @@ use crate::run::Run;
 use crate::system::{Point, RunId, System};
 use crate::view::ViewFunction;
 use hm_kripke::{
-    coarsest_refinement_budgeted, quotient_partitions, AgentGroup, AgentId, KripkeModel, Minimized,
+    coarsest_refinement, quotient_partitions, AgentGroup, AgentId, KripkeModel, Minimized,
     ModelBuilder, Partition, WorldId, WorldSet,
 };
 use hm_limits::{failpoints, Budget, LimitExceeded, Phase};
@@ -214,7 +214,7 @@ fn quotient_of(
         init = init.meet(&Partition::from_dense_keys(n, &keys, 2));
     }
     let relations: Vec<&Partition> = partitions.iter().collect();
-    let classes = coarsest_refinement_budgeted(init, &relations, budget)?;
+    let classes = coarsest_refinement(init, &relations, budget)?;
     let k = classes.num_blocks();
     // Representative (first point) per class and the point→class map.
     let mut class_of = vec![0u32; n];
@@ -309,8 +309,10 @@ impl InterpretedSystem {
 
     /// `true` when the underlying run set was truncated by a resource
     /// budget: classical verdicts on this frame are unsound in general —
-    /// use three-valued evaluation
-    /// ([`evaluate_interval`](hm_logic::evaluate_interval)) instead.
+    /// use three-valued evaluation (the compiled machine in the interval
+    /// domain, [`evaluate_interval`](hm_logic::evaluate_interval) or
+    /// [`CompiledFormula::eval_bound_interval`](hm_logic::CompiledFormula::eval_bound_interval))
+    /// instead.
     pub fn is_partial(&self) -> bool {
         self.system.is_truncated()
     }

@@ -3,12 +3,17 @@
 //! tree-walking reference evaluator on every frame and every well-formed
 //! formula — random Kripke models up to 4096 worlds for the static
 //! fragment (including `ν`/`µ` fixed points), and random interpreted
-//! systems for the temporal operators.
+//! systems for the temporal operators. The same generators check the
+//! interval domain: on a subsystem that lost some runs, three-valued
+//! verdicts must bracket the full system's exact ones.
 
 use halpern_moses::kripke::{
     random_model, AgentGroup, AgentId, RandomModelSpec, SplitMix64, WorldId,
 };
-use halpern_moses::logic::{compile, evaluate, evaluate_tree, Formula, F};
+use halpern_moses::limits::Budget;
+use halpern_moses::logic::{
+    compile, evaluate, evaluate_interval, evaluate_tree, Formula, Frame, F,
+};
 use halpern_moses::runs::{
     CompleteHistory, Event, InterpretedSystem, Message, Run, RunBuilder, System,
 };
@@ -82,6 +87,11 @@ fn temporal_formula() -> impl Strategy<Value = F> {
 /// A deterministic random two-processor system: 2–4 runs over horizon
 /// 3–5, random wakes, optional skewed clocks, random send/receive events.
 fn random_system(seed: u64) -> InterpretedSystem {
+    interpret(random_runs(seed))
+}
+
+/// The runs of [`random_system`].
+fn random_runs(seed: u64) -> Vec<Run> {
     let mut rng = SplitMix64::new(seed);
     let horizon = 3 + rng.next_below(3);
     let clocked = rng.next_bool(1, 2);
@@ -114,6 +124,11 @@ fn random_system(seed: u64) -> InterpretedSystem {
         }
         runs.push(b.build());
     }
+    runs
+}
+
+/// Interprets runs with the view and facts of [`random_system`].
+fn interpret(runs: Vec<Run>) -> InterpretedSystem {
     InterpretedSystem::builder(System::new(runs), CompleteHistory)
         .fact("q0", |run, t| {
             (t + run.proc(AgentId::new(0)).initial_state) % 2 == 0
@@ -158,6 +173,128 @@ proptest! {
         let first = compiled.eval_bound(&m, &bound);
         prop_assert_eq!(&first, &compiled.eval_bound(&m, &bound));
         prop_assert_eq!(first, evaluate_tree(&m, &f).unwrap());
+    }
+}
+
+/// `true` when `f` has no knowledge-like operator: only Booleans, the
+/// run-local temporal operators and fixed points over them.
+fn knowledge_free(f: &Formula) -> bool {
+    let local = matches!(
+        f,
+        Formula::True
+            | Formula::False
+            | Formula::Atom(_)
+            | Formula::Var(_)
+            | Formula::Not(_)
+            | Formula::And(_)
+            | Formula::Or(_)
+            | Formula::Implies(..)
+            | Formula::Iff(..)
+            | Formula::Gfp(..)
+            | Formula::Lfp(..)
+            | Formula::Next(_)
+            | Formula::Eventually(_)
+            | Formula::Always(_)
+            | Formula::Once(_)
+    );
+    let mut children = true;
+    f.for_each_child(|c| children &= knowledge_free(c));
+    local && children
+}
+
+/// Knowledge-free formulas over the temporal fragment: Booleans and the
+/// run-local operators only.
+fn run_local_formula() -> impl Strategy<Value = F> {
+    let leaf = prop_oneof![
+        Just(Formula::atom("q0")),
+        Just(Formula::atom("q1")),
+        Just(Formula::tt()),
+        Just(Formula::ff()),
+    ];
+    leaf.prop_recursive(4, 24, 2, |inner| {
+        prop_oneof![
+            inner.clone().prop_map(Formula::not),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| Formula::and([a, b])),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| Formula::or([a, b])),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| Formula::iff(a, b)),
+            inner.clone().prop_map(Formula::next),
+            inner.clone().prop_map(Formula::eventually),
+            inner.clone().prop_map(Formula::always),
+            inner.prop_map(Formula::once),
+        ]
+    })
+}
+
+/// Checks the interval domain against the full system: drops a random
+/// non-empty proper subset of the runs of `random_system(seed)`,
+/// rebuilds the subsystem with the same view and facts, and requires
+/// `lo ⊆ truth ⊆ hi` at every surviving point (matched by run name and
+/// time), with an exact interval for knowledge-free formulas.
+fn check_truncated_bracket(f: &F, seed: u64, drop_seed: u64) -> Result<(), TestCaseError> {
+    let runs = random_runs(seed);
+    let full = interpret(runs.clone());
+    let mut rng = SplitMix64::new(drop_seed);
+    let subsets = (1u64 << runs.len()) - 2;
+    let keep_mask = 1 + rng.next_below(subsets);
+    let kept: Vec<Run> = runs
+        .into_iter()
+        .enumerate()
+        .filter(|(i, _)| keep_mask & (1 << i) != 0)
+        .map(|(_, r)| r)
+        .collect();
+    let part = interpret(kept);
+    let truth = evaluate_tree(&full, f).unwrap();
+    let iv = evaluate_interval(&part, f, &Budget::unlimited()).unwrap();
+    for w in 0..part.num_worlds() {
+        let w = WorldId::new(w);
+        let point = part.locate(w);
+        let name = &part.system().run(point.run).name;
+        let full_run = full.system().run_by_name(name).unwrap();
+        let holds = truth.contains(full.world(full_run, point.time));
+        prop_assert!(
+            !iv.lo().contains(w) || holds,
+            "{} definitely true at {}@{}, false in the full system",
+            f,
+            name,
+            point.time
+        );
+        prop_assert!(
+            iv.hi().contains(w) || !holds,
+            "{} definitely false at {}@{}, true in the full system",
+            f,
+            name,
+            point.time
+        );
+    }
+    if knowledge_free(f) {
+        prop_assert!(iv.is_exact(), "knowledge-free {} must be exact", f);
+    }
+    Ok(())
+}
+
+proptest! {
+    // Unsound kernels show up only where a dropped run shares a view
+    // with a surviving point; a too-strong lower bound first fails
+    // around case 70, so keep a wide margin.
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn intervals_on_truncated_systems_bracket_full_verdicts(
+        f in temporal_formula(),
+        seed in 0u64..400,
+        drop_seed in 0u64..1000,
+    ) {
+        check_truncated_bracket(&f, seed, drop_seed)?;
+    }
+
+    #[test]
+    fn knowledge_free_intervals_on_truncated_systems_are_exact(
+        f in run_local_formula(),
+        seed in 0u64..400,
+        drop_seed in 0u64..1000,
+    ) {
+        prop_assert!(knowledge_free(&f));
+        check_truncated_bracket(&f, seed, drop_seed)?;
     }
 }
 
