@@ -66,6 +66,19 @@ test "$part" = "$full"
 out=$($HM ask "agreement:n=3,f=1" "C{0,1,2} true" --max-runs 8 --partial)
 printf '%s\n' "$out" | grep -q "unknown 0 "
 
+# Quotient safety is decided once, from the program that runs: an unsafe
+# subterm that simplifies away (`D_G phi | true`) draws no
+# not-quotient-safe warning under --minimize (the dead-subformula and
+# constant-formula warnings remain, hence exit 1), and the minimized ask
+# reports the same count as the plain one.
+code=0; out=$($HM check --minimize --explain "generals:horizon=3" "D{0,1} dispatched | true") || code=$?
+test "$code" -eq 1
+test -z "$(printf '%s\n' "$out" | grep not-quotient-safe)"
+min=$($HM ask --minimize "generals:horizon=3" "D{0,1} dispatched | true" --show 0 | grep "holds at")
+plain=$($HM ask "generals:horizon=3" "D{0,1} dispatched | true" --show 0 | grep "holds at")
+test -n "$min"
+test "$min" = "$plain"
+
 # Symmetry reduction (PR 9): the heavy differential + KAT tests are
 # #[ignore]d for the debug tier-1 run above; run them here in release
 # mode — reduced-vs-naive parity at n=4,f=2 (the largest naive build

@@ -9,18 +9,17 @@
 //! store `Arc`s), so no lock is held while a formula is compiled, bound,
 //! or evaluated.
 //!
-//! [`CompiledStore`] builds on the same structure to share *compiled*
-//! programs across sessions: compilation is frame-independent (atoms are
-//! interned by name; binding against a concrete frame happens per
-//! session), so a service holding many engines — one per scenario spec —
-//! can compile `"C{0,1} dispatched"` once and bind it everywhere.
+//! A session keeps two such maps: the analyzer's report for each formula
+//! together with the program the analyzer compiled, and that program
+//! bound to the session's frame. Nothing is shared across sessions: the
+//! analysis depends on the frame, so each session compiles each formula
+//! exactly once, as part of analysing it.
 
-use crate::EngineError;
-use hm_logic::{compile, simplify, CompiledFormula, Formula, F};
+use hm_logic::Formula;
 use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, RwLock};
+use std::sync::RwLock;
 
 /// Number of lock stripes. A small power of two: enough that a handful
 /// of worker threads rarely collide, small enough that iterating every
@@ -102,83 +101,10 @@ impl<V: Clone> ShardedMap<V> {
     }
 }
 
-/// A compiled-program cache shared across [`Session`](crate::Session)s.
-///
-/// Compilation (lowering to the flat instruction buffer, atom/group
-/// interning, CSE, fixed-point slot allocation) does not look at any
-/// frame, so its output can be reused by every session that asks the
-/// same formula — only the cheap per-frame *bind* step is repeated.
-/// Attach one store to several engines with
-/// [`Engine::compiled_store`](crate::Engine::compiled_store):
-///
-/// ```
-/// use hm_engine::{CompiledStore, Engine, Query};
-/// use std::sync::Arc;
-/// let store = Arc::new(CompiledStore::new());
-/// let a = Engine::for_scenario("generals:horizon=4")
-///     .compiled_store(Arc::clone(&store))
-///     .build()?;
-/// let b = Engine::for_scenario("generals:horizon=6")
-///     .compiled_store(Arc::clone(&store))
-///     .build()?;
-/// a.ask(&Query::parse("K1 dispatched")?)?;
-/// b.ask(&Query::parse("K1 dispatched")?)?; // compiled once, bound twice
-/// assert_eq!(store.len(), 1);
-/// # Ok::<(), hm_engine::EngineError>(())
-/// ```
-pub struct CompiledStore {
-    map: ShardedMap<Arc<CompiledFormula>>,
-}
-
-impl Default for CompiledStore {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl CompiledStore {
-    /// An empty store.
-    #[must_use]
-    pub fn new() -> Self {
-        CompiledStore {
-            map: ShardedMap::new(),
-        }
-    }
-
-    /// Number of distinct formulas compiled into the store.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// `true` when nothing has been compiled yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The compiled program for `original`, keyed by the original
-    /// formula but compiled from its simplification (smaller program,
-    /// identical verdicts).
-    pub(crate) fn get_or_compile(&self, original: &F) -> Result<Arc<CompiledFormula>, EngineError> {
-        self.map
-            .get_or_insert_with(original, || -> Result<_, EngineError> {
-                Ok(Arc::new(compile(&simplify(original))?))
-            })
-    }
-}
-
-impl std::fmt::Debug for CompiledStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CompiledStore")
-            .field("formulas", &self.len())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn sharded_map_basic_ops() {
@@ -209,16 +135,5 @@ mod tests {
             .get_or_insert_with(&k, || Ok::<_, ()>(Arc::new(1)))
             .is_ok());
         assert_eq!(m.len(), 1);
-    }
-
-    #[test]
-    fn compiled_store_dedupes_across_keys() {
-        let store = CompiledStore::new();
-        let f = hm_logic::parse("K0 p").unwrap();
-        let a = store.get_or_compile(&f).unwrap();
-        let b = store.get_or_compile(&f).unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(store.len(), 1);
-        assert!(!store.is_empty());
     }
 }

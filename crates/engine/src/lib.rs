@@ -19,11 +19,13 @@
 //!     .ask(&Query::parse("C{0,1} dispatched")?)?  // -> Verdict
 //! ```
 //!
-//! A [`Session`] compiles each formula **once** (`hm-logic`'s
-//! [`compile`]: interned atoms and groups, preallocated fixed-point
-//! slots), binds its atom table against the frame once, and caches the
-//! result, so asking the same question repeatedly — or against sweeps of
-//! scenario variants — stops paying per-node `&str` atom resolution.
+//! A [`Session`] analyzes and compiles each formula **once** (the
+//! [`Analyzer`] simplifies it and lowers the result with `hm-logic`'s
+//! [`compile`](hm_logic::compile): interned atoms and groups,
+//! preallocated fixed-point slots), binds that program against the
+//! frame once, and caches it, so asking the same question repeatedly —
+//! or against sweeps of scenario variants — stops paying per-node `&str`
+//! atom resolution.
 //! With [`Engine::minimize`], construction folds bisimulation
 //! minimisation in, and every quotient-safe query (no temporal
 //! operators, no `D_G`) is answered on the quotient with verdicts mapped
@@ -52,7 +54,6 @@ mod cache;
 mod scenario;
 mod spec;
 
-pub use cache::CompiledStore;
 pub use scenario::{Scenario, ScenarioFrame, ScenarioParams, ScenarioRegistry, Surface};
 pub use spec::{ParamDescriptor, ParamKind, ParamValue, ParamValues, ScenarioSpec, SpecError};
 
@@ -67,8 +68,7 @@ pub use hm_limits::{Budget, CancelToken, LimitExceeded, Limits, Phase, Resource}
 
 use hm_kripke::{minimize, KripkeModel, Minimized, WorldId, WorldSet};
 use hm_logic::{
-    compile, simplify, Analyzer, Bound, CompiledFormula, EvalError, Formula, Frame, IntervalSet,
-    ParseError, F,
+    Analyzer, Bound, CompiledFormula, EvalError, Formula, Frame, IntervalSet, ParseError, F,
 };
 use hm_netsim::EnumerateError;
 use hm_runs::{InterpretedSystem, InterpretedSystemBuilder, RunId, System};
@@ -380,7 +380,6 @@ pub struct Engine {
     params: ScenarioParams,
     minimize: bool,
     limits: Limits,
-    store: Option<Arc<CompiledStore>>,
 }
 
 impl Engine {
@@ -390,7 +389,6 @@ impl Engine {
             params: ScenarioParams::default(),
             minimize: false,
             limits: Limits::none(),
-            store: None,
         }
     }
 
@@ -484,16 +482,6 @@ impl Engine {
         self
     }
 
-    /// Attaches a shared [`CompiledStore`]: the session compiles each
-    /// formula into (and reuses programs from) the store instead of a
-    /// private cache, so a fleet of engines over different scenario
-    /// specs compiles every distinct formula once. Binding against the
-    /// session's frame stays per session.
-    pub fn compiled_store(mut self, store: Arc<CompiledStore>) -> Self {
-        self.store = Some(store);
-        self
-    }
-
     /// Runs the pipeline: construct the frame, apply options, return a
     /// query [`Session`].
     ///
@@ -536,15 +524,12 @@ impl Engine {
                     SessionFrame::Interpreted(isys),
                     self.minimize,
                     budget,
-                    self.store,
                 ))
             }
             Source::Model(m) => ScenarioFrame::Model(m),
         };
         Ok(match frame {
-            ScenarioFrame::Model(m) => {
-                Session::new(SessionFrame::Model(m), self.minimize, budget, self.store)
-            }
+            ScenarioFrame::Model(m) => Session::new(SessionFrame::Model(m), self.minimize, budget),
             ScenarioFrame::Interpreted(b) => {
                 let isys = b
                     .minimized(self.minimize)
@@ -554,7 +539,6 @@ impl Engine {
                     SessionFrame::Interpreted(Box::new(isys)),
                     self.minimize,
                     budget,
-                    self.store,
                 )
             }
         })
@@ -564,6 +548,13 @@ impl Engine {
 enum SessionFrame {
     Model(KripkeModel),
     Interpreted(Box<InterpretedSystem>),
+}
+
+/// The analyzer's report for one formula, with the program it compiled
+/// from the simplified formula (the one every ask then binds and runs).
+struct Analysis {
+    report: Arc<Diagnostics>,
+    program: Result<Arc<CompiledFormula>, EvalError>,
 }
 
 struct CachedQuery {
@@ -593,14 +584,12 @@ pub struct Session {
     /// evaluations charge the same visited-state ceiling and observe the
     /// same deadline and cancel token.
     budget: Budget,
-    /// Cross-session compiled-program store, when the engine attached
-    /// one; otherwise each formula is compiled privately.
-    store: Option<Arc<CompiledStore>>,
     /// Compiled-and-bound programs, keyed by the *original* formula (the
     /// program itself is compiled from the simplified one).
     cache: cache::ShardedMap<Arc<CachedQuery>>,
-    /// Static-analysis reports, keyed by the original formula.
-    reports: cache::ShardedMap<Arc<Diagnostics>>,
+    /// Static-analysis reports and their programs, keyed by the original
+    /// formula.
+    reports: cache::ShardedMap<Arc<Analysis>>,
 }
 
 impl fmt::Debug for Session {
@@ -614,12 +603,7 @@ impl fmt::Debug for Session {
 }
 
 impl Session {
-    fn new(
-        frame: SessionFrame,
-        minimize_on: bool,
-        budget: Budget,
-        store: Option<Arc<CompiledStore>>,
-    ) -> Self {
+    fn new(frame: SessionFrame, minimize_on: bool, budget: Budget) -> Self {
         let late_quotient = if minimize_on {
             match &frame {
                 SessionFrame::Model(m) => Some(minimize(m)),
@@ -636,7 +620,6 @@ impl Session {
             late_quotient,
             minimize: minimize_on,
             budget,
-            store,
             cache: cache::ShardedMap::new(),
             reports: cache::ShardedMap::new(),
         }
@@ -732,15 +715,23 @@ impl Session {
     /// evaluating* and cached per formula. [`ask`](Self::ask) consults
     /// the same report, so checking first costs nothing extra.
     pub fn check(&self, query: &Query) -> Arc<Diagnostics> {
+        Arc::clone(&self.analysis(query).report)
+    }
+
+    /// The cached analysis of a query: its report and the program the
+    /// analyzer compiled, produced together on first sight.
+    fn analysis(&self, query: &Query) -> Arc<Analysis> {
         let f: &Formula = query.formula();
         self.reports
             .get_or_insert_with(f, || {
-                Ok::<_, std::convert::Infallible>(Arc::new(
-                    Analyzer::new()
-                        .frame(self.frame())
-                        .minimize(self.minimize)
-                        .analyze(f),
-                ))
+                let (report, program) = Analyzer::new()
+                    .frame(self.frame())
+                    .minimize(self.minimize)
+                    .analyze_with_program(f);
+                Ok::<_, std::convert::Infallible>(Arc::new(Analysis {
+                    report: Arc::new(report),
+                    program: program.map(Arc::new),
+                }))
             })
             .unwrap_or_else(|e| match e {})
     }
@@ -776,25 +767,22 @@ impl Session {
         }
     }
 
-    /// The compiled-and-bound program for a query, shared by
-    /// [`ask`](Self::ask) and [`ask_partial`](Self::ask_partial):
-    /// compiled and bound on first sight, cached under the original
-    /// formula.
+    /// The bound program for a query, shared by [`ask`](Self::ask) and
+    /// [`ask_partial`](Self::ask_partial): the analyzer's program, bound
+    /// on first sight and cached under the original formula.
     fn cached(&self, query: &Query) -> Result<Arc<CachedQuery>, EngineError> {
         let f: &Formula = query.formula();
         self.cache.get_or_insert_with(f, || {
             // One diagnostic source of truth: the analyzer replays
             // compile-then-bind errors exactly (pinned by hm-logic's
             // differential tests), so gate on its report of the
-            // *original* formula, then compile the simplified one — the
-            // program is smaller, the verdict identical.
-            if let Some(err) = self.check(query).first_error_as_eval() {
+            // *original* formula, then bind the program it compiled from
+            // the simplified one — smaller, with the identical verdict.
+            let analysis = self.analysis(query);
+            if let Some(err) = analysis.report.first_error_as_eval() {
                 return Err(err.into());
             }
-            let compiled = match &self.store {
-                Some(store) => store.get_or_compile(query.formula())?,
-                None => Arc::new(compile(&simplify(query.formula()))?),
-            };
+            let compiled = Arc::clone(analysis.program.as_ref().map_err(Clone::clone)?);
             let full = compiled.bind(self.frame())?;
             let quotient = if self.minimize && compiled.quotient_safe() {
                 match self.quotient() {
@@ -944,7 +932,6 @@ mod tests {
     fn session_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Session>();
-        assert_send_sync::<CompiledStore>();
         assert_send_sync::<Verdict>();
         assert_send_sync::<EngineError>();
     }
@@ -966,6 +953,34 @@ mod tests {
             .ask(&Query::parse("K1 dispatched").unwrap())
             .unwrap();
         assert_eq!(session.compiled_queries(), 2);
+    }
+
+    #[test]
+    fn asks_run_the_program_the_analyzer_built() {
+        let session = Engine::for_scenario("generals:horizon=3")
+            .minimize(true)
+            .build()
+            .unwrap();
+        for (src, on_quotient) in [
+            ("D{0,1} dispatched | true", true),
+            ("dispatched & D{0,1} dispatched", false),
+            ("C{0,1} dispatched", true),
+        ] {
+            let q = Query::parse(src).unwrap();
+            let cached = session.cached(&q).unwrap();
+            let analysis = session.analysis(&q);
+            let program = analysis.program.as_ref().unwrap();
+            assert!(Arc::ptr_eq(&cached.compiled, program), "{src}");
+            // The quotient decision and the report agree.
+            assert_eq!(cached.quotient.is_some(), on_quotient, "{src}");
+            assert_eq!(analysis.report.facts().quotient_safe, on_quotient, "{src}");
+            let warned = analysis
+                .report
+                .warnings()
+                .iter()
+                .any(|w| w.code() == "not-quotient-safe");
+            assert_eq!(warned, !on_quotient, "{src}");
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! serial run — same satisfying sets, same errors, no panics, no
 //! poisoned caches.
 
-use hm_engine::{CompiledStore, Engine, Query, Session};
+use hm_engine::{Engine, Query, Session};
 use std::sync::Arc;
 
 const QUERIES: &[&str] = &[
@@ -88,33 +88,4 @@ fn shared_session_answers_match_serial() {
         })
         .count();
     assert_eq!(session.compiled_queries(), QUERIES.len() - failing);
-}
-
-#[test]
-fn shared_compiled_store_under_concurrent_builders() {
-    // Many threads building differently-parameterised engines against
-    // one store: compilation happens once per distinct formula,
-    // whatever the interleaving.
-    let store = Arc::new(CompiledStore::new());
-    let horizons = [4u64, 5, 6, 7];
-    std::thread::scope(|scope| {
-        for &h in &horizons {
-            for _ in 0..2 {
-                let store = Arc::clone(&store);
-                scope.spawn(move || {
-                    let session = Engine::for_scenario("generals")
-                        .horizon(h)
-                        .compiled_store(store)
-                        .build()
-                        .expect("builds");
-                    for src in ["K1 dispatched", "C{0,1} dispatched"] {
-                        session
-                            .ask(&Query::parse(src).expect("parses"))
-                            .expect("answers");
-                    }
-                });
-            }
-        }
-    });
-    assert_eq!(store.len(), 2, "one compilation per distinct formula");
 }

@@ -19,6 +19,10 @@
 //!   first unsafe subterm), and compiled instruction counts before/after
 //!   [`simplify`].
 //!
+//! [`Analyzer::analyze_with_program`] also returns the program compiled
+//! from the simplified formula, so a session executes the very program
+//! the facts describe and compiles each formula once.
+//!
 //! The analyzer shares its frame-requirement traversal
 //! (`visit_frame_reqs`) with [`compile`](crate::compile), which records
 //! the very same requirements as bind-time checks: there is one
@@ -462,6 +466,20 @@ impl<'a> Analyzer<'a> {
     /// Runs the analysis. Never evaluates the formula and never fails:
     /// problems become diagnostics.
     pub fn analyze(&self, f: &Formula) -> Diagnostics {
+        self.analyze_with_program(f).0
+    }
+
+    /// Runs the analysis and also hands back the program it compiled
+    /// from the [`simplify`]d formula — the program a session executes,
+    /// so one ask simplifies and compiles once. `Facts::quotient_safe`
+    /// and `Facts::instructions_simplified` describe exactly this
+    /// program. The `Err` is the compile error of the simplified
+    /// formula; gate on [`Diagnostics::first_error_as_eval`] first to
+    /// report the original formula's first error instead.
+    pub fn analyze_with_program(
+        &self,
+        f: &Formula,
+    ) -> (Diagnostics, Result<crate::CompiledFormula, EvalError>) {
         let mut walk = Walk {
             path: Vec::new(),
             scope: Vec::new(),
@@ -487,25 +505,26 @@ impl<'a> Analyzer<'a> {
         ));
         let mut warnings = walk.warnings;
 
-        if let Some(horizon) = self.known_horizon() {
-            let depth = walk.max_temporal_depth;
-            if u64::from(depth) > horizon {
-                warnings.push(Diagnostic::new(
-                    DiagKind::TemporalDepthExceedsHorizon { depth, horizon },
-                    "",
-                ));
-            }
-        }
+        let simplified = simplify(&f.clone().arc());
+        let program = crate::compile(&simplified);
+        let instructions_simplified = program.as_ref().ok().map(crate::CompiledFormula::num_ops);
+        // Quotient safety is the executed program's bit; the walk of the
+        // original only names where the first unsafe subterm sits.
+        let quotient_safe = match &program {
+            Ok(c) => c.quotient_safe(),
+            Err(_) => walk.unsafe_first.is_none(),
+        };
+        let quotient_unsafe = walk.unsafe_first.filter(|_| !quotient_safe);
+
+        warnings.extend(self.horizon_warning(walk.max_temporal_depth));
         if self.minimize {
-            if let Some((path, op)) = &walk.unsafe_first {
+            if let Some((path, op)) = &quotient_unsafe {
                 warnings.push(Diagnostic::new(
                     DiagKind::NotQuotientSafe(op.clone()),
                     path.clone(),
                 ));
             }
         }
-
-        let simplified = simplify(&f.clone().arc());
         if let Formula::True | Formula::False = &*simplified {
             if !matches!(f, Formula::True | Formula::False) {
                 warnings.push(Diagnostic::new(
@@ -525,18 +544,50 @@ impl<'a> Analyzer<'a> {
                 atoms.sort();
                 atoms
             },
-            quotient_safe: walk.unsafe_first.is_none(),
-            quotient_unsafe: walk.unsafe_first,
-            instructions: crate::compile(f).ok().map(|c| c.num_ops()),
-            instructions_simplified: crate::compile(&simplified).ok().map(|c| c.num_ops()),
+            quotient_safe,
+            quotient_unsafe,
+            // The original is compiled only to count its instructions,
+            // and only when simplification rewrote it.
+            instructions: if *simplified == *f {
+                instructions_simplified
+            } else {
+                crate::compile(f).ok().map(|c| c.num_ops())
+            },
+            instructions_simplified,
             simplified: simplified.to_string(),
         };
 
-        Diagnostics {
-            errors,
-            warnings,
-            facts,
+        (
+            Diagnostics {
+                errors,
+                warnings,
+                facts,
+            },
+            program,
+        )
+    }
+
+    /// The horizon warning for temporal nesting `depth`, if it fires.
+    /// A frame's horizon is its longest run, but runs are scanned only
+    /// as far as the first one long enough for `depth`; the full maximum
+    /// is taken only when the warning fires, for its message.
+    fn horizon_warning(&self, depth: u32) -> Option<Diagnostic> {
+        if depth == 0 {
+            return None;
         }
+        let horizon = match self.horizon {
+            Some(h) => h,
+            None => {
+                let ts = self.frame?.temporal()?;
+                let last = |r| ts.run_len(r).saturating_sub(1);
+                if (0..ts.num_runs()).any(|r| last(r) >= u64::from(depth)) {
+                    return None;
+                }
+                (0..ts.num_runs()).map(last).max()?
+            }
+        };
+        (u64::from(depth) > horizon)
+            .then(|| Diagnostic::new(DiagKind::TemporalDepthExceedsHorizon { depth, horizon }, ""))
     }
 
     /// Replays the formula's frame requirements (in bind order, via
@@ -597,15 +648,6 @@ impl<'a> Analyzer<'a> {
     fn known_temporal(&self) -> Option<bool> {
         self.temporal
             .or_else(|| self.frame.map(|fr| fr.temporal().is_some()))
-    }
-
-    fn known_horizon(&self) -> Option<u64> {
-        self.horizon.or_else(|| {
-            let ts = self.frame?.temporal()?;
-            (0..ts.num_runs())
-                .map(|r| ts.run_len(r).saturating_sub(1))
-                .max()
-        })
     }
 
     /// `Some(true)`/`Some(false)` when the vocabulary is known, `None`
@@ -908,6 +950,67 @@ mod tests {
         assert!(codes("K0 p").is_empty());
     }
 
+    /// A static frame over ragged runs: run `r` has `lens[r]` points,
+    /// laid out run after run.
+    struct Ragged {
+        lens: Vec<u64>,
+    }
+
+    impl Ragged {
+        fn start(&self, run: usize) -> usize {
+            self.lens[..run].iter().sum::<u64>() as usize
+        }
+    }
+
+    impl Frame for Ragged {
+        fn num_worlds(&self) -> usize {
+            self.start(self.lens.len())
+        }
+        fn num_agents(&self) -> usize {
+            1
+        }
+        fn atom_set(&self, name: &str) -> Option<hm_kripke::WorldSet> {
+            (name == "p").then(|| hm_kripke::WorldSet::empty(self.num_worlds()))
+        }
+        fn knowledge_set(&self, _: AgentId, a: &hm_kripke::WorldSet) -> hm_kripke::WorldSet {
+            a.clone()
+        }
+        fn distributed_set(
+            &self,
+            _: &hm_kripke::AgentGroup,
+            a: &hm_kripke::WorldSet,
+        ) -> hm_kripke::WorldSet {
+            a.clone()
+        }
+        fn temporal(&self) -> Option<&dyn crate::TemporalStructure> {
+            Some(self)
+        }
+    }
+
+    impl crate::TemporalStructure for Ragged {
+        fn num_runs(&self) -> usize {
+            self.lens.len()
+        }
+        fn run_of(&self, w: WorldId) -> usize {
+            (0..self.lens.len())
+                .rev()
+                .find(|&r| self.start(r) <= w.index())
+                .unwrap()
+        }
+        fn time_of(&self, w: WorldId) -> u64 {
+            (w.index() - self.start(self.run_of(w))) as u64
+        }
+        fn point(&self, run: usize, t: u64) -> Option<WorldId> {
+            (t < self.lens[run]).then(|| WorldId::new(self.start(run) + t as usize))
+        }
+        fn run_len(&self, run: usize) -> u64 {
+            self.lens[run]
+        }
+        fn clock(&self, _: AgentId, _: WorldId) -> Option<u64> {
+            None
+        }
+    }
+
     #[test]
     fn horizon_warning() {
         let vocab = vec!["p".to_string()];
@@ -919,6 +1022,28 @@ mod tests {
             .analyze(&parse("next next next p").unwrap());
         assert_eq!(d.warnings()[0].code(), "temporal-depth-exceeds-horizon");
         assert_eq!(d.facts().temporal_depth, 3);
+
+        // Frame-derived: the horizon is the longest run (4 points, so
+        // horizon 3), wherever it sits among shorter ones.
+        let frame = Ragged {
+            lens: vec![2, 4, 1, 3],
+        };
+        for depth in 0..=5u32 {
+            let src = format!("{}p", "next ".repeat(depth as usize));
+            let d = Analyzer::new().frame(&frame).analyze(&parse(&src).unwrap());
+            let horizon: Vec<_> = d
+                .warnings()
+                .iter()
+                .filter_map(|w| match w.kind() {
+                    DiagKind::TemporalDepthExceedsHorizon { depth, horizon } => {
+                        Some((*depth, *horizon))
+                    }
+                    _ => None,
+                })
+                .collect();
+            let expected = if depth > 3 { vec![(depth, 3)] } else { vec![] };
+            assert_eq!(horizon, expected, "{src}");
+        }
     }
 
     #[test]
@@ -936,11 +1061,35 @@ mod tests {
     }
 
     #[test]
+    fn unsafe_subterms_that_simplify_away_are_safe() {
+        // `D{0,1} q | true` folds to `true`: the executed program has no
+        // `D_G`, so it runs on the quotient and nothing is reported.
+        let m = model();
+        let (d, program) = Analyzer::new()
+            .frame(&m)
+            .minimize(true)
+            .analyze_with_program(&parse("D{0,1} q | true").unwrap());
+        assert!(program.unwrap().quotient_safe());
+        assert!(d.facts().quotient_safe);
+        assert_eq!(d.facts().quotient_unsafe, None);
+        let codes: Vec<_> = d.warnings().iter().map(Diagnostic::code).collect();
+        assert_eq!(codes, vec!["dead-subformula", "constant-formula"]);
+    }
+
+    #[test]
     fn facts_count_instructions() {
         let d = against_model("C{0} C{0} p");
         let f = d.facts();
         assert!(f.instructions_simplified.unwrap() < f.instructions.unwrap());
         assert_eq!(f.simplified, "K0 p");
+        // Unchanged by simplification: both counts are the one program's.
+        let m = model();
+        let (d, program) = Analyzer::new()
+            .frame(&m)
+            .analyze_with_program(&parse("K0 p & q").unwrap());
+        let ops = program.unwrap().num_ops();
+        assert_eq!(d.facts().instructions, Some(ops));
+        assert_eq!(d.facts().instructions_simplified, Some(ops));
     }
 
     #[test]

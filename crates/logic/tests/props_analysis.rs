@@ -7,7 +7,8 @@
 //!    [`hm_logic::EvalError`] form) is exactly the error `compile` then
 //!    `bind` would produce — including `None` on both sides. This is the
 //!    contract `Session` relies on when it rejects a query from the
-//!    report without ever invoking the compiler.
+//!    report before binding. Its facts (quotient safety, instruction
+//!    counts) describe the program it hands back, `compile(simplify(f))`.
 //! 2. **Simplification preserves verdicts.** For every formula that
 //!    binds, `eval(simplify(f)) == eval(f)` as world sets, and the
 //!    simplified program is never longer.
@@ -113,6 +114,41 @@ proptest! {
             "analyzer and compile+bind disagree on `{}`",
             f
         );
+    }
+
+    /// Contract 1b: the analyzer's quotient-safety fact is the bit of
+    /// the program it hands back — `compile(simplify(f))`, the one a
+    /// session executes — and its instruction counts are that program's
+    /// and the original's.
+    #[test]
+    fn analyzer_facts_describe_the_executed_program(
+        f in formula_strategy(),
+        seed in 0u64..1 << 48,
+        spec in model_spec_strategy(),
+        minimize in 0u8..2,
+    ) {
+        let m = random_model(seed, spec);
+        let minimize = minimize == 1;
+        let (report, program) = Analyzer::new().frame(&m).minimize(minimize).analyze_with_program(&f);
+        let expected = compile(&simplify(&f));
+        prop_assert_eq!(
+            program.as_ref().map(|c| c.num_ops()),
+            expected.as_ref().map(|c| c.num_ops())
+        );
+        let facts = report.facts();
+        prop_assert_eq!(facts.instructions_simplified, expected.as_ref().ok().map(|c| c.num_ops()));
+        prop_assert_eq!(facts.instructions, compile(&f).ok().map(|c| c.num_ops()));
+        if let Ok(c) = &expected {
+            prop_assert_eq!(
+                facts.quotient_safe,
+                c.quotient_safe(),
+                "quotient safety of `{}` disagrees with its program",
+                f
+            );
+            let warned = report.warnings().iter().any(|w| w.code() == "not-quotient-safe");
+            prop_assert_eq!(warned, minimize && !c.quotient_safe(), "`{}`", f);
+        }
+        prop_assert_eq!(facts.quotient_unsafe.is_none(), facts.quotient_safe);
     }
 
     /// Contract 2: on every formula that binds, the simplified formula

@@ -13,8 +13,8 @@
 //! queries for its spec. Requests that carry their own resource limits
 //! bypass the cache entirely: a budget is anchored at build time and
 //! consumed across the session's life, so a limited session is built
-//! fresh, used once, and dropped (the shared `CompiledStore` still
-//! spares it formula compilation).
+//! fresh, used once, and dropped, compiling its one formula as part of
+//! analysing it.
 
 use hm_engine::{EngineError, Session};
 use std::collections::HashMap;

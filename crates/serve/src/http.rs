@@ -32,10 +32,11 @@ use std::time::Duration;
 /// Largest accepted request body; longer bodies get `413`.
 pub(crate) const MAX_BODY: usize = 1 << 20;
 
-/// Largest accepted request line or header line; longer is `400`. Keeps
-/// a newline-free byte blast from growing a line buffer without bound
+/// Byte budget shared by the request line and all header lines together;
+/// a longer head is `400`. Keeps a newline-free byte blast, one huge
+/// header, or a flood of small ones from growing buffers without bound
 /// while the request deadline is still running.
-const MAX_LINE: usize = MAX_BODY + 8 * 1024;
+const MAX_HEAD: usize = 8 * 1024;
 
 /// Upper bound on one socket write attempt, so the write deadline is
 /// consulted at least this often while a response drains slowly.
@@ -68,12 +69,18 @@ pub(crate) enum ReadOutcome {
     Idle,
     /// The peer closed the connection (clean EOF before a request line).
     Closed,
-    /// The declared body exceeds [`MAX_BODY`]. Carries the declared
-    /// length and the request deadline, so the caller can drain the
-    /// unread upload after answering (see [`discard_body`]).
+    /// Too big to read: the request line and headers outgrew
+    /// [`MAX_HEAD`] (`400`), or the declared body exceeds [`MAX_BODY`]
+    /// (`413`). Carries how much may still be arriving and the request
+    /// deadline, so the caller can drain the unread upload after
+    /// answering (see [`discard_body`]).
     TooLarge {
-        /// The declared `Content-Length`.
-        declared: usize,
+        /// The status to answer.
+        status: u16,
+        /// What was too large.
+        message: String,
+        /// Bytes to drain at most.
+        unread: usize,
         /// The deadline that governs the rest of this request.
         deadline: Deadline,
     },
@@ -102,28 +109,27 @@ enum LineRead {
     Eof,
     /// The request deadline passed mid-line.
     TimedOut,
-    /// The line outgrew [`MAX_LINE`] before its newline arrived.
+    /// The line outgrew the remaining head budget.
     TooLong,
 }
 
-/// Reads one `\n`-terminated line into `buf`, checking `deadline`
-/// *per buffered chunk* — not merely per socket timeout. This matters:
-/// a peer trickling bytes at just under the socket poll interval never
-/// produces a timeout error at all, so any implementation that only
-/// consults the deadline on `WouldBlock` hands that peer a worker for
-/// as long as it cares to keep dribbling. Bytes are decoded lossily
-/// (invalid UTF-8 becomes U+FFFD and fails request parsing later).
+/// Reads one `\n`-terminated line of at most `limit` bytes into `buf`,
+/// checking `deadline` *per buffered chunk* — not merely per socket
+/// timeout. This matters: a peer trickling bytes at just under the
+/// socket poll interval never produces a timeout error at all, so any
+/// implementation that only consults the deadline on `WouldBlock` hands
+/// that peer a worker for as long as it cares to keep dribbling. Bytes
+/// are decoded lossily (invalid UTF-8 becomes U+FFFD and fails request
+/// parsing later).
 fn read_line_by(
     reader: &mut BufReader<TcpStream>,
     buf: &mut String,
     deadline: Deadline,
+    limit: usize,
 ) -> io::Result<LineRead> {
     loop {
         if deadline.expired() {
             return Ok(LineRead::TimedOut);
-        }
-        if buf.len() > MAX_LINE {
-            return Ok(LineRead::TooLong);
         }
         match reader.fill_buf() {
             Ok([]) => return Ok(LineRead::Eof),
@@ -132,6 +138,9 @@ fn read_line_by(
                 let take = newline.map_or(bytes.len(), |p| p + 1);
                 buf.push_str(&String::from_utf8_lossy(&bytes[..take]));
                 reader.consume(take);
+                if buf.len() > limit {
+                    return Ok(LineRead::TooLong);
+                }
                 if newline.is_some() {
                     return Ok(LineRead::Line);
                 }
@@ -140,6 +149,17 @@ fn read_line_by(
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
+    }
+}
+
+/// A head over [`MAX_HEAD`]; how much more is coming is unknown, so up
+/// to [`MAX_BODY`] is drained.
+fn head_too_large(deadline: Deadline) -> ReadOutcome {
+    ReadOutcome::TooLarge {
+        status: 400,
+        message: format!("request line and headers exceed {} KiB", MAX_HEAD >> 10),
+        unread: MAX_BODY,
+        deadline,
     }
 }
 
@@ -169,15 +189,14 @@ pub(crate) fn read_request(
         }
     }
     let mut line = String::new();
-    match read_line_by(reader, &mut line, deadline) {
+    match read_line_by(reader, &mut line, deadline, MAX_HEAD) {
         Ok(LineRead::Line) => {}
         Ok(LineRead::Eof) => return ReadOutcome::Malformed("truncated request line".to_string()),
         Ok(LineRead::TimedOut) => return ReadOutcome::TimedOut,
-        Ok(LineRead::TooLong) => {
-            return ReadOutcome::Malformed("request line too long".to_string())
-        }
+        Ok(LineRead::TooLong) => return head_too_large(deadline),
         Err(_) => return ReadOutcome::Closed,
     }
+    let mut head_left = MAX_HEAD - line.len();
     let mut parts = line.split_whitespace();
     let (Some(method), Some(path)) = (parts.next(), parts.next()) else {
         return ReadOutcome::Malformed("bad request line".to_string());
@@ -189,15 +208,14 @@ pub(crate) fn read_request(
     let mut keep_alive = true;
     loop {
         let mut header = String::new();
-        match read_line_by(reader, &mut header, deadline) {
+        match read_line_by(reader, &mut header, deadline, head_left) {
             Ok(LineRead::Line) => {}
             Ok(LineRead::Eof) => return ReadOutcome::Closed,
             Ok(LineRead::TimedOut) => return ReadOutcome::TimedOut,
-            Ok(LineRead::TooLong) => {
-                return ReadOutcome::Malformed("header line too long".to_string())
-            }
+            Ok(LineRead::TooLong) => return head_too_large(deadline),
             Err(_) => return ReadOutcome::Malformed("unreadable header".to_string()),
         }
+        head_left -= header.len();
         let header = header.trim_end();
         if header.is_empty() {
             break;
@@ -217,7 +235,9 @@ pub(crate) fn read_request(
     }
     if content_length > MAX_BODY {
         return ReadOutcome::TooLarge {
-            declared: content_length,
+            status: 413,
+            message: format!("request body exceeds {} MiB", MAX_BODY >> 20),
+            unread: content_length,
             deadline,
         };
     }

@@ -7,9 +7,10 @@
 //! that shape into a long-lived service: a std-only HTTP/1.1 server
 //! (the workspace is offline — `std::net` and a fixed worker-thread
 //! pool, no async runtime) that keeps the last few built engines warm
-//! in an LRU cache keyed by canonical scenario spec, shares one
-//! compiled-formula store across all of them, and answers JSON queries
-//! concurrently from every worker.
+//! in an LRU cache keyed by canonical scenario spec and answers JSON
+//! queries concurrently from every worker. Each cached session analyzes
+//! and compiles a formula once, on its first ask, and answers repeats
+//! from its own program cache.
 //!
 //! # Endpoints
 //!

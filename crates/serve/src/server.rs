@@ -27,9 +27,7 @@ use crate::http::{discard_body, read_request, write_response, ReadOutcome, Reque
 use crate::json::{esc, Value};
 use crate::stats::{Observation, Stats};
 use hm_engine::limits::Deadline;
-use hm_engine::{
-    CompiledStore, Engine, EngineError, Limits, Query, ScenarioRegistry, Session, Verdict,
-};
+use hm_engine::{Engine, EngineError, Limits, Query, ScenarioRegistry, Session, Verdict};
 use std::fmt::Write as _;
 use std::io::{self, BufReader};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -107,7 +105,6 @@ const SHED_WRITE_TIMEOUT: Duration = Duration::from_secs(1);
 /// State shared by the acceptor and every worker.
 struct ServerState {
     engines: EngineCache,
-    store: Arc<CompiledStore>,
     stats: Stats,
     /// Graceful stop: no new connections, in-flight requests finish,
     /// keep-alive answers switch to `Connection: close`.
@@ -148,7 +145,6 @@ impl Server {
                     config.quarantine_threshold,
                     config.quarantine_cooldown,
                 ),
-                store: Arc::new(CompiledStore::new()),
                 stats: Stats::default(),
                 stop: AtomicBool::new(false),
                 hard_stop: AtomicBool::new(false),
@@ -409,13 +405,17 @@ fn handle_connection(state: &ServerState, stream: TcpStream) {
                 }
             }
             ReadOutcome::Closed => return,
-            ReadOutcome::TooLarge { declared, deadline } => {
-                let body = error_body("request", "request body exceeds 1 MiB");
-                finish_write(state, &mut stream, 413, &body);
+            ReadOutcome::TooLarge {
+                status,
+                message,
+                unread,
+                deadline,
+            } => {
+                finish_write(state, &mut stream, status, &error_body("request", &message));
                 // Half-close, then drain the unread upload, so closing
-                // does not reset the connection under the unread `413`.
+                // does not reset the connection under the unread answer.
                 let _ = stream.shutdown(Shutdown::Write);
-                discard_body(&mut reader, declared, deadline);
+                discard_body(&mut reader, unread, deadline);
                 return;
             }
             ReadOutcome::TimedOut => {
@@ -575,7 +575,6 @@ fn stats_json(state: &ServerState) -> String {
         state.engines.capacity(),
         state.engines.evictions(),
         state.engines.quarantined_specs(),
-        state.store.len(),
     )
 }
 
@@ -703,7 +702,7 @@ fn answer_query_engine(
     };
 
     let build = |limits: Option<Limits>| -> Result<Session, EngineError> {
-        let mut engine = Engine::for_scenario(canonical).compiled_store(Arc::clone(&state.store));
+        let mut engine = Engine::for_scenario(canonical);
         if let Some(h) = req.horizon {
             engine = engine.horizon(h);
         }

@@ -227,7 +227,6 @@ impl Stats {
         capacity: usize,
         evictions: u64,
         quarantined_specs: usize,
-        compiled_formulas: usize,
     ) -> String {
         let g = |c: &AtomicU64| c.load(Ordering::Relaxed);
         let queries = g(&self.query_ok) + g(&self.query_client_error) + g(&self.query_limit);
@@ -236,8 +235,7 @@ impl Stats {
             out,
             "{{\"engines\":{{\"cached\":{engines},\"capacity\":{capacity},\
              \"hits\":{},\"misses\":{},\"bypass\":{},\"evictions\":{evictions},\
-             \"quarantined_specs\":{quarantined_specs},\
-             \"compiled_formulas\":{compiled_formulas}}},",
+             \"quarantined_specs\":{quarantined_specs}}},",
             g(&self.engine_hits),
             g(&self.engine_misses),
             g(&self.engine_bypass),
@@ -282,7 +280,7 @@ mod tests {
         s.query_ok.store(2, Ordering::Relaxed);
         s.query_limit.store(1, Ordering::Relaxed);
         s.shed.store(4, Ordering::Relaxed);
-        let json = s.to_json(2, 8, 1, 0, 5);
+        let json = s.to_json(2, 8, 1, 0);
         let v = crate::json::Value::parse(&json).unwrap();
         assert_eq!(
             v.field("engines").unwrap().field("hits").unwrap().u64(),

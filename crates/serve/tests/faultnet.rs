@@ -155,18 +155,19 @@ fn stalled_reader_aborts_the_write_and_frees_the_worker() {
         server_to_client: vec![Step::Forward(256), Step::Delay(Duration::from_secs(60))],
     });
 
-    // Huge-but-cheap responses: the 404 answer echoes the request
-    // path, so an ~1 MiB path makes an ~1 MiB body with no engine
-    // work. One response can vanish into an auto-tuned send buffer
-    // (tcp_wmem allows several MiB), so pipeline eight keep-alive
-    // requests — ~8 MiB of responses — from a pusher thread that
-    // simply stops when the aborting server tears the connection down.
-    let path = format!("/{}", "a".repeat(1_000_000));
+    // Cheap responses: the 404 answer echoes the request path, so a
+    // 7 KiB path (inside the 8 KiB request-head budget) makes a 7 KiB
+    // body with no engine work. The responses can vanish into an
+    // auto-tuned send buffer (tcp_wmem allows several MiB), so pipeline
+    // 1,200 keep-alive requests — ~8 MiB of responses — from a pusher
+    // thread that simply stops when the aborting server tears the
+    // connection down.
+    let path = format!("/{}", "a".repeat(7 * 1024));
     let request = format!("GET {path} HTTP/1.1\r\n\r\n");
     let conn = TcpStream::connect(net.addr()).expect("connect");
     let mut writer = conn.try_clone().expect("clone");
     let pusher = std::thread::spawn(move || {
-        for _ in 0..8 {
+        for _ in 0..1_200 {
             if writer.write_all(request.as_bytes()).is_err() {
                 return;
             }

@@ -3,8 +3,10 @@
 //! many client threads firing mixed good/bad/limited queries must get
 //! responses byte-identical to a serial run.
 
-use hm_serve::{http_call, selftest, ServeConfig, Server, ServerHandle};
-use std::net::SocketAddr;
+use hm_serve::{http_call, read_response, selftest, ServeConfig, Server, ServerHandle};
+use std::io::{BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::time::{Duration, Instant};
 
 fn start(workers: usize) -> (ServerHandle, SocketAddr) {
     let config = ServeConfig {
@@ -176,6 +178,56 @@ fn oversized_and_bad_method_requests_are_rejected() {
     assert_eq!(status, 405);
     let (status, _) = http_call(addr, "GET", "/query", "").expect("query via GET");
     assert_eq!(status, 404);
+    handle.shutdown();
+}
+
+/// Sends `head` (request line and headers, without the blank line) plus
+/// an empty body on a fresh connection and returns the status.
+fn raw_status(addr: SocketAddr, head: &str) -> u16 {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    stream
+        .write_all(format!("{head}content-length: 0\r\nconnection: close\r\n\r\n").as_bytes())
+        .expect("send");
+    let (status, _, _) = read_response(&mut BufReader::new(stream)).expect("response");
+    status
+}
+
+#[test]
+fn oversized_request_heads_are_refused_and_free_the_worker() {
+    // One worker: if a refused head kept it busy, the follow-up health
+    // check would queue behind it.
+    let (handle, addr) = start(1);
+    let big_header = format!(
+        "GET /healthz HTTP/1.1\r\nx-big: {}\r\n",
+        "a".repeat(16 * 1024)
+    );
+    let flood = format!("GET /healthz HTTP/1.1\r\n{}", "x-h: 1\r\n".repeat(2_000));
+    let long_line = format!("GET /healthz?{} HTTP/1.1\r\n", "a".repeat(16 * 1024));
+    for attempt in 0..5 {
+        for (name, head) in [
+            ("header", &big_header),
+            ("flood", &flood),
+            ("line", &long_line),
+        ] {
+            assert_eq!(raw_status(addr, head), 400, "{name} attempt {attempt}");
+            let started = Instant::now();
+            let (status, _) = http_call(addr, "GET", "/healthz", "").expect("healthz");
+            assert_eq!(status, 200, "{name} attempt {attempt}");
+            assert!(
+                started.elapsed() < Duration::from_secs(2),
+                "worker still held after a refused {name}"
+            );
+        }
+    }
+    // A head well inside the budget is served.
+    let modest = format!(
+        "GET /healthz HTTP/1.1\r\nx-ok: {}\r\n",
+        "a".repeat(4 * 1024)
+    );
+    assert_eq!(raw_status(addr, &modest), 200);
     handle.shutdown();
 }
 
