@@ -6,17 +6,15 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hm_core::agreement::{
     agreement_builder, agreement_system, check_safety, AgreementSpec, Reduction,
 };
-use hm_core::attain::{check_ck_twin_invariance, uncertain_start_interpreted};
+use hm_core::attain::{check_ck_twin_invariance, uncertain_start_builder};
 use hm_core::consistency::{find_internally_consistent_subsystem, BeliefAssignment};
 use hm_core::discovery::{deadlock_system, discovery_trajectory};
 use hm_core::hierarchy::hierarchy;
 use hm_core::kbp::{knows_own_state_rule, KnowledgeProtocol, Turns};
 use hm_core::puzzles::attack::{generals_builder, ladder_depth_at_end};
 use hm_core::puzzles::muddy::MuddyChildren;
-use hm_core::puzzles::r2d2::{ladder_onsets, r2d2_interpreted};
-use hm_core::variants::{
-    check_theorem9, conjunction_gap, ok_interpreted, skewed_broadcast_interpreted,
-};
+use hm_core::puzzles::r2d2::{ladder_onsets, r2d2_parts};
+use hm_core::variants::{check_theorem9, conjunction_gap, ok_builder, skewed_broadcast_builder};
 use hm_engine::Budget;
 use hm_kripke::{random_model, AgentGroup, AgentId, RandomModelSpec, WorldSet};
 use hm_logic::axioms::{check_s5, sample_sets, ModalOp};
@@ -85,15 +83,16 @@ fn b04_theorem5(c: &mut Criterion) {
 }
 
 fn b06_r2d2(c: &mut Criterion) {
-    let analysis = r2d2_interpreted(2, 4, 4, R2d2Mode::Uncertain);
+    let (builder, meta) = r2d2_parts(2, 4, 4, R2d2Mode::Uncertain);
+    let isys = builder.build();
     let mut cache = EvalCache::new();
     c.bench_function("b06_r2d2_ladder_onsets", |b| {
-        b.iter(|| black_box(ladder_onsets(&analysis.isys, &analysis.meta, 3, &mut cache).unwrap()))
+        b.iter(|| black_box(ladder_onsets(&isys, &meta, 3, &mut cache).unwrap()))
     });
 }
 
 fn b07_imprecision(c: &mut Criterion) {
-    let isys = uncertain_start_interpreted(5, false).unwrap();
+    let isys = uncertain_start_builder(5, false).unwrap().build();
     c.bench_function("b07_temporal_imprecision_check", |b| {
         b.iter(|| black_box(conditions::check_temporal_imprecision(isys.system())))
     });
@@ -115,7 +114,7 @@ fn b08_variants(c: &mut Criterion) {
 fn b09_ok_protocol(c: &mut Criterion) {
     c.bench_function("b09_ok_protocol_build_and_eval", |b| {
         b.iter(|| {
-            let isys = ok_interpreted(6).unwrap();
+            let isys = ok_builder(6).unwrap().build();
             let psi = Formula::atom("psi");
             black_box(check_theorem9(&isys, &g2(), &psi, Some(1)).unwrap())
         })
@@ -152,7 +151,7 @@ fn b11_fixpoints(c: &mut Criterion) {
 }
 
 fn b12_timestamped(c: &mut Criterion) {
-    let isys = skewed_broadcast_interpreted(10, 2).unwrap();
+    let isys = skewed_broadcast_builder(10, 2).unwrap().build();
     let f = Formula::common_ts(g2(), 7, Formula::atom("sent_v"));
     c.bench_function("b12_ct_eval", |b| {
         b.iter(|| black_box(isys.eval(&f).unwrap()))
@@ -169,7 +168,7 @@ fn b13_axioms(c: &mut Criterion) {
 }
 
 fn b14_consistency(c: &mut Criterion) {
-    let isys = uncertain_start_interpreted(5, false).unwrap();
+    let isys = uncertain_start_builder(5, false).unwrap().build();
     let fact = Frame::atom_set(&isys, "sent").unwrap();
     let beliefs = BeliefAssignment::from_predicates(
         &isys,

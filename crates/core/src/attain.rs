@@ -218,21 +218,9 @@ pub fn uncertain_start_system(horizon: u64, global_clock: bool) -> Result<System
     enumerate_runs(&protocol, &adversary, &specs, &budget, false)?.into_system()
 }
 
-/// Interprets [`uncertain_start_system`] with the fact `sent` ("p0 has
-/// dispatched its message").
-///
-/// # Errors
-///
-/// Propagates [`EnumerateError`] from run enumeration.
-pub fn uncertain_start_interpreted(
-    horizon: u64,
-    global_clock: bool,
-) -> Result<InterpretedSystem, EnumerateError> {
-    Ok(uncertain_start_builder(horizon, global_clock)?.build())
-}
-
-/// The un-built form of [`uncertain_start_interpreted`], for callers that
-/// set build options (the `hm-engine` scenario registry).
+/// Interprets [`uncertain_start_system`] with the facts `sent` ("p0 has
+/// dispatched its message") and `five_oclock` ("p0's clock reads 5");
+/// `.build()` materialises it.
 ///
 /// # Errors
 ///
@@ -302,7 +290,7 @@ mod tests {
 
     #[test]
     fn proposition15_gives_temporal_imprecision_and_frozen_ck() {
-        let isys = uncertain_start_interpreted(5, false).unwrap();
+        let isys = uncertain_start_builder(5, false).unwrap().build();
         // Proposition 15's shift witnesses exist for the interior of the
         // uncertainty ranges. (The strict all-runs discrete check fails at
         // the boundaries of the finite choice space — delay exactly `lo`
@@ -348,7 +336,7 @@ mod tests {
 
     #[test]
     fn global_clock_restores_attainability() {
-        let isys = uncertain_start_interpreted(8, true).unwrap();
+        let isys = uncertain_start_builder(8, true).unwrap().build();
         // With a global clock the system does NOT have (discrete)
         // temporal imprecision…
         assert!(conditions::check_temporal_imprecision(isys.system()).is_some());
@@ -364,7 +352,7 @@ mod tests {
     fn ck_gained_with_global_clock_is_a_run_constancy_violation() {
         // Sanity check that check_ck_run_constant actually detects gains:
         // in the global-clock system, C(five_oclock) flips at t=5.
-        let isys = uncertain_start_interpreted(8, true).unwrap();
+        let isys = uncertain_start_builder(8, true).unwrap().build();
         let fact = Formula::atom("five_oclock");
         let violations = check_ck_run_constant(&isys, &g2(), &fact).unwrap();
         assert!(!violations.is_empty());

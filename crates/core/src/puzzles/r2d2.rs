@@ -17,31 +17,12 @@ use hm_logic::{EvalCache, EvalError, Formula, F};
 use hm_netsim::scenarios::{r2d2, R2d2, R2d2Mode};
 use hm_runs::{CompleteHistory, Event, InterpretedSystem, InterpretedSystemBuilder, RunId};
 
-/// The interpreted R2–D2 system plus the scenario metadata.
-pub struct R2d2Analysis {
-    /// The interpreted system (fact `sent` = "m has been sent").
-    pub isys: InterpretedSystem,
-    /// Scenario metadata (focus runs, ε, `t_S`).
-    pub meta: R2d2,
-}
-
-/// Builds and interprets the R2–D2 system.
+/// The R2–D2 system's interpretation builder (`.build()` materialises
+/// it) alongside the scenario metadata (focus runs, ε, `t_S`).
 ///
 /// The fact `sent` is "R2 has sent `m`" (stable); `sent_focus` is "R2 has
 /// sent `m` at exactly `t_S`" (used in the timestamped variant, where
 /// message content distinguishes send times).
-pub fn r2d2_interpreted(eps: u64, pre: usize, post: usize, mode: R2d2Mode) -> R2d2Analysis {
-    let (builder, meta) = r2d2_parts(eps, pre, post, mode);
-    R2d2Analysis {
-        isys: builder.build(),
-        meta,
-    }
-}
-
-/// The un-built form of [`r2d2_interpreted`]: the interpretation builder
-/// (facts attached) alongside the scenario metadata, for callers that
-/// set build options before materialising — the `hm-engine` scenario
-/// registry in particular.
 pub fn r2d2_parts(
     eps: u64,
     pre: usize,
@@ -143,10 +124,10 @@ mod tests {
         // constant +1 comprehension offset of the discrete history
         // convention). The increments must be exactly ε.
         for eps in [2u64, 3] {
-            let analysis = r2d2_interpreted(eps, 4, 4, R2d2Mode::Uncertain);
-            let onsets =
-                ladder_onsets(&analysis.isys, &analysis.meta, 3, &mut EvalCache::new()).unwrap();
-            let ts = analysis.meta.ts;
+            let (builder, meta) = r2d2_parts(eps, 4, 4, R2d2Mode::Uncertain);
+            let isys = builder.build();
+            let onsets = ladder_onsets(&isys, &meta, 3, &mut EvalCache::new()).unwrap();
+            let ts = meta.ts;
             assert_eq!(onsets[0], Some(ts), "level 0 = the fact itself");
             for k in 1..=3usize {
                 let t = onsets[k].unwrap_or_else(|| panic!("level {k} never holds"));
@@ -162,8 +143,9 @@ mod tests {
     #[test]
     fn common_knowledge_never_attained_with_uncertainty() {
         let (pre, post, eps) = (3usize, 3usize, 2u64);
-        let analysis = r2d2_interpreted(eps, pre, post, R2d2Mode::Uncertain);
-        let ck = ck_sent(&analysis.isys, &mut EvalCache::new()).unwrap();
+        let (builder, meta) = r2d2_parts(eps, pre, post, R2d2Mode::Uncertain);
+        let isys = builder.build();
+        let ck = ck_sent(&isys, &mut EvalCache::new()).unwrap();
         // The chain r_j ~R2 r'_j ~D2 r_{j+1} … always reaches a run whose
         // send lies in the future, so C sent holds nowhere — as long as
         // such a run exists, i.e. before the finite family's last send
@@ -171,25 +153,23 @@ mod tests {
         // sender; past (pre+post)·ε our truncation makes `sent` valid and
         // hence trivially common knowledge — a documented edge artifact).
         let last_send = (pre + post) as u64 * eps;
-        for rid in [analysis.meta.focus_slow, analysis.meta.focus_fast.unwrap()] {
+        for rid in [meta.focus_slow, meta.focus_fast.unwrap()] {
             for t in 0..last_send {
-                assert!(
-                    !ck.contains(analysis.isys.world(rid, t)),
-                    "C sent at ({rid}, {t})"
-                );
+                assert!(!ck.contains(isys.world(rid, t)), "C sent at ({rid}, {t})");
             }
         }
     }
 
     #[test]
     fn exact_delay_attains_common_knowledge_at_ts_plus_eps() {
-        let analysis = r2d2_interpreted(3, 2, 2, R2d2Mode::Exact);
-        let ck = ck_sent(&analysis.isys, &mut EvalCache::new()).unwrap();
-        let ts = analysis.meta.ts;
-        let eps = analysis.meta.eps;
-        let focus = analysis.meta.focus_slow;
+        let (builder, meta) = r2d2_parts(3, 2, 2, R2d2Mode::Exact);
+        let isys = builder.build();
+        let ck = ck_sent(&isys, &mut EvalCache::new()).unwrap();
+        let ts = meta.ts;
+        let eps = meta.eps;
+        let focus = meta.focus_slow;
         let onset = first_time(
-            &analysis.isys,
+            &isys,
             focus,
             &Formula::common(AgentGroup::all(2), Formula::atom("sent")),
             &mut EvalCache::new(),
@@ -197,17 +177,18 @@ mod tests {
         .unwrap();
         // Receipt at t_S + ε enters D2's history one tick later.
         assert_eq!(onset, Some(ts + eps + 1));
-        assert!(!ck.contains(analysis.isys.world(focus, ts + eps)));
+        assert!(!ck.contains(isys.world(focus, ts + eps)));
     }
 
     #[test]
     fn timestamped_message_attains_common_knowledge() {
-        let analysis = r2d2_interpreted(3, 2, 2, R2d2Mode::Timestamped);
-        let ts = analysis.meta.ts;
-        let eps = analysis.meta.eps;
+        let (builder, meta) = r2d2_parts(3, 2, 2, R2d2Mode::Timestamped);
+        let isys = builder.build();
+        let ts = meta.ts;
+        let eps = meta.eps;
         let f = Formula::common(AgentGroup::all(2), Formula::atom("sent_focus"));
         let mut cache = EvalCache::new();
-        let onset = first_time(&analysis.isys, analysis.meta.focus_slow, &f, &mut cache).unwrap();
+        let onset = first_time(&isys, meta.focus_slow, &f, &mut cache).unwrap();
         assert_eq!(
             onset,
             Some(ts + eps + 1),
@@ -216,20 +197,21 @@ mod tests {
         // The fast focus run attains it at the same wall-clock time (the
         // paper: R2 cannot tell which of r0/r1 occurred, but both have CK
         // by t_S + ε).
-        let fast = analysis.meta.focus_fast.unwrap();
-        let onset_fast = first_time(&analysis.isys, fast, &f, &mut cache).unwrap();
+        let fast = meta.focus_fast.unwrap();
+        let onset_fast = first_time(&isys, fast, &f, &mut cache).unwrap();
         assert_eq!(onset_fast, Some(ts + eps + 1));
     }
 
     #[test]
     fn without_timestamp_uncertain_mode_has_no_ck_of_focus_either() {
-        let analysis = r2d2_interpreted(3, 2, 2, R2d2Mode::Uncertain);
+        let (builder, meta) = r2d2_parts(3, 2, 2, R2d2Mode::Uncertain);
+        let isys = builder.build();
         let f = Formula::common(AgentGroup::all(2), Formula::atom("sent_focus"));
-        let set = analysis.isys.eval(&f).unwrap();
-        let focus = analysis.meta.focus_slow;
-        let horizon = analysis.isys.system().run(focus).horizon;
+        let set = isys.eval(&f).unwrap();
+        let focus = meta.focus_slow;
+        let horizon = isys.system().run(focus).horizon;
         for t in 0..=horizon {
-            assert!(!set.contains(analysis.isys.world(focus, t)));
+            assert!(!set.contains(isys.world(focus, t)));
         }
     }
 

@@ -7,13 +7,13 @@
 //! - Theorem 9 ([`check_theorem9`]): if `C^ε φ` (`C^◇ φ`) fails throughout
 //!   the message-free run, it fails everywhere — but, unlike Theorem 5,
 //!   successful communication *can* prevent it (the OK-protocol example,
-//!   [`ok_interpreted`]);
+//!   [`ok_builder`]);
 //! - Theorem 11 ([`check_theorem11`]): asynchronous channels cannot yield
 //!   ε-common knowledge;
 //! - the fixed point / infinite conjunction gap ([`conjunction_gap`]);
 //! - Theorem 12 ([`check_theorem12a`] and friends): how `C^T` relates to
 //!   `C`, `C^ε`, `C^◇` depending on clock behaviour, on a skewed-clock
-//!   broadcast system ([`skewed_broadcast_interpreted`]).
+//!   broadcast system ([`skewed_broadcast_builder`]).
 
 use hm_kripke::{AgentGroup, AgentId, WorldId, WorldSet};
 use hm_limits::Limits;
@@ -214,17 +214,7 @@ pub fn conjunction_gap(
 
 /// The OK-protocol system of Section 11, interpreted with the fact `psi`
 /// ("it is time `k ≥ 1` and some message sent at or before `k−1` was not
-/// delivered instantly").
-///
-/// # Errors
-///
-/// Propagates [`EnumerateError`].
-pub fn ok_interpreted(horizon: u64) -> Result<InterpretedSystem, EnumerateError> {
-    Ok(ok_builder(horizon)?.build())
-}
-
-/// The un-built form of [`ok_interpreted`], for callers that set build
-/// options (the `hm-engine` scenario registry).
+/// delivered instantly") and `ok_sent`; `.build()` materialises it.
 ///
 /// # Errors
 ///
@@ -243,20 +233,8 @@ pub fn ok_builder(horizon: u64) -> Result<hm_runs::InterpretedSystemBuilder, Enu
 /// A two-processor broadcast with skewed clocks, for Theorem 12:
 /// p0 sends `v` to p1 when its clock reads 1; delivery takes exactly one
 /// tick; p1's clock runs `d` ticks ahead for `d ∈ 0..=skew` (one run per
-/// skew value). The fact `sent_v` is stable.
-///
-/// # Errors
-///
-/// Propagates [`EnumerateError`].
-pub fn skewed_broadcast_interpreted(
-    horizon: u64,
-    skew: u64,
-) -> Result<InterpretedSystem, EnumerateError> {
-    Ok(skewed_broadcast_builder(horizon, skew)?.build())
-}
-
-/// The un-built form of [`skewed_broadcast_interpreted`], for callers
-/// that set build options (the `hm-engine` scenario registry).
+/// skew value). The fact `sent_v` is stable; `.build()` materialises
+/// the interpretation.
 ///
 /// # Errors
 ///
@@ -420,7 +398,7 @@ mod tests {
 
     #[test]
     fn ok_protocol_failed_communication_creates_eps_ck() {
-        let isys = ok_interpreted(8).unwrap();
+        let isys = ok_builder(8).unwrap().build();
         let psi = Formula::atom("psi");
         let ceps = isys
             .eval(&Formula::common_eps(g2(), 1, psi.clone()))
@@ -463,7 +441,7 @@ mod tests {
     fn ceps_violates_knowledge_axiom_somewhere() {
         // Section 11: of S5, C^ε retains only A3 and R1. Exhibit an A1
         // failure: C^1 ψ holds at (lost-run, 0) where ψ itself fails.
-        let isys = ok_interpreted(8).unwrap();
+        let isys = ok_builder(8).unwrap().build();
         let psi = Formula::atom("psi");
         let ceps = isys
             .eval(&Formula::common_eps(g2(), 1, psi.clone()))
@@ -523,10 +501,10 @@ mod tests {
     fn theorem12_all_parts() {
         let fact = Formula::atom("sent_v");
         // (a) identical clocks: C^T ≡ C at stamp points.
-        let sync = skewed_broadcast_interpreted(8, 0).unwrap();
+        let sync = skewed_broadcast_builder(8, 0).unwrap().build();
         assert_eq!(check_theorem12a(&sync, &g2(), &fact, 4).unwrap(), None);
         // (b) clocks within ε=2: C^T ⊃ C^ε at stamp points.
-        let skewed = skewed_broadcast_interpreted(8, 2).unwrap();
+        let skewed = skewed_broadcast_builder(8, 2).unwrap().build();
         assert_eq!(check_theorem12b(&skewed, &g2(), &fact, 5, 2).unwrap(), None);
         // (c) all clocks reach the stamp: C^T ⊃ C^◇ everywhere.
         assert_eq!(check_theorem12c(&skewed, &g2(), &fact, 6).unwrap(), None);
@@ -536,7 +514,7 @@ mod tests {
     fn timestamped_ck_is_attained_in_phase_broadcast() {
         // The positive side (Section 12): the broadcast attains C^T of
         // `sent_v` for a late-enough stamp, even with skewed clocks.
-        let isys = skewed_broadcast_interpreted(8, 2).unwrap();
+        let isys = skewed_broadcast_builder(8, 2).unwrap().build();
         let fact = Formula::atom("sent_v");
         // p1 knows by real time 3; its clock then reads 3+d ≤ 5. Stamp 6
         // is safely after everyone knows.

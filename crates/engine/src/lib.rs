@@ -26,12 +26,12 @@
 //! frame once, and caches it, so asking the same question repeatedly —
 //! or against sweeps of scenario variants — stops paying per-node `&str`
 //! atom resolution.
-//! With [`Engine::minimize`], construction folds bisimulation
-//! minimisation in, and every quotient-safe query (no temporal
-//! operators, no `D_G`) is answered on the quotient with verdicts mapped
-//! back to the original worlds — the answers are identical by
-//! bisimulation invariance, which the test suite checks across the
-//! E1–E18 formula suite.
+//! With [`Engine::minimize`], construction also builds the frame's
+//! bisimulation quotient ([`hm_kripke::minimize`]), and every
+//! quotient-safe query (no temporal operators, no `D_G`) is answered on
+//! the quotient with verdicts mapped back to the original worlds — the
+//! answers are identical by bisimulation invariance, which the test
+//! suite checks across the E1–E18 formula suite.
 //!
 //! # Example
 //!
@@ -426,8 +426,7 @@ impl Engine {
 
     /// Starts from an interpretation builder — a [`System`] of runs with
     /// view and facts attached (`InterpretedSystem::builder(..).fact(..)`)
-    /// — leaving materialisation (and the minimisation fold) to the
-    /// engine.
+    /// — leaving materialisation (and minimisation) to the engine.
     pub fn from_system(builder: InterpretedSystemBuilder) -> Engine {
         Engine::new(Source::Builder(builder))
     }
@@ -451,7 +450,7 @@ impl Engine {
         self
     }
 
-    /// Folds bisimulation minimisation into construction: quotient-safe
+    /// Adds bisimulation minimisation to construction: quotient-safe
     /// queries (no temporal operators, no `D_G`) are answered on the
     /// coarsest-bisimulation quotient, with verdicts mapped back to the
     /// original universe — identical answers, usually far fewer worlds.
@@ -496,16 +495,25 @@ impl Engine {
     pub fn build(self) -> Result<Session, EngineError> {
         // The deadline clock starts here and spans every phase.
         let budget = self.limits.budget();
+        let materialise = |frame: ScenarioFrame| -> Result<SessionFrame, EngineError> {
+            Ok(match frame {
+                ScenarioFrame::Model(m) => SessionFrame::Model(m),
+                ScenarioFrame::Interpreted(b) => SessionFrame::Interpreted(Box::new(
+                    b.minimized(self.minimize)
+                        .budget(budget.clone())
+                        .try_build()?,
+                )),
+            })
+        };
         let frame = match self.source {
             Source::Named(spec) => {
-                let registry = ScenarioRegistry::builtin();
-                let (scenario, values) = registry.resolve(&spec)?;
+                let (scenario, values) = ScenarioRegistry::shared().resolve(&spec)?;
                 let params = ScenarioParams {
                     values,
                     budget: budget.clone(),
                     ..self.params
                 };
-                scenario.build(&params)?
+                materialise(scenario.build(&params)?)?
             }
             Source::Scenario(s) => {
                 // A directly-passed scenario skips registry resolution,
@@ -516,31 +524,29 @@ impl Engine {
                     budget: budget.clone(),
                     ..self.params
                 };
-                s.build(&params)?
+                materialise(s.build(&params)?)?
             }
-            Source::Builder(b) => ScenarioFrame::Interpreted(b),
-            Source::Interpreted(isys) => {
-                return Ok(Session::new(
-                    SessionFrame::Interpreted(isys),
-                    self.minimize,
-                    budget,
-                ))
-            }
-            Source::Model(m) => ScenarioFrame::Model(m),
+            Source::Builder(b) => materialise(ScenarioFrame::Interpreted(b))?,
+            Source::Interpreted(isys) => SessionFrame::Interpreted(isys),
+            Source::Model(m) => SessionFrame::Model(m),
         };
-        Ok(match frame {
-            ScenarioFrame::Model(m) => Session::new(SessionFrame::Model(m), self.minimize, budget),
-            ScenarioFrame::Interpreted(b) => {
-                let isys = b
-                    .minimized(self.minimize)
-                    .budget(budget.clone())
-                    .try_build()?;
-                Session::new(
-                    SessionFrame::Interpreted(Box::new(isys)),
-                    self.minimize,
-                    budget,
-                )
+        // Sources that arrive without a quotient (models, pre-built
+        // interpreted systems) are minimised here, under the same budget.
+        let late_quotient = match &frame {
+            _ if !self.minimize => None,
+            SessionFrame::Model(m) => Some(minimize(m, &budget)?),
+            SessionFrame::Interpreted(isys) if isys.quotient().is_none() => {
+                Some(minimize(isys.model(), &budget)?)
             }
+            SessionFrame::Interpreted(_) => None,
+        };
+        Ok(Session {
+            frame,
+            late_quotient,
+            minimize: self.minimize,
+            budget,
+            cache: cache::ShardedMap::new(),
+            reports: cache::ShardedMap::new(),
         })
     }
 }
@@ -576,8 +582,8 @@ struct CachedQuery {
 /// one shared pipeline [`Budget`].
 pub struct Session {
     frame: SessionFrame,
-    /// Quotient for sources that arrive pre-built (model or interpreted
-    /// system without a folded quotient).
+    /// Quotient for sources that arrive without one (a model, or an
+    /// interpreted system built unminimised).
     late_quotient: Option<Minimized>,
     minimize: bool,
     /// The pipeline budget, shared with the construction phases:
@@ -603,28 +609,6 @@ impl fmt::Debug for Session {
 }
 
 impl Session {
-    fn new(frame: SessionFrame, minimize_on: bool, budget: Budget) -> Self {
-        let late_quotient = if minimize_on {
-            match &frame {
-                SessionFrame::Model(m) => Some(minimize(m)),
-                SessionFrame::Interpreted(isys) if isys.quotient().is_none() => {
-                    Some(minimize(isys.model()))
-                }
-                SessionFrame::Interpreted(_) => None,
-            }
-        } else {
-            None
-        };
-        Session {
-            frame,
-            late_quotient,
-            minimize: minimize_on,
-            budget,
-            cache: cache::ShardedMap::new(),
-            reports: cache::ShardedMap::new(),
-        }
-    }
-
     /// `true` when the frame was truncated by a partial-mode budget: the
     /// run set is an under-approximation of the scenario's. Two-valued
     /// queries are rejected ([`EngineError::PartialFrame`]); use
@@ -896,8 +880,7 @@ pub fn check_spec(
     horizon: Option<u64>,
     minimize_on: bool,
 ) -> Result<Diagnostics, EngineError> {
-    let registry = ScenarioRegistry::builtin();
-    let (scenario, values) = registry.resolve(spec)?;
+    let (scenario, values) = ScenarioRegistry::shared().resolve(spec)?;
     let params = ScenarioParams {
         horizon,
         parallel: false,

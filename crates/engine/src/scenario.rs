@@ -47,6 +47,7 @@ use hm_kripke::{random_model, KripkeModel, RandomModelSpec};
 use hm_limits::Budget;
 use hm_netsim::scenarios::R2d2Mode;
 use hm_runs::InterpretedSystemBuilder;
+use std::sync::OnceLock;
 
 /// Options the engine forwards into scenario construction.
 #[derive(Debug, Clone, Default)]
@@ -121,7 +122,10 @@ pub enum ScenarioFrame {
 /// registry validates spec strings against them before `build` runs, so
 /// `build` can read [`ScenarioParams::values`] through the typed
 /// accessors without error handling.
-pub trait Scenario {
+///
+/// Scenarios are `Send + Sync` so one registry can be shared by every
+/// thread of a process (see [`ScenarioRegistry::shared`]).
+pub trait Scenario: Send + Sync {
     /// Registry name (e.g. `"generals"`).
     fn name(&self) -> String;
 
@@ -208,6 +212,14 @@ impl ScenarioRegistry {
         reg.register(Box::new(Views));
         reg.register(Box::new(Random));
         reg
+    }
+
+    /// The [`builtin`](Self::builtin) registry, built once per process
+    /// and shared: the engine's spec sources, [`check_spec`](crate::check_spec)
+    /// and `hm serve` resolve specs against it.
+    pub fn shared() -> &'static ScenarioRegistry {
+        static SHARED: OnceLock<ScenarioRegistry> = OnceLock::new();
+        SHARED.get_or_init(ScenarioRegistry::builtin)
     }
 
     /// Adds a scenario; later registrations shadow earlier ones of the

@@ -8,8 +8,9 @@
 
 #![cfg(feature = "failpoints")]
 
+use hm_core::puzzles::attack::generals_builder;
 use hm_engine::limits::failpoints::{Action, ExhaustKind, FailScenario};
-use hm_engine::{Engine, Limits, Phase, Query, Resource};
+use hm_engine::{Budget, Engine, Limits, Phase, Query, Resource};
 
 #[test]
 fn exhaustion_at_enumeration_is_typed() {
@@ -65,6 +66,37 @@ fn exhaustion_during_minimization_is_typed() {
     let sc = FailScenario::setup();
     sc.configure("kripke::refine", Action::Exhaust(ExhaustKind::States));
     let err = Engine::for_scenario("agreement:n=3,f=1")
+        .minimize(true)
+        .build()
+        .unwrap_err();
+    let e = err.limit().expect("typed limit");
+    assert_eq!(e.resource, Resource::StatesVisited);
+    assert_eq!(e.phase, Phase::Minimize);
+}
+
+/// Model sources are minimised by `Engine::build` itself, under the
+/// same budget as scenario-built run systems.
+#[test]
+fn exhaustion_while_minimising_a_model_is_typed() {
+    let sc = FailScenario::setup();
+    sc.configure("kripke::refine", Action::Exhaust(ExhaustKind::States));
+    let err = Engine::for_scenario("muddy:n=4")
+        .minimize(true)
+        .build()
+        .unwrap_err();
+    let e = err.limit().expect("typed limit");
+    assert_eq!(e.resource, Resource::StatesVisited);
+    assert_eq!(e.phase, Phase::Minimize);
+}
+
+#[test]
+fn exhaustion_while_minimising_a_prebuilt_system_is_typed() {
+    let sc = FailScenario::setup();
+    let isys = generals_builder(8, &Budget::unlimited(), false)
+        .expect("no failpoint configured yet")
+        .build();
+    sc.configure("kripke::refine", Action::Exhaust(ExhaustKind::States));
+    let err = Engine::from_interpreted(isys)
         .minimize(true)
         .build()
         .unwrap_err();

@@ -105,6 +105,21 @@ fn small_state_budget_yields_typed_error_somewhere() {
     assert_eq!(e.limit, 64);
 }
 
+/// Minimising a model source charges the pipeline budget like
+/// minimising a run system does: 1024 worlds per refinement round is
+/// far past a ten-state ceiling.
+#[test]
+fn state_ceiling_stops_model_minimisation() {
+    let err = Engine::for_scenario("muddy:n=10")
+        .minimize(true)
+        .limits(Limits::none().max_states_visited(10))
+        .build()
+        .unwrap_err();
+    let e = err.limit().expect("typed limit");
+    assert_eq!(e.resource, Resource::StatesVisited);
+    assert_eq!(e.phase, Phase::Minimize);
+}
+
 #[test]
 fn partial_build_truncates_and_rejects_two_valued_asks() {
     let session = engine()

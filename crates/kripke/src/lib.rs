@@ -61,7 +61,7 @@ mod world;
 pub use agent::{AgentGroup, AgentId};
 pub use announce::{announce, InconsistentAnnouncement, Restriction};
 pub use generate::{random_model, RandomModelSpec, SplitMix64};
-pub use minimize::{coarsest_refinement, minimize, quotient_partitions, Minimized};
+pub use minimize::{minimize, Minimized};
 pub use model::{AtomId, KripkeModel, ModelBuilder, WorldRemap};
 pub use partition::{Partition, UnionFind};
 pub use world::{Iter, WorldId, WorldSet};

@@ -37,7 +37,8 @@ impl Minimized {
     }
 }
 
-/// Computes the coarsest epistemic bisimulation quotient of `model`.
+/// Computes the coarsest epistemic bisimulation quotient of `model`
+/// under `budget`.
 ///
 /// The signature of a world under the current candidate partition `P` is
 /// `(atom valuation, for each agent: the set of P-classes its
@@ -50,29 +51,6 @@ impl Minimized {
 /// bisimulation-invariant (a standard fact of epistemic logic: the joint
 /// view can separate worlds that no individual modality can), so `D_G`
 /// must be evaluated on the original model.
-pub fn minimize(model: &KripkeModel) -> Minimized {
-    let n = model.num_worlds();
-    // Initial partition: by atom valuation.
-    let init = Partition::from_key(n, |w| {
-        (0..model.num_atoms())
-            .map(|a| model.atom_holds(a.into(), w) as u64)
-            .collect::<Vec<u64>>()
-    });
-    let relations: Vec<&Partition> = (0..model.num_agents())
-        .map(|a| model.partition(AgentId::new(a)))
-        .collect();
-    let classes = coarsest_refinement(init, &relations, &Budget::unlimited())
-        .expect("unlimited budget cannot be exceeded");
-    build_quotient(model, &classes)
-}
-
-/// The coarsest partition refining `init` that is *stable* under every
-/// relation: two worlds stay together only if, through each relation,
-/// their blocks meet the same set of classes. This is the partition-
-/// refinement core of [`minimize`], exposed separately so interpreted-
-/// system construction can fold minimisation in before materialising a
-/// model (the per-agent relations there come straight from dense view
-/// ids, not from a built [`KripkeModel`]).
 ///
 /// Each refinement round charges `budget` one visited state per world (a
 /// round recomputes every world's signature) and re-checks the
@@ -83,7 +61,26 @@ pub fn minimize(model: &KripkeModel) -> Minimized {
 ///
 /// [`LimitExceeded`] (phase [`Phase::Minimize`]) when the budget is
 /// exhausted or the `kripke::refine` failpoint fires.
-pub fn coarsest_refinement(
+pub fn minimize(model: &KripkeModel, budget: &Budget) -> Result<Minimized, LimitExceeded> {
+    let n = model.num_worlds();
+    // Initial partition: by atom valuation.
+    let init = Partition::from_key(n, |w| {
+        (0..model.num_atoms())
+            .map(|a| model.atom_holds(a.into(), w) as u64)
+            .collect::<Vec<u64>>()
+    });
+    let relations: Vec<&Partition> = (0..model.num_agents())
+        .map(|a| model.partition(AgentId::new(a)))
+        .collect();
+    let classes = coarsest_refinement(init, &relations, budget)?;
+    Ok(build_quotient(model, &classes))
+}
+
+/// The coarsest partition refining `init` that is *stable* under every
+/// relation: two worlds stay together only if, through each relation,
+/// their blocks meet the same set of classes. Budgeted and failpointed
+/// as documented on [`minimize`].
+fn coarsest_refinement(
     init: Partition,
     relations: &[&Partition],
     budget: &Budget,
@@ -135,9 +132,9 @@ fn block_class_sets(part: &Partition, p: &Partition) -> Vec<u32> {
 
 /// Pushes each relation down to the class universe: classes `b`, `b'` are
 /// related iff some members are. For S5 relations quotiented by a
-/// bisimulation (a [`coarsest_refinement`] fixed point) the images are
+/// bisimulation (a `coarsest_refinement` fixed point) the images are
 /// themselves equivalences; built by union–find over member blocks.
-pub fn quotient_partitions(classes: &Partition, relations: &[&Partition]) -> Vec<Partition> {
+fn quotient_partitions(classes: &Partition, relations: &[&Partition]) -> Vec<Partition> {
     let k = classes.num_blocks();
     relations
         .iter()
@@ -220,7 +217,7 @@ mod tests {
         // Agent groups {0,1} and {2,3} — two indistinguishable copies.
         b.set_partition_by_key(AgentId::new(0), |w| w.index() / 2);
         let m = b.build();
-        let min = minimize(&m);
+        let min = minimize(&m, &Budget::unlimited()).unwrap();
         assert_eq!(min.model.num_worlds(), 2);
         assert_eq!(min.image(WorldId::new(0)), min.image(WorldId::new(2)));
         assert_ne!(min.image(WorldId::new(0)), min.image(WorldId::new(1)));
@@ -243,7 +240,7 @@ mod tests {
         b.set_partition_by_key(AgentId::new(0), |w| w.index().min(1));
         b.set_partition_by_key(AgentId::new(1), |w| w.index().max(1));
         let m = b.build();
-        let min = minimize(&m);
+        let min = minimize(&m, &Budget::unlimited()).unwrap();
         assert_eq!(min.model.num_worlds(), 3, "chain is already minimal");
     }
 
@@ -259,7 +256,7 @@ mod tests {
                     max_blocks: 3,
                 },
             );
-            let min = minimize(&m);
+            let min = minimize(&m, &Budget::unlimited()).unwrap();
             let g = AgentGroup::all(m.num_agents());
             // Compare K_i, E, D, C on the atom through the quotient map.
             let fact_old = m.atom_set(0.into());
@@ -321,7 +318,7 @@ mod tests {
         let g = AgentGroup::all(2);
         let fact = m.atom_set(0.into());
         assert_eq!(m.distributed_knowledge(&g, &fact), fact);
-        let min = minimize(&m);
+        let min = minimize(&m, &Budget::unlimited()).unwrap();
         assert_eq!(min.model.num_worlds(), 2);
         let fact_new = min.model.atom_set(0.into());
         assert!(min.model.distributed_knowledge(&g, &fact_new).is_empty());
@@ -331,8 +328,8 @@ mod tests {
     fn minimize_is_idempotent() {
         for seed in 0..10u64 {
             let m = random_model(seed, RandomModelSpec::default());
-            let once = minimize(&m);
-            let twice = minimize(&once.model);
+            let once = minimize(&m, &Budget::unlimited()).unwrap();
+            let twice = minimize(&once.model, &Budget::unlimited()).unwrap();
             assert_eq!(
                 once.model.num_worlds(),
                 twice.model.num_worlds(),
@@ -345,7 +342,7 @@ mod tests {
     fn quotient_never_larger() {
         for seed in 0..20u64 {
             let m = random_model(seed, RandomModelSpec::default());
-            let min = minimize(&m);
+            let min = minimize(&m, &Budget::unlimited()).unwrap();
             assert!(min.model.num_worlds() <= m.num_worlds());
         }
     }

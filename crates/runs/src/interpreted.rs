@@ -14,8 +14,8 @@ use crate::run::Run;
 use crate::system::{Point, RunId, System};
 use crate::view::ViewFunction;
 use hm_kripke::{
-    coarsest_refinement, quotient_partitions, AgentGroup, AgentId, KripkeModel, Minimized,
-    ModelBuilder, Partition, WorldId, WorldSet,
+    minimize, AgentGroup, AgentId, KripkeModel, Minimized, ModelBuilder, Partition, WorldId,
+    WorldSet,
 };
 use hm_limits::{failpoints, Budget, LimitExceeded, Phase};
 use hm_logic::{evaluate, AtomTable, EvalError, Formula, Frame, TemporalStructure};
@@ -44,12 +44,10 @@ impl InterpretedSystemBuilder {
         self
     }
 
-    /// Folds bisimulation minimisation into construction: `build` will
+    /// Adds bisimulation minimisation to construction: `build` will
     /// additionally compute the coarsest epistemic bisimulation quotient
-    /// of the point model — by partition refinement directly over the
-    /// dense per-agent view ids, before any formula is evaluated — and
-    /// attach it as [`InterpretedSystem::quotient`]. Quotient worlds are
-    /// labelled with their representative point's `run@t` name.
+    /// of the point model with [`hm_kripke::minimize`], under the
+    /// attached budget, and attach it as [`InterpretedSystem::quotient`].
     ///
     /// The quotient answers every formula of the `D`-free static fragment
     /// identically to the full model (and is often much smaller); the
@@ -111,25 +109,18 @@ impl InterpretedSystemBuilder {
         // `locate` when a diagnostic asks (see `point_name`), instead of
         // one `format!` per point here.
         b.add_worlds(num_points);
-        // Per-fact truth bit-vectors: fed to the model builder, and — when
-        // minimising — to the initial refinement partition.
-        let mut fact_bits: Vec<Vec<bool>> = Vec::with_capacity(self.facts.len());
         for (name, fact) in &self.facts {
             let atom = b.atom(name.clone());
-            let mut bits = Vec::with_capacity(num_points);
             let mut w = 0usize;
             for (_, r) in system.runs() {
                 for t in 0..=r.horizon {
                     budget.tick(Phase::Build)?;
-                    let v = fact(r, t);
-                    if v {
+                    if fact(r, t) {
                         b.set_atom(atom, WorldId::new(w), true);
                     }
-                    bits.push(v);
                     w += 1;
                 }
             }
-            fact_bits.push(bits);
         }
         // Agent partitions from hash-consed view encodings: one scratch
         // buffer replayed through an interner per agent — no per-point
@@ -151,22 +142,15 @@ impl InterpretedSystemBuilder {
             }
             partitions.push(Partition::from_dense_keys(num_points, &ids, interner.len()));
         }
-        let quotient = if self.minimize {
-            Some(quotient_of(
-                &system,
-                &offsets,
-                &partitions,
-                &self.facts,
-                &fact_bits,
-                &budget,
-            )?)
-        } else {
-            None
-        };
         for (i, p) in partitions.into_iter().enumerate() {
             b.set_partition(AgentId::new(i), p);
         }
         let model = b.build();
+        let quotient = if self.minimize {
+            Some(minimize(&model, &budget)?)
+        } else {
+            None
+        };
 
         // Clock table for the timestamped operators.
         let mut clocks: Vec<Vec<Option<u64>>> = vec![Vec::with_capacity(num_points); num_procs];
@@ -187,75 +171,6 @@ impl InterpretedSystemBuilder {
             quotient,
         })
     }
-}
-
-/// The on-the-fly bisimulation fold: computes the coarsest-bisimulation
-/// quotient model of the point universe from the per-agent view-id
-/// partitions and fact bit-vectors — i.e. *before* the full model is
-/// materialised — taking quotient world names from representative points
-/// (`run@t`, the `point_name` scheme; the interpreted worlds themselves
-/// are unnamed).
-fn quotient_of(
-    system: &System,
-    offsets: &[u32],
-    partitions: &[Partition],
-    facts: &[(String, FactFn)],
-    fact_bits: &[Vec<bool>],
-    budget: &Budget,
-) -> Result<Minimized, LimitExceeded> {
-    let n = system.num_points();
-    // Initial partition: by fact valuation, one dense pair-refinement per
-    // fact (meet with the fact's indicator partition).
-    let mut init = Partition::trivial(n);
-    let mut keys: Vec<u32> = Vec::with_capacity(n);
-    for bits in fact_bits {
-        keys.clear();
-        keys.extend(bits.iter().map(|&v| v as u32));
-        init = init.meet(&Partition::from_dense_keys(n, &keys, 2));
-    }
-    let relations: Vec<&Partition> = partitions.iter().collect();
-    let classes = coarsest_refinement(init, &relations, budget)?;
-    let k = classes.num_blocks();
-    // Representative (first point) per class and the point→class map.
-    let mut class_of = vec![0u32; n];
-    let mut rep: Vec<u32> = Vec::with_capacity(k);
-    for b in 0..k {
-        let mut members = classes.block_members(b);
-        rep.push(members.next().expect("blocks are non-empty").index() as u32);
-        for w in classes.block_members(b) {
-            class_of[w.index()] = b as u32;
-        }
-    }
-    let locate = |w: u32| -> (usize, u64) {
-        let run = match offsets.binary_search(&w) {
-            Ok(r) => r,
-            Err(ins) => ins - 1,
-        };
-        (run, (w - offsets[run]) as u64)
-    };
-    let mut qb = ModelBuilder::new(system.num_procs());
-    for &r in &rep {
-        let (run, t) = locate(r);
-        qb.add_world(format!("{}@{t}", system.run(RunId::from(run)).name));
-    }
-    for ((name, _), bits) in facts.iter().zip(fact_bits) {
-        let atom = qb.atom(name.clone());
-        for (b, &r) in rep.iter().enumerate() {
-            if bits[r as usize] {
-                qb.set_atom(atom, WorldId::new(b), true);
-            }
-        }
-    }
-    for (i, part) in quotient_partitions(&classes, &relations)
-        .into_iter()
-        .enumerate()
-    {
-        qb.set_partition(AgentId::new(i), part);
-    }
-    Ok(Minimized {
-        model: qb.build(),
-        class_of,
-    })
 }
 
 /// A view-based knowledge interpretation over a finite system of runs.
@@ -290,7 +205,7 @@ pub struct InterpretedSystem {
     /// `clocks[agent][world]`.
     clocks: Vec<Vec<Option<u64>>>,
     view_name: &'static str,
-    /// The bisimulation quotient, when construction folded it in (see
+    /// The bisimulation quotient, when construction computed it (see
     /// [`InterpretedSystemBuilder::minimized`]).
     quotient: Option<Minimized>,
 }
@@ -621,12 +536,7 @@ mod tests {
     #[test]
     fn minimized_build_matches_post_hoc_minimisation() {
         let isys = interp_minimized(msg_system());
-        let q = isys.quotient().expect("fold requested");
-        // The fold must agree (up to world count and formula verdicts)
-        // with minimising the materialised model after the fact.
-        let post = hm_kripke::minimize(isys.model());
-        assert_eq!(q.model.num_worlds(), post.model.num_worlds());
-        assert!(q.model.num_worlds() < isys.model().num_worlds());
+        let q = isys.quotient().expect("minimisation requested");
         // Verdict invariance on the D-free static fragment.
         for src in ["sent", "K0 sent", "K1 sent", "C{0,1} sent", "S{0,1} !sent"] {
             let f = parse(src).unwrap();
@@ -636,16 +546,6 @@ mod tests {
                 let w = WorldId::new(w);
                 assert_eq!(full.contains(w), quot.contains(q.image(w)), "{src} at {w}");
             }
-        }
-    }
-
-    #[test]
-    fn quotient_worlds_carry_point_names() {
-        let isys = interp_minimized(msg_system());
-        let q = isys.quotient().unwrap();
-        for w in 0..q.model.num_worlds() {
-            let label = q.model.world_label(WorldId::new(w));
-            assert!(label.contains('@'), "quotient label {label} is run@t");
         }
         // Unminimised builds carry no quotient.
         assert!(interp(msg_system()).quotient().is_none());

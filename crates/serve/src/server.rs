@@ -646,7 +646,7 @@ fn answer_query(state: &ServerState, body: &str) -> (Answer, QueryOutcome) {
     // Normalise the spec (sort parameters, fill defaults) so the cache
     // key is stable across equivalent spellings; rejects unknown
     // scenarios and out-of-range parameters before any engine work.
-    let canonical = match ScenarioRegistry::builtin().canonical_spec(&req.spec) {
+    let canonical = match ScenarioRegistry::shared().canonical_spec(&req.spec) {
         Ok(c) => c,
         Err(e) => {
             return (

@@ -2,10 +2,10 @@
 //! (paper Section 8, Appendix B).
 
 use halpern_moses::core::attain::{
-    check_ck_run_constant, ck_set, initial_point_reachable_everywhere, uncertain_start_interpreted,
+    check_ck_run_constant, ck_set, initial_point_reachable_everywhere, uncertain_start_builder,
 };
 use halpern_moses::core::puzzles::r2d2::{
-    ck_sent, first_time, ladder_onsets, r2d2_interpreted, rd_ladder,
+    ck_sent, first_time, ladder_onsets, r2d2_parts, rd_ladder,
 };
 use halpern_moses::kripke::AgentGroup;
 use halpern_moses::logic::{EvalCache, Formula};
@@ -19,9 +19,9 @@ fn g2() -> AgentGroup {
 #[test]
 fn e6_ladder_increments_are_exactly_eps() {
     for eps in [1u64, 2, 4] {
-        let analysis = r2d2_interpreted(eps, 5, 5, R2d2Mode::Uncertain);
-        let onsets =
-            ladder_onsets(&analysis.isys, &analysis.meta, 4, &mut EvalCache::new()).unwrap();
+        let (builder, meta) = r2d2_parts(eps, 5, 5, R2d2Mode::Uncertain);
+        let isys = builder.build();
+        let onsets = ladder_onsets(&isys, &meta, 4, &mut EvalCache::new()).unwrap();
         for k in 2..=4usize {
             let prev = onsets[k - 1].unwrap();
             let cur = onsets[k].unwrap();
@@ -34,17 +34,15 @@ fn e6_ladder_increments_are_exactly_eps() {
 #[allow(clippy::needless_range_loop)] // k is the ladder level, not an index
 fn e6_ladder_not_earlier() {
     // (K_R K_D)^k sent must FAIL at every time before its onset.
-    let analysis = r2d2_interpreted(2, 4, 4, R2d2Mode::Uncertain);
-    let onsets = ladder_onsets(&analysis.isys, &analysis.meta, 3, &mut EvalCache::new()).unwrap();
+    let (builder, meta) = r2d2_parts(2, 4, 4, R2d2Mode::Uncertain);
+    let isys = builder.build();
+    let onsets = ladder_onsets(&isys, &meta, 3, &mut EvalCache::new()).unwrap();
     for k in 1..=3usize {
         let f = rd_ladder(k, Formula::atom("sent"));
-        let set = analysis.isys.eval(&f).unwrap();
+        let set = isys.eval(&f).unwrap();
         let onset = onsets[k].unwrap();
         for t in 0..onset {
-            assert!(
-                !set.contains(analysis.isys.world(analysis.meta.focus_slow, t)),
-                "k={k} t={t}"
-            );
+            assert!(!set.contains(isys.world(meta.focus_slow, t)), "k={k} t={t}");
         }
     }
 }
@@ -53,15 +51,12 @@ fn e6_ladder_not_earlier() {
 fn e6_ck_unattainable_in_window_for_all_eps() {
     for eps in [1u64, 3] {
         let (pre, post) = (4usize, 4usize);
-        let analysis = r2d2_interpreted(eps, pre, post, R2d2Mode::Uncertain);
-        let ck = ck_sent(&analysis.isys, &mut EvalCache::new()).unwrap();
+        let isys = r2d2_parts(eps, pre, post, R2d2Mode::Uncertain).0.build();
+        let ck = ck_sent(&isys, &mut EvalCache::new()).unwrap();
         let last_send = (pre + post) as u64 * eps;
-        for (rid, _) in analysis.isys.system().runs() {
+        for (rid, _) in isys.system().runs() {
             for t in 0..last_send {
-                assert!(
-                    !ck.contains(analysis.isys.world(rid, t)),
-                    "eps={eps} {rid} t={t}"
-                );
+                assert!(!ck.contains(isys.world(rid, t)), "eps={eps} {rid} t={t}");
             }
         }
     }
@@ -74,26 +69,17 @@ fn e6_certainty_restores_ck() {
         (R2d2Mode::Exact, "sent"),
         (R2d2Mode::Timestamped, "sent_focus"),
     ] {
-        let analysis = r2d2_interpreted(2, 3, 3, mode);
+        let (builder, meta) = r2d2_parts(2, 3, 3, mode);
+        let isys = builder.build();
         let f = Formula::common(g2(), Formula::atom(atom));
-        let onset = first_time(
-            &analysis.isys,
-            analysis.meta.focus_slow,
-            &f,
-            &mut EvalCache::new(),
-        )
-        .unwrap();
-        assert_eq!(
-            onset,
-            Some(analysis.meta.ts + analysis.meta.eps + 1),
-            "{mode:?}"
-        );
+        let onset = first_time(&isys, meta.focus_slow, &f, &mut EvalCache::new()).unwrap();
+        assert_eq!(onset, Some(meta.ts + meta.eps + 1), "{mode:?}");
     }
 }
 
 #[test]
 fn e7_uncertainty_freezes_ck() {
-    let isys = uncertain_start_interpreted(6, false).unwrap();
+    let isys = uncertain_start_builder(6, false).unwrap().build();
     let fact = Formula::atom("sent");
     // Lemma 14's conclusion for every run.
     for (rid, _) in isys.system().runs() {
@@ -108,7 +94,7 @@ fn e7_uncertainty_freezes_ck() {
 
 #[test]
 fn e7_global_clock_breaks_imprecision_and_gains_ck() {
-    let isys = uncertain_start_interpreted(8, true).unwrap();
+    let isys = uncertain_start_builder(8, true).unwrap().build();
     assert!(
         conditions::check_temporal_imprecision(isys.system()).is_some(),
         "a global clock admits no shift witnesses"
@@ -122,7 +108,7 @@ fn e7_global_clock_breaks_imprecision_and_gains_ck() {
 fn e7_shift_witnesses_in_clockless_family() {
     // The clockless uncertain-start family has shift witnesses for many
     // (run, t) pairs — the discrete trace of Proposition 15.
-    let isys = uncertain_start_interpreted(5, false).unwrap();
+    let isys = uncertain_start_builder(5, false).unwrap().build();
     let sys = isys.system();
     let mut found = 0usize;
     for (_, run) in sys.runs() {

@@ -13,7 +13,7 @@
 use halpern_moses::core::puzzles::attack::generals_builder;
 use halpern_moses::core::variants::{
     check_theorem12a, check_theorem12b, check_theorem12c, check_theorem9, check_variant_hierarchy,
-    conjunction_gap, ok_interpreted, skewed_broadcast_interpreted,
+    conjunction_gap, ok_builder, skewed_broadcast_builder,
 };
 use halpern_moses::kripke::AgentGroup;
 use halpern_moses::limits::{Budget, Limits};
@@ -118,24 +118,22 @@ fn e8_ceps_strictly_weaker_than_c() {
     // The R2–D2 channel: C^ε(sent) is attained on receipt while plain C
     // never is (inside the window) — "ε-common knowledge is strictly
     // weaker than common knowledge".
-    use halpern_moses::core::puzzles::r2d2::{ck_sent, r2d2_interpreted};
+    use halpern_moses::core::puzzles::r2d2::{ck_sent, r2d2_parts};
     use halpern_moses::netsim::scenarios::R2d2Mode;
     let (eps, pre, post) = (2u64, 4usize, 4usize);
-    let analysis = r2d2_interpreted(eps, pre, post, R2d2Mode::Uncertain);
+    let (builder, meta) = r2d2_parts(eps, pre, post, R2d2Mode::Uncertain);
+    let isys = builder.build();
     let fact = Formula::atom("sent");
-    let ceps = analysis
-        .isys
-        .eval(&Formula::common_eps(g2(), eps, fact))
-        .unwrap();
-    let c = ck_sent(&analysis.isys, &mut EvalCache::new()).unwrap();
+    let ceps = isys.eval(&Formula::common_eps(g2(), eps, fact)).unwrap();
+    let c = ck_sent(&isys, &mut EvalCache::new()).unwrap();
     let last_send = (pre + post) as u64 * eps;
     // C^ε holds at the focus run shortly after the send…
-    let focus = analysis.meta.focus_slow;
-    let hit = (0..last_send).any(|t| ceps.contains(analysis.isys.world(focus, t)));
+    let focus = meta.focus_slow;
+    let hit = (0..last_send).any(|t| ceps.contains(isys.world(focus, t)));
     assert!(hit, "C^ε sent should be attained in the window");
     // …where C never does.
     for t in 0..last_send {
-        assert!(!c.contains(analysis.isys.world(focus, t)));
+        assert!(!c.contains(isys.world(focus, t)));
     }
 }
 
@@ -168,7 +166,7 @@ fn e9_theorem9_for_eps_and_ev() {
 
 #[test]
 fn e9_ok_protocol_shape() {
-    let isys = ok_interpreted(8).unwrap();
+    let isys = ok_builder(8).unwrap().build();
     let psi = Formula::atom("psi");
     let ceps = isys
         .eval(&Formula::common_eps(g2(), 1, psi.clone()))
@@ -214,7 +212,7 @@ fn e10_conjunction_gap() {
 fn e12_theorem12_parts_and_attainment() {
     let fact = Formula::atom("sent_v");
     // (a) identical clocks.
-    let sync = skewed_broadcast_interpreted(10, 0).unwrap();
+    let sync = skewed_broadcast_builder(10, 0).unwrap().build();
     for stamp in [3u64, 5, 8] {
         assert_eq!(
             check_theorem12a(&sync, &g2(), &fact, stamp).unwrap(),
@@ -224,7 +222,7 @@ fn e12_theorem12_parts_and_attainment() {
     }
     // (b) skew ≤ ε.
     for skew in [1u64, 2] {
-        let isys = skewed_broadcast_interpreted(10, skew).unwrap();
+        let isys = skewed_broadcast_builder(10, skew).unwrap().build();
         for stamp in [4u64, 6] {
             assert_eq!(
                 check_theorem12b(&isys, &g2(), &fact, stamp, skew).unwrap(),
@@ -234,7 +232,7 @@ fn e12_theorem12_parts_and_attainment() {
         }
     }
     // (c) all clocks reach the stamp.
-    let isys = skewed_broadcast_interpreted(10, 2).unwrap();
+    let isys = skewed_broadcast_builder(10, 2).unwrap().build();
     assert_eq!(check_theorem12c(&isys, &g2(), &fact, 7).unwrap(), None);
     // Attainment: C^T for a late stamp, empty for an early one.
     let late = isys
@@ -250,7 +248,7 @@ fn e12_weak_converse_shape() {
     // With identical clocks, C and C^T[stamp] agree at stamp points for
     // EVERY stamp — so whenever C is attained, the processors could set a
     // common timestamp (the paper's weak converse).
-    let sync = skewed_broadcast_interpreted(10, 0).unwrap();
+    let sync = skewed_broadcast_builder(10, 0).unwrap().build();
     let fact = Formula::atom("sent_v");
     let c = sync.eval(&Formula::common(g2(), fact.clone())).unwrap();
     assert!(!c.is_empty(), "C is attainable with a global clock");

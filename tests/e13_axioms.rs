@@ -110,11 +110,11 @@ proptest! {
 fn simultaneity_corollary_of_lemma2() {
     // When C_G φ flips between consecutive points of a run, every member
     // of G's history must change (the paper's discussion after Lemma 2).
-    use halpern_moses::core::attain::uncertain_start_interpreted;
+    use halpern_moses::core::attain::uncertain_start_builder;
     use halpern_moses::logic::Formula;
     use halpern_moses::runs::conditions::histories_equal;
 
-    let isys = uncertain_start_interpreted(8, true).unwrap();
+    let isys = uncertain_start_builder(8, true).unwrap().build();
     let g = AgentGroup::all(2);
     let ck = isys
         .eval(&Formula::common(g.clone(), Formula::atom("five_oclock")))

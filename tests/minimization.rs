@@ -14,7 +14,7 @@ fn generals_points_compress_and_answers_agree() {
         .unwrap()
         .build();
     let model = isys.model();
-    let min = minimize(model);
+    let min = minimize(model, &Budget::unlimited()).unwrap();
     assert!(
         min.model.num_worlds() < model.num_worlds(),
         "quiet stretches of the runs should collapse ({} vs {})",
@@ -51,7 +51,7 @@ fn muddy_children_model_is_already_minimal() {
     // muddiness vector has a unique atom valuation), so minimisation is
     // the identity in size.
     let p = MuddyChildren::new(5);
-    let min = minimize(p.model());
+    let min = minimize(p.model(), &Budget::unlimited()).unwrap();
     assert_eq!(min.model.num_worlds(), p.model().num_worlds());
 }
 
@@ -64,7 +64,10 @@ fn compression_ratio_reported() {
         .unwrap()
         .build();
     let before = isys.model().num_worlds();
-    let after = minimize(isys.model()).model.num_worlds();
+    let after = minimize(isys.model(), &Budget::unlimited())
+        .unwrap()
+        .model
+        .num_worlds();
     assert!(
         after * 3 <= before * 2,
         "expected >= 1/3 compression: {before} -> {after}"
