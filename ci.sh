@@ -94,12 +94,15 @@ test "$min" = "$plain"
 cargo test -q --release -p hm-engine --test symmetry -- --include-ignored
 cargo test -q --release -p hm-core agreement -- --ignored
 
-# f=3 interactive smoke with a wall-clock guard: the acceptance bound
-# is < 10 s in release mode for build + CK-onset query, end to end.
-start=$(date +%s)
+# f=3 interactive smoke with a wall-clock guard: build + CK-onset query,
+# end to end in release mode, must finish in < 6 s — over 2x the
+# ~2.6 s it takes on a 2-vCPU host since views are interned as history
+# tries (it took ~5 s before, when the guard was 10 s). Timed in
+# milliseconds, so whole-second rounding cannot eat the headroom.
+start=$(date +%s%N)
 $HM ask "agreement:n=4,f=3" "C{0,1,2,3} min0" --show 0
-end=$(date +%s)
-test $((end - start)) -lt 10
+end=$(date +%s%N)
+test $(((end - start) / 1000000)) -lt 6000
 
 # Fault injection: the failpoint suites force exhaustion, cancellation
 # and worker death at every governed phase boundary — including inside

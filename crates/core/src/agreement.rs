@@ -42,7 +42,7 @@ use hm_limits::{failpoints, Admission, Budget, LimitExceeded, Phase, Resource};
 use hm_logic::{EvalError, Formula};
 use hm_runs::{
     CompleteHistory, Event, InterpretedSystem, InterpretedSystemBuilder, Message, RunBuilder,
-    System,
+    System, TimedEvent,
 };
 
 /// Message tag for a round broadcast; `data` encodes the sender's current
@@ -352,9 +352,6 @@ pub struct SymmetricHistory {
     /// `stabs[i]` = indices into `perms` of the renamings fixing `i`,
     /// identity first.
     stabs: Vec<Vec<usize>>,
-    /// Reused encode buffers — the interpreted-system builder calls the
-    /// view sequentially, one point at a time.
-    scratch: std::cell::RefCell<SymScratch>,
 }
 
 struct RelabelPerm {
@@ -362,13 +359,21 @@ struct RelabelPerm {
     payload: Vec<u64>,
 }
 
-#[derive(Default)]
-struct SymScratch {
-    /// One tick's event encodings: `(words, len)` — at most 5 words per
-    /// event (discriminant, counterparty, tag, payload, clock stamp).
-    tick: Vec<([u64; 5], usize)>,
-    cand: Vec<u64>,
-    best: Vec<u64>,
+impl RelabelPerm {
+    /// `e` with its counterparty and its round payload renamed.
+    fn rename(&self, e: Event) -> Event {
+        match e {
+            Event::Send { to, msg } => Event::Send {
+                to: AgentId::new(self.map[to.index()]),
+                msg: Message::new(msg.tag, self.payload[msg.data as usize]),
+            },
+            Event::Recv { from, msg } => Event::Recv {
+                from: AgentId::new(self.map[from.index()]),
+                msg: Message::new(msg.tag, self.payload[msg.data as usize]),
+            },
+            act @ Event::Act { .. } => act,
+        }
+    }
 }
 
 impl SymmetricHistory {
@@ -395,106 +400,77 @@ impl SymmetricHistory {
         let stabs = (0..n)
             .map(|i| (0..perms.len()).filter(|&k| perms[k].map[i] == i).collect())
             .collect();
-        SymmetricHistory {
-            perms,
-            stabs,
-            scratch: std::cell::RefCell::default(),
-        }
+        SymmetricHistory { perms, stabs }
     }
 }
 
 impl hm_runs::ViewFunction for SymmetricHistory {
+    /// The definition, by brute force: the complete history with its
+    /// events replaced by their lexicographically least relabelling over
+    /// the stabilizer of `i`, the events of each tick sorted (a tick's
+    /// order of occurrence is itself renaming-dependent).
     fn encode_view(&self, run: &hm_runs::Run, i: AgentId, t: u64, out: &mut Vec<u64>) {
-        use std::cmp::Ordering;
         let p = run.proc(i);
-        let Some(wake) = p.wake_time.filter(|&w| t >= w) else {
-            return; // asleep: the empty history, as for CompleteHistory
+        let before = &p.events[..p.events.partition_point(|e| e.time < t)];
+        let least = self.stabs[i.index()]
+            .iter()
+            .map(|&k| {
+                let mut renamed: Vec<TimedEvent> = before
+                    .iter()
+                    .map(|e| TimedEvent::new(e.time, self.perms[k].rename(e.event)))
+                    .collect();
+                renamed.sort_unstable();
+                renamed
+            })
+            .min()
+            .expect("the identity fixes i");
+        hm_runs::encode_history(p, t, &least, out);
+    }
+
+    /// One pass per run: the history trie, fed each tick's least
+    /// relabelling among the renamings still tied for the minimum. A
+    /// renaming never changes how many events a tick has, so every
+    /// candidate splits into ticks alike, and one that is strictly
+    /// greater on a prefix stays greater: the least whole history is the
+    /// tick-by-tick least over the renamings tied so far.
+    fn intern_run(
+        &self,
+        run: &hm_runs::Run,
+        i: AgentId,
+        interner: &mut hm_runs::ViewInterner,
+        ids: &mut Vec<u32>,
+    ) {
+        use std::cmp::Ordering;
+        let mut tied = self.stabs[i.index()].clone();
+        let mut cand = Vec::new();
+        let canonical_tick = |tick: &[TimedEvent], least: &mut Vec<Event>| {
+            let mut kept = 0;
+            for k in 0..tied.len() {
+                let perm = &self.perms[tied[k]];
+                cand.clear();
+                cand.extend(tick.iter().map(|e| perm.rename(e.event)));
+                cand.sort_unstable();
+                let order = if kept == 0 {
+                    Ordering::Less
+                } else {
+                    cand.cmp(least)
+                };
+                match order {
+                    Ordering::Less => {
+                        std::mem::swap(least, &mut cand);
+                        tied[0] = tied[k];
+                        kept = 1;
+                    }
+                    Ordering::Equal => {
+                        tied[kept] = tied[k];
+                        kept += 1;
+                    }
+                    Ordering::Greater => {}
+                }
+            }
+            tied.truncate(kept);
         };
-        out.push(1); // awake marker
-        out.push(p.initial_state);
-        // Clock value set — renaming-invariant, encoded exactly as in
-        // `encode_complete_history`.
-        match &p.clock {
-            Some(c) => {
-                let count_at = out.len();
-                out.push(0);
-                let mut last = None;
-                for &v in &c[wake as usize..=t as usize] {
-                    if last != Some(v) {
-                        out.push(v);
-                        last = Some(v);
-                    }
-                }
-                out[count_at] = (out.len() - count_at - 1) as u64;
-            }
-            None => out.push(0),
-        }
-        let prefix = p.events.partition_point(|e| e.time < t);
-        out.push(prefix as u64);
-        if prefix == 0 {
-            return;
-        }
-        // Lexicographically least relabeling over the stabilizer of `i`.
-        // All candidates have the same length (renaming never changes an
-        // event's encoding length), so prefix comparison decides; a
-        // candidate is abandoned at the first tick that compares greater
-        // than the incumbent.
-        let mut s = self.scratch.borrow_mut();
-        let SymScratch { tick, cand, best } = &mut *s;
-        for (k, &pk) in self.stabs[i.index()].iter().enumerate() {
-            let perm = &self.perms[pk];
-            cand.clear();
-            let mut decided = Ordering::Equal;
-            let mut start = 0;
-            while start < prefix {
-                let time = p.events[start].time;
-                let end = start + p.events[start..prefix].partition_point(|e| e.time == time);
-                let stamp = p.clock_at(time).map_or(u64::MAX, |c| c);
-                tick.clear();
-                for e in &p.events[start..end] {
-                    let enc = match e.event {
-                        Event::Send { to, msg } => (
-                            [
-                                0,
-                                perm.map[to.index()] as u64,
-                                u64::from(msg.tag),
-                                perm.payload[msg.data as usize],
-                                stamp,
-                            ],
-                            5,
-                        ),
-                        Event::Recv { from, msg } => (
-                            [
-                                1,
-                                perm.map[from.index()] as u64,
-                                u64::from(msg.tag),
-                                perm.payload[msg.data as usize],
-                                stamp,
-                            ],
-                            5,
-                        ),
-                        Event::Act { action, data } => ([2, u64::from(action), data, stamp, 0], 4),
-                    };
-                    tick.push(enc);
-                }
-                tick.sort_unstable();
-                let flushed = cand.len();
-                for (words, len) in tick.iter() {
-                    cand.extend_from_slice(&words[..*len]);
-                }
-                if k > 0 && decided == Ordering::Equal {
-                    decided = cand[flushed..].cmp(&best[flushed..cand.len()]);
-                    if decided == Ordering::Greater {
-                        break; // a greater prefix cannot become the minimum
-                    }
-                }
-                start = end;
-            }
-            if k == 0 || decided == Ordering::Less {
-                std::mem::swap(best, cand);
-            }
-        }
-        out.extend_from_slice(best);
+        hm_runs::intern_history_trie(run.proc(i), run.horizon, interner, ids, canonical_tick);
     }
 
     fn name(&self) -> &'static str {

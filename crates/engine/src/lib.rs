@@ -532,8 +532,11 @@ impl Engine {
         };
         // Sources that arrive without a quotient (models, pre-built
         // interpreted systems) are minimised here, under the same budget.
+        // A partial frame is not: `ask` refuses it and `ask_partial`
+        // evaluates on the frame itself.
         let late_quotient = match &frame {
             _ if !self.minimize => None,
+            SessionFrame::Interpreted(isys) if isys.is_partial() => None,
             SessionFrame::Model(m) => Some(minimize(m, &budget)?),
             SessionFrame::Interpreted(isys) if isys.quotient().is_none() => {
                 Some(minimize(isys.model(), &budget)?)
@@ -649,7 +652,8 @@ impl Session {
         }
     }
 
-    /// The active bisimulation quotient, if minimisation is on.
+    /// The active bisimulation quotient, if minimisation is on and the
+    /// frame is not [partial](Self::is_partial).
     pub fn quotient(&self) -> Option<&Minimized> {
         self.late_quotient.as_ref().or_else(|| match &self.frame {
             SessionFrame::Interpreted(isys) => isys.quotient(),

@@ -150,6 +150,23 @@ fn partial_build_truncates_and_rejects_two_valued_asks() {
 }
 
 #[test]
+fn partial_builds_are_not_minimised() {
+    // No query reads a partial frame's quotient: `ask` refuses the
+    // frame and `ask_partial` evaluates on the frame itself.
+    let session = engine()
+        .minimize(true)
+        .limits(Limits::none().max_runs(8).allow_partial(true))
+        .build()
+        .expect("partial mode truncates instead of failing");
+    assert!(session.is_partial());
+    assert!(session.quotient().is_none());
+    let v = session
+        .ask_partial(&Query::parse("decided0").unwrap())
+        .unwrap();
+    assert!(v.from_partial_frame());
+}
+
+#[test]
 fn partial_verdict_on_full_frame_is_exact_and_matches_ask() {
     let session = engine().build().unwrap();
     for src in ["min0", "decided0", "K0 min0", "C{0,1,2} min0"] {

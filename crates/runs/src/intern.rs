@@ -1,13 +1,16 @@
 //! Hash-consing of view-key encodings into dense `u32` view ids.
 //!
 //! Building an interpreted system needs, per agent, a partition of all
-//! points by view. Materialising one `Vec<u64>` key per point and hashing
-//! it into a map dominates construction time; a [`ViewInterner`] instead
-//! stores every distinct encoding once in a flat arena and resolves each
-//! point's scratch-buffer encoding to a dense id with a single open-address
-//! probe. Ids are handed out in first-intern order, so they double as
-//! canonical partition labels (see `Partition::from_dense_keys`).
-
+//! points by view. A [`ViewInterner`] stores every distinct key once in a
+//! flat arena and resolves a key to a dense id with one open-address
+//! probe sequence. Keys come in two forms. A whole-view encoding (the
+//! default [`ViewFunction::intern_run`](crate::ViewFunction::intern_run))
+//! is one key per point. A history trie
+//! ([`intern_history_trie`](crate::intern_history_trie)) interns
+//! `[parent id, token…]` per history step, so each key is a few words and
+//! a point's id is the node its history ends at. Ids are handed out in
+//! first-intern order; partitions renumber them canonically (see
+//! `Partition::from_dense_keys`), so only their equality matters.
 /// A hash-consing table mapping `&[u64]` view encodings to dense `u32` ids.
 ///
 /// All distinct keys live concatenated in one arena; per-point work does no
@@ -31,11 +34,16 @@ pub struct ViewInterner {
     data: Vec<u64>,
     /// `(start, len)` of each interned key within `data`, indexed by id.
     spans: Vec<(u32, u32)>,
-    /// Open-addressing slots holding ids; `u32::MAX` marks empty.
-    table: Vec<u32>,
+    /// Open-addressing slots, at most half full: the high 32 bits of the
+    /// key's hash above the id in the low 32 (so most mismatches are
+    /// rejected without reading the arena), or [`EMPTY`].
+    table: Vec<u64>,
 }
 
-const EMPTY: u32 = u32::MAX;
+const EMPTY: u64 = u64::MAX;
+
+/// The hash bits a table slot keeps beside the id.
+const TAG: u64 = !0xFFFF_FFFF;
 
 /// Multiplicative word mixer (splitmix64's finalizer constants); the whole
 /// key is folded in, so equal slices hash equal and order matters.
@@ -81,39 +89,42 @@ impl ViewInterner {
     /// Resolves `key` to its dense id, interning it on first sight.
     /// Ids are issued in first-intern order: `0, 1, 2, …`.
     pub fn intern(&mut self, key: &[u64]) -> u32 {
-        if self.spans.len() * 8 >= self.table.len() * 7 {
+        if self.spans.len() * 2 >= self.table.len() {
             self.grow();
         }
         let mask = self.table.len() - 1;
-        let mut slot = hash_key(key) as usize & mask;
+        let hash = hash_key(key);
+        let mut slot = hash as usize & mask;
         loop {
-            let id = self.table[slot];
-            if id == EMPTY {
+            let entry = self.table[slot];
+            if entry == EMPTY {
                 let new_id = u32::try_from(self.spans.len()).expect("too many distinct views");
                 let start = u32::try_from(self.data.len()).expect("view arena exceeds u32 range");
                 self.data.extend_from_slice(key);
                 self.spans.push((start, key.len() as u32));
-                self.table[slot] = new_id;
+                self.table[slot] = (hash & TAG) | u64::from(new_id);
                 return new_id;
             }
-            if self.get(id) == key {
-                return id;
+            if entry & TAG == hash & TAG && self.get(entry as u32) == key {
+                return entry as u32;
             }
             slot = (slot + 1) & mask;
         }
     }
 
-    /// Doubles the table and reinserts every id.
+    /// Doubles the table (a defaulted interner starts with none) and
+    /// reinserts every id.
     fn grow(&mut self) {
-        let new_cap = self.table.len() * 2;
+        let new_cap = (self.table.len() * 2).max(16);
         let mask = new_cap - 1;
         let mut table = vec![EMPTY; new_cap];
         for id in 0..self.spans.len() as u32 {
-            let mut slot = hash_key(self.get(id)) as usize & mask;
+            let hash = hash_key(self.get(id));
+            let mut slot = hash as usize & mask;
             while table[slot] != EMPTY {
                 slot = (slot + 1) & mask;
             }
-            table[slot] = id;
+            table[slot] = (hash & TAG) | u64::from(id);
         }
         self.table = table;
     }
@@ -149,6 +160,13 @@ mod tests {
         for (k, &id) in ids.iter().enumerate() {
             assert_eq!(i.intern(&[k as u64, k as u64 ^ 7]), id);
         }
+    }
+
+    #[test]
+    fn default_interner_works() {
+        let mut i = ViewInterner::default();
+        assert_eq!(i.intern(&[4]), 0);
+        assert_eq!(i.intern(&[4]), 0);
     }
 
     #[test]

@@ -53,6 +53,9 @@ impl InterpretedSystemBuilder {
     /// identically to the full model (and is often much smaller); the
     /// temporal operators and `D_G` must still be evaluated on the full
     /// model, which remains available unchanged.
+    ///
+    /// A system truncated by its run budget is not minimised: its frame
+    /// answers only three-valued queries, which never read a quotient.
     pub fn minimized(mut self, on: bool) -> Self {
         self.minimize = on;
         self
@@ -122,10 +125,9 @@ impl InterpretedSystemBuilder {
                 }
             }
         }
-        // Agent partitions from hash-consed view encodings: one scratch
-        // buffer replayed through an interner per agent — no per-point
-        // allocation — then a dense O(n) partition build from the ids.
-        let mut scratch: Vec<u64> = Vec::new();
+        // Agent partitions from dense view ids: each agent's view interns
+        // a whole run at a time into one interner per agent, then a dense
+        // O(n) partition build from the ids.
         let mut ids: Vec<u32> = Vec::with_capacity(num_points);
         let mut partitions: Vec<Partition> = Vec::with_capacity(num_procs);
         for i in 0..num_procs {
@@ -133,12 +135,10 @@ impl InterpretedSystemBuilder {
             let mut interner = ViewInterner::new();
             ids.clear();
             for (_, r) in system.runs() {
-                for t in 0..=r.horizon {
+                for _ in 0..=r.horizon {
                     budget.tick(Phase::Build)?;
-                    scratch.clear();
-                    self.view.encode_view(r, agent, t, &mut scratch);
-                    ids.push(interner.intern(&scratch));
                 }
+                self.view.intern_run(r, agent, &mut interner, &mut ids);
             }
             partitions.push(Partition::from_dense_keys(num_points, &ids, interner.len()));
         }
@@ -146,7 +146,9 @@ impl InterpretedSystemBuilder {
             b.set_partition(AgentId::new(i), p);
         }
         let model = b.build();
-        let quotient = if self.minimize {
+        // A truncated frame answers only three-valued queries, which run
+        // on the frame itself: its quotient would never be read.
+        let quotient = if self.minimize && !system.is_truncated() {
             Some(minimize(&model, &budget)?)
         } else {
             None
@@ -549,5 +551,14 @@ mod tests {
         }
         // Unminimised builds carry no quotient.
         assert!(interp(msg_system()).quotient().is_none());
+    }
+
+    #[test]
+    fn truncated_systems_are_not_minimised() {
+        let mut sys = msg_system();
+        sys.mark_truncated();
+        let isys = interp_minimized(sys);
+        assert!(isys.is_partial());
+        assert!(isys.quotient().is_none());
     }
 }

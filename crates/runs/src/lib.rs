@@ -30,6 +30,6 @@ pub use interpreted::{FactFn, InterpretedSystem, InterpretedSystemBuilder};
 pub use run::{ProcRecord, Run, RunBuilder};
 pub use system::{Point, RunId, System};
 pub use view::{
-    complete_history_key, encode_complete_history, last_event_view, ClockOnly, CompleteHistory,
-    SharedLambda, StateProjection, ViewFunction,
+    complete_history_key, encode_complete_history, encode_history, intern_history_trie,
+    last_event_view, ClockOnly, CompleteHistory, SharedLambda, StateProjection, ViewFunction,
 };

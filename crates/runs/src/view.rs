@@ -15,12 +15,19 @@
 //!
 //! Views are canonical integer encodings *appended into a caller-supplied
 //! scratch buffer*: two points get the same view iff their encodings are
-//! equal. The hot path never materialises a `Vec` per point — the
-//! interpreted-system builder replays one scratch buffer through a
-//! [`ViewInterner`](crate::ViewInterner), which hash-conses each encoding
-//! into a dense `u32` view id, and agent partitions are built directly
-//! from those ids (see E16 for the view-spectrum tests over this scheme).
+//! equal. The interpreted-system builder does not encode point by point,
+//! though: it asks the view for a whole run at once
+//! ([`ViewFunction::intern_run`]), and gets one dense `u32` view id per
+//! point from a [`ViewInterner`]. The default replays each point's
+//! encoding through the interner; the history views
+//! ([`CompleteHistory`], and the symmetry-canonical view of `hm-core`)
+//! instead walk the run once as a hash-consed *history trie*
+//! ([`intern_history_trie`]), because a history at `t` is its history at
+//! `t − 1` plus one tick. Agent partitions are built directly from the
+//! ids (see E16 for the view-spectrum tests over this scheme).
 
+use crate::event::{Event, TimedEvent};
+use crate::intern::ViewInterner;
 use crate::run::{ProcRecord, Run};
 use hm_kripke::AgentId;
 
@@ -32,12 +39,35 @@ use hm_kripke::AgentId;
 /// `v(p,r,t) = v(p,r',t')`). [`CompleteHistory`] is the finest admissible
 /// view; coarser views must factor through it (spot-checked
 /// by the E16 view-spectrum tests).
+///
+/// [`encode_view`](Self::encode_view) is the definition;
+/// [`intern_run`](Self::intern_run) is how frames are built, and an
+/// override must induce exactly the partition the definition does.
 pub trait ViewFunction {
     /// Appends the canonical key of processor `i`'s view at `(run, t)`
     /// onto `out` (which may hold unrelated prefix data the implementation
     /// must not touch). Equal appended encodings mean indistinguishable
     /// points.
     fn encode_view(&self, run: &Run, i: AgentId, t: u64, out: &mut Vec<u64>);
+
+    /// Pushes onto `ids` one view id per point `(run, 0..=horizon)` of
+    /// processor `i`, from `interner` (shared by every run of one agent):
+    /// two points, in this run or any other run interned into the same
+    /// interner, get equal ids iff [`encode_view`](Self::encode_view)
+    /// gives them equal encodings. Ids are opaque — only their equality
+    /// carries meaning.
+    ///
+    /// The default interns each point's encoding from scratch, which
+    /// costs O(h²) per run of horizon `h` for views that grow with the
+    /// history; such views override it with [`intern_history_trie`].
+    fn intern_run(&self, run: &Run, i: AgentId, interner: &mut ViewInterner, ids: &mut Vec<u32>) {
+        let mut key = Vec::new();
+        for t in 0..=run.horizon {
+            key.clear();
+            self.encode_view(run, i, t, &mut key);
+            ids.push(interner.intern(&key));
+        }
+    }
 
     /// Convenience form of [`encode_view`](Self::encode_view) returning a
     /// fresh buffer; allocates, so tests and diagnostics only.
@@ -60,6 +90,15 @@ pub trait ViewFunction {
 /// Appends nothing for an asleep processor (the empty history, shared by
 /// all asleep points).
 pub fn encode_complete_history(p: &ProcRecord, t: u64, out: &mut Vec<u64>) {
+    let prefix = p.events.partition_point(|e| e.time < t);
+    encode_history(p, t, &p.events[..prefix], out);
+}
+
+/// [`encode_complete_history`] with `events` in place of `p`'s events
+/// before `t` — for views that record a relabelled copy of the history,
+/// such as a symmetry-canonical one. Each event is stamped with `p`'s
+/// clock reading at the event's time.
+pub fn encode_history(p: &ProcRecord, t: u64, events: &[TimedEvent], out: &mut Vec<u64>) {
     let wake = match p.wake_time {
         Some(w) if t >= w => w,
         // Asleep: the empty history.
@@ -84,11 +123,9 @@ pub fn encode_complete_history(p: &ProcRecord, t: u64, out: &mut Vec<u64>) {
         }
         None => out.push(0),
     }
-    // Events before t, clock-stamped, preceded by their count. Events are
-    // sorted by time, so the prefix boundary is a binary search away.
-    let prefix = p.events.partition_point(|e| e.time < t);
-    out.push(prefix as u64);
-    for e in &p.events[..prefix] {
+    // Events, clock-stamped, preceded by their count.
+    out.push(events.len() as u64);
+    for e in events {
         e.event.encode(out);
         out.push(p.clock_at(e.time).map_or(u64::MAX, |c| c));
     }
@@ -102,6 +139,76 @@ pub fn complete_history_key(p: &ProcRecord, t: u64) -> Vec<u64> {
     out
 }
 
+/// Trie token tag of a newly read clock value; [`Event::encode`] uses
+/// tags `0..=2`.
+const CLOCK_TOKEN: u64 = 3;
+
+/// Interns `p`'s history at every time `0..=horizon` as a node of a
+/// hash-consed history trie, pushing one id per time onto `ids`: one
+/// O(events) pass, where re-encoding every prefix costs O(h²).
+///
+/// A node is `intern([parent, token…])`, and each step appends one
+/// self-delimiting token: an asleep point is the empty key, the awake
+/// root is `[initial state]`, and every later step is a clock value read
+/// for the first time (`[3, value]`) or one event (its
+/// [`Event::encode`], tags `0..=2`, stamp left out). Keys of different
+/// kinds differ in length or tag, so two nodes are equal iff their token
+/// sequences are. The events of each tick pass through `canonical_tick`,
+/// which writes the events the view records for them, in order (the
+/// identity for [`CompleteHistory`]; a relabelled, sorted copy for a
+/// symmetry-canonical view).
+///
+/// The token sequence is a function of the [`encode_history`] encoding
+/// of the same recorded events, and determines it back: clock values are
+/// monotone, so the events stamped `c` sit right after the token of `c`
+/// (events before the first clock token are the unstamped ones), and the
+/// stamp each encoding carries is recovered from its position. So equal
+/// nodes ⇔ equal encodings. A step is one token, never one tick: without
+/// a clock the tick boundaries are not in the encoding, so chaining whole
+/// ticks would split points the encoding merges.
+pub fn intern_history_trie(
+    p: &ProcRecord,
+    horizon: u64,
+    interner: &mut ViewInterner,
+    ids: &mut Vec<u32>,
+    mut canonical_tick: impl FnMut(&[TimedEvent], &mut Vec<Event>),
+) {
+    let asleep = interner.intern(&[]);
+    let wake = p.wake_time.map_or(horizon + 1, |w| w.min(horizon + 1));
+    ids.extend(std::iter::repeat_n(asleep, wake as usize));
+    if wake > horizon {
+        return;
+    }
+    let mut node = interner.intern(&[p.initial_state]);
+    let mut last_clock = None;
+    let mut next = 0;
+    let mut recorded = Vec::new();
+    let mut key = Vec::with_capacity(5);
+    for t in wake..=horizon {
+        // Events before `t` enter the history at `t`, one tick at a time.
+        while next < p.events.len() && p.events[next].time < t {
+            let time = p.events[next].time;
+            let end = next + p.events[next..].partition_point(|e| e.time == time);
+            recorded.clear();
+            canonical_tick(&p.events[next..end], &mut recorded);
+            for e in &recorded {
+                key.clear();
+                key.push(u64::from(node));
+                e.encode(&mut key);
+                node = interner.intern(&key);
+            }
+            next = end;
+        }
+        if let Some(c) = p.clock_at(t) {
+            if last_clock != Some(c) {
+                node = interner.intern(&[u64::from(node), CLOCK_TOKEN, c]);
+                last_clock = Some(c);
+            }
+        }
+        ids.push(node);
+    }
+}
+
 /// The complete-history interpretation (finest admissible view).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CompleteHistory;
@@ -109,6 +216,12 @@ pub struct CompleteHistory;
 impl ViewFunction for CompleteHistory {
     fn encode_view(&self, run: &Run, i: AgentId, t: u64, out: &mut Vec<u64>) {
         encode_complete_history(run.proc(i), t, out);
+    }
+
+    fn intern_run(&self, run: &Run, i: AgentId, interner: &mut ViewInterner, ids: &mut Vec<u32>) {
+        intern_history_trie(run.proc(i), run.horizon, interner, ids, |tick, recorded| {
+            recorded.extend(tick.iter().map(|e| e.event));
+        });
     }
 
     fn name(&self) -> &'static str {

@@ -291,6 +291,27 @@ pub(crate) fn discard_body(reader: &mut BufReader<TcpStream>, mut len: usize, de
     }
 }
 
+/// Reads and drops whatever bytes have already arrived on `stream`, up
+/// to `cap`, without waiting for more. For connections answered before
+/// their request was read: closing with unread bytes makes the kernel
+/// reset the connection, and the reset can overtake the answer. Never
+/// blocks, so the acceptor can call it.
+pub(crate) fn discard_arrived(stream: &mut TcpStream, cap: usize) {
+    if stream.set_nonblocking(true).is_err() {
+        return;
+    }
+    let mut buf = [0u8; 4096];
+    let mut left = cap;
+    while left > 0 {
+        match stream.read(&mut buf[..left.min(4096)]) {
+            Ok(0) => return,
+            Ok(n) => left -= n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(_) => return,
+        }
+    }
+}
+
 /// The reason phrase for the status codes the service emits.
 pub(crate) fn reason(status: u16) -> &'static str {
     match status {

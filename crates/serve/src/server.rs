@@ -23,7 +23,9 @@
 //! so.
 
 use crate::cache::EngineCache;
-use crate::http::{discard_body, read_request, write_response, ReadOutcome, Request};
+use crate::http::{
+    discard_arrived, discard_body, read_request, write_response, ReadOutcome, Request,
+};
 use crate::json::{esc, Value};
 use crate::stats::{Observation, Stats};
 use hm_engine::limits::Deadline;
@@ -101,6 +103,10 @@ const RETRY_AFTER_WINDOW: u64 = 10;
 /// Write budget for a shed response: the acceptor writes these itself
 /// and must never be parked long by a slow victim.
 const SHED_WRITE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Most request bytes the acceptor drops from a shed connection before
+/// closing it: a full request head (8 KiB at most) and a small body.
+const SHED_DISCARD_CAP: usize = 16 * 1024;
 
 /// State shared by the acceptor and every worker.
 struct ServerState {
@@ -229,6 +235,11 @@ fn shed(state: &ServerState, mut stream: TcpStream) {
         Some(secs),
         SHED_WRITE_TIMEOUT,
     );
+    // Half-close, so the answer is followed by a FIN, then drop the part
+    // of the request that has arrived: closing over unread bytes resets
+    // the connection, and the reset can beat the 503 to the client.
+    let _ = stream.shutdown(Shutdown::Write);
+    discard_arrived(&mut stream, SHED_DISCARD_CAP);
 }
 
 /// `Retry-After` for shed connections: the full backlog (queue plus the

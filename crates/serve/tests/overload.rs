@@ -94,6 +94,52 @@ fn saturated_server_sheds_with_retry_after() {
 }
 
 #[test]
+fn shed_answers_survive_requests_sent_before_the_shed() {
+    let config = ServeConfig {
+        workers: 1,
+        queue_depth: 1,
+        ..ServeConfig::default()
+    };
+    let handle = start(&config);
+    let addr = handle.addr();
+    let parked = park_workers(addr, config.workers);
+    let filler = TcpStream::connect(addr).expect("filler");
+    std::thread::sleep(Duration::from_millis(150));
+
+    // Every client sends its whole request at once, so the acceptor
+    // sheds connections whose request bytes have already arrived —
+    // bytes that, left unread at close, make the kernel reset the
+    // connection under the 503.
+    let body = r#"{"spec":"generals","formula":"K1 dispatched"}"#;
+    let clients: Vec<TcpStream> = (0..24)
+        .map(|_| {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .expect("timeout");
+            send_request(&mut stream, "POST", "/query", body, false).expect("send");
+            stream
+        })
+        .collect();
+    for (i, stream) in clients.into_iter().enumerate() {
+        let mut reader = BufReader::new(stream);
+        let (status, headers, body) =
+            read_response(&mut reader).unwrap_or_else(|e| panic!("client {i}: {e}"));
+        assert_eq!(status, 503, "client {i}: {body}");
+        assert!(body.contains("\"kind\":\"shed\""), "client {i}: {body}");
+        assert!(
+            headers.iter().any(|(name, _)| name == "retry-after"),
+            "client {i}: no retry-after in {headers:?}"
+        );
+    }
+
+    drop(parked);
+    drop(filler);
+    let report = handle.shutdown();
+    assert!(report.drained, "{report:?}");
+}
+
+#[test]
 fn overload_smoke_passes() {
     let report = hm_serve::overload_smoke().expect("overload smoke");
     assert!(report.contains("ok"), "{report}");
