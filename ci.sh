@@ -103,6 +103,10 @@ start=$(date +%s%N)
 $HM ask "agreement:n=4,f=3" "C{0,1,2,3} min0" --show 0
 end=$(date +%s%N)
 test $(((end - start) / 1000000)) -lt 6000
+# ...and a peak-memory guard on the same build + ask: VmHWM under
+# 400 MiB, 1.3x over the ~304 MiB the flat run store peaks at (a heap
+# per run peaked at ~493 MiB). One test in its own binary, release only.
+cargo test -q --release -p hm-engine --test memory
 
 # Fault injection: the failpoint suites force exhaustion, cancellation
 # and worker death at every governed phase boundary — including inside

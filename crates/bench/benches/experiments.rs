@@ -173,10 +173,10 @@ fn b14_consistency(c: &mut Criterion) {
     let beliefs = BeliefAssignment::from_predicates(
         &isys,
         &[
-            Box::new(|run: &hm_runs::Run, t: u64| {
+            Box::new(|run: hm_runs::Run<'_>, t: u64| {
                 run.proc(AgentId::new(0)).events_before(t).count() > 0
             }),
-            Box::new(|run: &hm_runs::Run, t: u64| {
+            Box::new(|run: hm_runs::Run<'_>, t: u64| {
                 run.proc(AgentId::new(1)).events_before(t).count() > 0
             }),
         ],

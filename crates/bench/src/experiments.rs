@@ -277,7 +277,7 @@ fn e6(limits: &Limits) -> Result<(), EngineError> {
         .unwrap()
         .runs()
         .map(|(rid, run)| {
-            (0..last_send.min(run.horizon + 1))
+            (0..last_send.min(run.horizon() + 1))
                 .filter(|&t| ck.contains(isys(&session).world(rid, t)))
                 .count()
         })
@@ -370,9 +370,9 @@ fn e9(limits: &Limits) -> Result<(), EngineError> {
         .system()
         .unwrap()
         .runs()
-        .find(|(_, r)| (0..=r.horizon).all(|t| !ok_psi(r, t)))
+        .find(|&(_, r)| (0..=r.horizon()).all(|t| !ok_psi(r, t)))
         .unwrap();
-    let clean_ceps = (0..=run.horizon)
+    let clean_ceps = (0..=run.horizon())
         .filter(|&t| ceps.contains(isys(&ok).world(full, t)))
         .count();
     println!(
@@ -389,7 +389,7 @@ fn e10(limits: &Limits) -> Result<(), EngineError> {
     let fact = Formula::atom("dispatched");
     println!("run: (E^◇)^k depth at t=0 vs C^◇ at t=0");
     for (rid, depth, cev) in conjunction_gap(isys(&session), &g2(), &fact, 5).unwrap() {
-        let name = &session.system().unwrap().run(rid).name;
+        let name = session.system().unwrap().run(rid).name();
         println!("  {name:<32} depth {depth}  C^◇ {cev}");
     }
     Ok(())
@@ -470,10 +470,10 @@ fn e14(limits: &Limits) -> Result<(), EngineError> {
     let beliefs = BeliefAssignment::from_predicates(
         isys(&session),
         &[
-            Box::new(move |run: &hm_runs::Run, t: u64| {
+            Box::new(move |run: hm_runs::Run<'_>, t: u64| {
                 run.proc(AgentId::new(0)).events_before(t).count() > 0
             }),
-            Box::new(move |run: &hm_runs::Run, t: u64| {
+            Box::new(move |run: hm_runs::Run<'_>, t: u64| {
                 run.proc(AgentId::new(1)).events_before(t).count() > 0
             }),
         ],

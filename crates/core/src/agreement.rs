@@ -41,8 +41,8 @@ use hm_kripke::{AgentGroup, AgentId};
 use hm_limits::{failpoints, Admission, Budget, LimitExceeded, Phase, Resource};
 use hm_logic::{EvalError, Formula};
 use hm_runs::{
-    CompleteHistory, Event, InterpretedSystem, InterpretedSystemBuilder, Message, RunBuilder,
-    System, TimedEvent,
+    CompleteHistory, Event, InterpretedSystem, InterpretedSystemBuilder, Message, Run, System,
+    SystemBuilder, TimedEvent,
 };
 
 /// Message tag for a round broadcast; `data` encodes the sender's current
@@ -161,7 +161,7 @@ pub fn agreement_system(
     let decide_at = (rounds + 1) as u64; // decisions enter history by then
     let horizon = decide_at + 1;
 
-    let mut runs = Vec::new();
+    let mut runs = SystemBuilder::new();
     let mut truncated = false;
     'enumeration: for inputs in 0..(1u64 << n) {
         for pattern in &patterns {
@@ -175,12 +175,12 @@ pub fn agreement_system(
                 }
                 Err(e) => return Err(e),
             }
-            runs.push(execute(n, rounds, horizon, inputs, pattern));
+            execute(&mut runs, n, rounds, horizon, inputs, pattern);
         }
     }
-    if runs.is_empty() {
+    if runs.num_runs() == 0 {
         // A zero-run partial budget: report it as the exhaustion it is
-        // rather than panicking in `System::new`.
+        // rather than panicking in `SystemBuilder::build`.
         return Err(LimitExceeded {
             resource: Resource::Runs,
             phase: Phase::Enumerate,
@@ -188,7 +188,7 @@ pub fn agreement_system(
             limit: 0,
         });
     }
-    let mut system = System::new(runs);
+    let mut system = runs.build();
     if truncated {
         system.mark_truncated();
     }
@@ -409,9 +409,10 @@ impl hm_runs::ViewFunction for SymmetricHistory {
     /// events replaced by their lexicographically least relabelling over
     /// the stabilizer of `i`, the events of each tick sorted (a tick's
     /// order of occurrence is itself renaming-dependent).
-    fn encode_view(&self, run: &hm_runs::Run, i: AgentId, t: u64, out: &mut Vec<u64>) {
+    fn encode_view(&self, run: Run<'_>, i: AgentId, t: u64, out: &mut Vec<u64>) {
         let p = run.proc(i);
-        let before = &p.events[..p.events.partition_point(|e| e.time < t)];
+        let events = p.events();
+        let before = &events[..events.partition_point(|e| e.time < t)];
         let least = self.stabs[i.index()]
             .iter()
             .map(|&k| {
@@ -435,7 +436,7 @@ impl hm_runs::ViewFunction for SymmetricHistory {
     /// tick-by-tick least over the renamings tied so far.
     fn intern_run(
         &self,
-        run: &hm_runs::Run,
+        run: Run<'_>,
         i: AgentId,
         interner: &mut hm_runs::ViewInterner,
         ids: &mut Vec<u32>,
@@ -470,7 +471,7 @@ impl hm_runs::ViewFunction for SymmetricHistory {
             }
             tied.truncate(kept);
         };
-        hm_runs::intern_history_trie(run.proc(i), run.horizon, interner, ids, canonical_tick);
+        hm_runs::intern_history_trie(run.proc(i), run.horizon(), interner, ids, canonical_tick);
     }
 
     fn name(&self) -> &'static str {
@@ -544,13 +545,21 @@ fn canonical_patterns_budgeted(
     Ok(out)
 }
 
-/// Deterministically executes one crash pattern.
+/// Deterministically executes one crash pattern, appending its run to
+/// `runs`. Each processor's events are produced in time order, and its
+/// decision, when it makes one, is its last event.
 #[allow(clippy::needless_range_loop)] // index used for identity & seen[]
-fn execute(n: usize, rounds: usize, horizon: u64, inputs: u64, pattern: &[Crash]) -> hm_runs::Run {
-    let name = pattern_run_name(n, inputs, pattern);
+fn execute(
+    runs: &mut SystemBuilder,
+    n: usize,
+    rounds: usize,
+    horizon: u64,
+    inputs: u64,
+    pattern: &[Crash],
+) {
     // seen[i] = bitmask of processors whose initial value i has seen.
     let mut seen: Vec<u64> = (0..n).map(|i| 1 << i).collect();
-    let mut b = RunBuilder::new(name, n, horizon);
+    let mut b = runs.run(pattern_run_name(n, inputs, pattern), n, horizon);
     for i in 0..n {
         let value = (inputs >> i) & 1;
         b = b
@@ -619,7 +628,7 @@ fn execute(n: usize, rounds: usize, horizon: u64, inputs: u64, pattern: &[Crash]
             },
         );
     }
-    b.build()
+    b.finish();
 }
 
 fn seen_mask(seen: u64, n: usize) -> u64 {
@@ -636,8 +645,8 @@ fn decide_value(seen: u64, inputs: u64, n: usize) -> u64 {
 }
 
 /// The decision of processor `i` in `run`, if it decided.
-pub fn decision_of(run: &hm_runs::Run, i: AgentId) -> Option<u64> {
-    run.proc(i).events.iter().find_map(|e| match e.event {
+pub fn decision_of(run: Run<'_>, i: AgentId) -> Option<u64> {
+    run.proc(i).events().iter().find_map(|e| match e.event {
         Event::Act { action, data } if action == ACT_DECIDE => Some(data),
         _ => None,
     })
@@ -645,7 +654,7 @@ pub fn decision_of(run: &hm_runs::Run, i: AgentId) -> Option<u64> {
 
 /// Whether processor `i` crashed in `run` (detected as: it has no
 /// decision event).
-pub fn is_faulty(run: &hm_runs::Run, i: AgentId) -> bool {
+pub fn is_faulty(run: Run<'_>, i: AgentId) -> bool {
     decision_of(run, i).is_none()
 }
 
@@ -673,7 +682,7 @@ pub fn check_safety(system: &System) -> SafetyReport {
             report.agreement_violations += 1;
         }
         let inputs: Vec<u64> = (0..n)
-            .map(|i| run.proc(AgentId::new(i)).initial_state)
+            .map(|i| run.proc(AgentId::new(i)).initial_state())
             .collect();
         if decisions.iter().any(|d| !inputs.contains(d)) {
             report.validity_violations += 1;
@@ -713,19 +722,22 @@ fn builder_with_facts(
 ) -> InterpretedSystemBuilder {
     InterpretedSystem::builder(system, view)
         .fact("min0", move |run, _t| {
-            (0..n).any(|i| run.proc(AgentId::new(i)).initial_state == 0)
+            (0..n).any(|i| run.proc(AgentId::new(i)).initial_state() == 0)
         })
-        .fact("decided0", |run, t| {
-            run.procs.iter().any(|p| {
-                p.events.iter().any(|e| {
-                    e.time < t
-                        && matches!(
-                            e.event,
-                            Event::Act { action, data } if action == ACT_DECIDE && data == 0
-                        )
-                })
-            })
+        .fact("decided0", decided0)
+}
+
+/// `decided0` at `(run, t)`: some processor's history at `t` holds a
+/// decision for 0. [`execute`] records a decision as its processor's
+/// last event, so only each processor's last event can be one: O(n) per
+/// point instead of a scan of every event.
+fn decided0(run: Run<'_>, t: u64) -> bool {
+    run.procs().any(|p| {
+        p.events().last().is_some_and(|e| {
+            e.time < t
+                && matches!(e.event, Event::Act { action, data } if action == ACT_DECIDE && data == 0)
         })
+    })
 }
 
 /// For the failure-free run with the given inputs, the first time at
@@ -748,13 +760,13 @@ pub fn ck_onset_in_clean_run(
         .system()
         .runs()
         .find(|(_, r)| {
-            r.name.ends_with("-clean")
-                && (0..n).all(|i| r.proc(AgentId::new(i)).initial_state == (inputs >> i) & 1)
+            r.name().ends_with("-clean")
+                && (0..n).all(|i| r.proc(AgentId::new(i)).initial_state() == (inputs >> i) & 1)
         })
         .expect("clean run exists for every input vector");
     let g = AgentGroup::all(n);
     let ck = isys.eval(&Formula::common(g, Formula::atom("min0")))?;
-    Ok((0..=run.horizon).find(|&t| ck.contains(isys.world(rid, t))))
+    Ok((0..=run.horizon()).find(|&t| ck.contains(isys.world(rid, t))))
 }
 
 #[cfg(test)]
@@ -790,13 +802,13 @@ mod tests {
         for (_, run) in system.runs() {
             let times: Vec<u64> = (0..3)
                 .filter_map(|i| {
-                    run.proc(AgentId::new(i)).events.iter().find_map(|e| {
+                    run.proc(AgentId::new(i)).events().iter().find_map(|e| {
                         matches!(e.event, Event::Act { action, .. } if action == ACT_DECIDE)
                             .then_some(e.time)
                     })
                 })
                 .collect();
-            assert!(times.windows(2).all(|w| w[0] == w[1]), "{}", run.name);
+            assert!(times.windows(2).all(|w| w[0] == w[1]), "{}", run.name());
         }
     }
 
@@ -826,7 +838,7 @@ mod tests {
         let (rid, _) = isys
             .system()
             .runs()
-            .find(|(_, r)| r.name == "v110-clean")
+            .find(|(_, r)| r.name() == "v110-clean")
             .unwrap();
         assert!(!ck.contains(isys.world(rid, 2)));
     }
@@ -845,13 +857,13 @@ mod tests {
         for (_, run) in system.runs() {
             let times: Vec<u64> = (0..3)
                 .filter_map(|i| {
-                    run.proc(AgentId::new(i)).events.iter().find_map(|e| {
+                    run.proc(AgentId::new(i)).events().iter().find_map(|e| {
                         matches!(e.event, Event::Act { action, .. } if action == ACT_DECIDE)
                             .then_some(e.time)
                     })
                 })
                 .collect();
-            assert!(times.windows(2).all(|w| w[0] == w[1]), "{}", run.name);
+            assert!(times.windows(2).all(|w| w[0] == w[1]), "{}", run.name());
         }
     }
 
@@ -933,11 +945,7 @@ mod tests {
         // The f = 1 enumeration (order and names) is pinned: the E18
         // driver output and the recorded experiments depend on it.
         let system = build_system(SPEC, Reduction::Naive);
-        let first: Vec<&str> = system
-            .runs()
-            .take(3)
-            .map(|(_, r)| r.name.as_str())
-            .collect();
+        let first: Vec<&str> = system.runs().take(3).map(|(_, r)| r.name()).collect();
         assert_eq!(first, ["v000-clean", "v000-c0r1s", "v000-c0r1s1"]);
     }
 
@@ -946,10 +954,43 @@ mod tests {
         let system = build_system(SPEC, Reduction::Naive);
         let (_, run) = system
             .runs()
-            .find(|(_, r)| r.name.contains("-c0r1s") && !r.name.contains("s12"))
+            .find(|(_, r)| r.name().contains("-c0r1s") && !r.name().contains("s12"))
             .unwrap();
-        assert!(is_faulty(run, AgentId::new(0)), "{}", run.name);
+        assert!(is_faulty(run, AgentId::new(0)), "{}", run.name());
         assert!(decision_of(run, AgentId::new(1)).is_some());
+    }
+
+    #[test]
+    fn decided0_matches_a_scan_of_every_event() {
+        let full_scan = |run: Run<'_>, t: u64| {
+            run.procs().any(|p| {
+                p.events().iter().any(|e| {
+                    e.time < t
+                        && matches!(
+                            e.event,
+                            Event::Act { action, data } if action == ACT_DECIDE && data == 0
+                        )
+                })
+            })
+        };
+        for (n, f, reduction) in [
+            (3, 1, Reduction::Naive),
+            (3, 2, Reduction::Naive),
+            (4, 1, Reduction::Symmetric),
+        ] {
+            let isys = build_interpreted(AgreementSpec { n, f }, reduction);
+            let atom = hm_logic::Frame::atom_set(&isys, "decided0").expect("declared");
+            for (rid, run) in isys.system().runs() {
+                for t in 0..=run.horizon() {
+                    assert_eq!(
+                        atom.contains(isys.world(rid, t)),
+                        full_scan(run, t),
+                        "{}@{t} (n={n}, f={f})",
+                        run.name()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -61,9 +61,9 @@ pub fn check_ck_twin_invariance(
             if !run.same_initial_config_and_clocks(twin) {
                 continue;
             }
-            let max_t = run.horizon.min(twin.horizon);
+            let max_t = run.horizon().min(twin.horizon());
             for t in 0..=max_t {
-                if twin.recvs_before_all(t) != 0 {
+                if twin.deliveries_before(t) != 0 {
                     continue;
                 }
                 let in_run = ck.contains(isys.world(rid, t));
@@ -100,7 +100,7 @@ pub fn check_proposition13(
     for (rid, run) in isys.system().runs() {
         let w0 = isys.world(rid, 0);
         let at0 = ck.contains(w0);
-        for t in 1..=run.horizon {
+        for t in 1..=run.horizon() {
             let wt = isys.world(rid, t);
             if reach.same_block(w0, wt) && ck.contains(wt) != at0 {
                 violations.push(CkViolation {
@@ -124,7 +124,7 @@ pub fn initial_point_reachable_everywhere(
 ) -> bool {
     let reach = isys.model().reachability_partition(g);
     let w0 = isys.world(run, 0);
-    (0..=isys.system().run(run).horizon).all(|t| reach.same_block(w0, isys.world(run, t)))
+    (0..=isys.system().run(run).horizon()).all(|t| reach.same_block(w0, isys.world(run, t)))
 }
 
 /// Theorem 8's conclusion: `C_G φ` is constant along every run (holds at
@@ -142,7 +142,7 @@ pub fn check_ck_run_constant(
     let mut violations = Vec::new();
     for (rid, run) in isys.system().runs() {
         let at0 = ck.contains(isys.world(rid, 0));
-        for t in 1..=run.horizon {
+        for t in 1..=run.horizon() {
             if ck.contains(isys.world(rid, t)) != at0 {
                 violations.push(CkViolation {
                     run: rid,
@@ -241,17 +241,6 @@ pub fn uncertain_start_builder(
         }))
 }
 
-// A small extension trait to keep the twin check readable.
-trait RunExt {
-    fn recvs_before_all(&self, t: u64) -> usize;
-}
-
-impl RunExt for hm_runs::Run {
-    fn recvs_before_all(&self, t: u64) -> usize {
-        self.deliveries_before(t)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,7 +288,7 @@ mod tests {
         // conclusion below is checked on ALL runs regardless.)
         let mut interior_witnesses = 0;
         for (_, run) in isys.system().runs() {
-            for t in 1..=run.horizon {
+            for t in 1..=run.horizon() {
                 if conditions::shift_witness(
                     isys.system(),
                     run,

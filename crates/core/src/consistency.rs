@@ -18,7 +18,7 @@ use hm_kripke::{AgentId, WorldSet};
 use hm_runs::{InterpretedSystem, RunId};
 
 /// A point predicate over `(run, t)` used to express one agent's beliefs.
-pub type BeliefPred = Box<dyn Fn(&hm_runs::Run, u64) -> bool>;
+pub type BeliefPred = Box<dyn Fn(hm_runs::Run<'_>, u64) -> bool>;
 
 /// A belief assignment for one fact: for each agent, the set of points at
 /// which the agent believes the fact.
@@ -35,7 +35,7 @@ impl BeliefAssignment {
         for pred in preds {
             let mut set = WorldSet::empty(isys.model().num_worlds());
             for (rid, run) in isys.system().runs() {
-                for t in 0..=run.horizon {
+                for t in 0..=run.horizon() {
                     if pred(run, t) {
                         set.insert(isys.world(rid, t));
                     }
@@ -139,7 +139,7 @@ pub fn find_internally_consistent_subsystem(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hm_runs::{CompleteHistory, Event, Message, RunBuilder, System};
+    use hm_runs::{CompleteHistory, Event, Message, RunBuilder, SystemBuilder};
 
     fn a(i: usize) -> AgentId {
         AgentId::new(i)
@@ -154,31 +154,27 @@ mod tests {
     fn eager_setup() -> (InterpretedSystem, BeliefAssignment, WorldSet) {
         let msg = Message::tagged(1);
         let horizon = 6;
-        let mut runs = Vec::new();
-        let base = |name: String| {
-            RunBuilder::new(name, 2, horizon)
+        let mut runs = SystemBuilder::new();
+        fn base(runs: &mut SystemBuilder, name: String, horizon: u64) -> RunBuilder<'_> {
+            runs.run(name, 2, horizon)
                 .wake(a(0), 0, 0)
                 .wake(a(1), 0, 0)
                 .perfect_clock(a(0), 0)
                 .perfect_clock(a(1), 0)
-        };
+        }
         for send_at in 0..=3u64 {
-            runs.push(
-                base(format!("fast{send_at}"))
-                    .event(a(0), send_at, Event::Send { to: a(1), msg })
-                    .event(a(1), send_at, Event::Recv { from: a(0), msg })
-                    .build(),
-            );
+            base(&mut runs, format!("fast{send_at}"), horizon)
+                .event(a(0), send_at, Event::Send { to: a(1), msg })
+                .event(a(1), send_at, Event::Recv { from: a(0), msg })
+                .finish();
             if send_at < 3 {
-                runs.push(
-                    base(format!("slow{send_at}"))
-                        .event(a(0), send_at, Event::Send { to: a(1), msg })
-                        .event(a(1), send_at + 1, Event::Recv { from: a(0), msg })
-                        .build(),
-                );
+                base(&mut runs, format!("slow{send_at}"), horizon)
+                    .event(a(0), send_at, Event::Send { to: a(1), msg })
+                    .event(a(1), send_at + 1, Event::Recv { from: a(0), msg })
+                    .finish();
             }
         }
-        let isys = InterpretedSystem::builder(System::new(runs), CompleteHistory)
+        let isys = InterpretedSystem::builder(runs.build(), CompleteHistory)
             .fact("both_aware", |run, t| {
                 // Both processors have the message event in their
                 // *history* (events strictly before t).
@@ -191,9 +187,13 @@ mod tests {
             &isys,
             &[
                 // R2 believes once its send is in its history.
-                Box::new(|run: &hm_runs::Run, t: u64| run.proc(a(0)).events_before(t).count() > 0),
+                Box::new(|run: hm_runs::Run<'_>, t: u64| {
+                    run.proc(a(0)).events_before(t).count() > 0
+                }),
                 // D2 believes once its receive is in its history.
-                Box::new(|run: &hm_runs::Run, t: u64| run.proc(a(1)).events_before(t).count() > 0),
+                Box::new(|run: hm_runs::Run<'_>, t: u64| {
+                    run.proc(a(1)).events_before(t).count() > 0
+                }),
             ],
         );
         (isys, beliefs, fact)

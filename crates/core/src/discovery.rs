@@ -185,12 +185,12 @@ pub fn deadlock_builder(
     let sys = enumerate_runs(&protocol, &adversary, &specs, &budget, false)?.into_system()?;
     Ok(InterpretedSystem::builder(sys, CompleteHistory)
         .fact("deadlock", |run, _t| {
-            let targets: Vec<u64> = run.procs.iter().map(|p| p.initial_state).collect();
+            let targets: Vec<u64> = run.procs().map(|p| p.initial_state()).collect();
             has_deadlock(&targets)
         })
         .fact("detected", |run, t| {
-            run.procs.iter().any(|p| {
-                p.events.iter().any(|e| {
+            run.procs().any(|p| {
+                p.events().iter().any(|e| {
                     e.time < t
                         && matches!(e.event, Event::Act { action, .. } if action == ACT_DETECT)
                 })
@@ -229,15 +229,14 @@ pub fn discovery_trajectory(
         .system()
         .runs()
         .find(|(_, r)| {
-            r.procs
-                .iter()
-                .map(|p| p.initial_state)
+            r.procs()
+                .map(|p| p.initial_state())
                 .eq(targets.iter().copied())
         })
         .expect("no run with the requested wait-for graph");
     let g = AgentGroup::all(isys.system().num_procs());
     let fact = Formula::atom("deadlock");
-    let first = |set: &WorldSet| (0..=run.horizon).find(|&t| set.contains(isys.world(rid, t)));
+    let first = |set: &WorldSet| (0..=run.horizon()).find(|&t| set.contains(isys.world(rid, t)));
     let d = isys.eval(&Formula::distributed(g.clone(), fact.clone()))?;
     let s = isys.eval(&Formula::someone(g.clone(), fact.clone()))?;
     let e = isys.eval(&Formula::everyone(g, fact))?;
@@ -268,17 +267,16 @@ pub fn publication_stamp(
         .system()
         .runs()
         .find(|(_, r)| {
-            r.procs
-                .iter()
-                .map(|p| p.initial_state)
+            r.procs()
+                .map(|p| p.initial_state())
                 .eq(targets.iter().copied())
         })
         .expect("no run with the requested wait-for graph");
     let g = AgentGroup::all(isys.system().num_procs());
-    for stamp in 0..=run.horizon {
+    for stamp in 0..=run.horizon() {
         let f = Formula::common_ts(g.clone(), stamp, Formula::atom("deadlock"));
         let set = isys.eval(&f)?;
-        if set.contains(isys.world(rid, run.horizon)) {
+        if set.contains(isys.world(rid, run.horizon())) {
             return Ok(Some(stamp));
         }
     }
@@ -346,12 +344,12 @@ mod tests {
         let (_, run) = isys
             .system()
             .runs()
-            .find(|(_, r)| r.procs.iter().map(|p| p.initial_state).eq([1u64, 0, 3]))
+            .find(|(_, r)| r.procs().map(|p| p.initial_state()).eq([1u64, 0, 3]))
             .unwrap();
         let detectors: Vec<usize> = (0..3)
             .filter(|&i| {
                 run.proc(AgentId::new(i))
-                    .events
+                    .events()
                     .iter()
                     .any(|e| matches!(e.event, Event::Act { action, .. } if action == ACT_DETECT))
             })

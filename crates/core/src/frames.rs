@@ -9,7 +9,7 @@
 use hm_kripke::AgentId;
 use hm_runs::{
     last_event_view, CompleteHistory, Event, InterpretedSystem, InterpretedSystemBuilder, Message,
-    Run, RunBuilder, SharedLambda, System,
+    Run, SharedLambda, SystemBuilder,
 };
 
 /// The Section 13 internal-knowledge-consistency frame: one message
@@ -25,31 +25,25 @@ use hm_runs::{
 pub fn consistency_builder() -> InterpretedSystemBuilder {
     let a = |i: usize| AgentId::new(i);
     let msg = Message::tagged(1);
-    let mut runs = Vec::new();
+    let mut runs = SystemBuilder::new();
     for s in 0..=3u64 {
-        let base = |name: String| {
-            RunBuilder::new(name, 2, 6)
+        let delays: &[(&str, u64)] = if s < 3 {
+            &[("fast", 0), ("slow", 1)]
+        } else {
+            &[("fast", 0)]
+        };
+        for &(speed, delay) in delays {
+            runs.run(format_args!("{speed}{s}"), 2, 6)
                 .wake(a(0), 0, 0)
                 .wake(a(1), 0, 0)
                 .perfect_clock(a(0), 0)
                 .perfect_clock(a(1), 0)
-        };
-        runs.push(
-            base(format!("fast{s}"))
                 .event(a(0), s, Event::Send { to: a(1), msg })
-                .event(a(1), s, Event::Recv { from: a(0), msg })
-                .build(),
-        );
-        if s < 3 {
-            runs.push(
-                base(format!("slow{s}"))
-                    .event(a(0), s, Event::Send { to: a(1), msg })
-                    .event(a(1), s + 1, Event::Recv { from: a(0), msg })
-                    .build(),
-            );
+                .event(a(1), s + delay, Event::Recv { from: a(0), msg })
+                .finish();
         }
     }
-    InterpretedSystem::builder(System::new(runs), CompleteHistory).fact("both_aware", |run, t| {
+    InterpretedSystem::builder(runs.build(), CompleteHistory).fact("both_aware", |run, t| {
         run.proc(AgentId::new(0)).events_before(t).count() > 0
             && run.proc(AgentId::new(1)).events_before(t).count() > 0
     })
@@ -76,26 +70,25 @@ pub enum ViewKind {
 pub fn two_send_views_builder(view: ViewKind) -> InterpretedSystemBuilder {
     let a = |i: usize| AgentId::new(i);
     let msg = Message::tagged(1);
-    let runs = vec![
-        RunBuilder::new("twice", 2, 4)
-            .wake(a(0), 0, 0)
-            .wake(a(1), 0, 0)
-            .event(a(0), 1, Event::Send { to: a(1), msg })
-            .event(a(0), 2, Event::Send { to: a(1), msg })
-            .build(),
-        RunBuilder::new("once", 2, 4)
-            .wake(a(0), 0, 0)
-            .wake(a(1), 0, 0)
-            .event(a(0), 1, Event::Send { to: a(1), msg })
-            .build(),
-    ];
-    let system = System::new(runs);
+    let mut runs = SystemBuilder::new();
+    runs.run("twice", 2, 4)
+        .wake(a(0), 0, 0)
+        .wake(a(1), 0, 0)
+        .event(a(0), 1, Event::Send { to: a(1), msg })
+        .event(a(0), 2, Event::Send { to: a(1), msg })
+        .finish();
+    runs.run("once", 2, 4)
+        .wake(a(0), 0, 0)
+        .wake(a(1), 0, 0)
+        .event(a(0), 1, Event::Send { to: a(1), msg })
+        .finish();
+    let system = runs.build();
     let builder = match view {
         ViewKind::CompleteHistory => InterpretedSystem::builder(system, CompleteHistory),
         ViewKind::LastEvent => InterpretedSystem::builder(system, last_event_view()),
         ViewKind::SharedLambda => InterpretedSystem::builder(system, SharedLambda),
     };
-    builder.fact("sent_twice", |run: &Run, t: u64| {
+    builder.fact("sent_twice", |run: Run<'_>, t: u64| {
         run.proc(AgentId::new(0))
             .events_before(t + 1)
             .filter(|e| matches!(e.event, Event::Send { .. }))

@@ -164,10 +164,11 @@ pub fn ladder_depth_at_end(
         .system()
         .runs()
         .find(|(_, r)| {
-            r.proc(AgentId::new(0)).initial_state == 1 && r.deliveries_before(r.horizon + 1) == d
+            r.proc(AgentId::new(0)).initial_state() == 1
+                && r.deliveries_before(r.horizon() + 1) == d
         })
         .unwrap_or_else(|| panic!("no intent run with {d} deliveries"));
-    let end = run.horizon;
+    let end = run.horizon();
     let mut depth = 0;
     for cand in 1..=max_depth {
         let f = ladder_formula(cand, Formula::atom("dispatched"));
@@ -221,7 +222,7 @@ pub fn classify_attack_rule(
         if at_a != at_b {
             return Ok(AttackRuleOutcome::Unsafe(id));
         }
-        if (at_a || at_b) && run.deliveries_before(run.horizon + 1) == 0 {
+        if (at_a || at_b) && run.deliveries_before(run.horizon() + 1) == 0 {
             return Ok(AttackRuleOutcome::AttacksWithoutPlan(id));
         }
         any_attack |= at_a;
@@ -259,7 +260,7 @@ pub fn classify_eventual_attack_rule(
         if at_a != at_b {
             return Ok(AttackRuleOutcome::Unsafe(id));
         }
-        if (at_a || at_b) && run.deliveries_before(run.horizon + 1) == 0 {
+        if (at_a || at_b) && run.deliveries_before(run.horizon() + 1) == 0 {
             return Ok(AttackRuleOutcome::AttacksWithoutPlan(id));
         }
         any_attack |= at_a;

@@ -187,7 +187,7 @@ pub fn probabilistic_attack(k: u32, p: Ratio) -> Result<AttackStats, EnumerateEr
     let mut p_lone = Ratio::zero();
     let q = p.complement();
     for (_, run) in system.runs() {
-        let delivered = run.deliveries_before(run.horizon + 1) as u32;
+        let delivered = run.deliveries_before(run.horizon() + 1) as u32;
         let weight = p.pow(delivered).mul(q.pow(k - delivered));
         let b_attacks = attacks_in_run(run, 1);
         if b_attacks {
@@ -204,9 +204,9 @@ pub fn probabilistic_attack(k: u32, p: Ratio) -> Result<AttackStats, EnumerateEr
     })
 }
 
-fn attacks_in_run(run: &Run, i: usize) -> bool {
+fn attacks_in_run(run: Run<'_>, i: usize) -> bool {
     run.proc(AgentId::new(i))
-        .events
+        .events()
         .iter()
         .any(|e| matches!(e.event, hm_runs::Event::Act { action, .. } if action == ACT_ATTACK))
 }

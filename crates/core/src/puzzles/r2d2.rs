@@ -70,7 +70,7 @@ pub fn first_time(
     cache: &mut EvalCache,
 ) -> Result<Option<u64>, EvalError> {
     let set = cache.eval(isys, formula)?;
-    let horizon = isys.system().run(run).horizon;
+    let horizon = isys.system().run(run).horizon();
     Ok((0..=horizon).find(|&t| set.contains(isys.world(run, t))))
 }
 
@@ -209,7 +209,7 @@ mod tests {
         let f = Formula::common(AgentGroup::all(2), Formula::atom("sent_focus"));
         let set = isys.eval(&f).unwrap();
         let focus = meta.focus_slow;
-        let horizon = isys.system().run(focus).horizon;
+        let horizon = isys.system().run(focus).horizon();
         for t in 0..=horizon {
             assert!(!set.contains(isys.world(focus, t)));
         }

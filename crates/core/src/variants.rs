@@ -80,11 +80,11 @@ pub fn check_theorem9(
     let silent: Vec<RunId> = isys
         .system()
         .runs()
-        .filter(|(_, r)| r.deliveries_before(r.horizon + 1) == 0)
+        .filter(|(_, r)| r.deliveries_before(r.horizon() + 1) == 0)
         .map(|(id, _)| id)
         .collect();
     let hypothesis_held = silent.iter().all(|&rid| {
-        (0..=isys.system().run(rid).horizon).all(|t| !holds.contains(isys.world(rid, t)))
+        (0..=isys.system().run(rid).horizon()).all(|t| !holds.contains(isys.world(rid, t)))
     });
     if !hypothesis_held {
         return Ok(Theorem9Outcome {
@@ -99,7 +99,7 @@ pub fn check_theorem9(
             if !run.same_initial_config_and_clocks(s) {
                 continue;
             }
-            for t in 0..=run.horizon {
+            for t in 0..=run.horizon() {
                 if holds.contains(isys.world(rid, t)) {
                     return Ok(Theorem9Outcome {
                         hypothesis_held: true,
@@ -144,9 +144,9 @@ pub fn check_theorem11(
     let holds = isys.eval(&variant)?;
     let mut hypothesis_held = true;
     for (sid, s) in isys.system().runs() {
-        for t in 0..=s.horizon {
+        for t in 0..=s.horizon() {
             // r⁻ must be silent through [0, t+ε).
-            let quiet_bound = (t + eps).min(s.horizon + 1);
+            let quiet_bound = (t + eps).min(s.horizon() + 1);
             if s.deliveries_before(quiet_bound) != 0 {
                 continue;
             }
@@ -155,7 +155,7 @@ pub fn check_theorem11(
                 continue;
             }
             for (rid, run) in isys.system().runs() {
-                if !run.same_initial_config_and_clocks(s) || t > run.horizon {
+                if !run.same_initial_config_and_clocks(s) || t > run.horizon() {
                     continue;
                 }
                 if holds.contains(isys.world(rid, t)) {
@@ -333,7 +333,7 @@ pub fn check_theorem12c(
     // Verify the hypothesis.
     for (rid, run) in isys.system().runs() {
         for i in g.iter() {
-            let reads = (0..=run.horizon).any(|t| run.proc(i).clock_at(t) == Some(stamp));
+            let reads = (0..=run.horizon()).any(|t| run.proc(i).clock_at(t) == Some(stamp));
             assert!(
                 reads,
                 "hypothesis: {i}'s clock never reads {stamp} in {rid}"
@@ -349,7 +349,7 @@ pub fn check_theorem12c(
 fn at_stamp_points(isys: &InterpretedSystem, g: &AgentGroup, stamp: u64) -> Vec<WorldId> {
     let mut out = Vec::new();
     for (rid, run) in isys.system().runs() {
-        for t in 0..=run.horizon {
+        for t in 0..=run.horizon() {
             if g.iter().any(|i| run.proc(i).clock_at(t) == Some(stamp)) {
                 out.push(isys.world(rid, t));
             }
@@ -413,7 +413,7 @@ mod tests {
                 continue;
             }
             found_early_loss += 1;
-            for t in 1..=run.horizon {
+            for t in 1..=run.horizon() {
                 assert!(
                     ceps.contains(isys.world(rid, t)),
                     "run {rid} t={t}: psi held but C^1 psi did not"
@@ -426,9 +426,9 @@ mod tests {
         let (full_id, full) = isys
             .system()
             .runs()
-            .find(|(_, r)| (0..=r.horizon).all(|t| !ok_psi(r, t)))
+            .find(|&(_, r)| (0..=r.horizon()).all(|t| !ok_psi(r, t)))
             .unwrap();
-        for t in 0..=full.horizon {
+        for t in 0..=full.horizon() {
             assert!(!ceps.contains(isys.world(full_id, t)), "t={t}");
         }
         // Accordingly Theorem 9's hypothesis fails here (C^ε ψ DOES hold

@@ -13,20 +13,41 @@
 //! together with the program the analyzer compiled, and that program
 //! bound to the session's frame. Nothing is shared across sessions: the
 //! analysis depends on the frame, so each session compiles each formula
-//! exactly once, as part of analysing it.
+//! once, as part of analysing it.
+//!
+//! Each map holds at most [`CAPACITY`] formulas, so a session that is
+//! asked an endless stream of new formulas (a long-lived `hm serve`
+//! engine) stays bounded. A full shard evicts by CLOCK: a hit marks its
+//! entry referenced, and an insertion sweeps the shard's hand past
+//! referenced entries, clearing their marks, to the first unmarked one.
+//! A new entry starts marked, so the entry inserted last is never the
+//! next victim. An evicted formula is recompiled on its next ask.
+//!
+//! A formula is hashed once per lookup: the hash picks the stripe and is
+//! the stripe's index key, and the stored formula is compared on a hit,
+//! so a hash collision costs a recompile, never a wrong answer.
 
 use hm_logic::Formula;
-use std::collections::hash_map::{DefaultHasher, Entry};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::RwLock;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{PoisonError, RwLock};
 
 /// Number of lock stripes. A small power of two: enough that a handful
 /// of worker threads rarely collide, small enough that iterating every
 /// shard (for counters) stays trivial.
 const SHARDS: usize = 16;
 
-/// A hash map striped over [`SHARDS`] reader-writer locks.
+/// Formulas each of a [`Session`](crate::Session)'s two formula caches
+/// (analyses, bound programs) keeps at most, split evenly over its lock
+/// stripes. A formula evicted to make room is recompiled on its next ask.
+pub const CAPACITY: usize = 1024;
+
+const SHARD_CAPACITY: usize = CAPACITY / SHARDS;
+
+/// A hash map striped over [`SHARDS`] reader-writer locks, bounded at
+/// [`CAPACITY`] entries with CLOCK eviction per shard.
 ///
 /// Lookups take one shard's read lock; insertions take its write lock.
 /// [`get_or_insert_with`](Self::get_or_insert_with) runs the producer
@@ -35,35 +56,137 @@ const SHARDS: usize = 16;
 /// That trades a rare duplicated compile for never blocking other keys
 /// behind a slow producer.
 pub(crate) struct ShardedMap<V> {
-    shards: Vec<RwLock<HashMap<Formula, V>>>,
+    shards: Vec<RwLock<Shard<V>>>,
+    /// Entries ever inserted: monotone, unlike the current length.
+    inserted: AtomicU64,
+    /// Entries dropped to make room.
+    evicted: AtomicU64,
+}
+
+/// One stripe: entries in CLOCK order plus an index by formula hash.
+struct Shard<V> {
+    index: HashMap<u64, usize, BuildHasherDefault<Prehashed>>,
+    slots: Vec<Slot<V>>,
+    /// The next slot the CLOCK sweep examines.
+    hand: usize,
+}
+
+struct Slot<V> {
+    key: Formula,
+    hash: u64,
+    value: V,
+    /// Set by every hit, cleared as the sweep passes.
+    referenced: AtomicBool,
+}
+
+/// The index's hasher: its keys are formula hashes already.
+#[derive(Default)]
+struct Prehashed(u64);
+
+impl Hasher for Prehashed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the index is keyed by u64 hashes only")
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
+fn hash_of(key: &Formula) -> u64 {
+    let mut h = DefaultHasher::new();
+    key.hash(&mut h);
+    h.finish()
+}
+
+impl<V: Clone> Shard<V> {
+    fn get(&self, hash: u64, key: &Formula) -> Option<V> {
+        let slot = &self.slots[*self.index.get(&hash)?];
+        if slot.key != *key {
+            return None;
+        }
+        slot.referenced.store(true, Ordering::Relaxed);
+        Some(slot.value.clone())
+    }
+
+    /// Inserts `value` under `key` (absent), returning the entry it
+    /// displaced, if any: the CLOCK victim of a full shard, or a
+    /// different formula with the same hash.
+    fn insert(&mut self, hash: u64, key: &Formula, value: V) -> Option<Slot<V>> {
+        let slot = Slot {
+            key: key.clone(),
+            hash,
+            value,
+            referenced: AtomicBool::new(true),
+        };
+        if let Some(&colliding) = self.index.get(&hash) {
+            return Some(std::mem::replace(&mut self.slots[colliding], slot));
+        }
+        if self.slots.len() < SHARD_CAPACITY {
+            self.index.insert(hash, self.slots.len());
+            self.slots.push(slot);
+            return None;
+        }
+        while self.slots[self.hand]
+            .referenced
+            .swap(false, Ordering::Relaxed)
+        {
+            self.hand = (self.hand + 1) % self.slots.len();
+        }
+        let victim = self.hand;
+        self.hand = (victim + 1) % self.slots.len();
+        self.index.remove(&self.slots[victim].hash);
+        self.index.insert(hash, victim);
+        Some(std::mem::replace(&mut self.slots[victim], slot))
+    }
 }
 
 impl<V: Clone> ShardedMap<V> {
     pub(crate) fn new() -> Self {
         ShardedMap {
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
+            shards: (0..SHARDS)
+                .map(|_| {
+                    RwLock::new(Shard {
+                        index: HashMap::default(),
+                        slots: Vec::new(),
+                        hand: 0,
+                    })
+                })
+                .collect(),
+            inserted: AtomicU64::new(0),
+            evicted: AtomicU64::new(0),
         }
     }
 
-    fn shard(&self, key: &Formula) -> &RwLock<HashMap<Formula, V>> {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % SHARDS]
+    /// The stripe of a hash: bits the index's own table does not use
+    /// (it takes the low bits for buckets and the top ones as tags).
+    fn shard(&self, hash: u64) -> &RwLock<Shard<V>> {
+        &self.shards[(hash >> 32) as usize % SHARDS]
     }
 
-    /// Clones the cached value for `key`, if present.
+    /// Clones the cached value for `key`, if present, and marks it
+    /// recently used.
+    #[cfg(test)]
+    fn get(&self, key: &Formula) -> Option<V> {
+        let hash = hash_of(key);
+        self.read(hash).get(hash, key)
+    }
+
+    /// The read guard of `hash`'s stripe.
     ///
     /// Lock poisoning is deliberately ignored (`into_inner`): a panic in
     /// some other asker — e.g. an injected failpoint — must not turn the
     /// whole session read-only. The maps hold only fully-constructed
     /// values inserted by single `insert` calls, so a poisoned shard is
     /// still structurally sound.
-    pub(crate) fn get(&self, key: &Formula) -> Option<V> {
-        self.shard(key)
+    fn read(&self, hash: u64) -> std::sync::RwLockReadGuard<'_, Shard<V>> {
+        self.shard(hash)
             .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(key)
-            .cloned()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Returns the cached value for `key`, running `produce` (outside
@@ -74,30 +197,43 @@ impl<V: Clone> ShardedMap<V> {
         key: &Formula,
         produce: impl FnOnce() -> Result<V, E>,
     ) -> Result<V, E> {
-        if let Some(v) = self.get(key) {
+        let hash = hash_of(key);
+        if let Some(v) = self.read(hash).get(hash, key) {
             return Ok(v);
         }
         let fresh = produce()?;
         let mut guard = self
-            .shard(key)
+            .shard(hash)
             .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        Ok(match guard.entry(key.clone()) {
-            Entry::Occupied(e) => e.get().clone(),
-            Entry::Vacant(e) => e.insert(fresh).clone(),
-        })
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(v) = guard.get(hash, key) {
+            return Ok(v);
+        }
+        let displaced = guard.insert(hash, key, fresh.clone());
+        drop(guard);
+        if displaced.is_some() {
+            self.evicted.fetch_add(1, Ordering::Relaxed);
+        }
+        self.inserted.fetch_add(1, Ordering::Relaxed);
+        Ok(fresh)
     }
 
     /// Total entries across all shards.
     pub(crate) fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| {
-                s.read()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .len()
-            })
+            .map(|s| s.read().unwrap_or_else(PoisonError::into_inner).slots.len())
             .sum()
+    }
+
+    /// Entries inserted since creation, evicted ones included.
+    pub(crate) fn inserted(&self) -> u64 {
+        self.inserted.load(Ordering::Relaxed)
+    }
+
+    /// Entries evicted since creation.
+    pub(crate) fn evicted(&self) -> u64 {
+        self.evicted.load(Ordering::Relaxed)
     }
 }
 
@@ -121,6 +257,7 @@ mod tests {
             .unwrap();
         assert_eq!(*v2, 7);
         assert_eq!(m.len(), 1);
+        assert_eq!(m.inserted(), 1);
     }
 
     #[test]
@@ -135,5 +272,50 @@ mod tests {
             .get_or_insert_with(&k, || Ok::<_, ()>(Arc::new(1)))
             .is_ok());
         assert_eq!(m.len(), 1);
+    }
+
+    #[test]
+    fn full_shards_evict_by_clock() {
+        let m: ShardedMap<u32> = ShardedMap::new();
+        let key = |i: u32| hm_logic::Formula::atom(format!("p{i}"));
+        for i in 0..10 * CAPACITY as u32 {
+            let k = key(i);
+            let v = m.get_or_insert_with(&k, || Ok::<_, ()>(i)).unwrap();
+            assert_eq!(v, i);
+            // The entry inserted last is never the victim of the next
+            // insertion into its shard: it survives until asked again.
+            assert_eq!(m.get(&k), Some(i), "fresh entry {i} present");
+        }
+        assert_eq!(m.len(), CAPACITY, "every shard full, none over");
+        assert_eq!(m.inserted(), 10 * CAPACITY as u64);
+        assert_eq!(m.evicted(), 9 * CAPACITY as u64);
+    }
+
+    #[test]
+    fn referenced_entries_survive_a_sweep() {
+        let m: ShardedMap<u32> = ShardedMap::new();
+        // Keys that all land in shard 0: one shard's worth, plus two.
+        let shard_of = |f: &hm_logic::Formula| (hash_of(f) >> 32) as usize % SHARDS;
+        let keys: Vec<hm_logic::F> = (0..)
+            .map(|i| hm_logic::Formula::atom(format!("q{i}")))
+            .filter(|f| shard_of(f) == 0)
+            .take(SHARD_CAPACITY + 2)
+            .collect();
+        let insert = |i: usize| m.get_or_insert_with(&keys[i], || Ok::<_, ()>(i as u32));
+        for i in 0..SHARD_CAPACITY {
+            insert(i).unwrap();
+        }
+        // Every entry is still marked from its insertion: the sweep
+        // clears them all and wraps around to slot 0.
+        insert(SHARD_CAPACITY).unwrap();
+        assert_eq!(m.get(&keys[0]), None);
+        // A hit re-marks key 1, so the next sweep passes it and takes
+        // key 2; the newest entry and key 1 stay.
+        assert_eq!(m.get(&keys[1]), Some(1));
+        insert(SHARD_CAPACITY + 1).unwrap();
+        assert_eq!(m.get(&keys[2]), None);
+        assert_eq!(m.get(&keys[1]), Some(1));
+        assert_eq!(m.get(&keys[SHARD_CAPACITY]), Some(SHARD_CAPACITY as u32));
+        assert_eq!(m.evicted(), 2);
     }
 }

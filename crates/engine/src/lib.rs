@@ -51,6 +51,7 @@
 #![warn(missing_docs)]
 
 mod cache;
+pub use cache::CAPACITY as FORMULA_CACHE_CAPACITY;
 mod scenario;
 mod spec;
 
@@ -606,7 +607,7 @@ impl fmt::Debug for Session {
         f.debug_struct("Session")
             .field("worlds", &self.num_worlds())
             .field("minimize", &self.minimize)
-            .field("compiled_queries", &self.cache.len())
+            .field("cached_queries", &self.cache.len())
             .finish()
     }
 }
@@ -850,9 +851,23 @@ impl Session {
         Ok(self.satisfying(query)?.contains(w))
     }
 
-    /// Number of distinct formulas compiled so far (diagnostics).
+    /// Number of distinct formulas compiled so far (diagnostics): a
+    /// monotone count, one per first ask of a formula. A formula asked
+    /// again after the cache evicted it is compiled, and counted, again.
     pub fn compiled_queries(&self) -> usize {
+        self.cache.inserted() as usize
+    }
+
+    /// Number of compiled formulas the session holds now: at most
+    /// [`FORMULA_CACHE_CAPACITY`].
+    pub fn cached_queries(&self) -> usize {
         self.cache.len()
+    }
+
+    /// Entries the session's two formula caches (analyses, and bound
+    /// programs) have evicted to stay within [`FORMULA_CACHE_CAPACITY`].
+    pub fn formula_evictions(&self) -> u64 {
+        self.cache.evicted() + self.reports.evicted()
     }
 }
 
@@ -913,7 +928,7 @@ pub fn check_spec(
 mod tests {
     use super::*;
     use hm_kripke::AgentId;
-    use hm_runs::{CompleteHistory, Event, Message, RunBuilder};
+    use hm_runs::{CompleteHistory, Event, Message, SystemBuilder};
 
     #[test]
     fn session_is_send_and_sync() {
@@ -921,6 +936,56 @@ mod tests {
         assert_send_sync::<Session>();
         assert_send_sync::<Verdict>();
         assert_send_sync::<EngineError>();
+    }
+
+    /// The `idx`-th of an endless family of distinct formulas over the
+    /// `muddy:n=2` vocabulary: an atom under a bijective base-5 chain
+    /// of operators.
+    fn nth_formula(idx: usize) -> hm_logic::F {
+        let mut f = Formula::atom(["m", "muddy0", "muddy1"][idx % 3]);
+        let mut rest = idx / 3;
+        while rest > 0 {
+            rest -= 1;
+            // Constructors that never rewrite, so distinct chains stay
+            // distinct formulas (`Formula::not` would cancel `!!`).
+            f = match rest % 5 {
+                0 => Formula::Not(f).arc(),
+                1 => Formula::knows(AgentId::new(0), f),
+                2 => Formula::knows(AgentId::new(1), f),
+                3 => Formula::implies(f, Formula::atom("m")),
+                _ => Formula::iff(f, Formula::atom("muddy1")),
+            };
+            rest /= 5;
+        }
+        f
+    }
+
+    #[test]
+    fn formula_caches_stay_at_capacity() {
+        let session = Engine::for_scenario("muddy:n=2").build().unwrap();
+        let asks = 10 * FORMULA_CACHE_CAPACITY;
+        for idx in 0..asks {
+            let query = Query::new(nth_formula(idx));
+            let verdict = session.ask(&query).unwrap();
+            assert_eq!(session.compiled_queries(), idx + 1, "one compile per miss");
+            assert_eq!(session.ask(&query).unwrap(), verdict, "the hit agrees");
+            assert_eq!(session.compiled_queries(), idx + 1, "no compile on a hit");
+            assert!(session.cached_queries() <= FORMULA_CACHE_CAPACITY);
+            let fresh = Engine::for_scenario("muddy:n=2").build().unwrap();
+            assert_eq!(fresh.ask(&query).unwrap(), verdict, "{query}");
+        }
+        assert_eq!(session.cached_queries(), FORMULA_CACHE_CAPACITY);
+        let evicted = (asks - FORMULA_CACHE_CAPACITY) as u64;
+        assert_eq!(
+            session.formula_evictions(),
+            2 * evicted,
+            "both caches evict"
+        );
+        // Evicted formulas are recompiled and still answer correctly.
+        let query = Query::new(nth_formula(0));
+        let fresh = Engine::for_scenario("muddy:n=2").build().unwrap();
+        assert_eq!(session.ask(&query).unwrap(), fresh.ask(&query).unwrap());
+        assert_eq!(session.compiled_queries(), asks + 1);
     }
 
     #[test]
@@ -1033,7 +1098,8 @@ mod tests {
     #[test]
     fn from_system_pipeline() {
         let msg = Message::tagged(1);
-        let sent = RunBuilder::new("sent", 2, 3)
+        let mut runs = SystemBuilder::new();
+        runs.run("sent", 2, 3)
             .wake(AgentId::new(0), 0, 0)
             .wake(AgentId::new(1), 0, 0)
             .event(
@@ -1052,8 +1118,8 @@ mod tests {
                     msg,
                 },
             )
-            .build();
-        let lost = RunBuilder::new("lost", 2, 3)
+            .finish();
+        runs.run("lost", 2, 3)
             .wake(AgentId::new(0), 0, 0)
             .wake(AgentId::new(1), 0, 0)
             .event(
@@ -1064,9 +1130,9 @@ mod tests {
                     msg,
                 },
             )
-            .build();
-        let builder = InterpretedSystem::builder(System::new(vec![sent, lost]), CompleteHistory)
-            .fact("sent", |run, t| {
+            .finish();
+        let builder =
+            InterpretedSystem::builder(runs.build(), CompleteHistory).fact("sent", |run, t| {
                 run.proc(AgentId::new(0))
                     .events_before(t + 1)
                     .any(|e| matches!(e.event, Event::Send { .. }))

@@ -293,7 +293,7 @@ fn matched_world(part: &Session, full: &Session, w: WorldId) -> WorldId {
     let part_isys = part.interpreted().unwrap();
     let full_isys = full.interpreted().unwrap();
     let point = part_isys.locate(w);
-    let name = &part_isys.system().run(point.run).name;
+    let name = part_isys.system().run(point.run).name();
     let full_run = full_isys
         .system()
         .run_by_name(name)

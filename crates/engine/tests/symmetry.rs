@@ -98,7 +98,7 @@ fn assert_parity(n: usize, f: usize, minimize: bool) {
             for inputs in 0..(1u64 << n) {
                 let name = pattern_run_name(n, inputs, pattern);
                 let nrun = nsys.system().run_by_name(&name).unwrap();
-                let horizon = nsys.system().run(nrun).horizon;
+                let horizon = nsys.system().run(nrun).horizon();
                 // Shared worlds: the run survives under its own name.
                 if let Some(rrun) = rsys.system().run_by_name(&name) {
                     for t in 0..=horizon {
@@ -220,7 +220,7 @@ fn nested_distinct_agent_knowledge_is_outside_the_guarantee() {
             ) else {
                 continue;
             };
-            for t in 0..=nsys.system().run(nrun).horizon {
+            for t in 0..=nsys.system().run(nrun).horizon() {
                 if nv.holds_at(nsys.world(nrun, t)) != rv.holds_at(rsys.world(rrun, t)) {
                     mismatches += 1;
                 }

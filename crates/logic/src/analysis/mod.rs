@@ -1006,7 +1006,7 @@ mod tests {
         fn run_len(&self, run: usize) -> u64 {
             self.lens[run]
         }
-        fn clock(&self, _: AgentId, _: WorldId) -> Option<u64> {
+        fn clock(&self, _: AgentId, _: usize, _: u64) -> Option<u64> {
             None
         }
     }

@@ -109,9 +109,9 @@ pub trait TemporalStructure {
     /// Number of points in `run` (times are `0..run_len`).
     fn run_len(&self, run: usize) -> u64;
 
-    /// Agent `i`'s clock reading at `w`; `None` when the agent has not yet
-    /// woken up or the system has no clocks.
-    fn clock(&self, i: AgentId, w: WorldId) -> Option<u64>;
+    /// Agent `i`'s clock reading at the point `(run, t)`; `None` when the
+    /// agent has not yet woken up or the system has no clocks.
+    fn clock(&self, i: AgentId, run: usize, t: u64) -> Option<u64>;
 }
 
 impl Frame for KripkeModel {

@@ -167,7 +167,7 @@ pub fn knows_at_set(
         let mut ok = true;
         for t in 0..len {
             let w = ts.point(run, t).expect("t < len");
-            if ts.clock(i, w) == Some(stamp) && !k_set.contains(w) {
+            if ts.clock(i, run, t) == Some(stamp) && !k_set.contains(w) {
                 ok = false;
                 break;
             }
@@ -242,8 +242,8 @@ mod tests {
         fn run_len(&self, _run: usize) -> u64 {
             self.len
         }
-        fn clock(&self, i: AgentId, w: WorldId) -> Option<u64> {
-            Some(self.time_of(w) + self.skew * i.index() as u64)
+        fn clock(&self, i: AgentId, _run: usize, t: u64) -> Option<u64> {
+            Some(t + self.skew * i.index() as u64)
         }
     }
 

@@ -10,7 +10,7 @@ use crate::adversary::{Adversary, Outcome};
 use crate::protocol::{Command, JointProtocol, LocalView, SeenEvent};
 use hm_kripke::AgentId;
 use hm_limits::{failpoints, Admission, Budget, LimitExceeded, Phase, Resource};
-use hm_runs::{Event, Run, RunBuilder, System, TimedEvent};
+use hm_runs::{Event, RunId, System, SystemBuilder, TimedEvent};
 use std::fmt;
 
 /// Clock endowment for an execution.
@@ -146,8 +146,10 @@ impl From<LimitExceeded> for EnumerateError {
 /// is a complete run of the real system.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Enumeration {
-    /// The enumerated runs, sorted by name within each spec.
-    pub runs: Vec<Run>,
+    /// The enumerated runs, sorted by name within each spec (and marked
+    /// [`is_truncated`](System::is_truncated) when `truncated` is);
+    /// `None` when a partial-mode budget admitted no run at all.
+    pub system: Option<System>,
     /// `true` when a partial-mode budget stopped enumeration early.
     pub truncated: bool,
 }
@@ -286,7 +288,7 @@ impl Task {
 }
 
 /// The depth-first enumerator: shared scratch plus the accumulating run
-/// list, so branches reuse buffers instead of reallocating.
+/// store, so branches reuse buffers instead of reallocating.
 struct Enumerator<'a> {
     protocol: &'a dyn JointProtocol,
     adversary: &'a dyn Adversary,
@@ -296,7 +298,7 @@ struct Enumerator<'a> {
     /// every worker promptly), while each worker keeps its own amortized
     /// tick cell.
     budget: &'a Budget,
-    runs: Vec<Run>,
+    runs: SystemBuilder,
     /// Reused buffer for each step's `LocalView::events`.
     seen: Vec<SeenEvent>,
     /// Reused buffer for each tick's due deliveries.
@@ -315,7 +317,7 @@ impl<'a> Enumerator<'a> {
             adversary,
             spec,
             budget,
-            runs: Vec::new(),
+            runs: SystemBuilder::new(),
             seen: Vec::new(),
             due: Vec::new(),
         }
@@ -472,7 +474,7 @@ impl<'a> Enumerator<'a> {
         Ok(Vec::new())
     }
 
-    /// Turns a completed branch into a [`Run`].
+    /// Appends a completed branch to the run store.
     fn materialise(&mut self, sim: Sim) {
         let spec = self.spec;
         let mut labels = String::new();
@@ -493,18 +495,17 @@ impl<'a> Enumerator<'a> {
         } else {
             format!("{}:{}[{labels}]", spec.label, self.protocol.name())
         };
-        let mut b = RunBuilder::new(name, spec.num_procs, spec.horizon);
+        let mut b = self.runs.run(name, spec.num_procs, spec.horizon);
         for (i, events) in sim.events.into_iter().enumerate() {
             b = b.wake(AgentId::new(i), spec.wake_times[i], spec.initial_states[i]);
             if let Clocks::Offset(offs) = &spec.clocks {
-                let readings = (0..=spec.horizon).map(|t| t + offs[i]).collect();
-                b = b.clock_readings(AgentId::new(i), readings);
+                b = b.perfect_clock(AgentId::new(i), offs[i]);
             }
             for e in events {
                 b = b.event(AgentId::new(i), e.time, e.event);
             }
         }
-        self.runs.push(b.build());
+        b.finish();
     }
 }
 
@@ -584,22 +585,34 @@ pub fn enumerate_runs(
     assert!(!specs.is_empty(), "need at least one execution spec");
     failpoints::check("netsim::enumerate", Phase::Enumerate)?;
     let threads = if parallel { worker_threads() } else { 1 };
-    let mut all = Enumeration {
-        runs: Vec::new(),
-        truncated: false,
-    };
+    let mut all = SystemBuilder::new();
+    let mut truncated = false;
     for spec in specs {
-        let (mut runs, truncated) = enumerate_spec(protocol, adversary, spec, budget, threads)?;
-        runs.sort_by(|a, b| a.name.cmp(&b.name));
-        all.runs.append(&mut runs);
-        if truncated {
+        let (parts, spec_truncated) = enumerate_spec(protocol, adversary, spec, budget, threads)?;
+        let mut order: Vec<(usize, RunId)> = parts
+            .iter()
+            .enumerate()
+            .flat_map(|(k, part)| part.runs().map(move |(id, _)| (k, id)))
+            .collect();
+        order.sort_by(|&(a, ra), &(b, rb)| parts[a].run(ra).name().cmp(parts[b].run(rb).name()));
+        for (k, id) in order {
+            all.push_run(parts[k].run(id));
+        }
+        if spec_truncated {
             // The shared run counter is exhausted: later specs would
             // admit nothing, so stop cleanly here.
-            all.truncated = true;
+            truncated = true;
             break;
         }
     }
-    Ok(all)
+    let system = (all.num_runs() > 0).then(|| {
+        let mut system = all.build();
+        if truncated {
+            system.mark_truncated();
+        }
+        system
+    });
+    Ok(Enumeration { system, truncated })
 }
 
 /// The worker count for parallel enumeration: `HM_NETSIM_THREADS` when
@@ -617,15 +630,16 @@ fn worker_threads() -> usize {
         })
 }
 
-/// One spec's (unsorted) runs and truncation flag, explored on up to
-/// `threads` workers.
+/// One spec's (unsorted) runs, in one store per worker that admitted
+/// any, and its truncation flag, explored on up to `threads` workers.
 fn enumerate_spec(
     protocol: &(dyn JointProtocol + Sync),
     adversary: &(dyn Adversary + Sync),
     spec: &ExecutionSpec,
     budget: &Budget,
     threads: usize,
-) -> Result<(Vec<Run>, bool), EnumerateError> {
+) -> Result<(Vec<System>, bool), EnumerateError> {
+    let built = |runs: SystemBuilder| (runs.num_runs() > 0).then(|| runs.build());
     let mut splitter = Enumerator::new(protocol, adversary, spec, budget);
     let mut tasks = vec![Task::root(spec)];
     let mut truncated = false;
@@ -645,9 +659,9 @@ fn enumerate_spec(
     if tasks.len() <= 1 {
         // Not enough branching to pay for threads: finish sequentially.
         truncated |= splitter.explore_all(tasks)?;
-        return Ok((splitter.runs, truncated));
+        return Ok((built(splitter.runs).into_iter().collect(), truncated));
     }
-    let mut runs = splitter.runs;
+    let mut parts: Vec<System> = built(splitter.runs).into_iter().collect();
     let chunk = tasks.len().div_ceil(threads);
     let mut chunks: Vec<Vec<Task>> = Vec::new();
     let mut rest = tasks.into_iter();
@@ -658,7 +672,7 @@ fn enumerate_spec(
         }
         chunks.push(c);
     }
-    type WorkerResult = Result<(Vec<Run>, bool), EnumerateError>;
+    type WorkerResult = Result<(SystemBuilder, bool), EnumerateError>;
     let results: Vec<WorkerResult> = std::thread::scope(|scope| {
         let handles: Vec<_> = chunks
             .into_iter()
@@ -690,15 +704,19 @@ fn enumerate_spec(
     });
     for r in results {
         let (worker_runs, worker_truncated) = r?;
-        runs.extend(worker_runs);
+        parts.extend(built(worker_runs));
         truncated |= worker_truncated;
     }
-    Ok((runs, truncated))
+    Ok((parts, truncated))
 }
 
 impl Enumeration {
-    /// Converts the enumeration into a [`System`], carrying the
-    /// truncation flag across.
+    /// Number of runs enumerated.
+    pub fn num_runs(&self) -> usize {
+        self.system.as_ref().map_or(0, System::num_runs)
+    }
+
+    /// The enumerated [`System`].
     ///
     /// # Errors
     ///
@@ -706,19 +724,12 @@ impl Enumeration {
     /// reported as the run-budget exhaustion it is, since a [`System`]
     /// cannot be empty.
     pub fn into_system(self) -> Result<System, EnumerateError> {
-        if self.runs.is_empty() {
-            return Err(EnumerateError::Limit(LimitExceeded {
-                resource: Resource::Runs,
-                phase: Phase::Enumerate,
-                spent: 1,
-                limit: 0,
-            }));
-        }
-        let mut sys = System::new(self.runs);
-        if self.truncated {
-            sys.mark_truncated();
-        }
-        Ok(sys)
+        self.system.ok_or(EnumerateError::Limit(LimitExceeded {
+            resource: Resource::Runs,
+            phase: Phase::Enumerate,
+            spent: 1,
+            limit: 0,
+        }))
     }
 }
 
@@ -728,7 +739,7 @@ mod tests {
     use crate::adversary::{LossyFixedDelay, SynchronousDelay};
     use crate::protocol::{FnProtocol, Silent};
     use hm_limits::Limits;
-    use hm_runs::Message;
+    use hm_runs::{Message, Run};
 
     /// p0 sends one message to p1 at its first step; nothing else.
     fn one_shot() -> impl JointProtocol + Sync {
@@ -758,21 +769,26 @@ mod tests {
         })
     }
 
-    /// One spec under a bare run ceiling, runs only.
+    /// One spec under a bare run ceiling, as a system.
     fn runs_of(
         protocol: &(dyn JointProtocol + Sync),
         adversary: &(dyn Adversary + Sync),
         spec: ExecutionSpec,
         max_runs: u64,
         parallel: bool,
-    ) -> Result<Vec<Run>, EnumerateError> {
+    ) -> Result<System, EnumerateError> {
         let budget = Limits::none().max_runs(max_runs).budget();
-        enumerate_runs(protocol, adversary, &[spec], &budget, parallel).map(|e| e.runs)
+        enumerate_runs(protocol, adversary, &[spec], &budget, parallel)?.into_system()
+    }
+
+    /// Every run of `sys`, in order.
+    fn runs(sys: &System) -> Vec<Run<'_>> {
+        sys.runs().map(|(_, r)| r).collect()
     }
 
     #[test]
     fn silent_protocol_yields_one_run() {
-        let runs = runs_of(
+        let sys = runs_of(
             &Silent,
             &SynchronousDelay { delay: 1 },
             ExecutionSpec::simple(2, 3),
@@ -780,13 +796,14 @@ mod tests {
             false,
         )
         .unwrap();
+        let runs = runs(&sys);
         assert_eq!(runs.len(), 1);
         assert_eq!(runs[0].deliveries_before(4), 0);
     }
 
     #[test]
     fn lossy_one_shot_yields_two_runs() {
-        let runs = runs_of(
+        let sys = runs_of(
             &one_shot(),
             &LossyFixedDelay { delay: 1 },
             ExecutionSpec::simple(2, 3),
@@ -794,14 +811,15 @@ mod tests {
             false,
         )
         .unwrap();
+        let runs = runs(&sys);
         assert_eq!(runs.len(), 2, "delivered and lost");
         let delivered = runs.iter().find(|r| r.deliveries_before(4) == 1).unwrap();
         let lost = runs.iter().find(|r| r.deliveries_before(4) == 0).unwrap();
         // Delivery happens exactly one tick after the send at t=0.
-        let recv = delivered.proc(AgentId::new(1)).events[0];
+        let recv = delivered.proc(AgentId::new(1)).events()[0];
         assert_eq!(recv.time, 1);
         assert!(recv.event.is_recv());
-        assert!(lost.name.contains('x'));
+        assert!(lost.name().contains('x'));
     }
 
     #[test]
@@ -811,7 +829,7 @@ mod tests {
         let a = runs_of(&one_shot(), &adversary, spec.clone(), 10, false).unwrap();
         let b = runs_of(&one_shot(), &adversary, spec, 10, false).unwrap();
         assert_eq!(a, b);
-        let names: Vec<_> = a.iter().map(|r| r.name.clone()).collect();
+        let names: Vec<_> = a.runs().map(|(_, r)| r.name()).collect();
         let mut sorted = names.clone();
         sorted.sort();
         assert_eq!(names, sorted);
@@ -846,13 +864,14 @@ mod tests {
         let budget = Limits::none().max_runs(1).allow_partial(true).budget();
         let e = enumerate_runs(&one_shot(), &adversary, &spec, &budget, false).unwrap();
         assert!(e.truncated);
-        assert_eq!(e.runs.len(), 1, "runs admitted before the ceiling remain");
+        assert!(e.system.as_ref().unwrap().is_truncated());
+        assert_eq!(e.num_runs(), 1, "runs admitted before the ceiling remain");
 
         // A generous partial budget does not truncate.
         let budget = Limits::none().max_runs(16).allow_partial(true).budget();
         let e = enumerate_runs(&one_shot(), &adversary, &spec, &budget, false).unwrap();
         assert!(!e.truncated);
-        assert_eq!(e.runs.len(), 2);
+        assert_eq!(e.num_runs(), 2);
     }
 
     #[test]
@@ -931,7 +950,7 @@ mod tests {
             false,
         )
         .unwrap();
-        assert_eq!(runs.len(), 3);
+        assert_eq!(runs.num_runs(), 3);
     }
 
     #[test]
@@ -943,7 +962,7 @@ mod tests {
         let adversary = LossyFixedDelay { delay: 1 };
         let seq = runs_of(&burst(msgs), &adversary, spec.clone(), 1 << 12, false).unwrap();
         let par = runs_of(&burst(msgs), &adversary, spec, 1 << 12, true).unwrap();
-        assert_eq!(seq.len(), 1 << msgs);
+        assert_eq!(seq.num_runs(), 1 << msgs);
         assert_eq!(seq, par);
     }
 
@@ -978,7 +997,7 @@ mod tests {
         )
         .unwrap();
         assert!(e.truncated);
-        assert_eq!(e.runs.len(), 1);
+        assert_eq!(e.num_runs(), 1);
     }
 
     /// Three configurations of the burst fixture, 2^6 runs each.
@@ -1000,11 +1019,12 @@ mod tests {
             let seq = enumerate_runs(&burst(6), &adversary, &specs, &limits.budget(), false);
             let par = enumerate_runs(&burst(6), &adversary, &specs, &limits.budget(), true);
             let seq = seq.unwrap();
-            assert_eq!(seq.runs.len(), 3 << 6);
+            assert_eq!(seq.num_runs(), 3 << 6);
             assert!(!seq.truncated);
             assert_eq!(par.unwrap(), seq, "runs and truncation flag agree");
             // Spec order is kept: every cfg0 run precedes every cfg1 run.
-            let labels: Vec<&str> = seq.runs.iter().map(|r| &r.name[..4]).collect();
+            let seq = seq.system.unwrap();
+            let labels: Vec<&str> = seq.runs().map(|(_, r)| &r.name()[..4]).collect();
             assert!(labels.windows(2).all(|w| w[0] <= w[1]), "{labels:?}");
         }
     }
@@ -1027,11 +1047,13 @@ mod tests {
             let partial = Limits::none().max_runs(100).allow_partial(true).budget();
             let e = enumerate_runs(&burst(6), &adversary, &specs, &partial, parallel).unwrap();
             assert!(e.truncated, "parallel={parallel}");
-            assert_eq!(e.runs.len(), 100, "parallel={parallel}");
-            let first = e.runs.iter().filter(|r| r.name.starts_with("cfg0")).count();
+            assert_eq!(e.num_runs(), 100, "parallel={parallel}");
+            let sys = e.into_system().unwrap();
+            let runs = runs(&sys);
+            let first = runs.iter().filter(|r| r.name().starts_with("cfg0")).count();
             assert_eq!(first, 64, "first spec admitted whole (parallel={parallel})");
             assert!(
-                e.runs.iter().all(|r| !r.name.starts_with("cfg2")),
+                runs.iter().all(|r| !r.name().starts_with("cfg2")),
                 "the third spec is never started (parallel={parallel})"
             );
         }
@@ -1043,10 +1065,10 @@ mod tests {
             .with_initial_states(vec![7, 8])
             .with_clocks(Clocks::Offset(vec![0, 5]))
             .with_label("cfg0");
-        let runs = runs_of(&Silent, &SynchronousDelay { delay: 1 }, spec, 10, false).unwrap();
-        let r = &runs[0];
-        assert!(r.name.starts_with("cfg0:"));
-        assert_eq!(r.proc(AgentId::new(0)).initial_state, 7);
+        let sys = runs_of(&Silent, &SynchronousDelay { delay: 1 }, spec, 10, false).unwrap();
+        let r = sys.run(RunId(0));
+        assert!(r.name().starts_with("cfg0:"));
+        assert_eq!(r.proc(AgentId::new(0)).initial_state(), 7);
         assert_eq!(r.proc(AgentId::new(1)).clock_at(1), Some(6));
     }
 
@@ -1091,7 +1113,7 @@ mod tests {
             }
             Vec::new()
         });
-        let runs = runs_of(
+        let sys = runs_of(
             &echo,
             &crate::adversary::InstantOrLost,
             ExecutionSpec::simple(2, 3),
@@ -1099,13 +1121,13 @@ mod tests {
             false,
         )
         .unwrap();
-        let delivered = runs
-            .iter()
-            .find(|r| r.deliveries_before(4) == 1)
+        let (_, delivered) = sys
+            .runs()
+            .find(|(_, r)| r.deliveries_before(4) == 1)
             .expect("delivered run");
         let act = delivered
             .proc(AgentId::new(1))
-            .events
+            .events()
             .iter()
             .find(|e| matches!(e.event, Event::Act { .. }))
             .expect("act");

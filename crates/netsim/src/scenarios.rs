@@ -15,7 +15,7 @@ use crate::executor::{enumerate_runs, Clocks, EnumerateError, ExecutionSpec};
 use crate::protocol::{Command, FnProtocol, LocalView};
 use hm_kripke::AgentId;
 use hm_limits::{Budget, Limits};
-use hm_runs::{Event, Message, Run, RunBuilder, RunId, System};
+use hm_runs::{Event, Message, Run, RunId, System, SystemBuilder};
 
 /// Message tag used by the generals' messenger.
 pub const TAG_DISPATCH: u32 = 1;
@@ -158,9 +158,9 @@ pub fn generals_attack_system(
 }
 
 /// `true` iff processor `i` attacks somewhere in `run`.
-pub fn attacks_in(run: &Run, i: AgentId) -> bool {
+pub fn attacks_in(run: Run<'_>, i: AgentId) -> bool {
     run.proc(i)
-        .events
+        .events()
         .iter()
         .any(|e| matches!(e.event, Event::Act { action, .. } if action == ACT_ATTACK))
 }
@@ -208,7 +208,7 @@ pub fn r2d2(eps: u64, pre: usize, post: usize, mode: R2d2Mode) -> R2d2 {
     assert!(eps >= 1, "ε must be at least one tick");
     let slots = pre + post + 1;
     let horizon = (slots as u64 + 1) * eps;
-    let mut runs = Vec::new();
+    let mut runs = SystemBuilder::new();
     let mut focus_slow = None;
     let mut focus_fast = None;
     for j in 0..slots {
@@ -218,8 +218,8 @@ pub fn r2d2(eps: u64, pre: usize, post: usize, mode: R2d2Mode) -> R2d2 {
             _ => 0,
         };
         let msg = Message::new(TAG_M, payload);
-        let mk = |name: String, deliver_at: u64| -> Run {
-            RunBuilder::new(name, 2, horizon)
+        let mut mk = |name: String, deliver_at: u64| -> RunId {
+            runs.run(name, 2, horizon)
                 .wake(AgentId::new(0), 0, 0)
                 .wake(AgentId::new(1), 0, 0)
                 .perfect_clock(AgentId::new(0), 0)
@@ -240,23 +240,21 @@ pub fn r2d2(eps: u64, pre: usize, post: usize, mode: R2d2Mode) -> R2d2 {
                         msg,
                     },
                 )
-                .build()
+                .finish()
         };
         if mode != R2d2Mode::Exact {
             let fast = mk(format!("r{j}_fast"), send_at);
             if j == pre {
-                focus_fast = Some(RunId::from(runs.len()));
+                focus_fast = Some(fast);
             }
-            runs.push(fast);
         }
         let slow = mk(format!("r{j}_slow"), send_at + eps);
         if j == pre {
-            focus_slow = Some(RunId::from(runs.len()));
+            focus_slow = Some(slow);
         }
-        runs.push(slow);
     }
     R2d2 {
-        system: System::new(runs),
+        system: runs.build(),
         eps,
         ts: pre as u64 * eps,
         focus_slow: focus_slow.expect("focus slot exists"),
@@ -311,16 +309,16 @@ pub fn ok_protocol_system(horizon: u64) -> Result<System, EnumerateError> {
 /// The ψ of the OK-protocol example: at `(run, t)`, some message sent at
 /// time `≤ t−1` was never delivered (under [`InstantOrLostWindow`], "not
 /// delivered instantly" and "lost" coincide).
-pub fn ok_psi(run: &Run, t: u64) -> bool {
+pub fn ok_psi(run: Run<'_>, t: u64) -> bool {
     if t == 0 {
         return false;
     }
-    for (i, p) in run.procs.iter().enumerate() {
-        let recipient = &run.procs[1 - i];
-        for e in &p.events {
+    for (i, p) in run.procs().enumerate() {
+        let recipient = run.proc(AgentId::new(1 - i));
+        for e in p.events() {
             if let Event::Send { msg, .. } = e.event {
                 if e.time < t {
-                    let delivered = recipient.events.iter().any(|r| {
+                    let delivered = recipient.events().iter().any(|r| {
                         matches!(r.event, Event::Recv { msg: m2, .. } if m2 == msg)
                             && r.time == e.time
                     });
@@ -351,7 +349,7 @@ mod tests {
         let sys = generals_system(6, &Budget::unlimited(), false).unwrap();
         let mut counts: Vec<usize> = sys
             .runs()
-            .map(|(_, r)| r.deliveries_before(r.horizon + 1))
+            .map(|(_, r)| r.deliveries_before(r.horizon() + 1))
             .collect();
         counts.sort_unstable();
         // The extra 0 is the no-intent silent run.
@@ -373,7 +371,7 @@ mod tests {
         };
         // Full enumerations: identical runs, order and flag.
         let seq = enumerate(&Limits::none(), false).unwrap();
-        assert_eq!(seq.runs.len(), 1 + 7, "silent run plus d = 0..=6");
+        assert_eq!(seq.num_runs(), 1 + 7, "silent run plus d = 0..=6");
         assert!(!seq.truncated);
         assert_eq!(enumerate(&Limits::none(), true).unwrap(), seq);
         // One ceiling spans both intents: 3 runs admits the silent
@@ -386,8 +384,12 @@ mod tests {
             ));
             let e = enumerate(&strict.clone().allow_partial(true), parallel).unwrap();
             assert!(e.truncated, "parallel={parallel}");
-            assert_eq!(e.runs.len(), 3, "parallel={parallel}");
-            assert!(e.runs[0].name.starts_with("intent0"), "parallel={parallel}");
+            assert_eq!(e.num_runs(), 3, "parallel={parallel}");
+            let sys = e.into_system().unwrap();
+            assert!(
+                sys.run(RunId(0)).name().starts_with("intent0"),
+                "parallel={parallel}"
+            );
         }
     }
 
@@ -399,7 +401,7 @@ mod tests {
         let sys = generals_attack_system(4, 1, 1).unwrap();
         let unsafe_run = sys
             .runs()
-            .find(|(_, r)| attacks_in(r, a(1)) && !attacks_in(r, a(0)));
+            .find(|&(_, r)| attacks_in(r, a(1)) && !attacks_in(r, a(0)));
         assert!(unsafe_run.is_some(), "must contain a lone-attacker run");
     }
 
@@ -409,9 +411,9 @@ mod tests {
         assert_eq!(r.system.num_runs(), 10, "fast+slow per slot");
         assert_eq!(r.ts, 4);
         let slow = r.system.run(r.focus_slow);
-        assert_eq!(slow.proc(a(1)).events[0].time, r.ts + r.eps);
+        assert_eq!(slow.proc(a(1)).events()[0].time, r.ts + r.eps);
         let fast = r.system.run(r.focus_fast.unwrap());
-        assert_eq!(fast.proc(a(1)).events[0].time, r.ts);
+        assert_eq!(fast.proc(a(1)).events()[0].time, r.ts);
     }
 
     #[test]
@@ -425,7 +427,7 @@ mod tests {
     fn r2d2_timestamped_carries_send_time() {
         let r = r2d2(3, 1, 1, R2d2Mode::Timestamped);
         let slow = r.system.run(r.focus_slow);
-        match slow.proc(a(0)).events[0].event {
+        match slow.proc(a(0)).events()[0].event {
             Event::Send { msg, .. } => assert_eq!(msg.data, r.ts),
             other => panic!("expected send, got {other}"),
         }
@@ -437,12 +439,12 @@ mod tests {
         // There is a run where ψ never holds (all delivered)...
         let perfect = sys
             .runs()
-            .find(|(_, r)| (0..=r.horizon).all(|t| !ok_psi(r, t)));
+            .find(|&(_, r)| (0..=r.horizon()).all(|t| !ok_psi(r, t)));
         assert!(perfect.is_some());
         // ... and a run where everything is lost, where ψ holds from t=1.
         let broken = sys
             .runs()
-            .find(|(_, r)| r.deliveries_before(r.horizon + 1) == 0)
+            .find(|(_, r)| r.deliveries_before(r.horizon() + 1) == 0)
             .map(|(_, r)| r)
             .expect("all-lost run");
         assert!(ok_psi(broken, 1));
@@ -456,12 +458,12 @@ mod tests {
         // nothing) never again.
         let (_, broken) = sys
             .runs()
-            .find(|(_, r)| r.deliveries_before(r.horizon + 1) == 0)
+            .find(|(_, r)| r.deliveries_before(r.horizon() + 1) == 0)
             .expect("all-lost run");
         for i in 0..2 {
             let sends = broken
                 .proc(a(i))
-                .events
+                .events()
                 .iter()
                 .filter(|e| matches!(e.event, Event::Send { .. }))
                 .count();

@@ -103,6 +103,6 @@ fn cleared_failpoint_restores_normal_enumeration() {
     assert!(enumerate_parallel(&ceiling()).is_err());
     sc.clear("netsim::worker");
     let e = enumerate_parallel(&Budget::unlimited()).expect("failpoint gone, enumeration recovers");
-    assert_eq!(e.runs.len(), 1 << MSGS);
+    assert_eq!(e.num_runs(), 1 << MSGS);
     assert!(!e.truncated);
 }

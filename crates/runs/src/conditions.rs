@@ -23,7 +23,7 @@ thread_local! {
 /// `h(pa, ta) == h(pb, tb)` under the complete-history encoding, comparing
 /// through reused thread-local scratch buffers (no allocation after the
 /// first call).
-fn history_keys_equal(pa: &ProcRecord, ta: u64, pb: &ProcRecord, tb: u64) -> bool {
+fn history_keys_equal(pa: ProcRecord<'_>, ta: u64, pb: ProcRecord<'_>, tb: u64) -> bool {
     HISTORY_BUFS.with(|bufs| {
         let (a, b) = &mut *bufs.borrow_mut();
         a.clear();
@@ -36,14 +36,14 @@ fn history_keys_equal(pa: &ProcRecord, ta: u64, pb: &ProcRecord, tb: u64) -> boo
 
 /// `true` iff `h(p_i, ra, t) = h(p_i, rb, t)` under the complete-history
 /// interpretation (Section 5's history equality).
-pub fn histories_equal(ra: &Run, rb: &Run, i: AgentId, t: u64) -> bool {
+pub fn histories_equal(ra: Run<'_>, rb: Run<'_>, i: AgentId, t: u64) -> bool {
     history_keys_equal(ra.proc(i), t, rb.proc(i), t)
 }
 
 /// `true` iff `rb` *extends* the point `(ra, t)`: every processor has the
 /// same history in both runs at every `t' ≤ t` (Section 5). The relation
 /// is symmetric in the two runs.
-pub fn extends(ra: &Run, rb: &Run, t: u64) -> bool {
+pub fn extends(ra: Run<'_>, rb: Run<'_>, t: u64) -> bool {
     let n = ra.num_procs().min(rb.num_procs());
     (0..n).all(|i| {
         let i = AgentId::new(i);
@@ -83,7 +83,7 @@ impl AgreementTable {
                 // be shorter and still agree at every `u ≤ t` (clockless
                 // histories are well-defined past a run's horizon).
                 // That makes the table ordered, not symmetric.
-                let cap = ra.horizon + 1;
+                let cap = ra.horizon() + 1;
                 let mut min_len = u64::MAX;
                 for i in 0..np {
                     let len = if ia == ib {
@@ -126,13 +126,12 @@ struct RecvTimes {
 }
 
 impl RecvTimes {
-    fn new(run: &Run) -> Self {
+    fn new(run: Run<'_>) -> Self {
         RecvTimes {
             by_proc: run
-                .procs
-                .iter()
+                .procs()
                 .map(|p| {
-                    p.events
+                    p.events()
                         .iter()
                         .filter(|e| e.event.is_recv())
                         .map(|e| e.time)
@@ -174,7 +173,7 @@ pub struct Violation {
 pub fn check_ng1(system: &System) -> Option<Violation> {
     let agree = AgreementTable::new(system);
     for (id, r) in system.runs() {
-        for t in 0..=r.horizon {
+        for t in 0..=r.horizon() {
             let found = system.runs().any(|(id2, r2)| {
                 r.same_initial_config_and_clocks(r2)
                     && agree.extends(id, id2, t)
@@ -200,8 +199,8 @@ pub fn check_ng1_prime(system: &System) -> Option<Violation> {
     let agree = AgreementTable::new(system);
     let recvs: Vec<RecvTimes> = system.runs().map(|(_, r)| RecvTimes::new(r)).collect();
     for (id, r) in system.runs() {
-        for t in 0..=r.horizon {
-            for u in t..=r.horizon {
+        for t in 0..=r.horizon() {
+            for u in t..=r.horizon() {
                 let found = system.runs().any(|(id2, r2)| {
                     r.same_initial_config_and_clocks(r2)
                         && agree.extends(id, id2, t)
@@ -230,8 +229,8 @@ pub fn check_ng2(system: &System) -> Option<Violation> {
     let recvs: Vec<RecvTimes> = system.runs().map(|(_, r)| RecvTimes::new(r)).collect();
     for (id, r) in system.runs() {
         for i in 0..system.num_procs() {
-            for tp in 0..=r.horizon {
-                for t in tp..=r.horizon {
+            for tp in 0..=r.horizon() {
+                for t in tp..=r.horizon() {
                     // Hypothesis: p_i receives nothing in the open (t', t).
                     if t > tp + 1 && !recvs[id.index()].quiet(i, tp + 1, t - 1) {
                         continue;
@@ -278,7 +277,7 @@ pub fn check_ng2(system: &System) -> Option<Violation> {
 /// Returns the first `(run, t, i, j)` with no witness, or `None`.
 pub fn check_temporal_imprecision(system: &System) -> Option<Violation> {
     for (id, r) in system.runs() {
-        for t in 1..=r.horizon {
+        for t in 1..=r.horizon() {
             for i in 0..system.num_procs() {
                 for j in 0..system.num_procs() {
                     if i == j {
@@ -300,24 +299,30 @@ pub fn check_temporal_imprecision(system: &System) -> Option<Violation> {
 
 /// Finds a run `r'` witnessing a one-tick shift (late or early) of `p_i`
 /// against `p_j` before time `t` (see [`check_temporal_imprecision`]).
-pub fn shift_witness(system: &System, r: &Run, t: u64, pi: AgentId, pj: AgentId) -> Option<RunId> {
-    let late = |r2: &Run| {
+pub fn shift_witness(
+    system: &System,
+    r: Run<'_>,
+    t: u64,
+    pi: AgentId,
+    pj: AgentId,
+) -> Option<RunId> {
+    let late = |r2: Run<'_>| {
         (0..t).all(|u| {
-            u < r2.horizon
+            u < r2.horizon()
                 && history_keys_equal(r.proc(pi), u, r2.proc(pi), u + 1)
                 && histories_equal(r, r2, pj, u)
         })
     };
-    let early = |r2: &Run| {
+    let early = |r2: Run<'_>| {
         (0..t).all(|u| {
-            u < r.horizon
+            u < r.horizon()
                 && history_keys_equal(r.proc(pi), u + 1, r2.proc(pi), u)
                 && histories_equal(r, r2, pj, u)
         })
     };
     system
         .runs()
-        .find(|(_, r2)| late(r2) || early(r2))
+        .find(|&(_, r2)| late(r2) || early(r2))
         .map(|(id, _)| id)
 }
 
@@ -326,6 +331,7 @@ mod tests {
     use super::*;
     use crate::event::{Event, Message};
     use crate::run::RunBuilder;
+    use crate::system::SystemBuilder;
 
     fn a(i: usize) -> AgentId {
         AgentId::new(i)
@@ -345,50 +351,56 @@ mod tests {
         }
     }
 
-    fn base(name: &str, horizon: u64) -> RunBuilder {
-        RunBuilder::new(name, 2, horizon)
-            .wake(a(0), 0, 0)
-            .wake(a(1), 0, 0)
+    fn base<'b>(sb: &'b mut SystemBuilder, name: &str, horizon: u64) -> RunBuilder<'b> {
+        sb.run(name, 2, horizon).wake(a(0), 0, 0).wake(a(1), 0, 0)
+    }
+
+    /// quiet, send-but-lost, and delivered-at-2 runs of one message.
+    fn loss_family(sb: &mut SystemBuilder) {
+        base(sb, "quiet", 3).finish();
+        base(sb, "lost", 3).event(a(0), 1, send(1, 1)).finish();
+        base(sb, "deliver", 3)
+            .event(a(0), 1, send(1, 1))
+            .event(a(1), 2, recv(0, 1))
+            .finish();
     }
 
     #[test]
     fn extends_and_history_equality() {
         // Same prefix through t=1; diverge at t=2 (delivery vs loss).
-        let r1 = base("deliver", 3)
+        let mut sb = SystemBuilder::new();
+        base(&mut sb, "deliver", 3)
             .event(a(0), 1, send(1, 1))
             .event(a(1), 2, recv(0, 1))
-            .build();
-        let r2 = base("lose", 3).event(a(0), 1, send(1, 1)).build();
+            .finish();
+        base(&mut sb, "lose", 3).event(a(0), 1, send(1, 1)).finish();
+        let sys = sb.build();
+        let (r1, r2) = (sys.run(RunId(0)), sys.run(RunId(1)));
         // Histories at t exclude events at t, so they agree up to t=2.
-        assert!(extends(&r1, &r2, 2));
-        assert!(!extends(&r1, &r2, 3));
-        assert!(histories_equal(&r1, &r2, a(0), 3), "sender can't tell");
-        assert!(!histories_equal(&r1, &r2, a(1), 3));
+        assert!(extends(r1, r2, 2));
+        assert!(!extends(r1, r2, 3));
+        assert!(histories_equal(r1, r2, a(0), 3), "sender can't tell");
+        assert!(!histories_equal(r1, r2, a(1), 3));
     }
 
     #[test]
     fn ng1_holds_with_silent_twins() {
         // System: quiet run + send-but-lost run + delivered run.
-        let quiet = base("quiet", 3).build();
-        let lost = base("lost", 3).event(a(0), 1, send(1, 1)).build();
-        let deliver = base("deliver", 3)
-            .event(a(0), 1, send(1, 1))
-            .event(a(1), 2, recv(0, 1))
-            .build();
-        let sys = System::new(vec![quiet, lost, deliver]);
-        assert_eq!(check_ng1(&sys), None);
+        let mut sb = SystemBuilder::new();
+        loss_family(&mut sb);
+        assert_eq!(check_ng1(&sb.build()), None);
     }
 
     #[test]
     fn ng1_fails_when_delivery_is_forced() {
         // Only the delivered run exists: at t ≤ 2 there is no silent
         // extension.
-        let deliver = base("deliver", 3)
+        let mut sb = SystemBuilder::new();
+        base(&mut sb, "deliver", 3)
             .event(a(0), 1, send(1, 1))
             .event(a(1), 2, recv(0, 1))
-            .build();
-        let sys = System::new(vec![deliver]);
-        let v = check_ng1(&sys).expect("NG1 must fail");
+            .finish();
+        let v = check_ng1(&sb.build()).expect("NG1 must fail");
         assert!(v.time <= 2);
     }
 
@@ -399,22 +411,22 @@ mod tests {
         // and no events, histories are wake-dependent only... here both
         // always awake from 0, so histories are constant and any run
         // witnesses any shift.
-        let r0 = base("r0", 3).build();
-        let r1 = base("r1", 3).build();
-        let sys = System::new(vec![r0, r1]);
-        assert_eq!(check_temporal_imprecision(&sys), None);
+        let mut sb = SystemBuilder::new();
+        base(&mut sb, "r0", 3).finish();
+        base(&mut sb, "r1", 3).finish();
+        assert_eq!(check_temporal_imprecision(&sb.build()), None);
     }
 
     #[test]
     fn temporal_imprecision_fails_with_global_clock() {
         // Perfect shared clocks pin real time: a one-tick shift of p0
         // would need clock readings that don't exist in any run.
-        let r0 = base("r0", 3)
+        let mut sb = SystemBuilder::new();
+        base(&mut sb, "r0", 3)
             .perfect_clock(a(0), 0)
             .perfect_clock(a(1), 0)
-            .build();
-        let sys = System::new(vec![r0]);
-        let v = check_temporal_imprecision(&sys);
+            .finish();
+        let v = check_temporal_imprecision(&sb.build());
         assert!(v.is_some(), "global clock kills temporal imprecision");
     }
 
@@ -422,14 +434,9 @@ mod tests {
     fn ng2_on_loss_closed_family() {
         // All four delivery outcomes of one message exist — NG2's witness
         // (suppress deliveries to others, keep p_i's view) is available.
-        let quiet = base("quiet", 3).build();
-        let lost = base("lost", 3).event(a(0), 1, send(1, 1)).build();
-        let deliver = base("deliver", 3)
-            .event(a(0), 1, send(1, 1))
-            .event(a(1), 2, recv(0, 1))
-            .build();
-        let sys = System::new(vec![quiet, lost, deliver]);
-        assert_eq!(check_ng2(&sys), None);
+        let mut sb = SystemBuilder::new();
+        loss_family(&mut sb);
+        assert_eq!(check_ng2(&sb.build()), None);
     }
 
     #[test]
@@ -438,14 +445,18 @@ mod tests {
         // agreement table must scan to the outer run's horizon (clockless
         // histories are well-defined past a run's horizon), exactly as
         // the unmemoised `extends` scan did.
-        let long = base("long", 5)
+        let mut sb = SystemBuilder::new();
+        base(&mut sb, "long", 5)
             .event(a(0), 1, send(1, 1))
             .event(a(1), 4, recv(0, 1))
-            .build();
-        let short = base("short", 3).event(a(0), 1, send(1, 1)).build();
-        let sys = System::new(vec![long.clone(), short.clone()]);
+            .finish();
+        base(&mut sb, "short", 3)
+            .event(a(0), 1, send(1, 1))
+            .finish();
+        let sys = sb.build();
+        let (long, short) = (sys.run(RunId(0)), sys.run(RunId(1)));
         // Unmemoised reference: `short` extends (long, 4) and is silent.
-        assert!(extends(&long, &short, 4) && short.silent_from(4));
+        assert!(extends(long, short, 4) && short.silent_from(4));
         assert_eq!(check_ng1(&sys), None);
     }
 
@@ -453,17 +464,15 @@ mod tests {
     fn ng1_prime_with_delay_family() {
         // Message sent at 1 can be delivered at 2, 3, or never — delivery
         // delayable past any u, so NG1' holds on this truncation.
-        let lost = base("lost", 3).event(a(0), 1, send(1, 1)).build();
-        let d2 = base("d2", 3)
-            .event(a(0), 1, send(1, 1))
-            .event(a(1), 2, recv(0, 1))
-            .build();
-        let d3 = base("d3", 3)
-            .event(a(0), 1, send(1, 1))
-            .event(a(1), 3, recv(0, 1))
-            .build();
-        let quiet = base("quiet", 3).build();
-        let sys = System::new(vec![quiet, lost, d2, d3]);
-        assert_eq!(check_ng1_prime(&sys), None);
+        let mut sb = SystemBuilder::new();
+        base(&mut sb, "quiet", 3).finish();
+        base(&mut sb, "lost", 3).event(a(0), 1, send(1, 1)).finish();
+        for d in [2, 3] {
+            base(&mut sb, &format!("d{d}"), 3)
+                .event(a(0), 1, send(1, 1))
+                .event(a(1), d, recv(0, 1))
+                .finish();
+        }
+        assert_eq!(check_ng1_prime(&sb.build()), None);
     }
 }

@@ -21,7 +21,7 @@ use hm_limits::{failpoints, Budget, LimitExceeded, Phase};
 use hm_logic::{evaluate, AtomTable, EvalError, Formula, Frame, TemporalStructure};
 
 /// A fact predicate: the truth of a ground atom at each point of a run.
-pub type FactFn = Box<dyn Fn(&Run, u64) -> bool>;
+pub type FactFn = Box<dyn Fn(Run<'_>, u64) -> bool>;
 
 /// Builder for [`InterpretedSystem`] (C-BUILDER).
 pub struct InterpretedSystemBuilder {
@@ -38,7 +38,7 @@ impl InterpretedSystemBuilder {
     pub fn fact(
         mut self,
         name: impl Into<String>,
-        fact: impl Fn(&Run, u64) -> bool + 'static,
+        fact: impl Fn(Run<'_>, u64) -> bool + 'static,
     ) -> Self {
         self.facts.push((name.into(), Box::new(fact)));
         self
@@ -116,7 +116,7 @@ impl InterpretedSystemBuilder {
             let atom = b.atom(name.clone());
             let mut w = 0usize;
             for (_, r) in system.runs() {
-                for t in 0..=r.horizon {
+                for t in 0..=r.horizon() {
                     budget.tick(Phase::Build)?;
                     if fact(r, t) {
                         b.set_atom(atom, WorldId::new(w), true);
@@ -135,7 +135,7 @@ impl InterpretedSystemBuilder {
             let mut interner = ViewInterner::new();
             ids.clear();
             for (_, r) in system.runs() {
-                for _ in 0..=r.horizon {
+                for _ in 0..=r.horizon() {
                     budget.tick(Phase::Build)?;
                 }
                 self.view.intern_run(r, agent, &mut interner, &mut ids);
@@ -154,21 +154,10 @@ impl InterpretedSystemBuilder {
             None
         };
 
-        // Clock table for the timestamped operators.
-        let mut clocks: Vec<Vec<Option<u64>>> = vec![Vec::with_capacity(num_points); num_procs];
-        for (_, r) in system.runs() {
-            for t in 0..=r.horizon {
-                for (i, col) in clocks.iter_mut().enumerate() {
-                    col.push(r.proc(AgentId::new(i)).clock_at(t));
-                }
-            }
-        }
-
         Ok(InterpretedSystem {
             system,
             model,
             offsets,
-            clocks,
             view_name: self.view.name(),
             quotient,
         })
@@ -180,20 +169,21 @@ impl InterpretedSystemBuilder {
 /// # Examples
 ///
 /// ```
-/// use hm_runs::{System, RunBuilder, InterpretedSystem, CompleteHistory};
+/// use hm_runs::{SystemBuilder, InterpretedSystem, CompleteHistory};
 /// use hm_logic::{parse, evaluate};
 /// use hm_kripke::AgentId;
 ///
-/// let sent = RunBuilder::new("sent", 2, 1)
+/// let mut sb = SystemBuilder::new();
+/// sb.run("sent", 2, 1)
 ///     .wake(AgentId::new(0), 0, 1)
 ///     .wake(AgentId::new(1), 0, 0)
-///     .build();
-/// let quiet = RunBuilder::new("quiet", 2, 1)
+///     .finish();
+/// sb.run("quiet", 2, 1)
 ///     .wake(AgentId::new(0), 0, 0)
 ///     .wake(AgentId::new(1), 0, 0)
-///     .build();
-/// let isys = InterpretedSystem::builder(System::new(vec![sent, quiet]), CompleteHistory)
-///     .fact("one", |run, _t| run.proc(AgentId::new(0)).initial_state == 1)
+///     .finish();
+/// let isys = InterpretedSystem::builder(sb.build(), CompleteHistory)
+///     .fact("one", |run, _t| run.proc(AgentId::new(0)).initial_state() == 1)
 ///     .build();
 /// let f = parse("K0 one")?;
 /// // Agent 0 read its own initial state, so it knows `one` in run 0.
@@ -204,8 +194,6 @@ pub struct InterpretedSystem {
     system: System,
     model: KripkeModel,
     offsets: Vec<u32>,
-    /// `clocks[agent][world]`.
-    clocks: Vec<Vec<Option<u64>>>,
     view_name: &'static str,
     /// The bisimulation quotient, when construction computed it (see
     /// [`InterpretedSystemBuilder::minimized`]).
@@ -266,7 +254,7 @@ impl InterpretedSystem {
     /// Panics if the point is outside the system.
     pub fn world(&self, run: RunId, t: u64) -> WorldId {
         assert!(
-            t <= self.system.run(run).horizon,
+            t <= self.system.run(run).horizon(),
             "time {t} beyond horizon of {run}"
         );
         WorldId::new(self.offsets[run.index()] as usize + t as usize)
@@ -278,7 +266,7 @@ impl InterpretedSystem {
     /// instead of [`KripkeModel::world_label`] for interpreted systems.
     pub fn point_name(&self, w: WorldId) -> String {
         let p = self.locate(w);
-        format!("{}@{}", self.system.run(p.run).name, p.time)
+        format!("{}@{}", self.system.run(p.run).name(), p.time)
     }
 
     /// The point of a world id.
@@ -322,7 +310,7 @@ impl InterpretedSystem {
     /// The set of points of one run.
     pub fn run_points(&self, run: RunId) -> WorldSet {
         let mut out = self.model.empty_set();
-        for t in 0..=self.system.run(run).horizon {
+        for t in 0..=self.system.run(run).horizon() {
             out.insert(self.world(run, t));
         }
         out
@@ -398,15 +386,15 @@ impl TemporalStructure for InterpretedSystem {
 
     fn point(&self, run: usize, t: u64) -> Option<WorldId> {
         let id = RunId::from(run);
-        (t <= self.system.run(id).horizon).then(|| self.world(id, t))
+        (t <= self.system.run(id).horizon()).then(|| self.world(id, t))
     }
 
     fn run_len(&self, run: usize) -> u64 {
         self.system.run(RunId::from(run)).num_points()
     }
 
-    fn clock(&self, i: AgentId, w: WorldId) -> Option<u64> {
-        self.clocks[i.index()][w.index()]
+    fn clock(&self, i: AgentId, run: usize, t: u64) -> Option<u64> {
+        self.system.run(RunId::from(run)).proc(i).clock_at(t)
     }
 }
 
@@ -414,7 +402,7 @@ impl TemporalStructure for InterpretedSystem {
 mod tests {
     use super::*;
     use crate::event::{Event, Message};
-    use crate::run::RunBuilder;
+    use crate::system::SystemBuilder;
     use crate::view::{CompleteHistory, SharedLambda};
     use hm_logic::parse;
 
@@ -426,18 +414,19 @@ mod tests {
     /// In "lost", the message is sent but never delivered.
     fn msg_system() -> System {
         let msg = Message::tagged(1);
-        let sent = RunBuilder::new("sent", 2, 3)
+        let mut sb = SystemBuilder::new();
+        sb.run("sent", 2, 3)
             .wake(a(0), 0, 0)
             .wake(a(1), 0, 0)
             .event(a(0), 1, Event::Send { to: a(1), msg })
             .event(a(1), 2, Event::Recv { from: a(0), msg })
-            .build();
-        let lost = RunBuilder::new("lost", 2, 3)
+            .finish();
+        sb.run("lost", 2, 3)
             .wake(a(0), 0, 0)
             .wake(a(1), 0, 0)
             .event(a(0), 1, Event::Send { to: a(1), msg })
-            .build();
-        System::new(vec![sent, lost])
+            .finish();
+        sb.build()
     }
 
     fn interp(sys: System) -> InterpretedSystem {

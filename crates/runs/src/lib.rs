@@ -9,6 +9,11 @@
 //! materialise the indistinguishability Kripke model and plug into the
 //! `hm-logic` model checker (including its temporal operators).
 //!
+//! A [`System`] keeps all of its runs in one flat store (event, clock and
+//! name arenas plus one fixed-size record per run and per processor);
+//! [`Run`] and [`ProcRecord`] are borrowed views into it, and runs are
+//! appended through a [`SystemBuilder`] (see [`System`] for the layout).
+//!
 //! The [`conditions`] module turns the structural hypotheses of the
 //! paper's impossibility theorems (NG1/NG2, NG1′, temporal imprecision)
 //! into decidable checks over finite systems.
@@ -28,7 +33,7 @@ pub use event::{Event, Message, TimedEvent};
 pub use intern::ViewInterner;
 pub use interpreted::{FactFn, InterpretedSystem, InterpretedSystemBuilder};
 pub use run::{ProcRecord, Run, RunBuilder};
-pub use system::{Point, RunId, System};
+pub use system::{Point, RunId, System, SystemBuilder};
 pub use view::{
     complete_history_key, encode_complete_history, encode_history, intern_history_trie,
     last_event_view, ClockOnly, CompleteHistory, SharedLambda, StateProjection, ViewFunction,

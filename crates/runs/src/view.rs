@@ -48,7 +48,7 @@ pub trait ViewFunction {
     /// onto `out` (which may hold unrelated prefix data the implementation
     /// must not touch). Equal appended encodings mean indistinguishable
     /// points.
-    fn encode_view(&self, run: &Run, i: AgentId, t: u64, out: &mut Vec<u64>);
+    fn encode_view(&self, run: Run<'_>, i: AgentId, t: u64, out: &mut Vec<u64>);
 
     /// Pushes onto `ids` one view id per point `(run, 0..=horizon)` of
     /// processor `i`, from `interner` (shared by every run of one agent):
@@ -60,9 +60,15 @@ pub trait ViewFunction {
     /// The default interns each point's encoding from scratch, which
     /// costs O(h²) per run of horizon `h` for views that grow with the
     /// history; such views override it with [`intern_history_trie`].
-    fn intern_run(&self, run: &Run, i: AgentId, interner: &mut ViewInterner, ids: &mut Vec<u32>) {
+    fn intern_run(
+        &self,
+        run: Run<'_>,
+        i: AgentId,
+        interner: &mut ViewInterner,
+        ids: &mut Vec<u32>,
+    ) {
         let mut key = Vec::new();
-        for t in 0..=run.horizon {
+        for t in 0..=run.horizon() {
             key.clear();
             self.encode_view(run, i, t, &mut key);
             ids.push(interner.intern(&key));
@@ -71,7 +77,7 @@ pub trait ViewFunction {
 
     /// Convenience form of [`encode_view`](Self::encode_view) returning a
     /// fresh buffer; allocates, so tests and diagnostics only.
-    fn view_key(&self, run: &Run, i: AgentId, t: u64) -> Vec<u64> {
+    fn view_key(&self, run: Run<'_>, i: AgentId, t: u64) -> Vec<u64> {
         let mut out = Vec::new();
         self.encode_view(run, i, t, &mut out);
         out
@@ -89,39 +95,39 @@ pub trait ViewFunction {
 ///
 /// Appends nothing for an asleep processor (the empty history, shared by
 /// all asleep points).
-pub fn encode_complete_history(p: &ProcRecord, t: u64, out: &mut Vec<u64>) {
-    let prefix = p.events.partition_point(|e| e.time < t);
-    encode_history(p, t, &p.events[..prefix], out);
+pub fn encode_complete_history(p: ProcRecord<'_>, t: u64, out: &mut Vec<u64>) {
+    let events = p.events();
+    encode_history(p, t, &events[..events.partition_point(|e| e.time < t)], out);
 }
 
 /// [`encode_complete_history`] with `events` in place of `p`'s events
 /// before `t` — for views that record a relabelled copy of the history,
 /// such as a symmetry-canonical one. Each event is stamped with `p`'s
 /// clock reading at the event's time.
-pub fn encode_history(p: &ProcRecord, t: u64, events: &[TimedEvent], out: &mut Vec<u64>) {
-    let wake = match p.wake_time {
+pub fn encode_history(p: ProcRecord<'_>, t: u64, events: &[TimedEvent], out: &mut Vec<u64>) {
+    let wake = match p.wake_time() {
         Some(w) if t >= w => w,
         // Asleep: the empty history.
         _ => return,
     };
     out.push(1); // awake marker
-    out.push(p.initial_state);
+    out.push(p.initial_state());
     // Clock value set, deduplicated (monotone, so dedup of the reading
     // sequence from wake to t), preceded by its length.
-    match &p.clock {
-        Some(c) => {
-            let count_at = out.len();
-            out.push(0); // length, patched below
-            let mut last = None;
-            for &v in &c[wake as usize..=t as usize] {
-                if last != Some(v) {
-                    out.push(v);
-                    last = Some(v);
-                }
+    if p.has_clock() {
+        let count_at = out.len();
+        out.push(0); // length, patched below
+        let mut last = None;
+        for u in wake..=t {
+            let v = p.reading(u).expect("clock read past the run's horizon");
+            if last != Some(v) {
+                out.push(v);
+                last = Some(v);
             }
-            out[count_at] = (out.len() - count_at - 1) as u64;
         }
-        None => out.push(0),
+        out[count_at] = (out.len() - count_at - 1) as u64;
+    } else {
+        out.push(0);
     }
     // Events, clock-stamped, preceded by their count.
     out.push(events.len() as u64);
@@ -133,7 +139,7 @@ pub fn encode_history(p: &ProcRecord, t: u64, events: &[TimedEvent], out: &mut V
 
 /// [`encode_complete_history`] into a fresh buffer; allocates, so tests
 /// and the NG-condition checkers' reference paths only.
-pub fn complete_history_key(p: &ProcRecord, t: u64) -> Vec<u64> {
+pub fn complete_history_key(p: ProcRecord<'_>, t: u64) -> Vec<u64> {
     let mut out = Vec::new();
     encode_complete_history(p, t, &mut out);
     out
@@ -167,30 +173,31 @@ const CLOCK_TOKEN: u64 = 3;
 /// a clock the tick boundaries are not in the encoding, so chaining whole
 /// ticks would split points the encoding merges.
 pub fn intern_history_trie(
-    p: &ProcRecord,
+    p: ProcRecord<'_>,
     horizon: u64,
     interner: &mut ViewInterner,
     ids: &mut Vec<u32>,
     mut canonical_tick: impl FnMut(&[TimedEvent], &mut Vec<Event>),
 ) {
     let asleep = interner.intern(&[]);
-    let wake = p.wake_time.map_or(horizon + 1, |w| w.min(horizon + 1));
+    let wake = p.wake_time().map_or(horizon + 1, |w| w.min(horizon + 1));
     ids.extend(std::iter::repeat_n(asleep, wake as usize));
     if wake > horizon {
         return;
     }
-    let mut node = interner.intern(&[p.initial_state]);
+    let mut node = interner.intern(&[p.initial_state()]);
     let mut last_clock = None;
     let mut next = 0;
     let mut recorded = Vec::new();
     let mut key = Vec::with_capacity(5);
+    let events = p.events();
     for t in wake..=horizon {
         // Events before `t` enter the history at `t`, one tick at a time.
-        while next < p.events.len() && p.events[next].time < t {
-            let time = p.events[next].time;
-            let end = next + p.events[next..].partition_point(|e| e.time == time);
+        while next < events.len() && events[next].time < t {
+            let time = events[next].time;
+            let end = next + events[next..].partition_point(|e| e.time == time);
             recorded.clear();
-            canonical_tick(&p.events[next..end], &mut recorded);
+            canonical_tick(&events[next..end], &mut recorded);
             for e in &recorded {
                 key.clear();
                 key.push(u64::from(node));
@@ -214,14 +221,26 @@ pub fn intern_history_trie(
 pub struct CompleteHistory;
 
 impl ViewFunction for CompleteHistory {
-    fn encode_view(&self, run: &Run, i: AgentId, t: u64, out: &mut Vec<u64>) {
+    fn encode_view(&self, run: Run<'_>, i: AgentId, t: u64, out: &mut Vec<u64>) {
         encode_complete_history(run.proc(i), t, out);
     }
 
-    fn intern_run(&self, run: &Run, i: AgentId, interner: &mut ViewInterner, ids: &mut Vec<u32>) {
-        intern_history_trie(run.proc(i), run.horizon, interner, ids, |tick, recorded| {
-            recorded.extend(tick.iter().map(|e| e.event));
-        });
+    fn intern_run(
+        &self,
+        run: Run<'_>,
+        i: AgentId,
+        interner: &mut ViewInterner,
+        ids: &mut Vec<u32>,
+    ) {
+        intern_history_trie(
+            run.proc(i),
+            run.horizon(),
+            interner,
+            ids,
+            |tick, recorded| {
+                recorded.extend(tick.iter().map(|e| e.event));
+            },
+        );
     }
 
     fn name(&self) -> &'static str {
@@ -236,7 +255,7 @@ impl ViewFunction for CompleteHistory {
 pub struct SharedLambda;
 
 impl ViewFunction for SharedLambda {
-    fn encode_view(&self, _run: &Run, _i: AgentId, _t: u64, _out: &mut Vec<u64>) {}
+    fn encode_view(&self, _run: Run<'_>, _i: AgentId, _t: u64, _out: &mut Vec<u64>) {}
 
     fn name(&self) -> &'static str {
         "shared-lambda"
@@ -250,7 +269,7 @@ impl ViewFunction for SharedLambda {
 pub struct ClockOnly;
 
 impl ViewFunction for ClockOnly {
-    fn encode_view(&self, run: &Run, i: AgentId, t: u64, out: &mut Vec<u64>) {
+    fn encode_view(&self, run: Run<'_>, i: AgentId, t: u64, out: &mut Vec<u64>) {
         let p = run.proc(i);
         if !p.awake_at(t) {
             return;
@@ -280,7 +299,7 @@ pub struct StateProjection<F> {
 
 impl<F> StateProjection<F>
 where
-    F: Fn(&ProcRecord, u64, &mut Vec<u64>),
+    F: Fn(ProcRecord<'_>, u64, &mut Vec<u64>),
 {
     /// Creates a named projection view.
     pub fn new(name: &'static str, project: F) -> Self {
@@ -290,9 +309,9 @@ where
 
 impl<F> ViewFunction for StateProjection<F>
 where
-    F: Fn(&ProcRecord, u64, &mut Vec<u64>),
+    F: Fn(ProcRecord<'_>, u64, &mut Vec<u64>),
 {
-    fn encode_view(&self, run: &Run, i: AgentId, t: u64, out: &mut Vec<u64>) {
+    fn encode_view(&self, run: Run<'_>, i: AgentId, t: u64, out: &mut Vec<u64>) {
         (self.project)(run.proc(i), t, out);
     }
 
@@ -310,15 +329,15 @@ impl<F> std::fmt::Debug for StateProjection<F> {
 /// The "last event only" projection: remembers the initial state, the most
 /// recent event, and the clock reading — a deliberately forgetful local
 /// state used by experiment E16.
-pub fn last_event_view() -> StateProjection<impl Fn(&ProcRecord, u64, &mut Vec<u64>)> {
+pub fn last_event_view() -> StateProjection<impl Fn(ProcRecord<'_>, u64, &mut Vec<u64>)> {
     StateProjection::new(
         "last-event",
-        |p: &ProcRecord, t: u64, out: &mut Vec<u64>| {
+        |p: ProcRecord<'_>, t: u64, out: &mut Vec<u64>| {
             if !p.awake_at(t) {
                 return;
             }
             out.push(1);
-            out.push(p.initial_state);
+            out.push(p.initial_state());
             if let Some(c) = p.clock_at(t) {
                 out.push(c);
             }
@@ -334,88 +353,99 @@ mod tests {
     use super::*;
     use crate::event::{Event, Message};
     use crate::run::RunBuilder;
+    use crate::system::{RunId, System, SystemBuilder};
 
     fn a(i: usize) -> AgentId {
         AgentId::new(i)
     }
 
-    fn two_event_run() -> Run {
-        RunBuilder::new("r", 2, 4)
-            .wake(a(0), 0, 7)
-            .wake(a(1), 1, 8)
-            .event(
-                a(0),
-                1,
-                Event::Send {
-                    to: a(1),
-                    msg: Message::tagged(1),
-                },
-            )
-            .event(
-                a(0),
-                3,
-                Event::Send {
-                    to: a(1),
-                    msg: Message::tagged(2),
-                },
-            )
-            .build()
+    /// The one-run system of `make(sb.run("r", procs, horizon))`.
+    fn single(procs: usize, horizon: u64, make: impl FnOnce(RunBuilder) -> RunBuilder) -> System {
+        let mut sb = SystemBuilder::new();
+        make(sb.run("r", procs, horizon)).finish();
+        sb.build()
+    }
+
+    fn two_event_run() -> System {
+        single(2, 4, |b| {
+            b.wake(a(0), 0, 7)
+                .wake(a(1), 1, 8)
+                .event(
+                    a(0),
+                    1,
+                    Event::Send {
+                        to: a(1),
+                        msg: Message::tagged(1),
+                    },
+                )
+                .event(
+                    a(0),
+                    3,
+                    Event::Send {
+                        to: a(1),
+                        msg: Message::tagged(2),
+                    },
+                )
+        })
     }
 
     #[test]
     fn complete_history_grows_with_events_not_time() {
-        let r = two_event_run();
+        let sys = two_event_run();
+        let r = sys.run(RunId(0));
         let v = CompleteHistory;
         // No clock: points between events are indistinguishable.
-        assert_eq!(v.view_key(&r, a(0), 2), v.view_key(&r, a(0), 3));
+        assert_eq!(v.view_key(r, a(0), 2), v.view_key(r, a(0), 3));
         // Crossing an event changes the view.
-        assert_ne!(v.view_key(&r, a(0), 3), v.view_key(&r, a(0), 4));
+        assert_ne!(v.view_key(r, a(0), 3), v.view_key(r, a(0), 4));
         // Events at time t are excluded from the view at t.
-        assert_eq!(v.view_key(&r, a(0), 0), v.view_key(&r, a(0), 1));
+        assert_eq!(v.view_key(r, a(0), 0), v.view_key(r, a(0), 1));
     }
 
     #[test]
     fn asleep_points_share_the_empty_view() {
-        let r = two_event_run();
+        let sys = two_event_run();
+        let r = sys.run(RunId(0));
         let v = CompleteHistory;
-        assert_eq!(v.view_key(&r, a(1), 0), Vec::<u64>::new());
-        assert_ne!(v.view_key(&r, a(1), 1), Vec::<u64>::new());
+        assert_eq!(v.view_key(r, a(1), 0), Vec::<u64>::new());
+        assert_ne!(v.view_key(r, a(1), 1), Vec::<u64>::new());
     }
 
     #[test]
     fn clock_dedup_hides_tick_counts() {
         // Constant clock: views at t=0 and t=2 identical (no event).
-        let r = RunBuilder::new("r", 1, 2)
-            .wake(a(0), 0, 0)
-            .clock_readings(a(0), vec![5, 5, 5])
-            .build();
+        let sys = single(1, 2, |b| {
+            b.wake(a(0), 0, 0).clock_readings(a(0), vec![5, 5, 5])
+        });
+        let r = sys.run(RunId(0));
         let v = CompleteHistory;
-        assert_eq!(v.view_key(&r, a(0), 0), v.view_key(&r, a(0), 2));
+        assert_eq!(v.view_key(r, a(0), 0), v.view_key(r, a(0), 2));
         // Advancing clock: views differ.
-        let r2 = RunBuilder::new("r", 1, 2)
-            .wake(a(0), 0, 0)
-            .clock_readings(a(0), vec![5, 5, 6])
-            .build();
-        assert_ne!(v.view_key(&r2, a(0), 0), v.view_key(&r2, a(0), 2));
+        let sys2 = single(1, 2, |b| {
+            b.wake(a(0), 0, 0).clock_readings(a(0), vec![5, 5, 6])
+        });
+        let r2 = sys2.run(RunId(0));
+        assert_ne!(v.view_key(r2, a(0), 0), v.view_key(r2, a(0), 2));
     }
 
     #[test]
     fn shared_lambda_is_constant() {
-        let r = two_event_run();
+        let sys = two_event_run();
+        let r = sys.run(RunId(0));
         let v = SharedLambda;
-        assert_eq!(v.view_key(&r, a(0), 0), v.view_key(&r, a(1), 4));
+        assert_eq!(v.view_key(r, a(0), 0), v.view_key(r, a(1), 4));
         assert_eq!(v.name(), "shared-lambda");
     }
 
     #[test]
     fn clock_only_sees_reading() {
-        let r = RunBuilder::new("r", 1, 3)
-            .wake(a(0), 0, 9)
-            .clock_readings(a(0), vec![0, 1, 1, 2])
-            .build();
+        let sys = single(1, 3, |b| {
+            b.wake(a(0), 0, 9).clock_readings(a(0), vec![0, 1, 1, 2])
+        });
+        let r = sys.run(RunId(0));
         let v = ClockOnly;
-        assert_eq!(v.view_key(&r, a(0), 1), v.view_key(&r, a(0), 2));
-        assert_ne!(v.view_key(&r, a(0), 0), v.view_key(&r, a(0), 1));
+        assert_eq!(v.view_key(r, a(0), 1), v.view_key(r, a(0), 2));
+        assert_ne!(v.view_key(r, a(0), 0), v.view_key(r, a(0), 1));
     }
 
     #[test]
@@ -423,31 +453,32 @@ mod tests {
         // After a second identical event, history distinguishes but the
         // last-event state does not distinguish "one send" from "two
         // sends of the same message".
-        let r = RunBuilder::new("r", 2, 4)
-            .wake(a(0), 0, 0)
-            .event(
-                a(0),
-                1,
-                Event::Send {
-                    to: a(1),
-                    msg: Message::tagged(1),
-                },
-            )
-            .event(
-                a(0),
-                2,
-                Event::Send {
-                    to: a(1),
-                    msg: Message::tagged(1),
-                },
-            )
-            .build();
+        let sys = single(2, 4, |b| {
+            b.wake(a(0), 0, 0)
+                .event(
+                    a(0),
+                    1,
+                    Event::Send {
+                        to: a(1),
+                        msg: Message::tagged(1),
+                    },
+                )
+                .event(
+                    a(0),
+                    2,
+                    Event::Send {
+                        to: a(1),
+                        msg: Message::tagged(1),
+                    },
+                )
+        });
+        let r = sys.run(RunId(0));
         let forgetful = last_event_view();
         let full = CompleteHistory;
         assert_eq!(
-            forgetful.view_key(&r, a(0), 2),
-            forgetful.view_key(&r, a(0), 3)
+            forgetful.view_key(r, a(0), 2),
+            forgetful.view_key(r, a(0), 3)
         );
-        assert_ne!(full.view_key(&r, a(0), 2), full.view_key(&r, a(0), 3));
+        assert_ne!(full.view_key(r, a(0), 2), full.view_key(r, a(0), 3));
     }
 }

@@ -59,6 +59,13 @@ struct Entry {
     last_used: u64,
 }
 
+/// Formula-cache totals over the cached sessions, for `/stats`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FormulaCounts {
+    pub(crate) cached: usize,
+    pub(crate) evictions: u64,
+}
+
 impl EngineCache {
     /// An empty cache holding at most `capacity` sessions (minimum 1),
     /// with the quarantine breaker tripping after `quarantine_threshold`
@@ -143,6 +150,18 @@ impl EngineCache {
     /// Sessions dropped to make room, since startup.
     pub(crate) fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
+    }
+
+    /// Compiled formulas held, and formula-cache evictions, summed over
+    /// the sessions cached now (each session's formula caches are
+    /// bounded; see `hm_engine::FORMULA_CACHE_CAPACITY`).
+    pub(crate) fn formula_counts(&self) -> FormulaCounts {
+        let inner = self.lock();
+        let sessions = inner.map.values().map(|e| &e.session);
+        FormulaCounts {
+            cached: sessions.clone().map(|s| s.cached_queries()).sum(),
+            evictions: sessions.map(|s| s.formula_evictions()).sum(),
+        }
     }
 
     /// Whether `spec` is currently quarantined. A breaker past its

@@ -17,7 +17,7 @@
 //! | Route           | Answer |
 //! |-----------------|--------|
 //! | `GET /healthz`  | `{"ok":true}` — liveness |
-//! | `GET /stats`    | cache hits/misses/evictions, request counters, in-flight gauge |
+//! | `GET /stats`    | engine-cache hits/misses/evictions, formula-cache size/evictions, request counters, in-flight gauge |
 //! | `POST /query`   | verdict + analyzer diagnostics + timing for one formula |
 //!
 //! A query body names a scenario spec and a formula, with optional

@@ -586,6 +586,7 @@ fn stats_json(state: &ServerState) -> String {
         state.engines.capacity(),
         state.engines.evictions(),
         state.engines.quarantined_specs(),
+        state.engines.formula_counts(),
     )
 }
 

@@ -8,6 +8,7 @@
 //! another thread records into it can lose a tick of telemetry, never
 //! corrupt control flow.
 
+use crate::cache::FormulaCounts;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -227,6 +228,7 @@ impl Stats {
         capacity: usize,
         evictions: u64,
         quarantined_specs: usize,
+        formulas: FormulaCounts,
     ) -> String {
         let g = |c: &AtomicU64| c.load(Ordering::Relaxed);
         let queries = g(&self.query_ok) + g(&self.query_client_error) + g(&self.query_limit);
@@ -235,10 +237,13 @@ impl Stats {
             out,
             "{{\"engines\":{{\"cached\":{engines},\"capacity\":{capacity},\
              \"hits\":{},\"misses\":{},\"bypass\":{},\"evictions\":{evictions},\
-             \"quarantined_specs\":{quarantined_specs}}},",
+             \"quarantined_specs\":{quarantined_specs},\
+             \"formulas_cached\":{},\"formula_evictions\":{}}},",
             g(&self.engine_hits),
             g(&self.engine_misses),
             g(&self.engine_bypass),
+            formulas.cached,
+            formulas.evictions,
         );
         let _ = write!(
             out,
@@ -280,7 +285,11 @@ mod tests {
         s.query_ok.store(2, Ordering::Relaxed);
         s.query_limit.store(1, Ordering::Relaxed);
         s.shed.store(4, Ordering::Relaxed);
-        let json = s.to_json(2, 8, 1, 0);
+        let formulas = FormulaCounts {
+            cached: 5,
+            evictions: 7,
+        };
+        let json = s.to_json(2, 8, 1, 0, formulas);
         let v = crate::json::Value::parse(&json).unwrap();
         assert_eq!(
             v.field("engines").unwrap().field("hits").unwrap().u64(),
@@ -290,6 +299,9 @@ mod tests {
             v.field("engines").unwrap().field("capacity").unwrap().u64(),
             Ok(8)
         );
+        let engines = v.field("engines").unwrap();
+        assert_eq!(engines.field("formulas_cached").unwrap().u64(), Ok(5));
+        assert_eq!(engines.field("formula_evictions").unwrap().u64(), Ok(7));
         assert_eq!(v.field("queries").unwrap().u64(), Ok(3));
         let requests = v.field("requests").unwrap();
         assert_eq!(requests.field("query_limit").unwrap().u64(), Ok(1));

@@ -118,6 +118,10 @@ fn concurrent_mixed_queries_match_serial() {
     assert_eq!(requests("query_ok"), per_kind(3), "{stats}");
     assert_eq!(requests("query_client_error"), per_kind(3), "{stats}");
     assert_eq!(requests("query_limit"), per_kind(1), "{stats}");
+    // The warm sessions hold their compiled formulas, far below the
+    // per-session capacity, so nothing was evicted.
+    assert!(requests("formulas_cached") > 0, "{stats}");
+    assert_eq!(requests("formula_evictions"), 0, "{stats}");
     handle.shutdown();
 }
 

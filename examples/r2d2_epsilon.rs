@@ -18,7 +18,7 @@ fn isys_window_count(isys: &InterpretedSystem, set: &WorldSet, cutoff: u64) -> u
     isys.system()
         .runs()
         .flat_map(|(rid, run)| {
-            (0..cutoff.min(run.horizon + 1))
+            (0..cutoff.min(run.horizon() + 1))
                 .map(move |t| (rid, t))
                 .collect::<Vec<_>>()
         })

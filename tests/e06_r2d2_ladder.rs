@@ -112,7 +112,7 @@ fn e7_shift_witnesses_in_clockless_family() {
     let sys = isys.system();
     let mut found = 0usize;
     for (_, run) in sys.runs() {
-        for t in 1..=run.horizon {
+        for t in 1..=run.horizon() {
             for (i, j) in [(0usize, 1usize), (1, 0)] {
                 if conditions::shift_witness(sys, run, t, hm_kripke_agent(i), hm_kripke_agent(j))
                     .is_some()

@@ -176,7 +176,7 @@ fn e9_ok_protocol_shape() {
         if !ok_psi(run, 1) {
             continue;
         }
-        for t in 1..=run.horizon {
+        for t in 1..=run.horizon() {
             assert!(ceps.contains(isys.world(rid, t)), "{rid} t={t}");
         }
     }
@@ -184,9 +184,9 @@ fn e9_ok_protocol_shape() {
     let (full, run) = isys
         .system()
         .runs()
-        .find(|(_, r)| (0..=r.horizon).all(|t| !ok_psi(r, t)))
+        .find(|&(_, r)| (0..=r.horizon()).all(|t| !ok_psi(r, t)))
         .unwrap();
-    for t in 0..=run.horizon {
+    for t in 0..=run.horizon() {
         assert!(!ceps.contains(isys.world(full, t)));
     }
     // And the knowledge axiom fails: C^1 ψ ∧ ¬ψ at (lost-run, 0).
@@ -264,14 +264,15 @@ fn e8_eeps_phi_and_not_phi_satisfiable() {
     // different points of the ε-interval. One clocked processor that
     // knows φ at t=1 and ¬φ at t=2 does it with ε = 1.
     use halpern_moses::kripke::AgentId;
-    use halpern_moses::runs::{CompleteHistory, InterpretedSystem, RunBuilder, System};
-    let run = RunBuilder::new("r", 2, 3)
+    use halpern_moses::runs::{CompleteHistory, InterpretedSystem, SystemBuilder};
+    let mut runs = SystemBuilder::new();
+    runs.run("r", 2, 3)
         .wake(AgentId::new(0), 0, 0)
         .wake(AgentId::new(1), 0, 0)
         .perfect_clock(AgentId::new(0), 0)
         .perfect_clock(AgentId::new(1), 0)
-        .build();
-    let isys = InterpretedSystem::builder(System::new(vec![run]), CompleteHistory)
+        .finish();
+    let isys = InterpretedSystem::builder(runs.build(), CompleteHistory)
         .fact("phi", |_r, t| t == 1)
         .build();
     let both = Formula::and([

@@ -120,7 +120,7 @@ fn simultaneity_corollary_of_lemma2() {
         .eval(&Formula::common(g.clone(), Formula::atom("five_oclock")))
         .unwrap();
     for (rid, run) in isys.system().runs() {
-        for t in 1..=run.horizon {
+        for t in 1..=run.horizon() {
             let before = ck.contains(isys.world(rid, t - 1));
             let after = ck.contains(isys.world(rid, t));
             if before != after {

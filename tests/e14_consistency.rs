@@ -13,7 +13,7 @@ use halpern_moses::core::consistency::{
 use halpern_moses::kripke::{AgentId, WorldSet};
 use halpern_moses::logic::Frame;
 use halpern_moses::runs::{
-    CompleteHistory, Event, InterpretedSystem, Message, RunBuilder, RunId, System,
+    CompleteHistory, Event, InterpretedSystem, Message, RunId, SystemBuilder,
 };
 
 fn a(i: usize) -> AgentId {
@@ -25,31 +25,25 @@ fn a(i: usize) -> AgentId {
 fn family(slots: u64) -> InterpretedSystem {
     let msg = Message::tagged(1);
     let horizon = slots + 3;
-    let mut runs = Vec::new();
+    let mut runs = SystemBuilder::new();
     for s in 0..=slots {
-        let base = |name: String| {
-            RunBuilder::new(name, 2, horizon)
+        let delays: &[(&str, u64)] = if s < slots {
+            &[("fast", 0), ("slow", 1)]
+        } else {
+            &[("fast", 0)]
+        };
+        for &(speed, delay) in delays {
+            runs.run(format_args!("{speed}{s}"), 2, horizon)
                 .wake(a(0), 0, 0)
                 .wake(a(1), 0, 0)
                 .perfect_clock(a(0), 0)
                 .perfect_clock(a(1), 0)
-        };
-        runs.push(
-            base(format!("fast{s}"))
                 .event(a(0), s, Event::Send { to: a(1), msg })
-                .event(a(1), s, Event::Recv { from: a(0), msg })
-                .build(),
-        );
-        if s < slots {
-            runs.push(
-                base(format!("slow{s}"))
-                    .event(a(0), s, Event::Send { to: a(1), msg })
-                    .event(a(1), s + 1, Event::Recv { from: a(0), msg })
-                    .build(),
-            );
+                .event(a(1), s + delay, Event::Recv { from: a(0), msg })
+                .finish();
         }
     }
-    InterpretedSystem::builder(System::new(runs), CompleteHistory)
+    InterpretedSystem::builder(runs.build(), CompleteHistory)
         .fact("both_aware", |run, t| {
             run.proc(a(0)).events_before(t).count() > 0
                 && run.proc(a(1)).events_before(t).count() > 0
@@ -61,10 +55,10 @@ fn eager_beliefs(isys: &InterpretedSystem) -> BeliefAssignment {
     BeliefAssignment::from_predicates(
         isys,
         &[
-            Box::new(|run: &halpern_moses::runs::Run, t: u64| {
+            Box::new(|run: halpern_moses::runs::Run<'_>, t: u64| {
                 run.proc(a(0)).events_before(t).count() > 0
             }),
-            Box::new(|run: &halpern_moses::runs::Run, t: u64| {
+            Box::new(|run: halpern_moses::runs::Run<'_>, t: u64| {
                 run.proc(a(1)).events_before(t).count() > 0
             }),
         ],

@@ -21,7 +21,7 @@ fn e15_every_cyclic_graph_is_discovered_no_acyclic_one_is() {
     let mut cyclic = 0;
     let mut acyclic = 0;
     for (_, run) in isys.system().runs() {
-        let targets: Vec<u64> = run.procs.iter().map(|p| p.initial_state).collect();
+        let targets: Vec<u64> = run.procs().map(|p| p.initial_state()).collect();
         let traj = discovery_trajectory(&isys, &targets).unwrap();
         if has_deadlock(&targets) {
             cyclic += 1;
@@ -46,7 +46,7 @@ fn e15_every_cyclic_graph_is_discovered_no_acyclic_one_is() {
 fn e15_publication_reaches_ct_for_every_deadlock() {
     let isys = deadlock_system(3, 12).unwrap();
     for (_, run) in isys.system().runs() {
-        let targets: Vec<u64> = run.procs.iter().map(|p| p.initial_state).collect();
+        let targets: Vec<u64> = run.procs().map(|p| p.initial_state()).collect();
         if has_deadlock(&targets) {
             let stamp = publication_stamp(&isys, &targets).unwrap();
             assert!(stamp.is_some(), "no C^T stamp for {targets:?}");
@@ -129,8 +129,8 @@ fn e18_nonfaulty_decisions_match_in_every_run() {
         let decisions: Vec<u64> = (0..3)
             .filter_map(|i| decision_of(run, AgentId::new(i)))
             .collect();
-        assert!(decisions.len() >= 2, "{}: at most one crash", run.name);
-        assert!(decisions.windows(2).all(|w| w[0] == w[1]), "{}", run.name);
+        assert!(decisions.len() >= 2, "{}: at most one crash", run.name());
+        assert!(decisions.windows(2).all(|w| w[0] == w[1]), "{}", run.name());
     }
 }
 
@@ -152,7 +152,7 @@ fn e18_no_ck_before_decision_round_anywhere() {
             assert!(
                 !ck.contains(isys.world(rid, t)),
                 "{} t={t}: CK before the end of round f+1",
-                run.name
+                run.name()
             );
         }
     }

@@ -12,37 +12,38 @@
 use halpern_moses::kripke::{AgentGroup, AgentId};
 use halpern_moses::logic::{Formula, Frame};
 use halpern_moses::runs::{
-    last_event_view, ClockOnly, CompleteHistory, Event, InterpretedSystem, Message, RunBuilder,
-    SharedLambda, System, ViewFunction, ViewInterner,
+    last_event_view, ClockOnly, CompleteHistory, Event, InterpretedSystem, Message, SharedLambda,
+    System, SystemBuilder, ViewFunction, ViewInterner,
 };
 
 fn a(i: usize) -> AgentId {
     AgentId::new(i)
 }
 
-fn msg_runs() -> Vec<halpern_moses::runs::Run> {
+fn add_msg_runs(runs: &mut SystemBuilder) {
     let msg = Message::tagged(1);
     // Two sends of the same message vs one send vs none.
-    let mut runs = vec![RunBuilder::new("twice", 2, 4)
+    runs.run("twice", 2, 4)
         .wake(a(0), 0, 0)
         .wake(a(1), 0, 0)
         .event(a(0), 1, Event::Send { to: a(1), msg })
         .event(a(0), 2, Event::Send { to: a(1), msg })
-        .build()];
-    runs.push(
-        RunBuilder::new("once", 2, 4)
-            .wake(a(0), 0, 0)
-            .wake(a(1), 0, 0)
-            .event(a(0), 1, Event::Send { to: a(1), msg })
-            .build(),
-    );
-    runs.push(
-        RunBuilder::new("never", 2, 4)
-            .wake(a(0), 0, 0)
-            .wake(a(1), 0, 0)
-            .build(),
-    );
-    runs
+        .finish();
+    runs.run("once", 2, 4)
+        .wake(a(0), 0, 0)
+        .wake(a(1), 0, 0)
+        .event(a(0), 1, Event::Send { to: a(1), msg })
+        .finish();
+    runs.run("never", 2, 4)
+        .wake(a(0), 0, 0)
+        .wake(a(1), 0, 0)
+        .finish();
+}
+
+fn msg_runs() -> System {
+    let mut runs = SystemBuilder::new();
+    add_msg_runs(&mut runs);
+    runs.build()
 }
 
 fn facts(b: halpern_moses::runs::InterpretedSystemBuilder) -> InterpretedSystem {
@@ -63,10 +64,7 @@ fn facts(b: halpern_moses::runs::InterpretedSystemBuilder) -> InterpretedSystem 
 
 #[test]
 fn lambda_view_collapses_everything_valid_to_common_knowledge() {
-    let isys = facts(InterpretedSystem::builder(
-        System::new(msg_runs()),
-        SharedLambda,
-    ));
+    let isys = facts(InterpretedSystem::builder(msg_runs(), SharedLambda));
     let g = AgentGroup::all(2);
     // `sent -> sent` is valid, so it is common knowledge under Λ.
     let f = Formula::common(
@@ -81,10 +79,7 @@ fn lambda_view_collapses_everything_valid_to_common_knowledge() {
 
 #[test]
 fn complete_history_never_forgets() {
-    let isys = facts(InterpretedSystem::builder(
-        System::new(msg_runs()),
-        CompleteHistory,
-    ));
+    let isys = facts(InterpretedSystem::builder(msg_runs(), CompleteHistory));
     // K0 sent ⊃ □ K0 once(sent) — once known, the sender knows it ever
     // after (complete histories only grow).
     let f = Formula::implies(
@@ -96,14 +91,8 @@ fn complete_history_never_forgets() {
 
 #[test]
 fn last_event_view_forgets_the_count() {
-    let full = facts(InterpretedSystem::builder(
-        System::new(msg_runs()),
-        CompleteHistory,
-    ));
-    let forgetful = facts(InterpretedSystem::builder(
-        System::new(msg_runs()),
-        last_event_view(),
-    ));
+    let full = facts(InterpretedSystem::builder(msg_runs(), CompleteHistory));
+    let forgetful = facts(InterpretedSystem::builder(msg_runs(), last_event_view()));
     let k_twice = Formula::knows(a(0), Formula::atom("sent_twice"));
     // Under complete history the sender knows it sent twice…
     let twice_run = full.system().run_by_name("twice").unwrap();
@@ -119,24 +108,23 @@ fn interned_view_ids_pin_the_vec_encodings() {
     // cold path materialises `Vec<u64>` keys. Two points must get the same
     // id iff their keys are equal — for every view in the spectrum, over a
     // system mixing clocks, wake times and event histories.
-    let mut runs = msg_runs();
-    runs.push(
-        RunBuilder::new("clocked", 2, 4)
-            .wake(a(0), 1, 3)
-            .wake(a(1), 0, 0)
-            .clock_readings(a(0), vec![0, 5, 5, 6, 8])
-            .clock_readings(a(1), vec![2, 3, 3, 3, 9])
-            .event(
-                a(0),
-                2,
-                Event::Send {
-                    to: a(1),
-                    msg: Message::tagged(4),
-                },
-            )
-            .build(),
-    );
-    let sys = System::new(runs);
+    let mut runs = SystemBuilder::new();
+    add_msg_runs(&mut runs);
+    runs.run("clocked", 2, 4)
+        .wake(a(0), 1, 3)
+        .wake(a(1), 0, 0)
+        .clock_readings(a(0), vec![0, 5, 5, 6, 8])
+        .clock_readings(a(1), vec![2, 3, 3, 3, 9])
+        .event(
+            a(0),
+            2,
+            Event::Send {
+                to: a(1),
+                msg: Message::tagged(4),
+            },
+        )
+        .finish();
+    let sys = runs.build();
     let views: Vec<Box<dyn ViewFunction>> = vec![
         Box::new(CompleteHistory),
         Box::new(SharedLambda),
@@ -150,7 +138,7 @@ fn interned_view_ids_pin_the_vec_encodings() {
             let mut ids = Vec::new();
             let mut keys = Vec::new();
             for (_, r) in sys.runs() {
-                for t in 0..=r.horizon {
+                for t in 0..=r.horizon() {
                     scratch.clear();
                     view.encode_view(r, agent, t, &mut scratch);
                     let id = interner.intern(&scratch);
@@ -187,19 +175,10 @@ fn interned_view_ids_pin_the_vec_encodings() {
 fn complete_history_knows_at_least_as_much_as_any_view() {
     // For every atom and agent: knowledge under a coarser view is a
     // subset of knowledge under complete history.
-    let full = facts(InterpretedSystem::builder(
-        System::new(msg_runs()),
-        CompleteHistory,
-    ));
+    let full = facts(InterpretedSystem::builder(msg_runs(), CompleteHistory));
     for coarse in [
-        facts(InterpretedSystem::builder(
-            System::new(msg_runs()),
-            SharedLambda,
-        )),
-        facts(InterpretedSystem::builder(
-            System::new(msg_runs()),
-            last_event_view(),
-        )),
+        facts(InterpretedSystem::builder(msg_runs(), SharedLambda)),
+        facts(InterpretedSystem::builder(msg_runs(), last_event_view())),
     ] {
         for atom in ["sent", "sent_twice"] {
             let set_full = Frame::atom_set(&full, atom).unwrap();

@@ -15,7 +15,7 @@ use halpern_moses::logic::{
     compile, evaluate, evaluate_interval, evaluate_tree, Formula, Frame, F,
 };
 use halpern_moses::runs::{
-    CompleteHistory, Event, InterpretedSystem, Message, Run, RunBuilder, System,
+    CompleteHistory, Event, InterpretedSystem, Message, System, SystemBuilder,
 };
 use proptest::prelude::*;
 
@@ -91,14 +91,14 @@ fn random_system(seed: u64) -> InterpretedSystem {
 }
 
 /// The runs of [`random_system`].
-fn random_runs(seed: u64) -> Vec<Run> {
+fn random_runs(seed: u64) -> System {
     let mut rng = SplitMix64::new(seed);
     let horizon = 3 + rng.next_below(3);
     let clocked = rng.next_bool(1, 2);
     let num_runs = 2 + rng.next_below(3) as usize;
-    let mut runs: Vec<Run> = Vec::new();
+    let mut runs = SystemBuilder::new();
     for r in 0..num_runs {
-        let mut b = RunBuilder::new(format!("r{r}"), 2, horizon);
+        let mut b = runs.run(format_args!("r{r}"), 2, horizon);
         let mut wakes = [0u64; 2];
         for (i, wake_slot) in wakes.iter_mut().enumerate() {
             let wake = rng.next_below(2);
@@ -122,16 +122,16 @@ fn random_runs(seed: u64) -> Vec<Run> {
                 b = b.event(AgentId::new(i), t, event);
             }
         }
-        runs.push(b.build());
+        b.finish();
     }
-    runs
+    runs.build()
 }
 
 /// Interprets runs with the view and facts of [`random_system`].
-fn interpret(runs: Vec<Run>) -> InterpretedSystem {
-    InterpretedSystem::builder(System::new(runs), CompleteHistory)
+fn interpret(runs: System) -> InterpretedSystem {
+    InterpretedSystem::builder(runs, CompleteHistory)
         .fact("q0", |run, t| {
-            (t + run.proc(AgentId::new(0)).initial_state) % 2 == 0
+            (t + run.proc(AgentId::new(0)).initial_state()) % 2 == 0
         })
         .fact("q1", |run, t| run.deliveries_before(t + 1) > 0)
         .build()
@@ -234,21 +234,21 @@ fn check_truncated_bracket(f: &F, seed: u64, drop_seed: u64) -> Result<(), TestC
     let runs = random_runs(seed);
     let full = interpret(runs.clone());
     let mut rng = SplitMix64::new(drop_seed);
-    let subsets = (1u64 << runs.len()) - 2;
+    let subsets = (1u64 << runs.num_runs()) - 2;
     let keep_mask = 1 + rng.next_below(subsets);
-    let kept: Vec<Run> = runs
-        .into_iter()
-        .enumerate()
-        .filter(|(i, _)| keep_mask & (1 << i) != 0)
-        .map(|(_, r)| r)
-        .collect();
-    let part = interpret(kept);
+    let mut kept = SystemBuilder::new();
+    for (id, run) in runs.runs() {
+        if keep_mask & (1 << id.index()) != 0 {
+            kept.push_run(run);
+        }
+    }
+    let part = interpret(kept.build());
     let truth = evaluate_tree(&full, f).unwrap();
     let iv = evaluate_interval(&part, f, &Budget::unlimited()).unwrap();
     for w in 0..part.num_worlds() {
         let w = WorldId::new(w);
         let point = part.locate(w);
-        let name = &part.system().run(point.run).name;
+        let name = part.system().run(point.run).name();
         let full_run = full.system().run_by_name(name).unwrap();
         let holds = truth.contains(full.world(full_run, point.time));
         prop_assert!(

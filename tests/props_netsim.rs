@@ -9,7 +9,7 @@ use halpern_moses::netsim::{
 };
 use halpern_moses::runs::conditions::extends;
 use halpern_moses::runs::Event;
-use halpern_moses::runs::{Message, Run};
+use halpern_moses::runs::{Message, Run, System};
 use proptest::prelude::*;
 
 /// Every run of one spec under a bare run ceiling.
@@ -18,7 +18,7 @@ fn runs_of(
     adversary: &(dyn Adversary + Sync),
     spec: &ExecutionSpec,
     max_runs: u64,
-) -> Result<Vec<Run>, EnumerateError> {
+) -> Result<System, EnumerateError> {
     let budget = Limits::none().max_runs(max_runs).budget();
     enumerate_runs(
         protocol,
@@ -26,8 +26,13 @@ fn runs_of(
         std::slice::from_ref(spec),
         &budget,
         false,
-    )
-    .map(|e| e.runs)
+    )?
+    .into_system()
+}
+
+/// The runs of `sys`, in order.
+fn all_runs(sys: &System) -> Vec<Run<'_>> {
+    sys.runs().map(|(_, r)| r).collect()
 }
 
 /// p0 sends `count` messages, one per tick, starting at its first step.
@@ -52,17 +57,18 @@ proptest! {
         // Each of the `count` messages is independently delivered or
         // lost: exactly 2^count runs (every send happens regardless,
         // since the sender never reacts to the outcome).
-        let runs = runs_of(
+        let sys = runs_of(
             &burst(count),
             &LossyFixedDelay { delay: 1 },
             &ExecutionSpec::simple(2, horizon),
             1 << 12,
         )
         .unwrap();
+    let runs = all_runs(&sys);
         prop_assert_eq!(runs.len(), 1 << count);
         // All runs share the sender's event sequence.
         for r in &runs {
-            let sends = r.proc(AgentId::new(0)).events.len();
+            let sends = r.proc(AgentId::new(0)).events().len();
             prop_assert_eq!(sends, count);
         }
     }
@@ -70,20 +76,21 @@ proptest! {
     #[test]
     fn unbounded_delay_runs_partition_by_schedule(horizon in 3u64..7) {
         // One message, delays 1..=horizon or lost: horizon+1 runs.
-        let runs = runs_of(
+        let sys = runs_of(
             &burst(1),
             &UnboundedDelay { min_delay: 1 },
             &ExecutionSpec::simple(2, horizon),
             1 << 12,
         )
         .unwrap();
+    let runs = all_runs(&sys);
         prop_assert_eq!(runs.len(), horizon as usize + 1);
         // Exactly one run per delivery time; delivery times distinct.
         let mut times: Vec<Option<u64>> = runs
             .iter()
             .map(|r| {
                 r.proc(AgentId::new(1))
-                    .events
+                    .events()
                     .iter()
                     .find(|e| e.event.is_recv())
                     .map(|e| e.time)
@@ -106,18 +113,19 @@ proptest! {
     fn runs_agree_until_first_divergent_delivery(horizon in 4u64..8) {
         // Any two enumerated runs extend each other up to (just before)
         // the first time their delivery schedules differ.
-        let runs = runs_of(
+        let sys = runs_of(
             &burst(2),
             &LossyFixedDelay { delay: 1 },
             &ExecutionSpec::simple(2, horizon),
             1024,
         )
         .unwrap();
-        for x in &runs {
-            for y in &runs {
-                let recvs = |r: &halpern_moses::runs::Run| -> Vec<u64> {
+    let runs = all_runs(&sys);
+        for &x in &runs {
+            for &y in &runs {
+                let recvs = |r: Run<'_>| -> Vec<u64> {
                     r.proc(AgentId::new(1))
-                        .events
+                        .events()
                         .iter()
                         .filter(|e| e.event.is_recv())
                         .map(|e| e.time)
@@ -138,28 +146,29 @@ proptest! {
                             })
                             .unwrap_or(horizon)
                     });
-                prop_assert!(extends(x, y, diverge), "{} vs {}", x.name, y.name);
+                prop_assert!(extends(x, y, diverge), "{} vs {}", x.name(), y.name());
             }
         }
     }
 
     #[test]
     fn synchronous_delivery_is_reliable_and_unique(horizon in 4u64..9) {
-        let runs = runs_of(
+        let sys = runs_of(
             &burst(2),
             &SynchronousDelay { delay: 2 },
             &ExecutionSpec::simple(2, horizon),
             64,
         )
         .unwrap();
+    let runs = all_runs(&sys);
         prop_assert_eq!(runs.len(), 1, "no adversarial choice remains");
         let r = &runs[0];
-        for e in &r.proc(AgentId::new(1)).events {
+        for e in r.proc(AgentId::new(1)).events() {
             if let Event::Recv { .. } = e.event {
                 // Delivered exactly 2 after the matching send.
                 let matching_send = r
                     .proc(AgentId::new(0))
-                    .events
+                    .events()
                     .iter()
                     .find(|s| matches!((s.event, e.event), (
                         Event::Send { msg: a, .. },
