@@ -405,7 +405,7 @@ fn e11(limits: &Limits) -> Result<(), EngineError> {
         let mut conj: WorldSet = fact.clone();
         let mut cur = fact.clone();
         for _ in 0..m.num_worlds() + 1 {
-            cur = m.everyone_knows(&g, &cur);
+            cur = m.everyone_set(&g, &cur);
             conj.intersect_with(&cur);
         }
         agree &= conj == m.common_knowledge(&g, &fact);

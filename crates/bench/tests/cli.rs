@@ -200,6 +200,27 @@ fn check_catalog_is_clean() {
     assert!(text.lines().all(|l| l.starts_with("ok")), "{text}");
 }
 
+/// Both driver printouts are pinned byte for byte against files under
+/// `tests/golden/`, so a refactor that moves any experiment's output (or
+/// any catalog lint) fails here. After a deliberate change, re-pin with
+/// `cargo run -q -p hm-bench --bin experiments > crates/bench/tests/golden/experiments.txt`
+/// (and `--bin hm -- check --catalog` for `check_catalog.txt`).
+#[test]
+fn experiments_output_matches_golden() {
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .output()
+        .expect("spawn experiments");
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert_eq!(stdout(&out), include_str!("golden/experiments.txt"));
+}
+
+#[test]
+fn check_catalog_output_matches_golden() {
+    let out = hm(&["check", "--catalog"]);
+    assert!(out.status.success(), "{}", stdout(&out));
+    assert_eq!(stdout(&out), include_str!("golden/check_catalog.txt"));
+}
+
 #[test]
 fn usage_errors_exit_2() {
     for args in [

@@ -52,11 +52,7 @@ pub fn hierarchy(frame: &dyn Frame, g: &AgentGroup, fact: &WorldSet, k_max: u32)
     let mut levels = Vec::with_capacity(4 + k_max as usize);
     levels.push((Level::Fact, fact.clone()));
     levels.push((Level::Distributed, frame.distributed_set(g, fact)));
-    let mut someone = WorldSet::empty(frame.num_worlds());
-    for i in g.iter() {
-        someone.union_with(&frame.knowledge_set(i, fact));
-    }
-    levels.push((Level::Someone, someone));
+    levels.push((Level::Someone, frame.someone_set(g, fact)));
     let mut e = fact.clone();
     for k in 1..=k_max {
         e = frame.everyone_set(g, &e);
@@ -102,6 +98,7 @@ mod tests {
     use super::*;
     use crate::puzzles::muddy::MuddyChildren;
     use hm_kripke::{random_model, AgentId, ModelBuilder, Partition, RandomModelSpec};
+    use hm_logic::{evaluate, Formula};
 
     #[test]
     fn inclusions_hold_on_random_models() {
@@ -229,7 +226,8 @@ mod tests {
         let g = p.group();
         let h = hierarchy(p.model(), &g, &m_set, 5);
         for k in 1..=5u32 {
-            let direct = p.model().everyone_knows_k(&g, &m_set, k as usize);
+            let ek = Formula::everyone_k(g.clone(), k, Formula::atom("m"));
+            let direct = evaluate(p.model(), &ek).unwrap();
             let level = h
                 .levels
                 .iter()

@@ -139,18 +139,7 @@ impl<'a> KnowledgeProtocol<'a> {
 /// `true` iff `set` does not split any of agent `i`'s
 /// indistinguishability classes *within the surviving worlds*.
 fn measurable(r: &Restriction<'_>, i: AgentId, set: &WorldSet) -> bool {
-    let part = r.model().partition(i);
-    part.blocks().all(|block| {
-        let mut it = block
-            .iter()
-            .map(|&w| WorldId::new(w as usize))
-            .filter(|w| r.alive().contains(*w))
-            .map(|w| set.contains(w));
-        match it.next() {
-            None => true,
-            Some(first) => it.all(|b| b == first),
-        }
-    })
+    r.knowledge(i, set) == r.alive().intersection(set)
 }
 
 /// The muddy-children rule: "act (say yes) iff you know whether you are

@@ -17,6 +17,7 @@
 use hm_kripke::{
     AgentGroup, AgentId, AtomId, KripkeModel, ModelBuilder, Restriction, WorldId, WorldSet,
 };
+use hm_logic::Frame;
 
 /// The muddy-children Kripke model: worlds are muddiness bit-vectors
 /// (world `w` has child `i` muddy iff bit `i` of `w` is set); child `i`'s
@@ -236,7 +237,7 @@ impl MuddyChildren {
         let g = self.group();
         let mut cur = self.m_set();
         for j in 0..cap {
-            cur = self.model.everyone_knows(&g, &cur);
+            cur = self.model.everyone_set(&g, &cur);
             if !cur.contains(self.world(actual)) {
                 return j;
             }
@@ -319,8 +320,10 @@ mod tests {
         let p = MuddyChildren::new(3);
         let mut r = Restriction::new(p.model());
         r.announce(&p.m_set()).unwrap();
-        let c = r.common_knowledge(&p.group(), &p.m_set());
-        assert_eq!(c, r.alive().clone(), "C m holds at every surviving world");
+        let (after, _) = r.to_model();
+        let m_after = after.atom_set(after.atom_id("m").unwrap());
+        let c = after.common_knowledge(&p.group(), &m_after);
+        assert!(c.is_full(), "C m holds at every surviving world");
         // Before: C m holds nowhere.
         let c0 = p.model().common_knowledge(&p.group(), &p.m_set());
         assert!(c0.is_empty());

@@ -9,13 +9,15 @@
 //! store `Arc`s), so no lock is held while a formula is compiled, bound,
 //! or evaluated.
 //!
-//! A session keeps two such maps: the analyzer's report for each formula
-//! together with the program the analyzer compiled, and that program
-//! bound to the session's frame. Nothing is shared across sessions: the
-//! analysis depends on the frame, so each session compiles each formula
-//! once, as part of analysing it.
+//! A session keeps one such map with one entry per formula: the
+//! analyzer's report together with the program the analyzer compiled,
+//! bound to the session's frame (or the error every ask reports). A first
+//! ask therefore hashes the formula once, takes one write lock and stores
+//! one copy of it; an eviction frees one entry. Nothing is shared across
+//! sessions: the analysis depends on the frame, so each session compiles
+//! each formula once, as part of analysing it.
 //!
-//! Each map holds at most [`CAPACITY`] formulas, so a session that is
+//! The map holds at most [`CAPACITY`] formulas, so a session that is
 //! asked an endless stream of new formulas (a long-lived `hm serve`
 //! engine) stays bounded. A full shard evicts by CLOCK: a hit marks its
 //! entry referenced, and an insertion sweeps the shard's hand past
@@ -39,9 +41,9 @@ use std::sync::{PoisonError, RwLock};
 /// shard (for counters) stays trivial.
 const SHARDS: usize = 16;
 
-/// Formulas each of a [`Session`](crate::Session)'s two formula caches
-/// (analyses, bound programs) keeps at most, split evenly over its lock
-/// stripes. A formula evicted to make room is recompiled on its next ask.
+/// Formulas a [`Session`](crate::Session)'s formula cache keeps at most,
+/// split evenly over its lock stripes. A formula evicted to make room is
+/// recompiled on its next ask.
 pub const CAPACITY: usize = 1024;
 
 const SHARD_CAPACITY: usize = CAPACITY / SHARDS;
@@ -57,8 +59,6 @@ const SHARD_CAPACITY: usize = CAPACITY / SHARDS;
 /// behind a slow producer.
 pub(crate) struct ShardedMap<V> {
     shards: Vec<RwLock<Shard<V>>>,
-    /// Entries ever inserted: monotone, unlike the current length.
-    inserted: AtomicU64,
     /// Entries dropped to make room.
     evicted: AtomicU64,
 }
@@ -157,7 +157,6 @@ impl<V: Clone> ShardedMap<V> {
                     })
                 })
                 .collect(),
-            inserted: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
         }
     }
@@ -214,7 +213,6 @@ impl<V: Clone> ShardedMap<V> {
         if displaced.is_some() {
             self.evicted.fetch_add(1, Ordering::Relaxed);
         }
-        self.inserted.fetch_add(1, Ordering::Relaxed);
         Ok(fresh)
     }
 
@@ -224,11 +222,6 @@ impl<V: Clone> ShardedMap<V> {
             .iter()
             .map(|s| s.read().unwrap_or_else(PoisonError::into_inner).slots.len())
             .sum()
-    }
-
-    /// Entries inserted since creation, evicted ones included.
-    pub(crate) fn inserted(&self) -> u64 {
-        self.inserted.load(Ordering::Relaxed)
     }
 
     /// Entries evicted since creation.
@@ -257,7 +250,6 @@ mod tests {
             .unwrap();
         assert_eq!(*v2, 7);
         assert_eq!(m.len(), 1);
-        assert_eq!(m.inserted(), 1);
     }
 
     #[test]
@@ -287,7 +279,6 @@ mod tests {
             assert_eq!(m.get(&k), Some(i), "fresh entry {i} present");
         }
         assert_eq!(m.len(), CAPACITY, "every shard full, none over");
-        assert_eq!(m.inserted(), 10 * CAPACITY as u64);
         assert_eq!(m.evicted(), 9 * CAPACITY as u64);
     }
 

@@ -73,7 +73,9 @@ use hm_logic::{
 };
 use hm_netsim::EnumerateError;
 use hm_runs::{InterpretedSystem, InterpretedSystemBuilder, RunId, System};
+use std::convert::Infallible;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Errors of the engine pipeline.
@@ -549,8 +551,8 @@ impl Engine {
             late_quotient,
             minimize: self.minimize,
             budget,
-            cache: cache::ShardedMap::new(),
-            reports: cache::ShardedMap::new(),
+            formulas: cache::ShardedMap::new(),
+            compiled: AtomicU64::new(0),
         })
     }
 }
@@ -560,15 +562,17 @@ enum SessionFrame {
     Interpreted(Box<InterpretedSystem>),
 }
 
-/// The analyzer's report for one formula, with the program it compiled
-/// from the simplified formula (the one every ask then binds and runs).
-struct Analysis {
+/// What a session keeps for one formula: the analyzer's report and, when
+/// the report has no error, the program the analyzer compiled from the
+/// simplified formula, bound to the frame. Otherwise the error every ask
+/// of the formula reports.
+struct Entry {
     report: Arc<Diagnostics>,
-    program: Result<Arc<CompiledFormula>, EvalError>,
+    program: Result<Program, EvalError>,
 }
 
-struct CachedQuery {
-    compiled: Arc<CompiledFormula>,
+struct Program {
+    compiled: CompiledFormula,
     full: Bound,
     /// Present when the query is quotient-safe and a quotient exists.
     quotient: Option<Bound>,
@@ -594,12 +598,11 @@ pub struct Session {
     /// evaluations charge the same visited-state ceiling and observe the
     /// same deadline and cancel token.
     budget: Budget,
-    /// Compiled-and-bound programs, keyed by the *original* formula (the
-    /// program itself is compiled from the simplified one).
-    cache: cache::ShardedMap<Arc<CachedQuery>>,
-    /// Static-analysis reports and their programs, keyed by the original
-    /// formula.
-    reports: cache::ShardedMap<Arc<Analysis>>,
+    /// One entry per formula, keyed by the *original* formula (the
+    /// program is compiled from the simplified one).
+    formulas: cache::ShardedMap<Arc<Entry>>,
+    /// Programs compiled and bound into `formulas`, evicted ones included.
+    compiled: AtomicU64,
 }
 
 impl fmt::Debug for Session {
@@ -607,7 +610,7 @@ impl fmt::Debug for Session {
         f.debug_struct("Session")
             .field("worlds", &self.num_worlds())
             .field("minimize", &self.minimize)
-            .field("cached_queries", &self.cache.len())
+            .field("cached_queries", &self.formulas.len())
             .finish()
     }
 }
@@ -704,25 +707,61 @@ impl Session {
     /// evaluating* and cached per formula. [`ask`](Self::ask) consults
     /// the same report, so checking first costs nothing extra.
     pub fn check(&self, query: &Query) -> Arc<Diagnostics> {
-        Arc::clone(&self.analysis(query).report)
+        Arc::clone(&self.entry(query).report)
     }
 
-    /// The cached analysis of a query: its report and the program the
-    /// analyzer compiled, produced together on first sight.
-    fn analysis(&self, query: &Query) -> Arc<Analysis> {
+    /// The cached entry of a query, analysed and bound on first sight.
+    fn entry(&self, query: &Query) -> Arc<Entry> {
         let f: &Formula = query.formula();
-        self.reports
+        let mut made = None;
+        let entry = self
+            .formulas
             .get_or_insert_with(f, || {
-                let (report, program) = Analyzer::new()
-                    .frame(self.frame())
-                    .minimize(self.minimize)
-                    .analyze_with_program(f);
-                Ok::<_, std::convert::Infallible>(Arc::new(Analysis {
-                    report: Arc::new(report),
-                    program: program.map(Arc::new),
-                }))
+                let entry = Arc::new(self.analyze(f));
+                made = Some(Arc::clone(&entry));
+                Ok::<_, Infallible>(entry)
             })
-            .unwrap_or_else(|e| match e {})
+            .unwrap_or_else(|e| match e {});
+        // Count a compilation only when this ask's entry won the insert
+        // race and holds a program.
+        if made.is_some_and(|m| Arc::ptr_eq(&m, &entry)) && entry.program.is_ok() {
+            self.compiled.fetch_add(1, Ordering::Relaxed);
+        }
+        entry
+    }
+
+    /// Analyses `f` and binds the program the analyzer compiled.
+    fn analyze(&self, f: &Formula) -> Entry {
+        let (report, program) = Analyzer::new()
+            .frame(self.frame())
+            .minimize(self.minimize)
+            .analyze_with_program(f);
+        // One diagnostic source of truth: the analyzer replays
+        // compile-then-bind errors exactly (pinned by hm-logic's
+        // differential tests), so gate on its report of the *original*
+        // formula, then bind the program it compiled from the simplified
+        // one — smaller, with the identical verdict.
+        let program = match report.first_error_as_eval() {
+            Some(err) => Err(err),
+            None => program.and_then(|compiled| {
+                let full = compiled.bind(self.frame())?;
+                let quotient = match self.quotient() {
+                    Some(q) if self.minimize && compiled.quotient_safe() => {
+                        Some(compiled.bind(&q.model)?)
+                    }
+                    _ => None,
+                };
+                Ok(Program {
+                    compiled,
+                    full,
+                    quotient,
+                })
+            }),
+        };
+        Entry {
+            report: Arc::new(report),
+            program,
+        }
     }
 
     /// The satisfying set of a query (see [`ask`](Self::ask)).
@@ -734,11 +773,12 @@ impl Session {
         if self.is_partial() {
             return Err(EngineError::PartialFrame);
         }
-        let cached = self.cached(query)?;
-        if let Some(qbound) = &cached.quotient {
+        let entry = self.entry(query);
+        let program = entry.program.as_ref().map_err(Clone::clone)?;
+        if let Some(qbound) = &program.quotient {
             let q = self.quotient().expect("bound against existing quotient");
             let on_quotient =
-                cached
+                program
                     .compiled
                     .eval_bound_budgeted(&q.model, qbound, &self.budget)?;
             let n = self.frame().num_worlds();
@@ -750,43 +790,10 @@ impl Session {
             }
             Ok(out)
         } else {
-            Ok(cached
+            Ok(program
                 .compiled
-                .eval_bound_budgeted(self.frame(), &cached.full, &self.budget)?)
+                .eval_bound_budgeted(self.frame(), &program.full, &self.budget)?)
         }
-    }
-
-    /// The bound program for a query, shared by [`ask`](Self::ask) and
-    /// [`ask_partial`](Self::ask_partial): the analyzer's program, bound
-    /// on first sight and cached under the original formula.
-    fn cached(&self, query: &Query) -> Result<Arc<CachedQuery>, EngineError> {
-        let f: &Formula = query.formula();
-        self.cache.get_or_insert_with(f, || {
-            // One diagnostic source of truth: the analyzer replays
-            // compile-then-bind errors exactly (pinned by hm-logic's
-            // differential tests), so gate on its report of the
-            // *original* formula, then bind the program it compiled from
-            // the simplified one — smaller, with the identical verdict.
-            let analysis = self.analysis(query);
-            if let Some(err) = analysis.report.first_error_as_eval() {
-                return Err(err.into());
-            }
-            let compiled = Arc::clone(analysis.program.as_ref().map_err(Clone::clone)?);
-            let full = compiled.bind(self.frame())?;
-            let quotient = if self.minimize && compiled.quotient_safe() {
-                match self.quotient() {
-                    Some(q) => Some(compiled.bind(&q.model)?),
-                    None => None,
-                }
-            } else {
-                None
-            };
-            Ok(Arc::new(CachedQuery {
-                compiled,
-                full,
-                quotient,
-            }))
-        })
     }
 
     /// Answers a query with a *three-valued* verdict, sound on frames
@@ -811,11 +818,12 @@ impl Session {
                 partial: false,
             });
         }
-        let cached = self.cached(query)?;
+        let entry = self.entry(query);
+        let program = entry.program.as_ref().map_err(Clone::clone)?;
         let interval =
-            cached
+            program
                 .compiled
-                .eval_bound_interval(self.frame(), &cached.full, &self.budget)?;
+                .eval_bound_interval(self.frame(), &program.full, &self.budget)?;
         Ok(PartialVerdict {
             interval,
             partial: true,
@@ -852,22 +860,23 @@ impl Session {
     }
 
     /// Number of distinct formulas compiled so far (diagnostics): a
-    /// monotone count, one per first ask of a formula. A formula asked
-    /// again after the cache evicted it is compiled, and counted, again.
+    /// monotone count, one per first ask of a well-formed formula. A
+    /// formula asked again after the cache evicted it is compiled, and
+    /// counted, again.
     pub fn compiled_queries(&self) -> usize {
-        self.cache.inserted() as usize
+        self.compiled.load(Ordering::Relaxed) as usize
     }
 
-    /// Number of compiled formulas the session holds now: at most
-    /// [`FORMULA_CACHE_CAPACITY`].
+    /// Number of formulas the session holds now, ill-formed ones (kept
+    /// with their report) included: at most [`FORMULA_CACHE_CAPACITY`].
     pub fn cached_queries(&self) -> usize {
-        self.cache.len()
+        self.formulas.len()
     }
 
-    /// Entries the session's two formula caches (analyses, and bound
-    /// programs) have evicted to stay within [`FORMULA_CACHE_CAPACITY`].
+    /// Formulas the session's cache has evicted to stay within
+    /// [`FORMULA_CACHE_CAPACITY`], each counted once.
     pub fn formula_evictions(&self) -> u64 {
-        self.cache.evicted() + self.reports.evicted()
+        self.formulas.evicted()
     }
 }
 
@@ -978,8 +987,8 @@ mod tests {
         let evicted = (asks - FORMULA_CACHE_CAPACITY) as u64;
         assert_eq!(
             session.formula_evictions(),
-            2 * evicted,
-            "both caches evict"
+            evicted,
+            "one entry per formula, each eviction counted once"
         );
         // Evicted formulas are recompiled and still answer correctly.
         let query = Query::new(nth_formula(0));
@@ -1019,14 +1028,13 @@ mod tests {
             ("C{0,1} dispatched", true),
         ] {
             let q = Query::parse(src).unwrap();
-            let cached = session.cached(&q).unwrap();
-            let analysis = session.analysis(&q);
-            let program = analysis.program.as_ref().unwrap();
-            assert!(Arc::ptr_eq(&cached.compiled, program), "{src}");
-            // The quotient decision and the report agree.
-            assert_eq!(cached.quotient.is_some(), on_quotient, "{src}");
-            assert_eq!(analysis.report.facts().quotient_safe, on_quotient, "{src}");
-            let warned = analysis
+            // One entry holds the report and the program it was built
+            // with, so the quotient decision and the report agree.
+            let entry = session.entry(&q);
+            let program = entry.program.as_ref().unwrap();
+            assert_eq!(program.quotient.is_some(), on_quotient, "{src}");
+            assert_eq!(entry.report.facts().quotient_safe, on_quotient, "{src}");
+            let warned = entry
                 .report
                 .warnings()
                 .iter()

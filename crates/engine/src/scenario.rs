@@ -709,15 +709,9 @@ impl Scenario for Agreement {
                 3,
                 3,
                 5,
-                "number of processors (n=5 needs the reduced mode)",
+                "number of processors (n=5 with f>=2 needs the reduced mode)",
             ),
-            ParamDescriptor::int(
-                "f",
-                1,
-                1,
-                3,
-                "maximum crashes (f=3 is tractable only under the reduced enumeration)",
-            ),
+            ParamDescriptor::int("f", 1, 1, 3, "maximum crashes (f=3 needs the reduced mode)"),
             ParamDescriptor::choice(
                 "mode",
                 "auto",
@@ -771,6 +765,17 @@ impl Scenario for Agreement {
             "auto" => Reduction::Naive,
             other => unreachable!("descriptor admits only declared modes, got {other}"),
         };
+        // Refused before enumeration: every crash pattern at f=3 is ~2.2M
+        // runs (n=4), and n=5,f=2 ran past 3 GB without finishing.
+        if matches!(reduction, Reduction::Naive) && (spec.f >= 3 || (spec.n == 5 && spec.f >= 2)) {
+            return Err(EngineError::Spec(SpecError::Constraint {
+                scenario: self.name(),
+                what: format!(
+                    "mode=naive at n = {}, f = {} does not fit in memory; use mode=reduced",
+                    spec.n, spec.f
+                ),
+            }));
+        }
         Ok(ScenarioFrame::Interpreted(agreement_builder(
             spec,
             reduction,
@@ -1039,6 +1044,20 @@ mod tests {
             build("agreement:n=5,f=3,mode=reduced").err().unwrap(),
             EngineError::Spec(SpecError::Constraint { .. })
         ));
+        // Naive enumeration is refused before it starts where it cannot
+        // fit in memory; n=5,f=1 still builds naive.
+        for spec in [
+            "agreement:n=5,f=2,mode=naive",
+            "agreement:n=4,f=3,mode=naive",
+        ] {
+            let err = build(spec).err().unwrap();
+            assert!(err.to_string().contains("mode=reduced"), "{spec}: {err}");
+            assert!(
+                matches!(err, EngineError::Spec(SpecError::Constraint { .. })),
+                "{spec}"
+            );
+        }
+        assert!(build("agreement:n=5,f=1,mode=naive").is_ok());
         // Explicit modes build the same surface for a small instance.
         assert!(build("agreement:n=3,f=1,mode=naive").is_ok());
         assert!(build("agreement:n=3,f=1,mode=reduced").is_ok());

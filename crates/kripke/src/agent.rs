@@ -119,7 +119,8 @@ impl AgentGroup {
     }
 
     /// `true` iff every member of `self` is a member of `other`.
-    pub fn is_subgroup_of(&self, other: &AgentGroup) -> bool {
+    #[cfg(test)]
+    fn is_subgroup_of(&self, other: &AgentGroup) -> bool {
         self.members.iter().all(|&a| other.contains(a))
     }
 }

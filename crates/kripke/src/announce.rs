@@ -9,9 +9,9 @@
 //! (convenient for iterated announcements such as the father's repeated
 //! questions).
 
-use crate::agent::{AgentGroup, AgentId};
+use crate::agent::AgentId;
 use crate::model::{KripkeModel, WorldRemap};
-use crate::world::{WorldId, WorldSet};
+use crate::world::WorldSet;
 
 /// Publicly announces the fact denoted by `truth_set`: returns the model
 /// restricted to the worlds where the fact holds, or `None` if the
@@ -45,10 +45,11 @@ pub fn announce(model: &KripkeModel, truth_set: &WorldSet) -> Option<(KripkeMode
 
 /// A non-materialised restriction of a model to a set of surviving worlds.
 ///
-/// All knowledge operators are *relativised* to the surviving set: agent
-/// `i`'s accessibility at `w` is `[w]_i ∩ alive`. Iterated announcements
-/// just shrink `alive`, with no re-indexing — this is how the muddy-children
-/// rounds are computed.
+/// Knowledge is *relativised* to the surviving set: agent `i`'s
+/// accessibility at `w` is `[w]_i ∩ alive`. Iterated announcements just
+/// shrink `alive`, with no re-indexing — this is how the muddy-children
+/// rounds are computed. Group operators over the survivors are evaluated
+/// on the materialised model ([`to_model`](Self::to_model)).
 ///
 /// # Examples
 ///
@@ -118,53 +119,15 @@ impl<'a> Restriction<'a> {
         Ok(())
     }
 
-    /// Relativised `K_i(A)`: worlds `w ∈ alive` with `[w]_i ∩ alive ⊆ A`.
+    /// Relativised `K_i(A)`: worlds `w ∈ alive` with `[w]_i ∩ alive ⊆ A`,
+    /// i.e. `alive ∩ K_i(A ∪ ¬alive)` — the unrestricted `K_i`, with the
+    /// eliminated worlds counting as no evidence against `A`.
     pub fn knowledge(&self, i: AgentId, a: &WorldSet) -> WorldSet {
-        let part = self.model.partition(i);
-        let mut out = WorldSet::empty(self.model.num_worlds());
-        'blocks: for block in part.blocks() {
-            let mut any_alive = false;
-            for &w in block {
-                let w = WorldId::new(w as usize);
-                if self.alive.contains(w) {
-                    any_alive = true;
-                    if !a.contains(w) {
-                        continue 'blocks;
-                    }
-                }
-            }
-            if any_alive {
-                for &w in block {
-                    let w = WorldId::new(w as usize);
-                    if self.alive.contains(w) {
-                        out.insert(w);
-                    }
-                }
-            }
-        }
+        let mut a_or_dead = self.alive.complement();
+        a_or_dead.union_with(a);
+        let mut out = self.model.partition(i).knowledge(&a_or_dead);
+        out.intersect_with(&self.alive);
         out
-    }
-
-    /// Relativised `E_G(A)`.
-    pub fn everyone_knows(&self, g: &AgentGroup, a: &WorldSet) -> WorldSet {
-        let mut out = self.alive.clone();
-        for i in g.iter() {
-            out.intersect_with(&self.knowledge(i, a));
-        }
-        out
-    }
-
-    /// Relativised common knowledge `C_G(A)` via greatest-fixed-point
-    /// iteration of `X ↦ E_G(A ∩ X)` within the surviving worlds.
-    pub fn common_knowledge(&self, g: &AgentGroup, a: &WorldSet) -> WorldSet {
-        let mut x = self.alive.clone();
-        loop {
-            let next = self.everyone_knows(g, &a.intersection(&x));
-            if next == x {
-                return x;
-            }
-            x = next;
-        }
     }
 
     /// Materialises the restriction as a standalone model.
@@ -177,6 +140,7 @@ impl<'a> Restriction<'a> {
 mod tests {
     use super::*;
     use crate::model::ModelBuilder;
+    use crate::world::WorldId;
 
     /// Three worlds; agent 0 groups {0,1}, agent 1 groups {1,2}.
     fn chain_model() -> KripkeModel {
@@ -216,20 +180,10 @@ mod tests {
         let mut r = Restriction::new(&m);
         r.announce(&pa).unwrap();
         let (sub, remap) = r.to_model();
-        let g = m.all_agents();
-        // Compare relativised K_0, E, C against the materialised sub-model.
+        // Compare relativised K_0 and K_1 against the materialised sub-model.
         let sub_p = sub.atom_set(sub.atom_id("p").unwrap());
-        for (rel, sub_set) in [
-            (
-                r.knowledge(AgentId::new(0), &pa),
-                sub.knowledge(AgentId::new(0), &sub_p),
-            ),
-            (r.everyone_knows(&g, &pa), sub.everyone_knows(&g, &sub_p)),
-            (
-                r.common_knowledge(&g, &pa),
-                sub.common_knowledge(&g, &sub_p),
-            ),
-        ] {
+        for i in [AgentId::new(0), AgentId::new(1)] {
+            let (rel, sub_set) = (r.knowledge(i, &pa), sub.knowledge(i, &sub_p));
             let lifted: Vec<bool> = sub
                 .worlds()
                 .map(|w| rel.contains(remap.old_id(w)))

@@ -11,9 +11,11 @@
 //! - Each agent's accessibility relation is an equivalence [`Partition`]
 //!   ("same view at both points"), making every model S5 by construction.
 //! - [`KripkeModel`] bundles worlds, partitions and a ground-atom valuation
-//!   and exposes the group-knowledge operators of Section 3: `K_i`, `E_G`,
-//!   `S_G`, `D_G`, `E^k_G` and `C_G` (the latter both by G-reachability and
-//!   as a greatest fixed point).
+//!   and exposes the knowledge operators that need its partitions: `K_i`,
+//!   `D_G` and `C_G` (the latter both by G-reachability and as a greatest
+//!   fixed point, [`WorldSet::gfp`]). The operators built from the `K_i`
+//!   alone (`E_G`, `S_G`, `E^k_G`) belong to any evaluation frame: see
+//!   `hm_logic::Frame`.
 //! - [`announce`]/[`Restriction`] implement public announcements (the
 //!   father in the muddy-children puzzle).
 //! - [`random_model`] generates reproducible pseudo-random models for
@@ -23,6 +25,7 @@
 //!
 //! ```
 //! use hm_kripke::{ModelBuilder, AgentId, AgentGroup};
+//! use hm_logic::Frame;
 //!
 //! // Muddy children with n = 2: worlds are muddiness bit-vectors, child i
 //! // cannot see bit i.
@@ -42,9 +45,10 @@
 //! let m_set = model.atom_set(m_atom);
 //!
 //! // With both children muddy (world 0b11), everyone knows m …
-//! assert!(model.everyone_knows(&g, &m_set).contains(3.into()));
+//! let e = model.everyone_set(&g, &m_set);
+//! assert!(e.contains(3.into()));
 //! // … but E²m fails (Alice thinks Bob may see no muddy child): Section 3.
-//! assert!(!model.everyone_knows_k(&g, &m_set, 2).contains(3.into()));
+//! assert!(!model.everyone_set(&g, &e).contains(3.into()));
 //! ```
 
 #![forbid(unsafe_code)]

@@ -105,9 +105,9 @@ impl KripkeModel {
         &self.world_labels[w.index()]
     }
 
-    /// Looks up a world by its label (linear scan; intended for tests and
-    /// examples).
-    pub fn world_by_label(&self, label: &str) -> Option<WorldId> {
+    /// Looks up a world by its label (linear scan).
+    #[cfg(test)]
+    fn world_by_label(&self, label: &str) -> Option<WorldId> {
         self.world_labels
             .iter()
             .position(|l| l == label)
@@ -164,33 +164,6 @@ impl KripkeModel {
         self.partitions[i.index()].possibility(a)
     }
 
-    /// `E_G(A) = ⋂_{i∈G} K_i(A)`: everyone in `G` knows (clause (g)).
-    pub fn everyone_knows(&self, g: &AgentGroup, a: &WorldSet) -> WorldSet {
-        let mut out = self.full_set();
-        for i in g.iter() {
-            out.intersect_with(&self.knowledge(i, a));
-        }
-        out
-    }
-
-    /// `S_G(A) = ⋃_{i∈G} K_i(A)`: someone in `G` knows (Section 3).
-    pub fn someone_knows(&self, g: &AgentGroup, a: &WorldSet) -> WorldSet {
-        let mut out = self.empty_set();
-        for i in g.iter() {
-            out.union_with(&self.knowledge(i, a));
-        }
-        out
-    }
-
-    /// `E_G^k(A)`: the k-fold iterate of `E_G`. `k = 0` returns `A` itself.
-    pub fn everyone_knows_k(&self, g: &AgentGroup, a: &WorldSet, k: usize) -> WorldSet {
-        let mut cur = a.clone();
-        for _ in 0..k {
-            cur = self.everyone_knows(g, &cur);
-        }
-        cur
-    }
-
     /// `D_G(A)`: distributed knowledge — knowledge of the agent whose view is
     /// the group's joint view, i.e. the kernel under the *meet* of G's
     /// partitions (Section 6 clause (g) and surrounding discussion).
@@ -199,7 +172,7 @@ impl KripkeModel {
     }
 
     /// The meet of the group's partitions (the joint view `v(G,·)`).
-    pub fn joint_partition(&self, g: &AgentGroup) -> Partition {
+    fn joint_partition(&self, g: &AgentGroup) -> Partition {
         let mut it = g.iter();
         let first = it.next().expect("group is non-empty");
         let mut acc = self.partitions[first.index()].clone();
@@ -261,16 +234,18 @@ impl KripkeModel {
 
     /// `C_G(A)` as the greatest fixed point of `X ↦ E_G(A ∩ X)` (the
     /// definitional form, Section 10 / Appendix A), by downward iteration
-    /// from the full set.
+    /// from the full set. This is the reference the reachability form is
+    /// tested against, so it takes each `E_G` step straight from the
+    /// members' partitions rather than through an evaluation frame.
     pub fn common_knowledge_gfp(&self, g: &AgentGroup, a: &WorldSet) -> WorldSet {
-        let mut x = self.full_set();
-        loop {
-            let next = self.everyone_knows(g, &a.intersection(&x));
-            if next == x {
-                return x;
+        WorldSet::gfp(self.num_worlds, |x| {
+            let arg = a.intersection(x);
+            let mut e = self.full_set();
+            for i in g.iter() {
+                e.intersect_with(&self.knowledge(i, &arg));
             }
-            x = next;
-        }
+            e
+        })
     }
 
     /// `true` iff the fact denoted by `A` is *valid in the system*: holds at
@@ -569,9 +544,13 @@ mod tests {
         let (m, p) = two_world_model();
         let g = m.all_agents();
         let pa = m.atom_set(p);
+        let (k0, k1) = (
+            m.knowledge(AgentId::new(0), &pa),
+            m.knowledge(AgentId::new(1), &pa),
+        );
         // E = K0 ∩ K1 = ∅; S = K0 ∪ K1 = {w0}; D uses the meet (= discrete).
-        assert!(m.everyone_knows(&g, &pa).is_empty());
-        assert_eq!(m.someone_knows(&g, &pa), pa);
+        assert!(k0.intersection(&k1).is_empty());
+        assert_eq!(k0.union(&k1), pa);
         assert_eq!(m.distributed_knowledge(&g, &pa), pa);
     }
 
@@ -585,15 +564,6 @@ mod tests {
         // the worlds), but the full set is.
         assert!(m.common_knowledge(&g, &pa).is_empty());
         assert!(m.common_knowledge(&g, &m.full_set()).is_full());
-    }
-
-    #[test]
-    fn e_k_zero_is_identity() {
-        let (m, p) = two_world_model();
-        let g = m.all_agents();
-        let pa = m.atom_set(p);
-        assert_eq!(m.everyone_knows_k(&g, &pa, 0), pa);
-        assert_eq!(m.everyone_knows_k(&g, &pa, 1), m.everyone_knows(&g, &pa));
     }
 
     #[test]

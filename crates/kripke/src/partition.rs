@@ -154,9 +154,10 @@ impl Partition {
     /// Builds a partition from explicit pairs, closing under reflexivity,
     /// symmetry and transitivity (union–find closure).
     ///
-    /// Useful when indistinguishability is given as an edge list, as in the
-    /// graph view of Section 6.
-    pub fn from_pairs<I: IntoIterator<Item = (WorldId, WorldId)>>(n: usize, pairs: I) -> Self {
+    /// The tests' reference for the graph view of Section 6, where
+    /// indistinguishability is given as an edge list.
+    #[cfg(test)]
+    fn from_pairs<I: IntoIterator<Item = (WorldId, WorldId)>>(n: usize, pairs: I) -> Self {
         let mut uf = UnionFind::new(n);
         for (a, b) in pairs {
             assert!(a.index() < n && b.index() < n, "world outside universe");

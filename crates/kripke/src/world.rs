@@ -221,7 +221,7 @@ impl WorldSet {
     }
 
     /// In-place set difference (`self \ other`).
-    pub fn difference_with(&mut self, other: &WorldSet) {
+    fn difference_with(&mut self, other: &WorldSet) {
         self.check_universe(other);
         for (a, b) in self.words.iter_mut().zip(&other.words) {
             *a &= !b;
@@ -286,6 +286,34 @@ impl WorldSet {
     /// Smallest member, if any.
     pub fn first(&self) -> Option<WorldId> {
         self.iter().next()
+    }
+
+    /// The greatest fixed point of a monotone `step` over a universe of
+    /// `len` worlds, by downward iteration from the full set until two
+    /// iterates agree. Common knowledge and its attainable variants are
+    /// such fixed points (`νX. E_G(φ ∧ X)`, Section 10 / Appendix A).
+    ///
+    /// The iterates only shrink, so a monotone `step` settles within
+    /// `len + 1` rounds. An error from `step` (a budget check between
+    /// rounds, say) stops the iteration and is returned.
+    pub fn try_gfp<E>(
+        len: usize,
+        mut step: impl FnMut(&WorldSet) -> Result<WorldSet, E>,
+    ) -> Result<WorldSet, E> {
+        let mut x = WorldSet::full(len);
+        loop {
+            let next = step(&x)?;
+            if next == x {
+                return Ok(x);
+            }
+            x = next;
+        }
+    }
+
+    /// [`try_gfp`](Self::try_gfp) for a step that cannot fail.
+    pub fn gfp(len: usize, mut step: impl FnMut(&WorldSet) -> WorldSet) -> WorldSet {
+        Self::try_gfp(len, |x| Ok::<_, std::convert::Infallible>(step(x)))
+            .unwrap_or_else(|e| match e {})
     }
 }
 
@@ -458,6 +486,44 @@ mod tests {
         assert_eq!(s.count(), 1);
         s.extend([WorldId::new(4), WorldId::new(5)]);
         assert_eq!(s.count(), 3);
+    }
+
+    #[test]
+    fn gfp_iterates_down_from_the_full_set() {
+        // X ↦ A ∩ shift(X), where shift drops 0 and moves w+1 to w: the
+        // largest fixed point inside A = {0..4} ∪ {6} is the empty set
+        // (every chain of A-worlds runs out), reached one world a round.
+        let a = WorldSet::from_iter_len(8, [0, 1, 2, 3, 4, 6].map(WorldId::new));
+        let shift = |x: &WorldSet| {
+            let next = x
+                .iter()
+                .filter(|w| w.index() > 0)
+                .map(|w| WorldId::new(w.index() - 1));
+            WorldSet::from_iter_len(8, next).intersection(&a)
+        };
+        let mut rounds = 0;
+        assert!(WorldSet::gfp(8, |x| {
+            rounds += 1;
+            shift(x)
+        })
+        .is_empty());
+        assert_eq!(rounds, 7, "full, A, then one world fewer a round");
+        // Identity: the full set is already fixed.
+        assert!(WorldSet::gfp(8, WorldSet::clone).is_full());
+    }
+
+    #[test]
+    fn try_gfp_stops_at_the_first_error() {
+        let mut rounds = 0;
+        let out = WorldSet::try_gfp(4, |x| {
+            rounds += 1;
+            if rounds == 2 {
+                return Err("budget");
+            }
+            Ok(x.difference(&WorldSet::singleton(4, WorldId::new(rounds))))
+        });
+        assert_eq!(out, Err("budget"));
+        assert_eq!(rounds, 2);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! run them over random models.
 
 use crate::frame::Frame;
-use crate::temporal;
+use crate::temporal::{self, Attain};
 use hm_kripke::{AgentGroup, AgentId, SplitMix64, WorldId, WorldSet};
 
 /// A modal operator whose S5 status we can test, applied at the level of
@@ -52,40 +52,28 @@ impl ModalOp {
     /// Panics if a temporal operator is applied on a frame without
     /// temporal structure.
     pub fn apply(&self, frame: &dyn Frame, a: &WorldSet) -> WorldSet {
-        let member_knowledge = |g: &AgentGroup, arg: &WorldSet| -> Vec<WorldSet> {
-            g.iter().map(|i| frame.knowledge_set(i, arg)).collect()
-        };
-        let need_ts = || {
-            frame
+        let everyone = |var: Attain, arg: u64, g: &AgentGroup, a: &WorldSet| {
+            let ts = frame
                 .temporal()
-                .expect("temporal operator needs temporal frame")
+                .expect("temporal operator needs temporal frame");
+            temporal::everyone_attain(frame, ts, var, arg, g, a)
+        };
+        let common = |var: Attain, arg: u64, g: &AgentGroup| {
+            WorldSet::gfp(frame.num_worlds(), |x| {
+                everyone(var, arg, g, &a.intersection(x))
+            })
         };
         match self {
             ModalOp::Knows(i) => frame.knowledge_set(*i, a),
             ModalOp::Everyone(g) => frame.everyone_set(g, a),
             ModalOp::Distributed(g) => frame.distributed_set(g, a),
             ModalOp::Common(g) => frame.common_set(g, a),
-            ModalOp::EveryoneEps(g, eps) => {
-                temporal::everyone_eps_set(need_ts(), g, *eps, &member_knowledge(g, a))
-            }
-            ModalOp::EveryoneEv(g) => {
-                temporal::everyone_ev_set(need_ts(), g, &member_knowledge(g, a))
-            }
-            ModalOp::EveryoneTs(g, t) => {
-                temporal::everyone_ts_set(need_ts(), g, *t, &member_knowledge(g, a))
-            }
-            ModalOp::CommonEps(g, eps) => gfp(frame.num_worlds(), |x| {
-                let arg = a.intersection(x);
-                temporal::everyone_eps_set(need_ts(), g, *eps, &member_knowledge(g, &arg))
-            }),
-            ModalOp::CommonEv(g) => gfp(frame.num_worlds(), |x| {
-                let arg = a.intersection(x);
-                temporal::everyone_ev_set(need_ts(), g, &member_knowledge(g, &arg))
-            }),
-            ModalOp::CommonTs(g, t) => gfp(frame.num_worlds(), |x| {
-                let arg = a.intersection(x);
-                temporal::everyone_ts_set(need_ts(), g, *t, &member_knowledge(g, &arg))
-            }),
+            ModalOp::EveryoneEps(g, eps) => everyone(Attain::Eps, *eps, g, a),
+            ModalOp::EveryoneEv(g) => everyone(Attain::Ev, 0, g, a),
+            ModalOp::EveryoneTs(g, t) => everyone(Attain::Ts, *t, g, a),
+            ModalOp::CommonEps(g, eps) => common(Attain::Eps, *eps, g),
+            ModalOp::CommonEv(g) => common(Attain::Ev, 0, g),
+            ModalOp::CommonTs(g, t) => common(Attain::Ts, *t, g),
         }
     }
 
@@ -99,17 +87,6 @@ impl ModalOp {
             ModalOp::CommonTs(g, t) => Some(ModalOp::EveryoneTs(g.clone(), *t)),
             _ => None,
         }
-    }
-}
-
-fn gfp(n: usize, mut f: impl FnMut(&WorldSet) -> WorldSet) -> WorldSet {
-    let mut x = WorldSet::full(n);
-    loop {
-        let next = f(&x);
-        if next == x {
-            return x;
-        }
-        x = next;
     }
 }
 
@@ -276,13 +253,8 @@ pub fn check_lemma2(frame: &dyn Frame, g: &AgentGroup, suite: &[WorldSet]) -> Op
     for a in suite {
         let c = frame.common_set(g, a);
         let arg = a.intersection(&c);
-        let mut all = WorldSet::full(frame.num_worlds());
-        let mut some = WorldSet::empty(frame.num_worlds());
-        for i in g.iter() {
-            let k = frame.knowledge_set(i, &arg);
-            all.intersect_with(&k);
-            some.union_with(&k);
-        }
+        let all = frame.everyone_set(g, &arg);
+        let some = frame.someone_set(g, &arg);
         if c != all || c != some {
             for x in [
                 c.difference(&all),

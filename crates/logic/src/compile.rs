@@ -40,7 +40,7 @@ use crate::eval::{check_positive, EvalError};
 use crate::formula::Formula;
 use crate::frame::{Frame, TemporalStructure};
 use crate::interval::IntervalSet;
-use crate::temporal;
+use crate::temporal::{self, Attain};
 use hm_kripke::{AgentGroup, AgentId, WorldSet};
 use hm_limits::{failpoints, Budget, LimitExceeded, Phase};
 use std::borrow::Cow;
@@ -106,17 +106,6 @@ enum Op {
     CommonAt { var: Attain, group: u32, arg: u64 },
     /// Pop one, push `K_i^T`.
     KnowsAt { agent: u32, stamp: u64 },
-}
-
-/// The attainable variants of `E_G` (Sections 11–12).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Attain {
-    /// `E^ε_G`: everyone knows within `ε` time units.
-    Eps,
-    /// `E^◇_G`: everyone eventually knows.
-    Ev,
-    /// `E^T_G`: everyone knows at local timestamp `T`.
-    Ts,
 }
 
 /// A frame-compatibility check recorded at compile time, replayed by
@@ -460,18 +449,6 @@ impl CompiledFormula {
             .map_err(EvalError::Limit)?;
         let top = m.stack.pop().expect("program pushes exactly one result");
         Ok(m.owned_value(top))
-    }
-
-    /// `true` if any instruction requires run/time structure.
-    pub fn mentions_temporal(&self) -> bool {
-        self.mentions_temporal
-    }
-
-    /// `true` if any instruction is distributed knowledge `D_G` — the one
-    /// static operator that is not bisimulation-invariant, so quotient
-    /// frames must not be substituted for the original.
-    pub fn mentions_distributed(&self) -> bool {
-        self.mentions_distributed
     }
 
     /// `true` if the formula may be answered on a bisimulation quotient
@@ -969,15 +946,9 @@ impl<D: Domain> Machine<'_, D> {
                     cur
                 })
             }),
-            Op::Someone(group) => self.apply(|m, a| {
-                a.upper(|s| {
-                    let mut out = WorldSet::empty(m.n);
-                    for i in m.group(group).iter() {
-                        out.union_with(&m.frame.knowledge_set(i, s));
-                    }
-                    out
-                })
-            }),
+            Op::Someone(group) => {
+                self.apply(|m, a| a.upper(|s| m.frame.someone_set(m.group(group), s)));
+            }
             Op::Distributed(group) => {
                 self.apply(|m, a| a.upper(|s| m.frame.distributed_set(m.group(group), s)));
             }
@@ -1014,13 +985,17 @@ impl<D: Domain> Machine<'_, D> {
             Op::Always => self.apply(|m, a| a.both(|s| temporal::always_set(m.ts(), s))),
             Op::Once => self.apply(|m, a| a.both(|s| temporal::once_set(m.ts(), s))),
             Op::EveryoneAt { var, group, arg } => {
-                self.apply(|m, a| a.upper(|s| m.attain(var, arg, m.group(group), s)));
+                self.apply(|m, a| a.upper(|s| m.attain(var, arg, group, s)));
             }
             Op::CommonAt { var, group, arg } => {
                 let a = self.pop();
-                let out = self
-                    .resolve(&a)
-                    .try_upper(|s| self.attain_gfp(var, arg, self.group(group), s))?;
+                let out = self.resolve(&a).try_upper(|s| {
+                    WorldSet::try_gfp(self.n, |x| {
+                        // Budget re-check at every round, as for `Fix`.
+                        self.budget.check_now(Phase::Eval)?;
+                        Ok(self.attain(var, arg, group, &s.intersection(x)))
+                    })
+                })?;
                 self.stack.push(Val::Owned(out));
             }
             Op::KnowsAt { agent, stamp } => self.apply(|m, a| {
@@ -1042,33 +1017,8 @@ impl<D: Domain> Machine<'_, D> {
     }
 
     /// `E^ε_G`, `E^◇_G` or `E^T_G` of `s`.
-    fn attain(&self, var: Attain, arg: u64, g: &AgentGroup, s: &WorldSet) -> WorldSet {
-        let k_sets: Vec<WorldSet> = g.iter().map(|i| self.frame.knowledge_set(i, s)).collect();
-        match var {
-            Attain::Eps => temporal::everyone_eps_set(self.ts(), g, arg, &k_sets),
-            Attain::Ev => temporal::everyone_ev_set(self.ts(), g, &k_sets),
-            Attain::Ts => temporal::everyone_ts_set(self.ts(), g, arg, &k_sets),
-        }
-    }
-
-    /// The `C^ε`, `C^◇` or `C^T` fixed point `νX. E^var_G(s ∧ X)`, by
-    /// downward iteration.
-    fn attain_gfp(
-        &self,
-        var: Attain,
-        arg: u64,
-        g: &AgentGroup,
-        s: &WorldSet,
-    ) -> Result<WorldSet, LimitExceeded> {
-        let mut x = WorldSet::full(self.n);
-        loop {
-            self.budget.check_now(Phase::Eval)?;
-            let next = self.attain(var, arg, g, &s.intersection(&x));
-            if next == x {
-                return Ok(x);
-            }
-            x = next;
-        }
+    fn attain(&self, var: Attain, arg: u64, group: u32, s: &WorldSet) -> WorldSet {
+        temporal::everyone_attain(self.frame, self.ts(), var, arg, self.group(group), s)
     }
 
     fn pop(&mut self) -> Val<D> {
@@ -1254,8 +1204,8 @@ mod tests {
         let plain = compile(&parse("C{0,1} p").unwrap()).unwrap();
         assert!(plain.quotient_safe());
         let dist = compile(&parse("D{0,1} p").unwrap()).unwrap();
-        assert!(dist.mentions_distributed() && !dist.quotient_safe());
+        assert!(dist.mentions_distributed && !dist.quotient_safe());
         let temp = compile(&parse("even p").unwrap()).unwrap();
-        assert!(temp.mentions_temporal() && !temp.quotient_safe());
+        assert!(temp.mentions_temporal && !temp.quotient_safe());
     }
 }

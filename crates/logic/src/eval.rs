@@ -69,10 +69,7 @@ impl From<hm_limits::LimitExceeded> for EvalError {
 /// Evaluates a closed formula on a frame, returning the set of worlds where
 /// it holds.
 ///
-/// Formulas of fewer than [`COMPILE_THRESHOLD`] nodes are evaluated by
-/// the tree walker directly: for a one-shot query on a tiny formula the
-/// compiler's lowering/interning overhead exceeds the whole evaluation.
-/// Everything else is lowered by [`compile`](crate::compile) to a flat
+/// The formula is lowered by [`compile`](crate::compile) to a flat
 /// instruction buffer (atoms and groups interned, fixed-point slots
 /// preallocated) and executed once. Callers evaluating the same formula
 /// repeatedly should compile once and reuse the
@@ -102,18 +99,8 @@ impl From<hm_limits::LimitExceeded> for EvalError {
 /// # Ok::<(), hm_logic::EvalError>(())
 /// ```
 pub fn evaluate(frame: &dyn Frame, f: &Formula) -> Result<WorldSet, EvalError> {
-    if f.node_count() < COMPILE_THRESHOLD {
-        return evaluate_tree(frame, f);
-    }
     crate::compile::compile(f)?.eval(frame)
 }
-
-/// Below this node count a one-shot [`evaluate`] skips the compiler and
-/// runs the reference tree walker. Both paths are differentially tested
-/// to agree on every formula, so the cutoff is purely a performance
-/// knob: ~8 nodes is where compile cost stops dominating on the
-/// benchmark suite's small queries.
-pub const COMPILE_THRESHOLD: usize = 8;
 
 /// The original tree-walking evaluator, kept as the executable reference
 /// semantics: it resolves atoms by `&str` at every node and carries an
@@ -630,31 +617,6 @@ mod tests {
         );
         let out = evaluate(&chain(), &f).unwrap();
         assert_eq!(out, ws(3, &[0, 1]));
-    }
-
-    #[test]
-    fn fast_path_agrees_with_compiled_across_threshold() {
-        // Build ladders K0 K1 K0 … p straddling COMPILE_THRESHOLD so both
-        // the tree-walking fast path and the compiled path are exercised,
-        // and check them against each other explicitly.
-        let m = chain();
-        for depth in 0..2 * crate::COMPILE_THRESHOLD {
-            let mut f = Formula::atom("p");
-            for i in 0..depth {
-                f = Formula::knows(AgentId::new(i % 2), f);
-            }
-            assert_eq!(f.node_count(), depth + 1);
-            let via_evaluate = evaluate(&m, &f).unwrap();
-            let via_tree = evaluate_tree(&m, &f).unwrap();
-            let via_compiled = crate::compile::compile(&f).unwrap().eval(&m).unwrap();
-            assert_eq!(via_evaluate, via_tree, "depth {depth}");
-            assert_eq!(via_evaluate, via_compiled, "depth {depth}");
-        }
-        // Errors surface identically on the fast path.
-        assert_eq!(
-            evaluate(&m, &Formula::atom("zap")),
-            Err(EvalError::UnknownAtom("zap".into()))
-        );
     }
 
     #[test]

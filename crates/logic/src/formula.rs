@@ -309,18 +309,9 @@ impl Formula {
         )
     }
 
-    /// Number of nodes in the formula tree (each operator and leaf counts
-    /// as one). Used to route very small formulas around the compiler:
-    /// below [`evaluate`](crate::evaluate)'s threshold the tree walker
-    /// beats compile-then-run on one-shot queries.
-    pub fn node_count(&self) -> usize {
-        let mut n = 1;
-        self.for_each_child(|c| n += c.node_count());
-        n
-    }
-
     /// `true` if any subformula is a temporal operator.
-    pub fn mentions_temporal(&self) -> bool {
+    #[cfg(test)]
+    fn mentions_temporal(&self) -> bool {
         if self.is_temporal_op() {
             return true;
         }

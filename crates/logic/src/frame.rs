@@ -12,9 +12,11 @@ use hm_kripke::{AgentGroup, AgentId, KripkeModel, WorldId, WorldSet};
 /// A finite evaluation frame for the static (non-temporal) fragment.
 ///
 /// Implementors must guarantee that `knowledge_set` and `distributed_set`
-/// are the kernels of equivalence relations (S5); the default
-/// `common_set` computes the greatest fixed point of `X ↦ E_G(A ∩ X)` from
-/// `knowledge_set` and may be overridden with a faster characterisation.
+/// are the kernels of equivalence relations (S5). The group operators
+/// `everyone_set` (`E_G`) and `someone_set` (`S_G`) are built from
+/// `knowledge_set` here, once for every frame; the default `common_set`
+/// computes the greatest fixed point of `X ↦ E_G(A ∩ X)` and may be
+/// overridden with a faster characterisation.
 pub trait Frame {
     /// Number of worlds (points) in the frame.
     fn num_worlds(&self) -> usize;
@@ -41,17 +43,21 @@ pub trait Frame {
         out
     }
 
+    /// `S_G(A) = ⋃_{i∈G} K_i(A)`: someone in `G` knows (Section 3).
+    fn someone_set(&self, g: &AgentGroup, a: &WorldSet) -> WorldSet {
+        let mut out = WorldSet::empty(self.num_worlds());
+        for i in g.iter() {
+            out.union_with(&self.knowledge_set(i, a));
+        }
+        out
+    }
+
     /// `C_G(A)`, by default as the greatest fixed point of
     /// `X ↦ E_G(A ∩ X)`.
     fn common_set(&self, g: &AgentGroup, a: &WorldSet) -> WorldSet {
-        let mut x = WorldSet::full(self.num_worlds());
-        loop {
-            let next = self.everyone_set(g, &a.intersection(&x));
-            if next == x {
-                return x;
-            }
-            x = next;
-        }
+        WorldSet::gfp(self.num_worlds(), |x| {
+            self.everyone_set(g, &a.intersection(x))
+        })
     }
 
     /// Run/time structure, when this frame has it. Frames returning `None`
@@ -179,6 +185,8 @@ mod tests {
         // Default everyone_set equals intersection of knowledge.
         let e = f.everyone_set(&AgentGroup::all(2), &pa);
         assert!(e.is_empty());
+        // ...and someone_set their union: the sighted agent 1 knows p at w0.
+        assert_eq!(f.someone_set(&AgentGroup::all(2), &pa), pa);
     }
 
     #[test]

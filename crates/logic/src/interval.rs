@@ -113,12 +113,6 @@ impl IntervalSet {
             None
         }
     }
-
-    /// Consumes the interval into `(lo, hi)`.
-    #[must_use]
-    pub fn into_parts(self) -> (WorldSet, WorldSet) {
-        (self.lo, self.hi)
-    }
 }
 
 /// Evaluates `f` on a (possibly truncated) frame, returning a sound

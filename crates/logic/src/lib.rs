@@ -74,7 +74,7 @@ mod parser;
 
 pub use analysis::{simplify, Analyzer, DiagKind, Diagnostic, Diagnostics, Facts, Severity};
 pub use compile::{compile, Bound, CompiledFormula, EvalCache};
-pub use eval::{evaluate, evaluate_tree, holds_at, is_valid, EvalError, COMPILE_THRESHOLD};
+pub use eval::{evaluate, evaluate_tree, holds_at, is_valid, EvalError};
 pub use formula::{Formula, F};
 pub use frame::{AtomTable, Frame, TemporalStructure};
 pub use interval::{evaluate_interval, IntervalSet};

@@ -5,8 +5,8 @@
 //! already-computed per-agent knowledge sets as input, so the evaluator
 //! controls how `K_i` itself is interpreted.
 
-use crate::frame::TemporalStructure;
-use hm_kripke::{AgentGroup, AgentId, WorldId, WorldSet};
+use crate::frame::{Frame, TemporalStructure};
+use hm_kripke::{AgentGroup, AgentId, WorldSet};
 
 /// `○(A)`: worlds whose successor point (same run, next time) is in `A`.
 /// The last point of a (truncated) run has no successor and never
@@ -197,8 +197,40 @@ pub fn everyone_ts_set(
     out
 }
 
-/// Convenience: the set of all points of `run`.
-pub fn run_points(ts: &dyn TemporalStructure, run: usize, universe: usize) -> WorldSet {
+/// The attainable variants of `E_G` (Sections 11–12).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Attain {
+    /// `E^ε_G`: everyone knows within `ε` time units.
+    Eps,
+    /// `E^◇_G`: everyone eventually knows.
+    Ev,
+    /// `E^T_G`: everyone knows at local timestamp `T`.
+    Ts,
+}
+
+/// `E^ε_G(A)`, `E^◇_G(A)` or `E^T_G(A)` on `frame`, whose run structure
+/// is `ts`; `arg` is `ε` or `T` (unused for `◇`). The members' `K_i(A)`
+/// come from the frame. The compiled machine and the axiom checker both
+/// evaluate the attainable operators through this function.
+pub(crate) fn everyone_attain(
+    frame: &dyn Frame,
+    ts: &dyn TemporalStructure,
+    var: Attain,
+    arg: u64,
+    g: &AgentGroup,
+    a: &WorldSet,
+) -> WorldSet {
+    let k_sets: Vec<WorldSet> = g.iter().map(|i| frame.knowledge_set(i, a)).collect();
+    match var {
+        Attain::Eps => everyone_eps_set(ts, g, arg, &k_sets),
+        Attain::Ev => everyone_ev_set(ts, g, &k_sets),
+        Attain::Ts => everyone_ts_set(ts, g, arg, &k_sets),
+    }
+}
+
+/// The set of all points of `run`.
+#[cfg(test)]
+fn run_points(ts: &dyn TemporalStructure, run: usize, universe: usize) -> WorldSet {
     let mut out = WorldSet::empty(universe);
     for t in 0..ts.run_len(run) {
         out.insert(ts.point(run, t).expect("t < len"));
@@ -206,8 +238,9 @@ pub fn run_points(ts: &dyn TemporalStructure, run: usize, universe: usize) -> Wo
     out
 }
 
-/// Convenience: collects the `WorldId`s of a run in time order.
-pub fn run_timeline(ts: &dyn TemporalStructure, run: usize) -> Vec<WorldId> {
+/// Collects the `WorldId`s of a run in time order.
+#[cfg(test)]
+fn run_timeline(ts: &dyn TemporalStructure, run: usize) -> Vec<hm_kripke::WorldId> {
     (0..ts.run_len(run))
         .map(|t| ts.point(run, t).expect("t < len"))
         .collect()
@@ -216,6 +249,7 @@ pub fn run_timeline(ts: &dyn TemporalStructure, run: usize) -> Vec<WorldId> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hm_kripke::WorldId;
 
     /// A bare grid: `num_runs` runs of equal `len`; world id = run*len + t.
     /// Clock of agent i at (r,t) = t + skew*i (for clock tests).

@@ -75,14 +75,6 @@ pub struct FaultPlan {
     pub server_to_client: Script,
 }
 
-impl FaultPlan {
-    /// A plan that forwards both directions untouched.
-    #[must_use]
-    pub fn passthrough() -> Self {
-        FaultPlan::default()
-    }
-}
-
 /// A sequence of [`Step`]s; bytes beyond the script pass through.
 pub type Script = Vec<Step>;
 

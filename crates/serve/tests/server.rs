@@ -236,6 +236,23 @@ fn oversized_request_heads_are_refused_and_free_the_worker() {
 }
 
 #[test]
+fn agreement_builds_that_cannot_fit_are_refused() {
+    // Naive enumeration at n=5,f=2 or f=3 would run for minutes and
+    // gigabytes; the spec is refused with a 400 before enumeration.
+    let (handle, addr) = start(2);
+    for spec in [
+        "agreement:n=5,f=2,mode=naive",
+        "agreement:n=4,f=3,mode=naive",
+    ] {
+        let body = format!(r#"{{"spec":"{spec}","formula":"C{{0,1,2}} min0"}}"#);
+        let (status, response) = http_call(addr, "POST", "/query", &body).expect(spec);
+        assert_eq!(status, 400, "{spec}: {response}");
+        assert!(response.contains("mode=reduced"), "{spec}: {response}");
+    }
+    handle.shutdown();
+}
+
+#[test]
 fn horizon_and_minimize_options_shape_the_cache_key() {
     let (handle, addr) = start(2);
     let with_h8 = r#"{"spec":"generals","formula":"K1 dispatched","horizon":8}"#;

@@ -73,7 +73,10 @@ fn announcement_produces_common_knowledge_of_m() {
         // After: C m everywhere surviving.
         let mut r = Restriction::new(p.model());
         r.announce(&p.m_set()).unwrap();
-        assert_eq!(r.common_knowledge(&p.group(), &p.m_set()), *r.alive());
+        let (after, _) = r.to_model();
+        assert_eq!(after.num_worlds(), r.alive().count());
+        let m_after = after.atom_set(after.atom_id("m").unwrap());
+        assert!(after.common_knowledge(&p.group(), &m_after).is_full());
     }
 }
 

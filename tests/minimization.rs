@@ -4,7 +4,7 @@
 
 use halpern_moses::core::puzzles::attack::generals_builder;
 use halpern_moses::core::puzzles::muddy::MuddyChildren;
-use halpern_moses::kripke::{minimize, AgentGroup, AgentId};
+use halpern_moses::kripke::{minimize, random_model, AgentGroup, AgentId, RandomModelSpec};
 use halpern_moses::limits::Budget;
 use halpern_moses::logic::{evaluate, Formula};
 
@@ -29,7 +29,10 @@ fn generals_points_compress_and_answers_agree() {
             AgentId::new(0),
             Formula::knows(AgentId::new(1), Formula::atom("dispatched")),
         ),
+        Formula::everyone(g.clone(), Formula::atom("dispatched")),
+        Formula::someone(g.clone(), Formula::atom("dispatched")),
         Formula::everyone_k(g.clone(), 2, Formula::atom("dispatched")),
+        Formula::everyone_k(g.clone(), 3, Formula::atom("dispatched")),
         Formula::common(g, Formula::atom("dispatched")),
     ] {
         let on_full = evaluate(model, &f).unwrap();
@@ -41,6 +44,42 @@ fn generals_points_compress_and_answers_agree() {
                 "{f} differs at {}",
                 model.world_label(w)
             );
+        }
+    }
+}
+
+/// The group operators built from `K_i` (E, S, Eᵏ, C) answer alike on a
+/// random model and on its quotient, read back through the quotient map.
+#[test]
+fn group_operators_agree_on_random_quotients() {
+    for seed in 0..30u64 {
+        let m = random_model(
+            seed,
+            RandomModelSpec {
+                num_agents: 2 + (seed % 2) as usize,
+                num_worlds: 6 + (seed % 18) as usize,
+                num_atoms: 1,
+                max_blocks: 3,
+            },
+        );
+        let min = minimize(&m, &Budget::unlimited()).unwrap();
+        let g = AgentGroup::all(m.num_agents());
+        let q = || Formula::atom("q0");
+        for f in [
+            Formula::everyone(g.clone(), q()),
+            Formula::someone(g.clone(), q()),
+            Formula::everyone_k(g.clone(), 3, q()),
+            Formula::common(g.clone(), q()),
+        ] {
+            let on_full = evaluate(&m, &f).unwrap();
+            let on_min = evaluate(&min.model, &f).unwrap();
+            for w in m.worlds() {
+                assert_eq!(
+                    on_full.contains(w),
+                    on_min.contains(min.image(w)),
+                    "seed {seed}: {f} differs at {w}"
+                );
+            }
         }
     }
 }

@@ -5,6 +5,7 @@ use halpern_moses::kripke::{
     announce, random_model, AgentGroup, AgentId, Partition, RandomModelSpec, Restriction,
     SplitMix64, WorldId, WorldSet,
 };
+use halpern_moses::logic::Frame;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -120,19 +121,26 @@ proptest! {
         let mut r = Restriction::new(&m);
         r.announce(&q0).unwrap();
         let (sub, remap) = r.to_model();
-        let g = AgentGroup::all(m.num_agents());
         let q1 = m.atom_set(1.into());
         let q1_sub = sub.atom_set(sub.atom_id("q1").unwrap());
-        let rel = r.common_knowledge(&g, &q1);
-        let mat = sub.common_knowledge(&g, &q1_sub);
-        for w in sub.worlds() {
-            prop_assert_eq!(mat.contains(w), rel.contains(remap.old_id(w)));
-        }
-        // Relativised single-agent knowledge agrees as well.
-        let relk = r.knowledge(AgentId::new(0), &q1);
-        let matk = sub.knowledge(AgentId::new(0), &q1_sub);
-        for w in sub.worlds() {
-            prop_assert_eq!(matk.contains(w), relk.contains(remap.old_id(w)));
+        // Relativised knowledge agrees with the materialised sub-model and
+        // with its definition, `[w]_i ∩ alive ⊆ A`, at every world.
+        for i in 0..m.num_agents() {
+            let i = AgentId::new(i);
+            let relk = r.knowledge(i, &q1);
+            let matk = sub.knowledge(i, &q1_sub);
+            for w in sub.worlds() {
+                prop_assert_eq!(matk.contains(w), relk.contains(remap.old_id(w)));
+            }
+            let part = m.partition(i);
+            for w in m.worlds() {
+                let naive = r.alive().contains(w)
+                    && part
+                        .block_members(part.block_of(w))
+                        .filter(|v| r.alive().contains(*v))
+                        .all(|v| q1.contains(v));
+                prop_assert_eq!(naive, relk.contains(w));
+            }
         }
     }
 
@@ -177,7 +185,7 @@ proptest! {
         let mut prev = fact.clone();
         let mut tower = Vec::new();
         for _ in 0..40 {
-            let next = m.everyone_knows(&g, &prev);
+            let next = m.everyone_set(&g, &prev);
             prop_assert!(next.is_subset(&prev));
             if next == prev {
                 break;

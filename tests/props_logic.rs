@@ -3,7 +3,7 @@
 //! fixed-point/conjunction equivalence where downward continuity holds.
 
 use halpern_moses::kripke::{random_model, AgentGroup, AgentId, RandomModelSpec};
-use halpern_moses::logic::{evaluate, parse, Formula, F};
+use halpern_moses::logic::{evaluate, parse, Formula, Frame, F};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -99,7 +99,7 @@ proptest! {
         let mut conj = phi.clone();
         let mut cur = phi;
         for _ in 0..m.num_worlds() + 1 {
-            cur = m.everyone_knows(&g, &cur);
+            cur = m.everyone_set(&g, &cur);
             conj.intersect_with(&cur);
         }
         let c = evaluate(&m, &Formula::common(g, f)).unwrap();
@@ -164,7 +164,6 @@ fn formula_sharing_is_cheap() {
 // ---------------------------------------------------------------------
 
 use halpern_moses::kripke::{KripkeModel, SplitMix64, WorldId, WorldSet};
-use halpern_moses::logic::Frame;
 
 struct WithAtom<'a> {
     inner: &'a KripkeModel,
