@@ -16,7 +16,8 @@
 //! ```text
 //! --horizon N    override the scenario's time horizon
 //! --minimize     answer quotient-safe queries on the bisimulation quotient
-//! --parallel     enumerate adversary branches on threads
+//! --parallel     explore netsim adversary branches on threads; governs
+//!                only that (large frames build on every core anyway)
 //! --show N       list at most N satisfying points (default 10; 0 = none)
 //! --max-runs N   cap enumerated runs (exceeding exits 3)
 //! --max-worlds N cap interpreted-system points (exceeding exits 3)
@@ -27,7 +28,8 @@
 //! ```
 //!
 //! `exp` accepts the same resource options (`--max-runs`,
-//! `--max-worlds`, `--timeout`), applied to every frame it builds.
+//! `--max-worlds`, `--timeout`), applied to every frame it builds; an
+//! unknown experiment name exits 2 with a suggestion, before any runs.
 //!
 //! `check` lints a formula against the scenario's declared *surface*
 //! (vocabulary, agent count, temporal capability, horizon) without
@@ -51,6 +53,7 @@
 //! diagnostic (`check`), 2 = usage/spec/parse error, 3 = a resource
 //! limit (run/world budget, deadline, cancellation) was exceeded.
 
+use hm_bench::experiments::ExperimentError;
 use hm_engine::{check_spec, Engine, EngineError, Limits, Query, Scenario, ScenarioRegistry};
 use std::time::Duration;
 
@@ -90,7 +93,8 @@ usage:
 ask options:
   --horizon N    override the scenario's time horizon
   --minimize     answer quotient-safe queries on the bisimulation quotient
-  --parallel     enumerate adversary branches on threads
+  --parallel     explore netsim adversary branches on threads; governs
+                 only that (large frames build on every core anyway)
   --show N       list at most N satisfying points (default 10; 0 = none)
   --max-runs N   cap enumerated runs; exceeding the cap exits 3
   --max-worlds N cap interpreted-system points; exceeding exits 3
@@ -102,7 +106,8 @@ ask options:
 exp options:
   --max-runs N / --max-worlds N / --timeout S
                  as for ask, applied to every frame the driver builds
-                 (the deadline re-anchors per build)
+                 (the deadline re-anchors per build); an unknown
+                 experiment name exits 2 before any experiment runs
 
 serve options:
   --addr A:P         bind address (default 127.0.0.1:7878; port 0 = ephemeral)
@@ -493,7 +498,11 @@ fn exp(args: &[String]) -> i32 {
     }
     match hm_bench::experiments::run(&names, &limits) {
         Ok(()) => 0,
-        Err(e) => fail(&e),
+        Err(ExperimentError::Engine(e)) => fail(&e),
+        Err(e @ ExperimentError::Unknown { .. }) => {
+            eprintln!("{e}");
+            2
+        }
     }
 }
 

@@ -52,9 +52,50 @@ pub const NAMES: [&str; 18] = [
     "E16", "E17", "E18",
 ];
 
+/// One experiment body: prints its table, builds frames under the
+/// given limits.
+type Experiment = fn(&Limits) -> Result<(), EngineError>;
+
+/// Why [`run`] stopped.
+#[derive(Debug)]
+pub enum ExperimentError {
+    /// A requested name is none of [`NAMES`]; nothing was run.
+    Unknown {
+        /// The requested name.
+        name: String,
+        /// The experiment name closest by edit distance, if any is
+        /// close enough to be a plausible typo.
+        suggestion: Option<String>,
+    },
+    /// An experiment's engine build or query failed.
+    Engine(EngineError),
+}
+
+impl std::fmt::Display for ExperimentError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ExperimentError::Unknown { name, suggestion } => {
+                write!(f, "unknown experiment `{name}`")?;
+                if let Some(s) = suggestion {
+                    write!(f, " — did you mean `{s}`?")?;
+                }
+                write!(f, " (experiments: E1–E18)")
+            }
+            ExperimentError::Engine(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for ExperimentError {}
+
+impl From<EngineError> for ExperimentError {
+    fn from(e: EngineError) -> Self {
+        ExperimentError::Engine(e)
+    }
+}
+
 /// Runs the requested experiments (all of them when `requested` is
-/// empty), printing each series under a `==== En ====` header. Names
-/// that match nothing are silently skipped.
+/// empty), printing each series under a `==== En ====` header.
 ///
 /// Every engine build is governed by `limits` (pass
 /// [`Limits::none()`] for the classic ungoverned driver). The deadline
@@ -63,13 +104,17 @@ pub const NAMES: [&str; 18] = [
 ///
 /// # Errors
 ///
-/// The first [`EngineError`] an experiment hits — in particular
+/// [`ExperimentError::Unknown`] for the first requested name that is no
+/// experiment, before anything runs; otherwise the first
+/// [`EngineError`] an experiment hits — in particular
 /// [`EngineError::LimitExceeded`] when a resource budget fires.
-/// One experiment body: prints its table, builds frames under the
-/// given limits.
-type Experiment = fn(&Limits) -> Result<(), EngineError>;
-
-pub fn run(requested: &[String], limits: &Limits) -> Result<(), EngineError> {
+pub fn run(requested: &[String], limits: &Limits) -> Result<(), ExperimentError> {
+    if let Some(name) = requested.iter().find(|r| !NAMES.contains(&r.as_str())) {
+        return Err(ExperimentError::Unknown {
+            name: name.clone(),
+            suggestion: hm_engine::nearest_name(name, &NAMES),
+        });
+    }
     let want = |name: &str| requested.is_empty() || requested.iter().any(|r| r == name);
 
     let experiments: &[(&str, Experiment)] = &[

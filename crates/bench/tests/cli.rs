@@ -59,6 +59,41 @@ fn exp_matches_the_experiment_driver() {
 }
 
 #[test]
+fn unknown_experiment_names_fail_with_a_suggestion() {
+    let out = hm(&["exp", "E99"]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert_eq!(stdout(&out), "");
+    assert_eq!(
+        stderr(&out),
+        "unknown experiment `E99` — did you mean `E9`? (experiments: E1–E18)\n"
+    );
+    // A bad name anywhere in the list fails before any experiment runs.
+    let out = hm(&["exp", "E16", "e3"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert_eq!(stdout(&out), "");
+    assert!(
+        stderr(&out).contains("did you mean `E3`?"),
+        "{}",
+        stderr(&out)
+    );
+    // No suggestion when nothing is close.
+    let out = hm(&["exp", "frobnicate"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert_eq!(
+        stderr(&out),
+        "unknown experiment `frobnicate` (experiments: E1–E18)\n"
+    );
+    // The `experiments` binary refuses the same way.
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .arg("E99")
+        .output()
+        .expect("spawn experiments");
+    assert_eq!(out.status.code(), Some(2));
+    assert_eq!(stdout(&out), "");
+    assert!(stderr(&out).starts_with("unknown experiment `E99`"));
+}
+
+#[test]
 fn list_covers_the_catalog() {
     let out = hm(&["list"]);
     assert!(out.status.success());

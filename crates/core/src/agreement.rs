@@ -508,7 +508,9 @@ pub fn pattern_run_name(n: usize, inputs: u64, pattern: &[Crash]) -> String {
 /// The orbit representatives of the crash-pattern space of `spec` under
 /// process renaming, paired with their orbit sizes (multiplicities), in
 /// naive enumeration order of the representatives — failure-free first.
-/// The multiplicities sum to [`crash_patterns`]`.len()`.
+/// The multiplicities sum to [`crash_patterns`]`.len()`. Spaces of at
+/// least 4,096 naive patterns are filtered on every core, in contiguous
+/// chunks joined in order, with the same result.
 ///
 /// # Panics
 ///
@@ -518,31 +520,68 @@ pub fn canonical_patterns(spec: AgreementSpec) -> Vec<(CrashPattern, usize)> {
         .expect("unlimited budget cannot be exceeded")
 }
 
+/// Crash-pattern spaces of at least this many naive patterns are
+/// orbit-filtered on [`hm_limits::worker_count`] threads; smaller ones on
+/// the calling thread, where spawning would cost more than the work.
+const PARALLEL_MIN_PATTERNS: usize = 4096;
+
+/// Naive patterns per orbit-filter job: enough chunks for the workers to
+/// balance the uneven per-pattern cost, few enough to be cheap to join.
+const PATTERNS_PER_JOB: usize = 1024;
+
 /// [`canonical_patterns`] with a budget poll per naive pattern.
 fn canonical_patterns_budgeted(
     spec: AgreementSpec,
     budget: &Budget,
 ) -> Result<Vec<(CrashPattern, usize)>, LimitExceeded> {
-    let perms = permutations(spec.n);
-    let mut out: Vec<(CrashPattern, usize)> = Vec::new();
-    'patterns: for pattern in crash_patterns(spec) {
-        budget.tick(Phase::Enumerate)?;
-        // Keep the pattern iff it is its own canonical form (no
-        // renaming is lexicographically smaller); its orbit size is the
-        // number of distinct renamings.
-        let mut orbit: Vec<CrashPattern> = Vec::new();
-        for perm in &perms[1..] {
-            let renamed = rename_pattern(&pattern, perm);
-            if renamed < pattern {
-                continue 'patterns;
+    let patterns = crash_patterns(spec);
+    let workers = if patterns.len() >= PARALLEL_MIN_PATTERNS {
+        hm_limits::worker_count(patterns.len().div_ceil(PATTERNS_PER_JOB))
+    } else {
+        1
+    };
+    canonical_patterns_with_workers(spec.n, patterns, budget, workers)
+}
+
+/// Filters `patterns` down to their orbit representatives on `workers`
+/// threads (1 = on the calling thread only): contiguous chunks, each
+/// filtered by one job, joined in chunk order — so the representatives
+/// keep their naive enumeration order whatever the scheduling.
+fn canonical_patterns_with_workers(
+    n: usize,
+    mut patterns: Vec<CrashPattern>,
+    budget: &Budget,
+    workers: usize,
+) -> Result<Vec<(CrashPattern, usize)>, LimitExceeded> {
+    let perms = permutations(n);
+    let chunks = patterns.chunks(PATTERNS_PER_JOB).enumerate().collect();
+    // Per chunk: (index in `patterns`, orbit size) of each representative.
+    let kept = hm_limits::run_jobs(chunks, workers, budget, |(c, chunk), budget| {
+        let mut kept: Vec<(usize, usize)> = Vec::new();
+        'patterns: for (k, pattern) in chunk.iter().enumerate() {
+            budget.tick(Phase::Enumerate)?;
+            // Keep the pattern iff it is its own canonical form (no
+            // renaming is lexicographically smaller); its orbit size is
+            // the number of distinct renamings.
+            let mut orbit: Vec<CrashPattern> = Vec::new();
+            for perm in &perms[1..] {
+                let renamed = rename_pattern(pattern, perm);
+                if renamed < *pattern {
+                    continue 'patterns;
+                }
+                if renamed != *pattern && !orbit.contains(&renamed) {
+                    orbit.push(renamed);
+                }
             }
-            if renamed != pattern && !orbit.contains(&renamed) {
-                orbit.push(renamed);
-            }
+            kept.push((c * PATTERNS_PER_JOB + k, orbit.len() + 1));
         }
-        out.push((pattern, orbit.len() + 1));
-    }
-    Ok(out)
+        Ok(kept)
+    })?;
+    Ok(kept
+        .into_iter()
+        .flatten()
+        .map(|(i, orbit)| (std::mem::take(&mut patterns[i]), orbit))
+        .collect())
 }
 
 /// Deterministically executes one crash pattern, appending its run to
@@ -938,6 +977,59 @@ mod tests {
             Some(5),
             "CK exactly at the end of round f+1 = 4"
         );
+    }
+
+    /// The public f=3 build (parallel on a multi-core host) against a
+    /// reference rebuilt here one agent at a time: every agent's
+    /// partition and the `decided0` valuation must match.
+    #[test]
+    #[ignore = "heavy: run with --release via ci.sh"]
+    fn f3_build_matches_a_sequential_reference() {
+        let spec = AgreementSpec { n: 4, f: 3 };
+        let isys = build_interpreted(spec, Reduction::Symmetric);
+        let system = isys.system();
+        let view = SymmetricHistory::new(spec.n);
+        for i in 0..spec.n {
+            let agent = AgentId::new(i);
+            let mut interner = hm_runs::ViewInterner::new();
+            let mut ids = Vec::new();
+            for (_, run) in system.runs() {
+                hm_runs::ViewFunction::intern_run(&view, run, agent, &mut interner, &mut ids);
+            }
+            let reference =
+                hm_kripke::Partition::from_dense_keys(system.num_points(), &ids, interner.len());
+            assert_eq!(isys.model().partition(agent), &reference, "agent {i}");
+        }
+        let decided = isys
+            .model()
+            .atom_set(isys.model().atom_id("decided0").unwrap());
+        for p in system.points() {
+            assert_eq!(
+                decided.contains(isys.world(p.run, p.time)),
+                decided0(system.run(p.run), p.time),
+                "{p:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn parallel_orbit_filter_matches_the_sequential_one() {
+        // n=4, f=2 has 3,553 naive patterns: below the parallel
+        // threshold, so force the worker counts.
+        let spec = AgreementSpec { n: 4, f: 2 };
+        let filter = |workers| {
+            canonical_patterns_with_workers(
+                spec.n,
+                crash_patterns(spec),
+                &Budget::unlimited(),
+                workers,
+            )
+            .unwrap()
+        };
+        let one = filter(1);
+        assert_eq!(one, filter(2));
+        assert_eq!(one, canonical_patterns(spec));
+        assert_eq!(one.iter().map(|(_, m)| m).sum::<usize>(), 3553);
     }
 
     #[test]

@@ -56,7 +56,9 @@ mod scenario;
 mod spec;
 
 pub use scenario::{Scenario, ScenarioFrame, ScenarioParams, ScenarioRegistry, Surface};
-pub use spec::{ParamDescriptor, ParamKind, ParamValue, ParamValues, ScenarioSpec, SpecError};
+pub use spec::{
+    nearest_name, ParamDescriptor, ParamKind, ParamValue, ParamValues, ScenarioSpec, SpecError,
+};
 
 // The analysis types `Session::check` and `check_spec` return, and the
 // JSON codec they (and `hm serve`) speak.
@@ -462,9 +464,14 @@ impl Engine {
         self
     }
 
-    /// Explores adversary branches on scoped threads during run
+    /// Explores netsim adversary branches on scoped threads during run
     /// enumeration, where the scenario supports it. The resulting system
     /// is identical to sequential enumeration.
+    ///
+    /// This governs netsim adversary branching only. Interpreting a
+    /// large frame (facts and agent partitions) and the agreement orbit
+    /// filter use every core whatever this says, and small frames never
+    /// spawn.
     pub fn parallel_enumeration(mut self, on: bool) -> Self {
         self.params.parallel = on;
         self

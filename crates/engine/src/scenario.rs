@@ -55,8 +55,9 @@ pub struct ScenarioParams {
     /// Horizon override; `None` uses the spec's `horizon` parameter (or
     /// the scenario's default).
     pub horizon: Option<u64>,
-    /// Explore adversary branches on threads where the scenario supports
-    /// it (the run set is identical either way).
+    /// Explore netsim adversary branches on threads where the scenario
+    /// supports it (the run set is identical either way). Governs netsim
+    /// enumeration only.
     pub parallel: bool,
     /// The resolved spec parameters (defaults filled in). Empty for
     /// scenarios built outside the registry.

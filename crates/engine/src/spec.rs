@@ -561,15 +561,17 @@ fn edit_distance(a: &str, b: &str) -> usize {
 }
 
 /// The candidate closest to `name` by edit distance, if plausibly a
-/// typo (distance at most 2, or 3 for names longer than 6 characters).
-pub(crate) fn nearest_name(name: &str, candidates: &[String]) -> Option<String> {
+/// typo (distance at most 2, or 3 for names longer than 6 characters);
+/// the first such candidate on ties. Scenario errors use it, and so may
+/// any other selector by name (`hm exp` does, for experiments).
+pub fn nearest_name<S: AsRef<str>>(name: &str, candidates: &[S]) -> Option<String> {
     let budget = if name.chars().count() > 6 { 3 } else { 2 };
     candidates
         .iter()
-        .map(|c| (edit_distance(name, c), c))
+        .map(|c| (edit_distance(name, c.as_ref()), c.as_ref()))
         .filter(|(d, _)| *d <= budget)
         .min_by_key(|(d, _)| *d)
-        .map(|(_, c)| c.clone())
+        .map(|(_, c)| c.to_string())
 }
 
 #[cfg(test)]

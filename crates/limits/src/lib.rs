@@ -16,6 +16,10 @@
 //! iterations, so governed loops pay roughly nothing over ungoverned
 //! ones. An unlimited budget ([`Budget::unlimited`]) skips even that.
 //!
+//! [`run_jobs`] runs the independent jobs of one phase on scoped worker
+//! threads, each worker polling its own clone of the phase's budget, and
+//! joins them all before it returns.
+//!
 //! The [`failpoints`] module provides deterministic fault injection at
 //! phase boundaries (in the spirit of the `fail` crate): compiled to a
 //! no-op unless the `failpoints` feature is enabled.
@@ -26,8 +30,8 @@
 pub mod failpoints;
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How many [`Budget::tick`] calls are batched locally before the shared
@@ -580,6 +584,135 @@ impl Budget {
     }
 }
 
+/// How many workers [`run_jobs`] should use for `jobs` independent jobs
+/// on this host: [`std::thread::available_parallelism`], capped at
+/// `jobs`, and at least 1.
+#[must_use]
+pub fn worker_count(jobs: usize) -> usize {
+    std::thread::available_parallelism()
+        .map_or(1, std::num::NonZeroUsize::get)
+        .min(jobs)
+        .max(1)
+}
+
+/// Runs `job` once per element of `jobs` on `workers` scoped threads and
+/// returns the results in the order of `jobs`, whatever the scheduling.
+///
+/// Workers claim the next job from one shared atomic counter, so cheap
+/// jobs fill in around expensive ones; put the heaviest jobs first for
+/// the best balance. The calling thread is one of the workers, and each
+/// worker polls its own clone of `budget` (ticks stay amortized per
+/// worker; ceilings, deadline and cancellation are shared). Every worker
+/// has joined when this returns: no thread outlives the call. A job's
+/// input is moved to the worker that runs it, so buffers the caller
+/// allocates stay with the caller's allocator arena.
+///
+/// With `workers <= 1` the jobs run in order on the calling thread
+/// against `budget` itself, spawning nothing.
+///
+/// # Errors
+///
+/// The first [`LimitExceeded`] a job returns; once one has, no worker
+/// starts another job.
+///
+/// # Panics
+///
+/// A panic in a job stops the other workers from starting new jobs and
+/// is resumed on the caller with its original payload.
+pub fn run_jobs<I, T, F>(
+    jobs: Vec<I>,
+    workers: usize,
+    budget: &Budget,
+    job: F,
+) -> Result<Vec<T>, LimitExceeded>
+where
+    I: Send,
+    T: Send,
+    F: Fn(I, &Budget) -> Result<T, LimitExceeded> + Sync,
+{
+    let count = jobs.len();
+    if workers <= 1 || count <= 1 {
+        return jobs.into_iter().map(|input| job(input, budget)).collect();
+    }
+    // Each input is taken once, by the worker that claims its index.
+    let inputs: Vec<Mutex<Option<I>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
+    let next = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
+    let first_error: Mutex<Option<LimitExceeded>> = Mutex::new(None);
+    let work = |budget: Budget| -> Vec<(usize, T)> {
+        // Raised when this worker unwinds, so the others start no new
+        // jobs while the panic travels to the caller.
+        struct StopOnUnwind<'a>(&'a AtomicBool);
+        impl Drop for StopOnUnwind<'_> {
+            fn drop(&mut self) {
+                if std::thread::panicking() {
+                    self.0.store(true, Ordering::Relaxed);
+                }
+            }
+        }
+        let _guard = StopOnUnwind(&stop);
+        let mut done = Vec::new();
+        while !stop.load(Ordering::Relaxed) {
+            let j = next.fetch_add(1, Ordering::Relaxed);
+            let Some(input) = inputs.get(j) else {
+                break;
+            };
+            let input = input
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take()
+                .expect("each job is claimed once");
+            match job(input, &budget) {
+                Ok(out) => done.push((j, out)),
+                Err(e) => {
+                    stop.store(true, Ordering::Relaxed);
+                    first_error
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .get_or_insert(e);
+                    break;
+                }
+            }
+        }
+        done
+    };
+    let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(count).collect();
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (1..workers.min(count))
+            .map(|_| {
+                let budget = budget.clone();
+                s.spawn(|| work(budget))
+            })
+            .collect();
+        let mut results = vec![work(budget.clone())];
+        let mut panic = None;
+        for h in handles {
+            match h.join() {
+                Ok(done) => results.push(done),
+                Err(payload) => {
+                    panic.get_or_insert(payload);
+                }
+            }
+        }
+        if let Some(payload) = panic {
+            std::panic::resume_unwind(payload);
+        }
+        for (j, out) in results.into_iter().flatten() {
+            slots[j] = Some(out);
+        }
+    });
+    if let Some(e) = first_error
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+    {
+        return Err(e);
+    }
+    Ok(slots
+        .into_iter()
+        .map(|s| s.expect("every job ran"))
+        .collect())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -632,6 +765,69 @@ mod tests {
             h.join().unwrap();
         }
         b.check_now(Phase::Eval).unwrap();
+    }
+
+    #[test]
+    fn run_jobs_returns_results_in_job_order() {
+        let want: Vec<usize> = (0..37).map(|j| j * j).collect();
+        for workers in 1..=4 {
+            let got = run_jobs(
+                (0..37).collect(),
+                workers,
+                &Budget::unlimited(),
+                |j: usize, _| {
+                    // Uneven jobs, so workers finish out of order.
+                    std::thread::sleep(Duration::from_micros((j % 5) as u64 * 50));
+                    Ok(j * j)
+                },
+            )
+            .unwrap();
+            assert_eq!(got, want, "{workers} workers");
+        }
+        assert!(
+            run_jobs(Vec::<()>::new(), 2, &Budget::unlimited(), |(), _| Ok(()))
+                .unwrap()
+                .is_empty()
+        );
+        assert!(worker_count(0) == 1 && worker_count(1) == 1);
+    }
+
+    #[test]
+    fn run_jobs_returns_the_budget_error_of_every_worker() {
+        let token = CancelToken::new();
+        let budget = Limits::none().cancel(token.clone()).budget();
+        token.cancel();
+        let started = AtomicUsize::new(0);
+        let e = run_jobs(vec![(); 64], 2, &budget, |(), b| {
+            started.fetch_add(1, Ordering::Relaxed);
+            b.check_now(Phase::Build)
+        })
+        .unwrap_err();
+        assert_eq!((e.resource, e.phase), (Resource::Cancelled, Phase::Build));
+        // Each worker stops at its first failed job.
+        assert!(started.load(Ordering::Relaxed) <= 2);
+    }
+
+    #[test]
+    fn run_jobs_resumes_a_worker_panic_on_the_caller() {
+        for workers in [1, 2] {
+            let payload = std::panic::catch_unwind(|| {
+                run_jobs(
+                    (0..8).collect(),
+                    workers,
+                    &Budget::unlimited(),
+                    |j: usize, _| {
+                        assert!(j != 5, "job {j} failed");
+                        Ok(j)
+                    },
+                )
+            })
+            .unwrap_err();
+            let msg = payload
+                .downcast_ref::<String>()
+                .expect("formatted panic message");
+            assert_eq!(msg, "job 5 failed", "{workers} workers");
+        }
     }
 
     #[test]

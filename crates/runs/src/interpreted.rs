@@ -17,11 +17,73 @@ use hm_kripke::{
     minimize, AgentGroup, AgentId, KripkeModel, Minimized, ModelBuilder, Partition, WorldId,
     WorldSet,
 };
-use hm_limits::{failpoints, Budget, LimitExceeded, Phase};
+use hm_limits::{failpoints, run_jobs, Budget, LimitExceeded, Phase};
 use hm_logic::{evaluate, AtomTable, EvalError, Formula, Frame, TemporalStructure};
 
 /// A fact predicate: the truth of a ground atom at each point of a run.
-pub type FactFn = Box<dyn Fn(Run<'_>, u64) -> bool>;
+///
+/// `Send + Sync` because large frames evaluate each fact on a worker
+/// thread of their own, next to the agents' view passes (see
+/// [`InterpretedSystemBuilder::try_build`]).
+pub type FactFn = Box<dyn Fn(Run<'_>, u64) -> bool + Send + Sync>;
+
+/// Frames with at least this many points build their facts and agent
+/// partitions on [`hm_limits::worker_count`] threads; smaller ones stay
+/// on the calling thread, where spawning would cost more than the work.
+const PARALLEL_MIN_POINTS: usize = 1 << 16;
+
+/// One build job. Agent jobs carry the id buffer they fill, allocated by
+/// the thread that started the build, so the frame's largest
+/// allocations stay with that thread's allocator arena.
+enum Job {
+    /// Intern every run under the view for this agent.
+    Agent(AgentId, Vec<u32>),
+    /// Evaluate the fact with this declaration index at every point.
+    Fact(usize),
+}
+
+/// What one build job produced.
+enum JobOutput {
+    /// One view id per point, and an exclusive bound on the ids.
+    Agent(Vec<u32>, usize),
+    /// The worlds where a fact holds.
+    Fact(WorldSet),
+}
+
+/// Agent `agent`'s view id at every point, pushed onto `ids`: its view
+/// interns every run into one interner.
+fn agent_view_ids(
+    system: &System,
+    view: &dyn ViewFunction,
+    agent: AgentId,
+    mut ids: Vec<u32>,
+    budget: &Budget,
+) -> Result<(Vec<u32>, usize), LimitExceeded> {
+    let mut interner = ViewInterner::new();
+    for (_, r) in system.runs() {
+        for _ in 0..=r.horizon() {
+            budget.tick(Phase::Build)?;
+        }
+        view.intern_run(r, agent, &mut interner, &mut ids);
+    }
+    Ok((ids, interner.len()))
+}
+
+/// The worlds of the points where `fact` holds.
+fn fact_worlds(system: &System, fact: &FactFn, budget: &Budget) -> Result<WorldSet, LimitExceeded> {
+    let mut worlds = WorldSet::empty(system.num_points());
+    let mut w = 0usize;
+    for (_, r) in system.runs() {
+        for t in 0..=r.horizon() {
+            budget.tick(Phase::Build)?;
+            if fact(r, t) {
+                worlds.insert(WorldId::new(w));
+            }
+            w += 1;
+        }
+    }
+    Ok(worlds)
+}
 
 /// Builder for [`InterpretedSystem`] (C-BUILDER).
 pub struct InterpretedSystemBuilder {
@@ -38,7 +100,7 @@ impl InterpretedSystemBuilder {
     pub fn fact(
         mut self,
         name: impl Into<String>,
-        fact: impl Fn(Run<'_>, u64) -> bool + 'static,
+        fact: impl Fn(Run<'_>, u64) -> bool + Send + Sync + 'static,
     ) -> Self {
         self.facts.push((name.into(), Box::new(fact)));
         self
@@ -84,6 +146,13 @@ impl InterpretedSystemBuilder {
 
     /// Materialises the interpreted system under the attached budget.
     ///
+    /// On frames of at least 65,536 points, each fact's pass and each
+    /// agent's view pass run as separate jobs on scoped worker threads
+    /// (as many as the host has cores, at most one per job), each polling
+    /// its own clone of the budget. The model is the one the sequential
+    /// build makes, and every worker has joined before this returns. A
+    /// panic in a fact or a view is resumed here with its payload.
+    ///
     /// # Errors
     ///
     /// [`LimitExceeded`] when the point count exceeds the world ceiling
@@ -92,6 +161,23 @@ impl InterpretedSystemBuilder {
     /// failpoint site `runs::build` can inject the same errors. On error
     /// all partially-built state is dropped.
     pub fn try_build(self) -> Result<InterpretedSystem, LimitExceeded> {
+        let workers = if self.system.num_points() >= PARALLEL_MIN_POINTS {
+            hm_limits::worker_count(self.facts.len() + self.system.num_procs())
+        } else {
+            1
+        };
+        self.build_with_workers(workers)
+    }
+
+    /// [`try_build`](Self::try_build) on `workers` threads (1 = on the
+    /// calling thread only).
+    ///
+    /// Each fact's pass over the points and each agent's view pass is
+    /// one job of [`hm_limits::run_jobs`], agents first (they are the
+    /// heavy ones); the results are installed in a fixed order — atoms in
+    /// declaration order, then partitions by agent — so the model is the
+    /// same whatever the scheduling.
+    fn build_with_workers(self, workers: usize) -> Result<InterpretedSystem, LimitExceeded> {
         failpoints::check("runs::build", Phase::Build)?;
         let budget = self.budget;
         let system = self.system;
@@ -107,43 +193,41 @@ impl InterpretedSystemBuilder {
             acc += r.num_points() as u32;
         }
 
+        let (view, facts) = (&*self.view, &self.facts);
+        // Agents first: they are the heavy jobs.
+        let jobs = (0..num_procs)
+            .map(|i| Job::Agent(AgentId::new(i), Vec::with_capacity(num_points)))
+            .chain((0..facts.len()).map(Job::Fact))
+            .collect();
+        let mut outputs = run_jobs(jobs, workers, &budget, |job, budget| match job {
+            Job::Agent(agent, ids) => agent_view_ids(&system, view, agent, ids, budget)
+                .map(|(ids, num_keys)| JobOutput::Agent(ids, num_keys)),
+            Job::Fact(k) => fact_worlds(&system, &facts[k].1, budget).map(JobOutput::Fact),
+        })?;
+
         let mut b = ModelBuilder::new(num_procs);
         // Worlds are unnamed: point names `run@t` are derived lazily from
         // `locate` when a diagnostic asks (see `point_name`), instead of
         // one `format!` per point here.
         b.add_worlds(num_points);
-        for (name, fact) in &self.facts {
+        let fact_outputs = outputs.split_off(num_procs);
+        for ((name, _), out) in facts.iter().zip(fact_outputs) {
+            let JobOutput::Fact(worlds) = out else {
+                unreachable!("fact jobs follow the agent jobs")
+            };
             let atom = b.atom(name.clone());
-            let mut w = 0usize;
-            for (_, r) in system.runs() {
-                for t in 0..=r.horizon() {
-                    budget.tick(Phase::Build)?;
-                    if fact(r, t) {
-                        b.set_atom(atom, WorldId::new(w), true);
-                    }
-                    w += 1;
-                }
+            for w in worlds.iter() {
+                b.set_atom(atom, w, true);
             }
         }
-        // Agent partitions from dense view ids: each agent's view interns
-        // a whole run at a time into one interner per agent, then a dense
-        // O(n) partition build from the ids.
-        let mut ids: Vec<u32> = Vec::with_capacity(num_points);
-        let mut partitions: Vec<Partition> = Vec::with_capacity(num_procs);
-        for i in 0..num_procs {
-            let agent = AgentId::new(i);
-            let mut interner = ViewInterner::new();
-            ids.clear();
-            for (_, r) in system.runs() {
-                for _ in 0..=r.horizon() {
-                    budget.tick(Phase::Build)?;
-                }
-                self.view.intern_run(r, agent, &mut interner, &mut ids);
-            }
-            partitions.push(Partition::from_dense_keys(num_points, &ids, interner.len()));
-        }
-        for (i, p) in partitions.into_iter().enumerate() {
-            b.set_partition(AgentId::new(i), p);
+        // Partitions from dense view ids: an O(n) build per agent, here
+        // rather than in the jobs so they, too, stay with this thread.
+        for (i, out) in outputs.into_iter().enumerate() {
+            let JobOutput::Agent(ids, num_keys) = out else {
+                unreachable!("agent jobs come first")
+            };
+            let partition = Partition::from_dense_keys(num_points, &ids, num_keys);
+            b.set_partition(AgentId::new(i), partition);
         }
         let model = b.build();
         // A truncated frame answers only three-valued queries, which run
@@ -540,6 +624,137 @@ mod tests {
         }
         // Unminimised builds carry no quotient.
         assert!(interp(msg_system()).quotient().is_none());
+    }
+
+    /// `runs` pseudo-random runs of three processors: initial states and,
+    /// at each tick, whether each processor sends to its successor and
+    /// whether that message arrives, all drawn from a hash of the run
+    /// index — a frame with many shared histories and uneven blocks.
+    fn scrambled_system(runs: u64) -> System {
+        let mut sb = SystemBuilder::new();
+        for r in 0..runs {
+            let mut bits = r
+                .wrapping_add(0x9e37_79b9_7f4a_7c15)
+                .wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            bits ^= bits >> 31;
+            let mut run = sb.run(format!("r{r}"), 3, 4);
+            for i in 0..3 {
+                run = run.wake(a(i), 0, (bits >> i) & 1);
+            }
+            for t in 1..4 {
+                for i in 0..3 {
+                    let shift = 3 + 6 * (t - 1) + 2 * i as u64;
+                    if (bits >> shift) & 1 == 1 {
+                        let msg = Message::tagged(t as u32);
+                        let to = (i + 1) % 3;
+                        run = run.event(a(i), t, Event::Send { to: a(to), msg });
+                        if (bits >> (shift + 1)) & 1 == 1 {
+                            run = run.event(a(to), t, Event::Recv { from: a(i), msg });
+                        }
+                    }
+                }
+            }
+            run.finish();
+        }
+        sb.build()
+    }
+
+    fn scrambled_builder(view: impl ViewFunction + 'static) -> InterpretedSystemBuilder {
+        InterpretedSystem::builder(scrambled_system(1500), view)
+            .fact("zero", |run, _| run.proc(a(0)).initial_state() == 0)
+            .fact("heard", |run, t| run.proc(a(1)).recvs_before(t) > 0)
+            .fact("late", |_, t| t >= 3)
+    }
+
+    #[test]
+    fn parallel_build_matches_the_sequential_build() {
+        for view in [0, 1] {
+            let build = |workers| {
+                let b = if view == 0 {
+                    scrambled_builder(CompleteHistory)
+                } else {
+                    scrambled_builder(crate::view::last_event_view())
+                };
+                b.build_with_workers(workers).unwrap()
+            };
+            let (one, two) = (build(1), build(2));
+            let (m1, m2) = (one.model(), two.model());
+            assert_eq!(m1.num_worlds(), 1500 * 5);
+            assert_eq!(m1.num_atoms(), m2.num_atoms());
+            for name in ["zero", "heard", "late"] {
+                let (x, y) = (m1.atom_id(name).unwrap(), m2.atom_id(name).unwrap());
+                assert_eq!(x, y, "{name}: atom ids in declaration order");
+                assert_eq!(m1.atom_set(x), m2.atom_set(y), "{name}");
+                assert!(!m1.atom_set(x).is_empty() && !m1.atom_set(x).is_full());
+            }
+            for i in 0..3 {
+                let p = m1.partition(a(i));
+                assert_eq!(p, m2.partition(a(i)), "agent {i}, view {view}");
+                assert!(p.num_blocks() > 1 && p.num_blocks() < p.num_worlds());
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_build_stops_on_a_cancelled_or_expired_budget() {
+        let token = hm_limits::CancelToken::new();
+        token.cancel();
+        for limits in [
+            hm_limits::Limits::none().cancel(token),
+            hm_limits::Limits::none().timeout(std::time::Duration::ZERO),
+        ] {
+            let e = scrambled_builder(CompleteHistory)
+                .budget(limits.budget())
+                .build_with_workers(2)
+                .unwrap_err();
+            assert_eq!(e.phase, Phase::Build, "{e}");
+        }
+    }
+
+    /// [`CompleteHistory`] that panics whenever it runs off the thread
+    /// that started the build, and holds that thread's first job until a
+    /// worker has panicked — so the panic surely happens on a worker.
+    struct PanicsOnWorkers {
+        caller: std::thread::ThreadId,
+        panicked: std::sync::atomic::AtomicBool,
+    }
+
+    impl ViewFunction for PanicsOnWorkers {
+        fn encode_view(&self, run: Run<'_>, i: AgentId, t: u64, out: &mut Vec<u64>) {
+            use std::sync::atomic::Ordering;
+            if std::thread::current().id() != self.caller {
+                self.panicked.store(true, Ordering::Relaxed);
+                panic!("view failed on a worker");
+            }
+            let start = std::time::Instant::now();
+            while !self.panicked.load(Ordering::Relaxed)
+                && start.elapsed() < std::time::Duration::from_secs(10)
+            {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            CompleteHistory.encode_view(run, i, t, out);
+        }
+
+        fn name(&self) -> &'static str {
+            "panics-on-workers"
+        }
+    }
+
+    #[test]
+    fn a_view_panicking_on_a_worker_panics_the_build() {
+        let view = PanicsOnWorkers {
+            caller: std::thread::current().id(),
+            panicked: std::sync::atomic::AtomicBool::new(false),
+        };
+        let builder = InterpretedSystem::builder(msg_system(), view);
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            builder.build_with_workers(2)
+        }))
+        .expect_err("the worker's panic reaches the caller");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"view failed on a worker")
+        );
     }
 
     #[test]

@@ -43,7 +43,12 @@ use hm_kripke::AgentId;
 /// [`encode_view`](Self::encode_view) is the definition;
 /// [`intern_run`](Self::intern_run) is how frames are built, and an
 /// override must induce exactly the partition the definition does.
-pub trait ViewFunction {
+///
+/// `Sync` because each agent's partition is an independent computation
+/// (an agent's knowledge depends on its own view alone), and large
+/// frames run the agents' [`intern_run`](Self::intern_run) passes on
+/// worker threads that share one view.
+pub trait ViewFunction: Sync {
     /// Appends the canonical key of processor `i`'s view at `(run, t)`
     /// onto `out` (which may hold unrelated prefix data the implementation
     /// must not touch). Equal appended encodings mean indistinguishable
@@ -309,7 +314,7 @@ where
 
 impl<F> ViewFunction for StateProjection<F>
 where
-    F: Fn(ProcRecord<'_>, u64, &mut Vec<u64>),
+    F: Fn(ProcRecord<'_>, u64, &mut Vec<u64>) + Sync,
 {
     fn encode_view(&self, run: Run<'_>, i: AgentId, t: u64, out: &mut Vec<u64>) {
         (self.project)(run.proc(i), t, out);
