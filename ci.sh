@@ -100,9 +100,21 @@ cargo test -q --release -p hm-core agreement -- --ignored
 # tries (it took ~5 s before, when the guard was 10 s). Timed in
 # milliseconds, so whole-second rounding cannot eat the headroom.
 start=$(date +%s%N)
-$HM ask "agreement:n=4,f=3" "C{0,1,2,3} min0" --show 0
+plain=$($HM ask "agreement:n=4,f=3" "C{0,1,2,3} min0" --show 0)
+end=$(date +%s%N)
+printf '%s\n' "$plain"
+test $(((end - start) / 1000000)) -lt 6000
+# ...and the same build minimised, under the same guard: splitter-queue
+# refinement takes ~1.5 s end to end where the plain build takes ~1.3 s
+# (the round-based refinement took ~4.8 s). On the largest frame there
+# is, the quotient must answer like the raw frame.
+start=$(date +%s%N)
+min=$($HM ask --minimize "agreement:n=4,f=3" "C{0,1,2,3} min0" --show 0)
 end=$(date +%s%N)
 test $(((end - start) / 1000000)) -lt 6000
+min=$(printf '%s\n' "$min" | grep "holds at")
+test -n "$min"
+test "$min" = "$(printf '%s\n' "$plain" | grep "holds at")"
 # ...and a peak-memory guard on the same build + ask: VmHWM under
 # 400 MiB, 1.3x over the ~304 MiB the flat run store peaks at (a heap
 # per run peaked at ~493 MiB). One test in its own binary, release only.

@@ -1,10 +1,12 @@
 //! Microbenchmarks of the substrates: bitset operations, partition
-//! knowledge kernels, reachability, and run enumeration scaling.
+//! knowledge kernels, reachability, bisimulation minimisation, and run
+//! enumeration scaling.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hm_engine::Limits;
+use hm_engine::{Budget, Engine, Limits};
 use hm_kripke::{
-    random_model, AgentGroup, AgentId, Partition, RandomModelSpec, SplitMix64, WorldId, WorldSet,
+    minimize, random_model, AgentGroup, AgentId, KripkeModel, ModelBuilder, Partition,
+    RandomModelSpec, SplitMix64, WorldId, WorldSet,
 };
 use hm_netsim::{enumerate_runs, Command, ExecutionSpec, FnProtocol, LocalView, LossyFixedDelay};
 use hm_runs::Message;
@@ -87,6 +89,46 @@ fn bench_ck_ablation(c: &mut Criterion) {
     group.finish();
 }
 
+/// The point model of a registry spec, as `hm ask` builds it.
+fn point_model(spec: &str) -> KripkeModel {
+    let session = Engine::for_scenario(spec).build().expect("registry spec");
+    session.interpreted().expect("run system").model().clone()
+}
+
+/// A path of `n` worlds with an atom at one end, its two agents pairing
+/// neighbours alternately: already minimal, and the round-based
+/// refinement needed about one round per world for it.
+fn ladder(n: usize) -> KripkeModel {
+    let mut b = ModelBuilder::new(2);
+    b.add_worlds(n);
+    let q = b.atom("q0");
+    b.set_atom(q, WorldId::new(0), true);
+    b.set_partition_by_key(AgentId::new(0), |w| w.index() / 2);
+    b.set_partition_by_key(AgentId::new(1), |w| w.index().div_ceil(2));
+    b.build()
+}
+
+fn bench_minimize(c: &mut Criterion) {
+    let mut group = c.benchmark_group("minimize");
+    let models = [
+        (
+            "agreement_n3_f2_naive",
+            point_model("agreement:n=3,f=2,mode=naive"),
+        ),
+        (
+            "r2d2_eps6_pre8_post8",
+            point_model("r2d2:eps=6,pre=8,post=8"),
+        ),
+        ("ladder_4096", ladder(4096)),
+    ];
+    for (name, model) in &models {
+        group.bench_function(name, |bench| {
+            bench.iter(|| black_box(minimize(model, &Budget::unlimited()).unwrap()))
+        });
+    }
+    group.finish();
+}
+
 fn bench_enumeration(c: &mut Criterion) {
     let mut group = c.benchmark_group("enumerate");
     for msgs in [4usize, 8, 12] {
@@ -125,6 +167,6 @@ fn bench_enumeration(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_bitsets, bench_partitions, bench_ck_ablation, bench_enumeration
+    targets = bench_bitsets, bench_partitions, bench_ck_ablation, bench_minimize, bench_enumeration
 }
 criterion_main!(benches);

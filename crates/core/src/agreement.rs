@@ -44,6 +44,7 @@ use hm_runs::{
     CompleteHistory, Event, InterpretedSystem, InterpretedSystemBuilder, Message, Run, System,
     SystemBuilder, TimedEvent,
 };
+use std::cmp::Ordering;
 
 /// Message tag for a round broadcast; `data` encodes the sender's current
 /// seen-set (bitmask of initial values observed, by processor).
@@ -441,7 +442,6 @@ impl hm_runs::ViewFunction for SymmetricHistory {
         interner: &mut hm_runs::ViewInterner,
         ids: &mut Vec<u32>,
     ) {
-        use std::cmp::Ordering;
         let mut tied = self.stabs[i.index()].clone();
         let mut cand = Vec::new();
         let canonical_tick = |tick: &[TimedEvent], least: &mut Vec<Event>| {
@@ -561,19 +561,18 @@ fn canonical_patterns_with_workers(
         'patterns: for (k, pattern) in chunk.iter().enumerate() {
             budget.tick(Phase::Enumerate)?;
             // Keep the pattern iff it is its own canonical form (no
-            // renaming is lexicographically smaller); its orbit size is
-            // the number of distinct renamings.
-            let mut orbit: Vec<CrashPattern> = Vec::new();
+            // renaming is lexicographically smaller). Its orbit size is
+            // n! over the number of renamings that fix it.
+            let own = pattern_key(pattern, &perms[0]);
+            let mut fixing = 1;
             for perm in &perms[1..] {
-                let renamed = rename_pattern(pattern, perm);
-                if renamed < *pattern {
-                    continue 'patterns;
-                }
-                if renamed != *pattern && !orbit.contains(&renamed) {
-                    orbit.push(renamed);
+                match pattern_key(pattern, perm).cmp(&own) {
+                    Ordering::Less => continue 'patterns,
+                    Ordering::Equal => fixing += 1,
+                    Ordering::Greater => {}
                 }
             }
-            kept.push((c * PATTERNS_PER_JOB + k, orbit.len() + 1));
+            kept.push((c * PATTERNS_PER_JOB + k, perms.len() / fixing));
         }
         Ok(kept)
     })?;
@@ -582,6 +581,33 @@ fn canonical_patterns_with_workers(
         .flatten()
         .map(|(i, orbit)| (std::mem::take(&mut patterns[i]), orbit))
         .collect())
+}
+
+/// The most crashes a pattern holds (`f <= 3`, see [`AgreementSpec`]).
+const MAX_CRASHES: usize = 3;
+
+/// The renaming of `pattern` by `perm`, packed into one `u32` per crash
+/// (zero-padded) that compares exactly as [`rename_pattern`]'s result
+/// does, without allocating. A crash packs its crasher into bits 28..32,
+/// its round into bits 24..28 and its recipients, ascending, as `j + 1`
+/// nibbles in bits 16..20, 12..16 and so on down; the zero nibbles after
+/// the last recipient make a list sort before its extensions, as `Vec`
+/// order has it (a recipients bitmask would not).
+fn pattern_key(pattern: &[Crash], perm: &[usize]) -> [u32; MAX_CRASHES] {
+    debug_assert!(pattern.len() <= MAX_CRASHES && perm.len() <= 5);
+    let mut key = [0; MAX_CRASHES];
+    for (slot, c) in key.iter_mut().zip(pattern) {
+        let mut recipients = c.recipients.iter().fold(0u32, |m, &j| m | 1 << perm[j]);
+        *slot = (perm[c.crasher] as u32) << 28 | (c.round as u32) << 24;
+        let mut shift = 20;
+        while recipients != 0 {
+            shift -= 4;
+            *slot |= (recipients.trailing_zeros() + 1) << shift;
+            recipients &= recipients - 1;
+        }
+    }
+    key[..pattern.len()].sort_unstable();
+    key
 }
 
 /// Deterministically executes one crash pattern, appending its run to
@@ -1009,6 +1035,31 @@ mod tests {
                 decided0(system.run(p.run), p.time),
                 "{p:?}"
             );
+        }
+    }
+
+    #[test]
+    fn pattern_keys_order_like_renamed_patterns() {
+        // Every renaming of every pattern, sorted as patterns: the packed
+        // keys must ascend with them and tie exactly where they tie.
+        for (n, f) in [(4, 2), (5, 1), (5, 2)] {
+            let mut renamed: Vec<(CrashPattern, [u32; MAX_CRASHES])> = Vec::new();
+            for pattern in crash_patterns(AgreementSpec { n, f }).iter().step_by(7) {
+                for perm in permutations(n) {
+                    renamed.push((rename_pattern(pattern, &perm), pattern_key(pattern, &perm)));
+                }
+            }
+            renamed.sort();
+            for pair in renamed.windows(2) {
+                let (a, b) = (&pair[0], &pair[1]);
+                assert_eq!(
+                    a.0.cmp(&b.0),
+                    a.1.cmp(&b.1),
+                    "n={n}: {:?} vs {:?}",
+                    a.0,
+                    b.0
+                );
+            }
         }
     }
 

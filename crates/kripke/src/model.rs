@@ -67,6 +67,8 @@ impl From<usize> for AtomId {
 #[derive(Debug, Clone)]
 pub struct KripkeModel {
     num_worlds: usize,
+    /// Labels of the first `world_labels.len()` worlds; later worlds are
+    /// unlabelled.
     world_labels: Vec<String>,
     partitions: Vec<Partition>,
     atom_names: Vec<String>,
@@ -100,9 +102,15 @@ impl KripkeModel {
         (0..self.num_worlds).map(WorldId::new)
     }
 
-    /// The label attached to a world at build time.
+    /// The label attached to a world at build time (`""` for worlds added
+    /// by [`ModelBuilder::add_worlds`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `w` is outside the universe.
     pub fn world_label(&self, w: WorldId) -> &str {
-        &self.world_labels[w.index()]
+        assert!(w.index() < self.num_worlds, "world outside universe");
+        self.world_labels.get(w.index()).map_or("", String::as_str)
     }
 
     /// Looks up a world by its label (linear scan).
@@ -136,6 +144,11 @@ impl KripkeModel {
     /// The set of worlds where atom `a` holds (`π⁻¹(a)`).
     pub fn atom_set(&self, a: AtomId) -> WorldSet {
         self.valuation[a.index()].clone()
+    }
+
+    /// The set of worlds where atom `a` holds, borrowed.
+    pub(crate) fn atom_worlds(&self, a: AtomId) -> &WorldSet {
+        &self.valuation[a.index()]
     }
 
     /// Whether atom `a` holds at world `w`.
@@ -272,9 +285,10 @@ impl KripkeModel {
         let n_new = old_of_new.len();
         let model = KripkeModel {
             num_worlds: n_new,
+            // Old ids ascend, so the labelled survivors are a prefix.
             world_labels: old_of_new
                 .iter()
-                .map(|&o| self.world_labels[o as usize].clone())
+                .map_while(|&o| self.world_labels.get(o as usize).cloned())
                 .collect(),
             partitions: self.partitions.iter().map(|p| p.restrict(keep)).collect(),
             atom_names: self.atom_names.clone(),
@@ -333,6 +347,9 @@ impl WorldRemap {
 #[derive(Debug, Clone)]
 pub struct ModelBuilder {
     num_agents: usize,
+    num_worlds: usize,
+    /// Labels of the first `world_labels.len()` worlds, as in
+    /// [`KripkeModel`].
     world_labels: Vec<String>,
     partitions: Vec<Option<Partition>>,
     atom_names: Vec<String>,
@@ -351,6 +368,7 @@ impl ModelBuilder {
         assert!(num_agents > 0, "a model needs at least one agent");
         ModelBuilder {
             num_agents,
+            num_worlds: 0,
             world_labels: Vec::new(),
             partitions: vec![None; num_agents],
             atom_names: Vec::new(),
@@ -361,7 +379,7 @@ impl ModelBuilder {
 
     /// Number of worlds added so far.
     pub fn num_worlds(&self) -> usize {
-        self.world_labels.len()
+        self.num_worlds
     }
 
     /// Number of agents the model will have.
@@ -371,21 +389,22 @@ impl ModelBuilder {
 
     /// Adds a world with a human-readable label; returns its id.
     pub fn add_world(&mut self, label: impl Into<String>) -> WorldId {
-        let id = WorldId::new(self.world_labels.len());
+        let id = WorldId::new(self.num_worlds);
+        self.world_labels.resize(self.num_worlds, String::new());
         self.world_labels.push(label.into());
+        self.num_worlds += 1;
         id
     }
 
     /// Bulk-adds `count` unlabelled worlds and returns the id of the first.
     ///
-    /// Empty labels cost nothing to store; callers that need diagnostic
-    /// names for these worlds (e.g. interpreted systems, whose worlds are
-    /// points `run@t`) keep their own lazy name scheme instead of paying a
-    /// `format!` per world at build time.
+    /// Nothing is stored for these worlds (their label is `""`); callers
+    /// that need diagnostic names for them (e.g. interpreted systems,
+    /// whose worlds are points `run@t`) keep their own lazy name scheme
+    /// instead of paying a `format!` per world at build time.
     pub fn add_worlds(&mut self, count: usize) -> WorldId {
-        let id = WorldId::new(self.world_labels.len());
-        self.world_labels
-            .extend(std::iter::repeat_with(String::new).take(count));
+        let id = WorldId::new(self.num_worlds);
+        self.num_worlds += count;
         id
     }
 
@@ -436,23 +455,24 @@ impl ModelBuilder {
         i: AgentId,
         key: impl FnMut(WorldId) -> K,
     ) -> &mut Self {
-        let p = Partition::from_key(self.world_labels.len(), key);
+        let p = Partition::from_key(self.num_worlds, key);
         self.partitions[i.index()] = Some(p);
         self
     }
 
-    /// Finalises the model.
+    /// Finalises the model, moving the builder's partitions and labels
+    /// into it.
     ///
     /// # Panics
     ///
     /// Panics if no world was added, or if an explicitly-set partition has
     /// the wrong universe size.
-    pub fn build(&self) -> KripkeModel {
-        let n = self.world_labels.len();
+    pub fn build(self) -> KripkeModel {
+        let n = self.num_worlds;
         assert!(n > 0, "a model needs at least one world");
         let partitions: Vec<Partition> = self
             .partitions
-            .iter()
+            .into_iter()
             .enumerate()
             .map(|(i, p)| match p {
                 Some(p) => {
@@ -463,7 +483,7 @@ impl ModelBuilder {
                         p.num_worlds(),
                         n
                     );
-                    p.clone()
+                    p
                 }
                 None => Partition::discrete(n),
             })
@@ -475,10 +495,10 @@ impl ModelBuilder {
             .collect();
         KripkeModel {
             num_worlds: n,
-            world_labels: self.world_labels.clone(),
+            world_labels: self.world_labels,
             partitions,
-            atom_names: self.atom_names.clone(),
-            atom_index: self.atom_index.clone(),
+            atom_names: self.atom_names,
+            atom_index: self.atom_index,
             valuation,
         }
     }
@@ -587,6 +607,22 @@ mod tests {
         // p now holds everywhere, and the partition separated b from c.
         assert!(m2.atom_set(m2.atom_id("p").unwrap()).is_full());
         assert_eq!(m2.partition(AgentId::new(0)).num_blocks(), 2);
+    }
+
+    #[test]
+    fn unlabelled_worlds_read_empty() {
+        let mut b = ModelBuilder::new(1);
+        b.add_worlds(2);
+        let named = b.add_world("named");
+        b.add_worlds(2);
+        assert_eq!(b.num_worlds(), 5);
+        let m = b.build();
+        let labels: Vec<&str> = m.worlds().map(|w| m.world_label(w)).collect();
+        assert_eq!(labels, ["", "", "named", "", ""]);
+        let keep = WorldSet::from_iter_len(5, [WorldId::new(1), named, WorldId::new(4)]);
+        let (m2, _) = m.restrict(&keep);
+        let labels: Vec<&str> = m2.worlds().map(|w| m2.world_label(w)).collect();
+        assert_eq!(labels, ["", "named", ""]);
     }
 
     #[test]

@@ -147,7 +147,7 @@ impl Partition {
 
     /// The members of block `b` as a sorted slice of world indices.
     #[inline]
-    fn block_slice(&self, b: usize) -> &[u32] {
+    pub(crate) fn block_slice(&self, b: usize) -> &[u32] {
         &self.member_data[self.starts[b] as usize..self.starts[b + 1] as usize]
     }
 
