@@ -95,10 +95,10 @@ cargo test -q --release -p hm-engine --test symmetry -- --include-ignored
 cargo test -q --release -p hm-core agreement -- --ignored
 
 # f=3 interactive smoke with a wall-clock guard: build + CK-onset query,
-# end to end in release mode, must finish in < 6 s — over 2x the
-# ~2.6 s it takes on a 2-vCPU host since views are interned as history
-# tries (it took ~5 s before, when the guard was 10 s). Timed in
-# milliseconds, so whole-second rounding cannot eat the headroom.
+# end to end in release mode, must finish in < 6 s — over 5x the
+# ~1.1 s it took in a green run on a 2-vCPU host (it took ~5 s before
+# views were interned as history tries, when the guard was 10 s). Timed
+# in milliseconds, so whole-second rounding cannot eat the headroom.
 start=$(date +%s%N)
 plain=$($HM ask "agreement:n=4,f=3" "C{0,1,2,3} min0" --show 0)
 end=$(date +%s%N)
@@ -120,12 +120,14 @@ test "$min" = "$(printf '%s\n' "$plain" | grep "holds at")"
 # per run peaked at ~493 MiB). One test in its own binary, release only.
 cargo test -q --release -p hm-engine --test memory
 
-# Fault injection: the failpoint suites force exhaustion, cancellation
-# and worker death at every governed phase boundary — including inside
-# the HTTP worker pool, which must answer 500, quarantine a spec that
-# keeps dying, and keep serving. The faultnet suite injects the same
-# hostility at the socket layer: slowloris trickle, truncated bodies,
-# mid-response resets, and readers that stop draining.
+# Fault injection: the failpoint suites force exhaustion and
+# cancellation at every governed phase boundary. Netsim's suite injects
+# at `netsim::enumerate`, where an injected panic unwinds to the caller.
+# Worker death is exercised in the HTTP worker pool, which must answer
+# 500, quarantine a spec that keeps dying, and keep serving. The
+# faultnet suite injects the same hostility at the socket layer:
+# slowloris trickle, truncated bodies, mid-response resets, and readers
+# that stop draining.
 cargo test -q -p hm-engine --features failpoints --test failpoints
 cargo test -q -p hm-netsim --features failpoints --test failpoints
 cargo test -q -p hm-serve --features failpoints --test failpoints

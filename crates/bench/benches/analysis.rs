@@ -49,9 +49,7 @@ fn foldable_query() -> F {
 }
 
 fn bench_analysis_cost(c: &mut Criterion) {
-    let isys = generals_builder(10, &Budget::unlimited(), false)
-        .unwrap()
-        .build();
+    let isys = generals_builder(10, &Budget::unlimited()).unwrap().build();
     let f = ladder_query();
     let mut group = c.benchmark_group("analysis_cost");
     // The pass itself, frame-resolved: what every Session.ask pays once
@@ -71,9 +69,7 @@ fn bench_analysis_cost(c: &mut Criterion) {
 }
 
 fn bench_simplification_payoff(c: &mut Criterion) {
-    let isys = generals_builder(10, &Budget::unlimited(), false)
-        .unwrap()
-        .build();
+    let isys = generals_builder(10, &Budget::unlimited()).unwrap().build();
     let f = foldable_query();
     let mut group = c.benchmark_group("analysis_payoff");
     // Evaluation cost as written vs after one simplify pass (singleton-C
@@ -102,9 +98,7 @@ fn bench_pre_bind_rejection(c: &mut Criterion) {
     // bind time.
     group.bench_function("build_then_bind_fail", |b| {
         b.iter(|| {
-            let isys = generals_builder(10, &Budget::unlimited(), false)
-                .unwrap()
-                .build();
+            let isys = generals_builder(10, &Budget::unlimited()).unwrap().build();
             let compiled = compile(&Formula::common(
                 AgentGroup::all(2),
                 Formula::atom("dispatchd"),

@@ -41,9 +41,7 @@ fn ladder_query() -> F {
 
 fn bench_compiled_vs_tree(c: &mut Criterion) {
     // B16-sized frame: the generals' system at horizon 10 (E3/B03/B16).
-    let isys = generals_builder(10, &Budget::unlimited(), false)
-        .unwrap()
-        .build();
+    let isys = generals_builder(10, &Budget::unlimited()).unwrap().build();
     let f = ladder_query();
     let mut group = c.benchmark_group("engine_eval");
     group.bench_function("tree_walk", |b| {

@@ -41,7 +41,7 @@ fn b01_muddy(c: &mut Criterion) {
 
 /// The generals' system at `horizon`, interpreted.
 fn generals(horizon: u64) -> InterpretedSystem {
-    generals_builder(horizon, &Budget::unlimited(), false)
+    generals_builder(horizon, &Budget::unlimited())
         .unwrap()
         .build()
 }

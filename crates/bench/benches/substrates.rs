@@ -153,7 +153,6 @@ fn bench_enumeration(c: &mut Criterion) {
                             &LossyFixedDelay { delay: 1 },
                             &[ExecutionSpec::simple(2, msgs as u64 + 2)],
                             &Limits::none().max_runs(1 << 14).budget(),
-                            false,
                         )
                         .unwrap(),
                     )

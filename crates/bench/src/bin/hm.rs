@@ -16,8 +16,6 @@
 //! ```text
 //! --horizon N    override the scenario's time horizon
 //! --minimize     answer quotient-safe queries on the bisimulation quotient
-//! --parallel     explore netsim adversary branches on threads; governs
-//!                only that (large frames build on every core anyway)
 //! --show N       list at most N satisfying points (default 10; 0 = none)
 //! --max-runs N   cap enumerated runs (exceeding exits 3)
 //! --max-worlds N cap interpreted-system points (exceeding exits 3)
@@ -93,8 +91,6 @@ usage:
 ask options:
   --horizon N    override the scenario's time horizon
   --minimize     answer quotient-safe queries on the bisimulation quotient
-  --parallel     explore netsim adversary branches on threads; governs
-                 only that (large frames build on every core anyway)
   --show N       list at most N satisfying points (default 10; 0 = none)
   --max-runs N   cap enumerated runs; exceeding the cap exits 3
   --max-worlds N cap interpreted-system points; exceeding exits 3
@@ -340,7 +336,6 @@ fn parse_timeout(arg: Option<&String>) -> Option<Duration> {
 fn ask(args: &[String]) -> i32 {
     let mut horizon: Option<u64> = None;
     let mut minimize = false;
-    let mut parallel = false;
     let mut partial = false;
     let mut show: usize = 10;
     let mut limits = Limits::none();
@@ -368,7 +363,6 @@ fn ask(args: &[String]) -> i32 {
                 limits = limits.timeout(d);
             }
             "--minimize" => minimize = true,
-            "--parallel" => parallel = true,
             "--partial" => partial = true,
             other if other.starts_with("--") => {
                 eprintln!("unknown option `{other}` (try `hm help`)");
@@ -391,7 +385,6 @@ fn ask(args: &[String]) -> i32 {
     };
     let mut engine = Engine::for_scenario(spec)
         .minimize(minimize)
-        .parallel_enumeration(parallel)
         .limits(limits.allow_partial(partial));
     if let Some(h) = horizon {
         engine = engine.horizon(h);

@@ -717,12 +717,6 @@ pub fn decision_of(run: Run<'_>, i: AgentId) -> Option<u64> {
     })
 }
 
-/// Whether processor `i` crashed in `run` (detected as: it has no
-/// decision event).
-pub fn is_faulty(run: Run<'_>, i: AgentId) -> bool {
-    decision_of(run, i).is_none()
-}
-
 /// Safety report over the whole system.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SafetyReport {
@@ -1099,7 +1093,11 @@ mod tests {
             .runs()
             .find(|(_, r)| r.name().contains("-c0r1s") && !r.name().contains("s12"))
             .unwrap();
-        assert!(is_faulty(run, AgentId::new(0)), "{}", run.name());
+        assert!(
+            decision_of(run, AgentId::new(0)).is_none(),
+            "{}",
+            run.name()
+        );
         assert!(decision_of(run, AgentId::new(1)).is_some());
     }
 

@@ -215,7 +215,7 @@ pub fn uncertain_start_system(horizon: u64, global_clock: bool) -> Result<System
         }
     }
     let budget = Limits::none().max_runs(4096).budget();
-    enumerate_runs(&protocol, &adversary, &specs, &budget, false)?.into_system()
+    enumerate_runs(&protocol, &adversary, &specs, &budget)?.into_system()
 }
 
 /// Interprets [`uncertain_start_system`] with the facts `sent` ("p0 has
@@ -254,9 +254,7 @@ mod tests {
 
     #[test]
     fn theorem5_on_the_generals() {
-        let isys = generals_builder(6, &Budget::unlimited(), false)
-            .unwrap()
-            .build();
+        let isys = generals_builder(6, &Budget::unlimited()).unwrap().build();
         // Hypothesis: communication is not guaranteed (NG1 + NG2).
         assert_eq!(conditions::check_ng1(isys.system()), None);
         assert_eq!(conditions::check_ng2(isys.system()), None);
@@ -270,9 +268,7 @@ mod tests {
 
     #[test]
     fn proposition13_on_the_generals() {
-        let isys = generals_builder(6, &Budget::unlimited(), false)
-            .unwrap()
-            .build();
+        let isys = generals_builder(6, &Budget::unlimited()).unwrap().build();
         let fact = Formula::atom("dispatched");
         assert!(check_proposition13(&isys, &g2(), &fact).unwrap().is_empty());
     }

@@ -182,7 +182,7 @@ pub fn deadlock_builder(
     }
     let budget = Limits::none().max_runs(8192).budget();
     let adversary = SynchronousDelay { delay: 1 };
-    let sys = enumerate_runs(&protocol, &adversary, &specs, &budget, false)?.into_system()?;
+    let sys = enumerate_runs(&protocol, &adversary, &specs, &budget)?.into_system()?;
     Ok(InterpretedSystem::builder(sys, CompleteHistory)
         .fact("deadlock", |run, _t| {
             let targets: Vec<u64> = run.procs().map(|p| p.initial_state()).collect();

@@ -81,7 +81,8 @@ impl Hierarchy {
 
     /// `true` iff all levels denote the same set (the collapsed hierarchy
     /// of shared-memory / `Λ`-view systems).
-    pub fn collapsed(&self) -> bool {
+    #[cfg(test)]
+    fn collapsed(&self) -> bool {
         self.levels.windows(2).all(|w| w[0].1 == w[1].1)
     }
 

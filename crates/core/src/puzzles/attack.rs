@@ -32,7 +32,7 @@ use hm_runs::{
 /// - `attacking` — both generals have the attack action in their history
 ///   (used with the attack-rule family).
 ///
-/// `budget` and `parallel` govern run enumeration as for
+/// `budget` governs run enumeration as for
 /// [`hm_netsim::enumerate_runs`]; under a partial budget the underlying
 /// system may be flagged truncated, which the built
 /// [`InterpretedSystem`] reports via `is_partial`.
@@ -44,9 +44,8 @@ use hm_runs::{
 pub fn generals_builder(
     horizon: u64,
     budget: &Budget,
-    parallel: bool,
 ) -> Result<InterpretedSystemBuilder, EnumerateError> {
-    generals_system(horizon, budget, parallel).map(builder_with_facts)
+    generals_system(horizon, budget).map(builder_with_facts)
 }
 
 /// The Theorem 7 frame (Section 7): a single would-be send from A to B
@@ -82,7 +81,7 @@ pub fn generals_unbounded_builder(
         })
         .collect();
     let adversary = UnboundedDelay { min_delay: 1 };
-    let system = enumerate_runs(&protocol, &adversary, &specs, budget, false)?.into_system()?;
+    let system = enumerate_runs(&protocol, &adversary, &specs, budget)?.into_system()?;
     Ok(
         InterpretedSystem::builder(system, CompleteHistory).fact("sent", |run, t| {
             run.proc(AgentId::new(0))
@@ -133,7 +132,7 @@ fn builder_with_facts(system: hm_runs::System) -> InterpretedSystemBuilder {
 /// The interleaved knowledge-ladder formula of depth `d` for fact `m`:
 /// `d = 1` is `K_B m`, `d = 2` is `K_A K_B m`, `d = 3` is `K_B K_A K_B m`,
 /// and so on — the knowledge gained by the `d`-th delivered message.
-pub fn ladder_formula(depth: usize, fact: F) -> F {
+fn ladder_formula(depth: usize, fact: F) -> F {
     let mut f = fact;
     for level in 1..=depth {
         // Level 1 wraps with K_B (the first message informs B); level 2
@@ -311,9 +310,7 @@ mod tests {
     #[test]
     fn ladder_grows_one_level_per_delivery() {
         // Horizon 8 admits runs with d = 0..=4 deliveries.
-        let isys = generals_builder(8, &Budget::unlimited(), false)
-            .unwrap()
-            .build();
+        let isys = generals_builder(8, &Budget::unlimited()).unwrap().build();
         let mut cache = EvalCache::new();
         for d in 0..=4usize {
             assert_eq!(
@@ -326,9 +323,7 @@ mod tests {
 
     #[test]
     fn dispatch_never_common_knowledge() {
-        let isys = generals_builder(8, &Budget::unlimited(), false)
-            .unwrap()
-            .build();
+        let isys = generals_builder(8, &Budget::unlimited()).unwrap().build();
         assert!(common_knowledge_of_dispatch(&isys).is_empty());
     }
 

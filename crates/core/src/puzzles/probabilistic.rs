@@ -69,8 +69,7 @@ impl Ratio {
     }
 
     /// Product.
-    #[allow(clippy::should_implement_trait)]
-    pub fn mul(self, other: Ratio) -> Ratio {
+    fn mul(self, other: Ratio) -> Ratio {
         Ratio::new(self.num * other.num, self.den * other.den)
     }
 
@@ -85,17 +84,12 @@ impl Ratio {
     }
 
     /// `self^k`.
-    pub fn pow(self, k: u32) -> Ratio {
+    fn pow(self, k: u32) -> Ratio {
         let mut out = Ratio::one();
         for _ in 0..k {
             out = out.mul(self);
         }
         out
-    }
-
-    /// Approximate float value (display/diagnostics only).
-    pub fn to_f64(self) -> f64 {
-        self.num as f64 / self.den as f64
     }
 }
 
@@ -180,7 +174,6 @@ pub fn probabilistic_attack(k: u32, p: Ratio) -> Result<AttackStats, EnumerateEr
         &LossyFixedDelay { delay: 1 },
         &[ExecutionSpec::simple(2, horizon)],
         &budget,
-        false,
     )?
     .into_system()?;
     let mut p_coordinated = Ratio::zero();

@@ -262,7 +262,7 @@ pub fn skewed_broadcast_builder(
         .collect();
     let budget = Limits::none().max_runs(64).budget();
     let adversary = SynchronousDelay { delay: 1 };
-    let sys = enumerate_runs(&protocol, &adversary, &specs, &budget, false)?.into_system()?;
+    let sys = enumerate_runs(&protocol, &adversary, &specs, &budget)?.into_system()?;
     Ok(
         InterpretedSystem::builder(sys, CompleteHistory).fact("sent_v", |run, t| {
             run.proc(AgentId::new(0))
@@ -372,7 +372,7 @@ mod tests {
     }
 
     fn generals(horizon: u64) -> InterpretedSystem {
-        generals_builder(horizon, &Budget::unlimited(), false)
+        generals_builder(horizon, &Budget::unlimited())
             .unwrap()
             .build()
     }

@@ -14,7 +14,6 @@
 //!     //             or from_system / from_model …
 //!     .horizon(8)                    // options
 //!     .minimize(true)
-//!     .parallel_enumeration(true)
 //!     .build()?                      // -> Session
 //!     .ask(&Query::parse("C{0,1} dispatched")?)?  // -> Verdict
 //! ```
@@ -464,19 +463,6 @@ impl Engine {
         self
     }
 
-    /// Explores netsim adversary branches on scoped threads during run
-    /// enumeration, where the scenario supports it. The resulting system
-    /// is identical to sequential enumeration.
-    ///
-    /// This governs netsim adversary branching only. Interpreting a
-    /// large frame (facts and agent partitions) and the agreement orbit
-    /// filter use every core whatever this says, and small frames never
-    /// spawn.
-    pub fn parallel_enumeration(mut self, on: bool) -> Self {
-        self.params.parallel = on;
-        self
-    }
-
     /// Sets the resource governance for the whole pipeline: run and
     /// world ceilings, a visited-state ceiling, a deadline/timeout, a
     /// [`CancelToken`], and the [`Limits::allow_partial`] degradation
@@ -918,7 +904,6 @@ pub fn check_spec(
     let (scenario, values) = ScenarioRegistry::shared().resolve(spec)?;
     let params = ScenarioParams {
         horizon,
-        parallel: false,
         values,
         budget: Budget::unlimited(),
     };
@@ -1204,21 +1189,5 @@ mod tests {
             Err(EngineError::NoRunStructure)
         ));
         assert!(session.world_name(WorldId::new(0)).starts_with(""));
-    }
-
-    #[test]
-    fn parallel_enumeration_same_session_answers() {
-        let seq = Engine::for_scenario("generals").horizon(8).build().unwrap();
-        let par = Engine::for_scenario("generals")
-            .horizon(8)
-            .parallel_enumeration(true)
-            .build()
-            .unwrap();
-        let q = Query::parse("K0 K1 dispatched").unwrap();
-        assert_eq!(seq.satisfying(&q).unwrap(), par.satisfying(&q).unwrap());
-        assert_eq!(
-            seq.system().unwrap().num_runs(),
-            par.system().unwrap().num_runs()
-        );
     }
 }

@@ -7,7 +7,7 @@
 //! knows how to produce either a finite Kripke model or an
 //! interpretation *builder* (facts attached, not yet materialised), so
 //! the [`Engine`](crate::Engine) can apply its options — horizon,
-//! minimisation, parallel enumeration — uniformly before building.
+//! minimisation, resource limits — uniformly before building.
 //!
 //! [`ScenarioRegistry::builtin`] registers one entry per frame family of
 //! the E1–E18 experiments, each parameterized through the spec grammar
@@ -55,10 +55,6 @@ pub struct ScenarioParams {
     /// Horizon override; `None` uses the spec's `horizon` parameter (or
     /// the scenario's default).
     pub horizon: Option<u64>,
-    /// Explore netsim adversary branches on threads where the scenario
-    /// supports it (the run set is identical either way). Governs netsim
-    /// enumeration only.
-    pub parallel: bool,
     /// The resolved spec parameters (defaults filled in). Empty for
     /// scenarios built outside the registry.
     pub values: ParamValues,
@@ -445,7 +441,6 @@ impl Scenario for Generals {
         Ok(ScenarioFrame::Interpreted(generals_builder(
             params.horizon_or(params.values.int("horizon")),
             &params.budget,
-            params.parallel,
         )?))
     }
 }

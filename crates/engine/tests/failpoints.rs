@@ -1,7 +1,7 @@
 //! Deterministic fault injection at every phase boundary (requires the
-//! `failpoints` cargo feature): exhaustion, cancellation and worker
-//! death are forced at each governed site, and each must surface as a
-//! typed error — never a panic, never a corrupted session.
+//! `failpoints` cargo feature): exhaustion and cancellation are forced
+//! at each governed site, and each must surface as a typed error —
+//! never a panic, never a corrupted session.
 //!
 //! `FailScenario::setup` holds a process-global lock, so these tests
 //! serialize against each other even under the parallel test runner.
@@ -29,23 +29,6 @@ fn cancellation_at_enumeration_is_typed() {
     let err = Engine::for_scenario("generals").build().unwrap_err();
     let e = err.limit().expect("typed limit");
     assert_eq!(e.resource, Resource::Cancelled);
-    assert_eq!(e.phase, Phase::Enumerate);
-}
-
-/// The worker site (`netsim::worker`) is exercised with real spawned
-/// threads in hm-netsim's own failpoint suite, where the run tree is
-/// wide enough to guarantee workers; through the engine, parallel
-/// builds are covered at the shared enumeration entry.
-#[test]
-fn exhaustion_in_a_parallel_build_is_typed() {
-    let sc = FailScenario::setup();
-    sc.configure("netsim::enumerate", Action::Exhaust(ExhaustKind::Deadline));
-    let err = Engine::for_scenario("generals")
-        .parallel_enumeration(true)
-        .build()
-        .unwrap_err();
-    let e = err.limit().expect("typed limit");
-    assert_eq!(e.resource, Resource::Deadline);
     assert_eq!(e.phase, Phase::Enumerate);
 }
 
@@ -92,7 +75,7 @@ fn exhaustion_while_minimising_a_model_is_typed() {
 #[test]
 fn exhaustion_while_minimising_a_prebuilt_system_is_typed() {
     let sc = FailScenario::setup();
-    let isys = generals_builder(8, &Budget::unlimited(), false)
+    let isys = generals_builder(8, &Budget::unlimited())
         .expect("no failpoint configured yet")
         .build();
     sc.configure("kripke::refine", Action::Exhaust(ExhaustKind::States));

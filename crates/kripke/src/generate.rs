@@ -97,7 +97,7 @@ impl Default for RandomModelSpec {
 /// let m = random_model(7, RandomModelSpec::default());
 /// assert_eq!(m.num_worlds(), 12);
 /// let m2 = random_model(7, RandomModelSpec::default());
-/// assert_eq!(m.num_blocks_of_agent(0.into()), m2.num_blocks_of_agent(0.into()));
+/// assert_eq!(m.partition(0.into()), m2.partition(0.into()));
 /// ```
 pub fn random_model(seed: u64, spec: RandomModelSpec) -> KripkeModel {
     assert!(spec.num_agents >= 1 && spec.num_worlds >= 1 && spec.max_blocks >= 1);
@@ -122,13 +122,6 @@ pub fn random_model(seed: u64, spec: RandomModelSpec) -> KripkeModel {
         b.set_partition_by_key(AgentId::new(i), |w| keys[w.index()]);
     }
     b.build()
-}
-
-impl KripkeModel {
-    /// Number of indistinguishability classes of agent `i` (test helper).
-    pub fn num_blocks_of_agent(&self, i: AgentId) -> usize {
-        self.partition(i).num_blocks()
-    }
 }
 
 #[cfg(test)]
@@ -165,10 +158,7 @@ mod tests {
         let spec = RandomModelSpec::default();
         let (m1, m2) = (random_model(5, spec), random_model(5, spec));
         for i in 0..spec.num_agents {
-            assert_eq!(
-                m1.num_blocks_of_agent(i.into()),
-                m2.num_blocks_of_agent(i.into())
-            );
+            assert_eq!(m1.partition(i.into()), m2.partition(i.into()));
         }
         for a in 0..spec.num_atoms {
             assert_eq!(m1.atom_set(a.into()), m2.atom_set(a.into()));

@@ -1,8 +1,8 @@
 //! Deterministic fault injection at phase boundaries.
 //!
 //! Every governed phase calls [`check`] with a stable site name
-//! (`"netsim::enumerate"`, `"runs::build"`, `"kripke::refine"`,
-//! `"logic::eval"`, `"netsim::worker"`, …). Without the `failpoints`
+//! (`"netsim::enumerate"`, `"core::canonicalize"`, `"runs::build"`,
+//! `"kripke::refine"`, `"logic::eval"`). Without the `failpoints`
 //! cargo feature this compiles to an inlined `Ok(())`; with it, a global
 //! registry (configured through a `FailScenario` guard, in the spirit
 //! of the `fail` crate) can force any site to report resource

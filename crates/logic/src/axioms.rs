@@ -79,7 +79,7 @@ impl ModalOp {
 
     /// The matching "everyone" operator for common-knowledge variants,
     /// used by the fixed-point axiom check; `None` for base operators.
-    pub fn everyone_form(&self) -> Option<ModalOp> {
+    fn everyone_form(&self) -> Option<ModalOp> {
         match self {
             ModalOp::Common(g) => Some(ModalOp::Everyone(g.clone())),
             ModalOp::CommonEps(g, e) => Some(ModalOp::EveryoneEps(g.clone(), *e)),

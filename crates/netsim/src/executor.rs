@@ -93,9 +93,7 @@ impl ExecutionSpec {
     }
 }
 
-/// Errors from enumeration. Every failure mode of the enumerator is
-/// typed — including worker panics, which are contained and reported
-/// instead of propagated as process aborts.
+/// Errors from enumeration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EnumerateError {
     /// A resource ceiling, deadline, or cancellation stopped the
@@ -109,13 +107,6 @@ pub enum EnumerateError {
         /// Global sequence number of the offending send.
         send_index: usize,
     },
-    /// A parallel enumeration worker panicked; the payload message is
-    /// preserved for diagnosis. The other workers' state is discarded
-    /// cleanly.
-    WorkerPanic {
-        /// The panic payload, if it was a string.
-        message: String,
-    },
 }
 
 impl fmt::Display for EnumerateError {
@@ -124,9 +115,6 @@ impl fmt::Display for EnumerateError {
             EnumerateError::Limit(e) => write!(f, "{e}"),
             EnumerateError::NoOutcome { send_index } => {
                 write!(f, "adversary returned no outcomes for message {send_index}")
-            }
-            EnumerateError::WorkerPanic { message } => {
-                write!(f, "enumeration worker panicked: {message}")
             }
         }
     }
@@ -265,38 +253,14 @@ struct SendCtx {
     seq: usize,
 }
 
-/// A resumable branch of the exploration: the simulation state plus the
-/// `(t, proc, cmd)` coordinates to continue from. `(0, 0)` at `t` means
-/// the tick is fresh and deliveries for it still have to happen.
-struct Task {
-    sim: Sim,
-    t: u64,
-    proc: usize,
-    cmd: usize,
-}
-
-impl Task {
-    /// The whole run tree of `spec`: a fresh simulation at tick 0.
-    fn root(spec: &ExecutionSpec) -> Self {
-        Task {
-            sim: Sim::new(spec.num_procs),
-            t: 0,
-            proc: 0,
-            cmd: 0,
-        }
-    }
-}
-
 /// The depth-first enumerator: shared scratch plus the accumulating run
 /// store, so branches reuse buffers instead of reallocating.
 struct Enumerator<'a> {
     protocol: &'a dyn JointProtocol,
     adversary: &'a dyn Adversary,
     spec: &'a ExecutionSpec,
-    /// The resource meter. Its run counter is shared across clones, so
-    /// parallel workers enforce one global ceiling (a blow-up stops
-    /// every worker promptly), while each worker keeps its own amortized
-    /// tick cell.
+    /// The resource meter. One meter spans every spec of an
+    /// enumeration, so its run ceiling bounds the total.
     budget: &'a Budget,
     runs: SystemBuilder,
     /// Reused buffer for each step's `LocalView::events`.
@@ -337,43 +301,18 @@ impl<'a> Enumerator<'a> {
         }
     }
 
-    /// Explores `tasks` to completion, in order. Returns `true` when a
-    /// partial-mode budget stopped the exploration early (the runs
-    /// admitted so far stay in `self.runs`).
-    fn explore_all(&mut self, tasks: Vec<Task>) -> Result<bool, EnumerateError> {
-        for task in tasks {
-            match self.drive(task, false) {
-                Ok(rest) => debug_assert!(rest.is_empty(), "recursive mode never yields tasks"),
-                Err(Interrupt::Stop) => return Ok(true),
-                Err(Interrupt::Err(e)) => return Err(e),
-            }
-        }
-        Ok(false)
-    }
-
-    /// Continues the simulation of `task.sim` from `(task.t, task.proc)`,
-    /// skipping that processor's first `task.cmd` commands (already
-    /// applied on this branch).
+    /// Continues the simulation of `sim` from `(t0, proc0)`, skipping
+    /// that processor's first `cmd0` commands (already applied on this
+    /// branch), and materialises every run below it.
     ///
-    /// At an adversary choice with `k > 1` distinct outcomes: in
-    /// recursive mode (`split == false`) outcomes `0..k-1` recurse on a
-    /// clone of the simulation and the last continues in place, so
-    /// choices are explored in option order and the shared prefix is
-    /// never re-simulated; in split mode every outcome becomes a
-    /// resumable [`Task`] and the function returns them (the
-    /// task-splitting front end of the parallel enumerator). Branch-free
-    /// suffixes complete and materialise in place either way. Protocol
-    /// steps interrupted by a branch are re-issued on resume; this is
-    /// sound because protocols are deterministic functions of the view
-    /// and the view only contains events strictly before the current
-    /// tick.
-    fn drive(&mut self, task: Task, split: bool) -> Result<Vec<Task>, Interrupt> {
-        let Task {
-            mut sim,
-            t: t0,
-            proc: proc0,
-            cmd: cmd0,
-        } = task;
+    /// At an adversary choice with `k > 1` distinct outcomes, outcomes
+    /// `0..k-1` recurse on a clone of the simulation and the last
+    /// continues in place, so choices are explored in option order and
+    /// the shared prefix is never re-simulated. Protocol steps
+    /// interrupted by a branch are re-issued on resume; this is sound
+    /// because protocols are deterministic functions of the view and the
+    /// view only contains events strictly before the current tick.
+    fn drive(&mut self, mut sim: Sim, t0: u64, proc0: usize, cmd0: usize) -> Result<(), Interrupt> {
         let spec = self.spec;
         let n = spec.num_procs;
         for t in t0..=spec.horizon {
@@ -439,22 +378,11 @@ impl<'a> Enumerator<'a> {
                                 msg,
                                 seq,
                             };
-                            let branch = |sim: &Sim, opt: Outcome| {
-                                let mut child = sim.clone();
-                                child.apply_outcome(opt, &send, spec.horizon);
-                                Task {
-                                    sim: child,
-                                    t,
-                                    proc: i,
-                                    cmd: ci + 1,
-                                }
-                            };
-                            if split && options.len() > 1 {
-                                return Ok(options.iter().map(|&opt| branch(&sim, opt)).collect());
-                            }
                             let (&last, rest) = options.split_last().expect("non-empty");
                             for &opt in rest {
-                                self.drive(branch(&sim, opt), false)?;
+                                let mut child = sim.clone();
+                                child.apply_outcome(opt, &send, spec.horizon);
+                                self.drive(child, t, i, ci + 1)?;
                             }
                             // Last option continues on this branch.
                             sim.apply_outcome(last, &send, spec.horizon);
@@ -471,7 +399,7 @@ impl<'a> Enumerator<'a> {
             Err(e) => return Err(Interrupt::Err(EnumerateError::Limit(e))),
         }
         self.materialise(sim);
-        Ok(Vec::new())
+        Ok(())
     }
 
     /// Appends a completed branch to the run store.
@@ -549,21 +477,6 @@ fn dedup_outcomes(options: &mut Vec<Outcome>) {
 /// which is what keeps run-local temporal operators exact under
 /// three-valued evaluation downstream.
 ///
-/// **Parallelism.** With `parallel`, each spec's run tree is first split
-/// breadth-first into at least `4 × available_parallelism` resumable
-/// tasks (branch-free prefixes complete inline), and the tasks are
-/// explored on `std::thread::scope` workers, each running the sequential
-/// enumerator. The subtrees below distinct adversary choices never
-/// interact, and the per-spec name-sort makes a full enumeration
-/// **identical to the sequential one** regardless of scheduling (run
-/// names encode the adversary schedule, so they are unique within one
-/// spec). `HM_NETSIM_THREADS` overrides the detected parallelism. The
-/// budget's counters are shared by all workers (each clones the handle,
-/// keeping its own amortized tick cell), so a blow-up stops every worker
-/// at its next materialised run. Under a partial ceiling only the *size*
-/// of the admitted set is bounded; which runs are admitted depends on
-/// scheduling.
-///
 /// # Panics
 ///
 /// Panics if `specs` is empty.
@@ -572,36 +485,37 @@ fn dedup_outcomes(options: &mut Vec<Outcome>) {
 ///
 /// [`EnumerateError::Limit`] on budget exhaustion (strict mode, or a hard
 /// resource in partial mode); [`EnumerateError::NoOutcome`] if the
-/// adversary offers no outcome for some message;
-/// [`EnumerateError::WorkerPanic`] if a parallel worker panics (caught at
-/// join instead of aborting the caller).
+/// adversary offers no outcome for some message.
 pub fn enumerate_runs(
-    protocol: &(dyn JointProtocol + Sync),
-    adversary: &(dyn Adversary + Sync),
+    protocol: &dyn JointProtocol,
+    adversary: &dyn Adversary,
     specs: &[ExecutionSpec],
     budget: &Budget,
-    parallel: bool,
 ) -> Result<Enumeration, EnumerateError> {
     assert!(!specs.is_empty(), "need at least one execution spec");
     failpoints::check("netsim::enumerate", Phase::Enumerate)?;
-    let threads = if parallel { worker_threads() } else { 1 };
     let mut all = SystemBuilder::new();
     let mut truncated = false;
     for spec in specs {
-        let (parts, spec_truncated) = enumerate_spec(protocol, adversary, spec, budget, threads)?;
-        let mut order: Vec<(usize, RunId)> = parts
-            .iter()
-            .enumerate()
-            .flat_map(|(k, part)| part.runs().map(move |(id, _)| (k, id)))
-            .collect();
-        order.sort_by(|&(a, ra), &(b, rb)| parts[a].run(ra).name().cmp(parts[b].run(rb).name()));
-        for (k, id) in order {
-            all.push_run(parts[k].run(id));
-        }
-        if spec_truncated {
+        let mut dfs = Enumerator::new(protocol, adversary, spec, budget);
+        match dfs.drive(Sim::new(spec.num_procs), 0, 0, 0) {
+            Ok(()) => {}
             // The shared run counter is exhausted: later specs would
-            // admit nothing, so stop cleanly here.
-            truncated = true;
+            // admit nothing, so stop cleanly after this one.
+            Err(Interrupt::Stop) => truncated = true,
+            Err(Interrupt::Err(e)) => return Err(e),
+        }
+        if dfs.runs.num_runs() > 0 {
+            // DFS order is not name order (`d10` < `d2`): sort the spec's
+            // runs by name before copying them out.
+            let part = dfs.runs.build();
+            let mut order: Vec<RunId> = part.runs().map(|(id, _)| id).collect();
+            order.sort_by(|&a, &b| part.run(a).name().cmp(part.run(b).name()));
+            for id in order {
+                all.push_run(part.run(id));
+            }
+        }
+        if truncated {
             break;
         }
     }
@@ -613,101 +527,6 @@ pub fn enumerate_runs(
         system
     });
     Ok(Enumeration { system, truncated })
-}
-
-/// The worker count for parallel enumeration: `HM_NETSIM_THREADS` when
-/// set (to pin worker counts in tests and benches, or to force real
-/// workers on single-core machines), else the detected parallelism.
-fn worker_threads() -> usize {
-    std::env::var("HM_NETSIM_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        })
-}
-
-/// One spec's (unsorted) runs, in one store per worker that admitted
-/// any, and its truncation flag, explored on up to `threads` workers.
-fn enumerate_spec(
-    protocol: &(dyn JointProtocol + Sync),
-    adversary: &(dyn Adversary + Sync),
-    spec: &ExecutionSpec,
-    budget: &Budget,
-    threads: usize,
-) -> Result<(Vec<System>, bool), EnumerateError> {
-    let built = |runs: SystemBuilder| (runs.num_runs() > 0).then(|| runs.build());
-    let mut splitter = Enumerator::new(protocol, adversary, spec, budget);
-    let mut tasks = vec![Task::root(spec)];
-    let mut truncated = false;
-    // Breadth-first split until there are enough independent tasks (or
-    // the tree is exhausted). Completed branch-free prefixes land in
-    // `splitter.runs` directly.
-    while threads > 1 && !tasks.is_empty() && tasks.len() < threads * 4 {
-        match splitter.drive(tasks.remove(0), true) {
-            Ok(children) => tasks.extend(children),
-            Err(Interrupt::Stop) => {
-                truncated = true;
-                tasks.clear();
-            }
-            Err(Interrupt::Err(e)) => return Err(e),
-        }
-    }
-    if tasks.len() <= 1 {
-        // Not enough branching to pay for threads: finish sequentially.
-        truncated |= splitter.explore_all(tasks)?;
-        return Ok((built(splitter.runs).into_iter().collect(), truncated));
-    }
-    let mut parts: Vec<System> = built(splitter.runs).into_iter().collect();
-    let chunk = tasks.len().div_ceil(threads);
-    let mut chunks: Vec<Vec<Task>> = Vec::new();
-    let mut rest = tasks.into_iter();
-    loop {
-        let c: Vec<Task> = rest.by_ref().take(chunk).collect();
-        if c.is_empty() {
-            break;
-        }
-        chunks.push(c);
-    }
-    type WorkerResult = Result<(SystemBuilder, bool), EnumerateError>;
-    let results: Vec<WorkerResult> = std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| {
-                // `Budget` is deliberately `!Sync` (amortized tick cell):
-                // each worker gets a clone sharing the global counters.
-                let budget = budget.clone();
-                scope.spawn(move || -> WorkerResult {
-                    failpoints::check("netsim::worker", Phase::Enumerate)?;
-                    let mut worker = Enumerator::new(protocol, adversary, spec, &budget);
-                    let truncated = worker.explore_all(chunk)?;
-                    Ok((worker.runs, truncated))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join().unwrap_or_else(|payload| {
-                    let message = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".to_string());
-                    Err(EnumerateError::WorkerPanic { message })
-                })
-            })
-            .collect()
-    });
-    for r in results {
-        let (worker_runs, worker_truncated) = r?;
-        parts.extend(built(worker_runs));
-        truncated |= worker_truncated;
-    }
-    Ok((parts, truncated))
 }
 
 impl Enumeration {
@@ -736,13 +555,13 @@ impl Enumeration {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adversary::{LossyFixedDelay, SynchronousDelay};
+    use crate::adversary::{LossyFixedDelay, SynchronousDelay, UnboundedDelay};
     use crate::protocol::{FnProtocol, Silent};
     use hm_limits::Limits;
     use hm_runs::{Message, Run};
 
     /// p0 sends one message to p1 at its first step; nothing else.
-    fn one_shot() -> impl JointProtocol + Sync {
+    fn one_shot() -> impl JointProtocol {
         FnProtocol::new("oneshot", |v: &LocalView<'_>| {
             if v.me.index() == 0 && v.sent().count() == 0 {
                 vec![Command::Send {
@@ -756,7 +575,7 @@ mod tests {
     }
 
     /// p0 fires `msgs` lossy messages at p1: 2^msgs branches.
-    fn burst(msgs: usize) -> impl JointProtocol + Sync {
+    fn burst(msgs: usize) -> impl JointProtocol {
         FnProtocol::new("burst", move |v: &LocalView<'_>| {
             if v.me.index() == 0 && v.sent().count() < msgs {
                 vec![Command::Send {
@@ -771,14 +590,13 @@ mod tests {
 
     /// One spec under a bare run ceiling, as a system.
     fn runs_of(
-        protocol: &(dyn JointProtocol + Sync),
-        adversary: &(dyn Adversary + Sync),
+        protocol: &dyn JointProtocol,
+        adversary: &dyn Adversary,
         spec: ExecutionSpec,
         max_runs: u64,
-        parallel: bool,
     ) -> Result<System, EnumerateError> {
         let budget = Limits::none().max_runs(max_runs).budget();
-        enumerate_runs(protocol, adversary, &[spec], &budget, parallel)?.into_system()
+        enumerate_runs(protocol, adversary, &[spec], &budget)?.into_system()
     }
 
     /// Every run of `sys`, in order.
@@ -793,7 +611,6 @@ mod tests {
             &SynchronousDelay { delay: 1 },
             ExecutionSpec::simple(2, 3),
             10,
-            false,
         )
         .unwrap();
         let runs = runs(&sys);
@@ -808,7 +625,6 @@ mod tests {
             &LossyFixedDelay { delay: 1 },
             ExecutionSpec::simple(2, 3),
             10,
-            false,
         )
         .unwrap();
         let runs = runs(&sys);
@@ -826,8 +642,8 @@ mod tests {
     fn deterministic_and_sorted() {
         let spec = ExecutionSpec::simple(2, 3);
         let adversary = LossyFixedDelay { delay: 1 };
-        let a = runs_of(&one_shot(), &adversary, spec.clone(), 10, false).unwrap();
-        let b = runs_of(&one_shot(), &adversary, spec, 10, false).unwrap();
+        let a = runs_of(&one_shot(), &adversary, spec.clone(), 10).unwrap();
+        let b = runs_of(&one_shot(), &adversary, spec, 10).unwrap();
         assert_eq!(a, b);
         let names: Vec<_> = a.runs().map(|(_, r)| r.name()).collect();
         let mut sorted = names.clone();
@@ -842,7 +658,6 @@ mod tests {
             &LossyFixedDelay { delay: 1 },
             ExecutionSpec::simple(2, 3),
             1,
-            false,
         )
         .unwrap_err();
         match err {
@@ -862,14 +677,14 @@ mod tests {
         let spec = [ExecutionSpec::simple(2, 3)];
         let adversary = LossyFixedDelay { delay: 1 };
         let budget = Limits::none().max_runs(1).allow_partial(true).budget();
-        let e = enumerate_runs(&one_shot(), &adversary, &spec, &budget, false).unwrap();
+        let e = enumerate_runs(&one_shot(), &adversary, &spec, &budget).unwrap();
         assert!(e.truncated);
         assert!(e.system.as_ref().unwrap().is_truncated());
         assert_eq!(e.num_runs(), 1, "runs admitted before the ceiling remain");
 
         // A generous partial budget does not truncate.
         let budget = Limits::none().max_runs(16).allow_partial(true).budget();
-        let e = enumerate_runs(&one_shot(), &adversary, &spec, &budget, false).unwrap();
+        let e = enumerate_runs(&one_shot(), &adversary, &spec, &budget).unwrap();
         assert!(!e.truncated);
         assert_eq!(e.num_runs(), 2);
     }
@@ -884,7 +699,6 @@ mod tests {
             &LossyFixedDelay { delay: 1 },
             &[ExecutionSpec::simple(2, 3)],
             &budget,
-            false,
         )
         .unwrap_err();
         match err {
@@ -909,14 +723,7 @@ mod tests {
                 Vec::new()
             }
         }
-        let err = runs_of(
-            &one_shot(),
-            &NoChoice,
-            ExecutionSpec::simple(2, 3),
-            10,
-            false,
-        )
-        .unwrap_err();
+        let err = runs_of(&one_shot(), &NoChoice, ExecutionSpec::simple(2, 3), 10).unwrap_err();
         assert_eq!(err, EnumerateError::NoOutcome { send_index: 0 });
         assert!(err.to_string().contains("no outcomes"));
     }
@@ -947,57 +754,40 @@ mod tests {
             &LossyFixedDelay { delay: 1 },
             ExecutionSpec::simple(2, 4),
             10,
-            false,
         )
         .unwrap();
         assert_eq!(runs.num_runs(), 3);
     }
 
     #[test]
-    fn parallel_enumeration_matches_sequential() {
-        // A bursty protocol with 2^8 lossy branches: the parallel driver
-        // must produce the identical sorted run list.
+    fn burst_enumerates_every_loss_pattern() {
+        // 8 lossy messages: every delivered/lost pattern is one run.
         let msgs = 8usize;
         let spec = ExecutionSpec::simple(2, msgs as u64 + 2);
-        let adversary = LossyFixedDelay { delay: 1 };
-        let seq = runs_of(&burst(msgs), &adversary, spec.clone(), 1 << 12, false).unwrap();
-        let par = runs_of(&burst(msgs), &adversary, spec, 1 << 12, true).unwrap();
-        assert_eq!(seq.num_runs(), 1 << msgs);
-        assert_eq!(seq, par);
+        let sys = runs_of(&burst(msgs), &LossyFixedDelay { delay: 1 }, spec, 1 << 12).unwrap();
+        assert_eq!(sys.num_runs(), 1 << msgs);
     }
 
     #[test]
-    fn parallel_enumeration_branchless_and_limit() {
-        // Branch-free tree: completes in the splitter.
-        let spec = ExecutionSpec::simple(2, 3);
-        let adversary = SynchronousDelay { delay: 1 };
-        let seq = runs_of(&Silent, &adversary, spec.clone(), 10, false).unwrap();
-        let par = runs_of(&Silent, &adversary, spec.clone(), 10, true).unwrap();
-        assert_eq!(seq, par);
-        // Run limit still enforced.
-        let err = runs_of(&one_shot(), &LossyFixedDelay { delay: 1 }, spec, 1, true).unwrap_err();
-        match err {
-            EnumerateError::Limit(e) => {
-                assert_eq!(e.resource, Resource::Runs);
-                assert_eq!(e.limit, 1);
-            }
-            other => panic!("expected Limit, got {other:?}"),
-        }
-    }
+    fn runs_come_back_in_name_order_not_search_order() {
+        // One message under unbounded delay at horizon 12: the search
+        // meets d0, d1, …, d12, x, but `d10` sorts before `d2`.
+        let spec = ExecutionSpec::simple(2, 12);
+        let adversary = UnboundedDelay { min_delay: 0 };
+        let sys = runs_of(&one_shot(), &adversary, spec.clone(), 100).unwrap();
+        let names: Vec<&str> = sys.runs().map(|(_, r)| r.name()).collect();
+        let mut sorted = names.clone();
+        sorted.sort_unstable();
+        assert_eq!(names, sorted, "runs are sorted by name");
 
-    #[test]
-    fn parallel_partial_budget_truncates() {
-        let budget = Limits::none().max_runs(1).allow_partial(true).budget();
-        let e = enumerate_runs(
-            &one_shot(),
-            &LossyFixedDelay { delay: 1 },
-            &[ExecutionSpec::simple(2, 3)],
-            &budget,
-            true,
-        )
-        .unwrap();
-        assert!(e.truncated);
-        assert_eq!(e.num_runs(), 1);
+        let budget = Budget::unlimited();
+        let protocol = one_shot();
+        let mut dfs = Enumerator::new(&protocol, &adversary, &spec, &budget);
+        assert!(dfs.drive(Sim::new(2), 0, 0, 0).is_ok());
+        let seen = dfs.runs.build();
+        let seen: Vec<&str> = seen.runs().map(|(_, r)| r.name()).collect();
+        assert_eq!(seen.len(), names.len());
+        assert_ne!(seen, sorted, "search order differs from name order");
     }
 
     /// Three configurations of the burst fixture, 2^6 runs each.
@@ -1012,19 +802,16 @@ mod tests {
     }
 
     #[test]
-    fn multi_spec_parallel_matches_sequential() {
+    fn multi_spec_keeps_spec_order() {
         let specs = burst_specs();
         let adversary = LossyFixedDelay { delay: 1 };
         for limits in [Limits::none(), Limits::none().max_runs(1 << 10)] {
-            let seq = enumerate_runs(&burst(6), &adversary, &specs, &limits.budget(), false);
-            let par = enumerate_runs(&burst(6), &adversary, &specs, &limits.budget(), true);
-            let seq = seq.unwrap();
-            assert_eq!(seq.num_runs(), 3 << 6);
-            assert!(!seq.truncated);
-            assert_eq!(par.unwrap(), seq, "runs and truncation flag agree");
+            let e = enumerate_runs(&burst(6), &adversary, &specs, &limits.budget()).unwrap();
+            assert_eq!(e.num_runs(), 3 << 6);
+            assert!(!e.truncated);
             // Spec order is kept: every cfg0 run precedes every cfg1 run.
-            let seq = seq.system.unwrap();
-            let labels: Vec<&str> = seq.runs().map(|(_, r)| &r.name()[..4]).collect();
+            let sys = e.system.unwrap();
+            let labels: Vec<&str> = sys.runs().map(|(_, r)| &r.name()[..4]).collect();
             assert!(labels.windows(2).all(|w| w[0] <= w[1]), "{labels:?}");
         }
     }
@@ -1035,28 +822,26 @@ mod tests {
         let adversary = LossyFixedDelay { delay: 1 };
         // 64 runs per spec: a ceiling of 100 admits the first spec
         // whole, then must stop inside the second.
-        for parallel in [false, true] {
-            let strict = Limits::none().max_runs(100).budget();
-            match enumerate_runs(&burst(6), &adversary, &specs, &strict, parallel) {
-                Err(EnumerateError::Limit(e)) => {
-                    assert_eq!(e.resource, Resource::Runs, "parallel={parallel}");
-                    assert_eq!(e.limit, 100, "parallel={parallel}");
-                }
-                other => panic!("expected a run limit (parallel={parallel}), got {other:?}"),
+        let strict = Limits::none().max_runs(100).budget();
+        match enumerate_runs(&burst(6), &adversary, &specs, &strict) {
+            Err(EnumerateError::Limit(e)) => {
+                assert_eq!(e.resource, Resource::Runs);
+                assert_eq!(e.limit, 100);
             }
-            let partial = Limits::none().max_runs(100).allow_partial(true).budget();
-            let e = enumerate_runs(&burst(6), &adversary, &specs, &partial, parallel).unwrap();
-            assert!(e.truncated, "parallel={parallel}");
-            assert_eq!(e.num_runs(), 100, "parallel={parallel}");
-            let sys = e.into_system().unwrap();
-            let runs = runs(&sys);
-            let first = runs.iter().filter(|r| r.name().starts_with("cfg0")).count();
-            assert_eq!(first, 64, "first spec admitted whole (parallel={parallel})");
-            assert!(
-                runs.iter().all(|r| !r.name().starts_with("cfg2")),
-                "the third spec is never started (parallel={parallel})"
-            );
+            other => panic!("expected a run limit, got {other:?}"),
         }
+        let partial = Limits::none().max_runs(100).allow_partial(true).budget();
+        let e = enumerate_runs(&burst(6), &adversary, &specs, &partial).unwrap();
+        assert!(e.truncated);
+        assert_eq!(e.num_runs(), 100);
+        let sys = e.into_system().unwrap();
+        let runs = runs(&sys);
+        let first = runs.iter().filter(|r| r.name().starts_with("cfg0")).count();
+        assert_eq!(first, 64, "first spec admitted whole");
+        assert!(
+            runs.iter().all(|r| !r.name().starts_with("cfg2")),
+            "the third spec is never started"
+        );
     }
 
     #[test]
@@ -1065,7 +850,7 @@ mod tests {
             .with_initial_states(vec![7, 8])
             .with_clocks(Clocks::Offset(vec![0, 5]))
             .with_label("cfg0");
-        let sys = runs_of(&Silent, &SynchronousDelay { delay: 1 }, spec, 10, false).unwrap();
+        let sys = runs_of(&Silent, &SynchronousDelay { delay: 1 }, spec, 10).unwrap();
         let r = sys.run(RunId(0));
         assert!(r.name().starts_with("cfg0:"));
         assert_eq!(r.proc(AgentId::new(0)).initial_state(), 7);
@@ -1083,16 +868,10 @@ mod tests {
                 .with_label("v1"),
         ];
         let budget = Limits::none().max_runs(10).budget();
-        let sys = enumerate_runs(
-            &Silent,
-            &SynchronousDelay { delay: 1 },
-            &specs,
-            &budget,
-            false,
-        )
-        .unwrap()
-        .into_system()
-        .unwrap();
+        let sys = enumerate_runs(&Silent, &SynchronousDelay { delay: 1 }, &specs, &budget)
+            .unwrap()
+            .into_system()
+            .unwrap();
         assert_eq!(sys.num_runs(), 2);
         assert!(!sys.is_truncated());
     }
@@ -1118,7 +897,6 @@ mod tests {
             &crate::adversary::InstantOrLost,
             ExecutionSpec::simple(2, 3),
             10,
-            false,
         )
         .unwrap();
         let (_, delivered) = sys

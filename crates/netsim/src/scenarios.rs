@@ -39,26 +39,19 @@ pub const TAG_OK: u32 = 3;
 /// allows.
 ///
 /// One budget spans both intent configurations, so a run ceiling bounds
-/// the *total*; `parallel` explores the adversary branches on scoped
-/// threads, and the run set is identical either way (see
-/// [`enumerate_runs`] for both).
+/// the *total* (see [`enumerate_runs`]).
 ///
 /// # Errors
 ///
 /// Propagates [`EnumerateError`]: budget exhaustion (the run count is
 /// linear in the horizon), or a partial budget that admitted zero runs.
-pub fn generals_system(
-    horizon: u64,
-    budget: &Budget,
-    parallel: bool,
-) -> Result<System, EnumerateError> {
+pub fn generals_system(horizon: u64, budget: &Budget) -> Result<System, EnumerateError> {
     let adversary = LossyFixedDelay { delay: 1 };
     enumerate_runs(
         &handshake_protocol(),
         &adversary,
         &intent_specs(horizon),
         budget,
-        parallel,
     )?
     .into_system()
 }
@@ -78,7 +71,7 @@ fn intent_specs(horizon: u64) -> Vec<ExecutionSpec> {
 /// The handshake rule: A sends message `k` when it wants to attack and
 /// all its previous messages have been answered; B answers each incoming
 /// message once.
-fn handshake_protocol() -> impl crate::protocol::JointProtocol + Sync {
+fn handshake_protocol() -> impl crate::protocol::JointProtocol {
     FnProtocol::new("handshake", |v: &LocalView<'_>| {
         let sent = v.sent().count();
         let received = v.received().count();
@@ -147,14 +140,7 @@ pub fn generals_attack_system(
     });
     let budget = Limits::none().max_runs(4096).budget();
     let adversary = LossyFixedDelay { delay: 1 };
-    enumerate_runs(
-        &protocol,
-        &adversary,
-        &intent_specs(horizon),
-        &budget,
-        false,
-    )?
-    .into_system()
+    enumerate_runs(&protocol, &adversary, &intent_specs(horizon), &budget)?.into_system()
 }
 
 /// `true` iff processor `i` attacks somewhere in `run`.
@@ -303,7 +289,7 @@ pub fn ok_protocol_system(horizon: u64) -> Result<System, EnumerateError> {
         lossy_until: horizon - 2,
     };
     let budget = Limits::none().max_runs(65536).budget();
-    enumerate_runs(&protocol, &adversary, &[spec], &budget, false)?.into_system()
+    enumerate_runs(&protocol, &adversary, &[spec], &budget)?.into_system()
 }
 
 /// The ψ of the OK-protocol example: at `(run, t)`, some message sent at
@@ -346,7 +332,7 @@ mod tests {
         // the receive enters the recipient's history. The k-th delivery
         // lands at time 2k−1, so horizon 6 admits 0..=3 deliveries, one
         // run each.
-        let sys = generals_system(6, &Budget::unlimited(), false).unwrap();
+        let sys = generals_system(6, &Budget::unlimited()).unwrap();
         let mut counts: Vec<usize> = sys
             .runs()
             .map(|(_, r)| r.deliveries_before(r.horizon() + 1))
@@ -357,40 +343,27 @@ mod tests {
     }
 
     #[test]
-    fn generals_intents_parallel_matches_sequential() {
+    fn generals_run_ceiling_spans_both_intents() {
         let specs = intent_specs(12);
         let adversary = LossyFixedDelay { delay: 1 };
-        let enumerate = |limits: &Limits, parallel| {
-            enumerate_runs(
-                &handshake_protocol(),
-                &adversary,
-                &specs,
-                &limits.budget(),
-                parallel,
-            )
+        let enumerate = |limits: &Limits| {
+            enumerate_runs(&handshake_protocol(), &adversary, &specs, &limits.budget())
         };
-        // Full enumerations: identical runs, order and flag.
-        let seq = enumerate(&Limits::none(), false).unwrap();
-        assert_eq!(seq.num_runs(), 1 + 7, "silent run plus d = 0..=6");
-        assert!(!seq.truncated);
-        assert_eq!(enumerate(&Limits::none(), true).unwrap(), seq);
+        let full = enumerate(&Limits::none()).unwrap();
+        assert_eq!(full.num_runs(), 1 + 7, "silent run plus d = 0..=6");
+        assert!(!full.truncated);
         // One ceiling spans both intents: 3 runs admits the silent
-        // intent0 run and stops inside intent1, in either mode.
+        // intent0 run and stops inside intent1.
         let strict = Limits::none().max_runs(3);
-        for parallel in [false, true] {
-            assert!(matches!(
-                enumerate(&strict, parallel),
-                Err(EnumerateError::Limit(e)) if e.limit == 3
-            ));
-            let e = enumerate(&strict.clone().allow_partial(true), parallel).unwrap();
-            assert!(e.truncated, "parallel={parallel}");
-            assert_eq!(e.num_runs(), 3, "parallel={parallel}");
-            let sys = e.into_system().unwrap();
-            assert!(
-                sys.run(RunId(0)).name().starts_with("intent0"),
-                "parallel={parallel}"
-            );
-        }
+        assert!(matches!(
+            enumerate(&strict),
+            Err(EnumerateError::Limit(e)) if e.limit == 3
+        ));
+        let e = enumerate(&strict.allow_partial(true)).unwrap();
+        assert!(e.truncated);
+        assert_eq!(e.num_runs(), 3);
+        let sys = e.into_system().unwrap();
+        assert!(sys.run(RunId(0)).name().starts_with("intent0"));
     }
 
     #[test]

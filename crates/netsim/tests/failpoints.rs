@@ -1,7 +1,5 @@
-//! Fault injection inside the parallel enumeration workers (requires
-//! the `failpoints` cargo feature). The container running CI may report
-//! a single core, which would route the parallel driver through its
-//! sequential fallback — `HM_NETSIM_THREADS` pins real workers.
+//! Fault injection at the enumeration entry, `netsim::enumerate`
+//! (requires the `failpoints` cargo feature).
 //!
 //! `FailScenario::setup` holds a process-global lock, so these tests
 //! serialize against each other (and against any other failpoint test
@@ -18,12 +16,12 @@ use hm_netsim::{
     LossyFixedDelay,
 };
 use hm_runs::Message;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 const MSGS: usize = 8;
 
-/// p0 fires a burst of lossy messages: 2^MSGS branches, plenty of
-/// independent tasks for the splitter to hand to workers.
-fn burst() -> impl hm_netsim::JointProtocol + Sync {
+/// p0 fires a burst of lossy messages: 2^MSGS branches.
+fn burst() -> impl hm_netsim::JointProtocol {
     FnProtocol::new("burst", move |v: &LocalView<'_>| {
         if v.me.index() == 0 && v.sent().count() < MSGS {
             vec![Command::Send {
@@ -36,30 +34,22 @@ fn burst() -> impl hm_netsim::JointProtocol + Sync {
     })
 }
 
-fn spec() -> ExecutionSpec {
-    ExecutionSpec::simple(2, MSGS as u64 + 2)
-}
-
-/// The burst fixture, enumerated on parallel workers under `budget`.
-fn enumerate_parallel(budget: &Budget) -> Result<Enumeration, EnumerateError> {
+/// The burst fixture, enumerated under `budget`.
+fn enumerate(budget: &Budget) -> Result<Enumeration, EnumerateError> {
     let adversary = LossyFixedDelay { delay: 1 };
-    enumerate_runs(&burst(), &adversary, &[spec()], budget, true)
+    let spec = ExecutionSpec::simple(2, MSGS as u64 + 2);
+    enumerate_runs(&burst(), &adversary, &[spec], budget)
 }
 
 fn ceiling() -> Budget {
     Limits::none().max_runs(1 << 12).budget()
 }
 
-fn force_workers() {
-    std::env::set_var("HM_NETSIM_THREADS", "2");
-}
-
 #[test]
-fn worker_exhaustion_is_a_typed_error() {
+fn exhaustion_is_a_typed_error() {
     let sc = FailScenario::setup();
-    force_workers();
-    sc.configure("netsim::worker", Action::Exhaust(ExhaustKind::Deadline));
-    let err = enumerate_parallel(&ceiling()).unwrap_err();
+    sc.configure("netsim::enumerate", Action::Exhaust(ExhaustKind::Deadline));
+    let err = enumerate(&ceiling()).unwrap_err();
     match err {
         EnumerateError::Limit(e) => {
             assert_eq!(e.resource, Resource::Deadline);
@@ -70,39 +60,39 @@ fn worker_exhaustion_is_a_typed_error() {
 }
 
 #[test]
-fn worker_cancellation_is_a_typed_error() {
+fn cancellation_is_a_typed_error() {
     let sc = FailScenario::setup();
-    force_workers();
-    sc.configure("netsim::worker", Action::Cancel);
-    let err = enumerate_parallel(&ceiling()).unwrap_err();
+    sc.configure("netsim::enumerate", Action::Cancel);
+    let err = enumerate(&ceiling()).unwrap_err();
     match err {
         EnumerateError::Limit(e) => assert_eq!(e.resource, Resource::Cancelled),
         other => panic!("expected Limit, got {other:?}"),
     }
 }
 
+/// Enumeration runs on the caller's thread, so an injected panic unwinds
+/// to the caller with its payload intact (`hm serve` contains it as a
+/// 500; see hm-serve's failpoint suite).
 #[test]
-fn worker_death_is_contained_as_a_typed_error() {
+fn injected_panic_unwinds_to_the_caller() {
     let sc = FailScenario::setup();
-    force_workers();
-    sc.configure("netsim::worker", Action::Panic);
-    let err = enumerate_parallel(&ceiling()).unwrap_err();
-    match err {
-        EnumerateError::WorkerPanic { message } => {
-            assert!(message.contains("injected panic"), "{message}");
-        }
-        other => panic!("expected WorkerPanic, got {other:?}"),
-    }
+    sc.configure("netsim::enumerate", Action::Panic);
+    let payload = catch_unwind(AssertUnwindSafe(|| enumerate(&ceiling()))).unwrap_err();
+    let message = payload
+        .downcast_ref::<String>()
+        .cloned()
+        .unwrap_or_default();
+    assert!(message.contains("netsim::enumerate"), "{message}");
+    assert!(message.contains("injected panic"), "{message}");
 }
 
 #[test]
 fn cleared_failpoint_restores_normal_enumeration() {
     let sc = FailScenario::setup();
-    force_workers();
-    sc.configure("netsim::worker", Action::Panic);
-    assert!(enumerate_parallel(&ceiling()).is_err());
-    sc.clear("netsim::worker");
-    let e = enumerate_parallel(&Budget::unlimited()).expect("failpoint gone, enumeration recovers");
+    sc.configure("netsim::enumerate", Action::Panic);
+    assert!(catch_unwind(AssertUnwindSafe(|| enumerate(&ceiling()))).is_err());
+    sc.clear("netsim::enumerate");
+    let e = enumerate(&Budget::unlimited()).expect("failpoint gone, enumeration recovers");
     assert_eq!(e.num_runs(), 1 << MSGS);
     assert!(!e.truncated);
 }

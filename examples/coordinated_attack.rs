@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|s| s.parse().expect("horizon must be a number"))
         .unwrap_or(8);
 
-    let isys = generals_builder(horizon, &Budget::unlimited(), false)?.build();
+    let isys = generals_builder(horizon, &Budget::unlimited())?.build();
     println!(
         "generals' handshake, horizon {horizon}: {} runs, {} points",
         isys.system().num_runs(),

@@ -26,7 +26,7 @@ fn g2() -> AgentGroup {
 
 /// The generals' system at `horizon`, interpreted.
 fn generals(horizon: u64) -> InterpretedSystem {
-    generals_builder(horizon, &Budget::unlimited(), false)
+    generals_builder(horizon, &Budget::unlimited())
         .unwrap()
         .build()
 }

@@ -30,7 +30,7 @@ fn g2() -> AgentGroup {
 
 /// The generals' system at `horizon`, interpreted.
 fn generals(horizon: u64) -> InterpretedSystem {
-    generals_builder(horizon, &Budget::unlimited(), false)
+    generals_builder(horizon, &Budget::unlimited())
         .unwrap()
         .build()
 }
@@ -94,7 +94,7 @@ fn e8_cev_strictly_weaker_than_ceps() {
         })
         .collect();
     let budget = Limits::none().max_runs(512).budget();
-    let system = enumerate_runs(&protocol, &GuaranteedUnbounded, &specs, &budget, false)
+    let system = enumerate_runs(&protocol, &GuaranteedUnbounded, &specs, &budget)
         .unwrap()
         .into_system()
         .unwrap();

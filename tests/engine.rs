@@ -159,11 +159,10 @@ fn quotient_actually_shrinks_run_frames() {
 
 #[test]
 fn engine_options_compose() {
-    // horizon + minimize + parallel on one pipeline.
+    // horizon + minimize on one pipeline.
     let session = Engine::for_scenario("generals")
         .horizon(6)
         .minimize(true)
-        .parallel_enumeration(true)
         .build()
         .unwrap();
     let ck = session

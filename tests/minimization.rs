@@ -10,9 +10,7 @@ use halpern_moses::logic::{evaluate, Formula};
 
 #[test]
 fn generals_points_compress_and_answers_agree() {
-    let isys = generals_builder(8, &Budget::unlimited(), false)
-        .unwrap()
-        .build();
+    let isys = generals_builder(8, &Budget::unlimited()).unwrap().build();
     let model = isys.model();
     let min = minimize(model, &Budget::unlimited()).unwrap();
     assert!(
@@ -99,9 +97,7 @@ fn compression_ratio_reported() {
     // Not a claim from the paper — a sanity bound to catch regressions
     // in view interning: the generals' 54-point system should compress
     // by at least a third (quiet ticks dominate).
-    let isys = generals_builder(8, &Budget::unlimited(), false)
-        .unwrap()
-        .build();
+    let isys = generals_builder(8, &Budget::unlimited()).unwrap().build();
     let before = isys.model().num_worlds();
     let after = minimize(isys.model(), &Budget::unlimited())
         .unwrap()

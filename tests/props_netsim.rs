@@ -14,20 +14,13 @@ use proptest::prelude::*;
 
 /// Every run of one spec under a bare run ceiling.
 fn runs_of(
-    protocol: &(dyn JointProtocol + Sync),
-    adversary: &(dyn Adversary + Sync),
+    protocol: &dyn JointProtocol,
+    adversary: &dyn Adversary,
     spec: &ExecutionSpec,
     max_runs: u64,
 ) -> Result<System, EnumerateError> {
     let budget = Limits::none().max_runs(max_runs).budget();
-    enumerate_runs(
-        protocol,
-        adversary,
-        std::slice::from_ref(spec),
-        &budget,
-        false,
-    )?
-    .into_system()
+    enumerate_runs(protocol, adversary, std::slice::from_ref(spec), &budget)?.into_system()
 }
 
 /// The runs of `sys`, in order.
@@ -36,7 +29,7 @@ fn all_runs(sys: &System) -> Vec<Run<'_>> {
 }
 
 /// p0 sends `count` messages, one per tick, starting at its first step.
-fn burst(count: usize) -> impl JointProtocol + Sync {
+fn burst(count: usize) -> impl JointProtocol {
     FnProtocol::new("burst", move |v: &LocalView<'_>| {
         if v.me.index() == 0 && v.sent().count() < count {
             vec![Command::Send {
