@@ -95,18 +95,20 @@ cargo test -q --release -p hm-engine --test symmetry -- --include-ignored
 cargo test -q --release -p hm-core agreement -- --ignored
 
 # f=3 interactive smoke with a wall-clock guard: build + CK-onset query,
-# end to end in release mode, must finish in < 6 s — over 5x the
-# ~1.1 s it took in a green run on a 2-vCPU host (it took ~5 s before
-# views were interned as history tries, when the guard was 10 s). Timed
-# in milliseconds, so whole-second rounding cannot eat the headroom.
+# end to end in release mode, must finish in < 6 s — over 13x the
+# ~0.46 s it took in a green run on a 2-vCPU host (~1.1 s before each
+# run's history trie resumed where the previous run's diverged, ~5 s
+# before views were interned as history tries, when the guard was
+# 10 s). Timed in milliseconds, so whole-second rounding cannot eat the
+# headroom.
 start=$(date +%s%N)
 plain=$($HM ask "agreement:n=4,f=3" "C{0,1,2,3} min0" --show 0)
 end=$(date +%s%N)
 printf '%s\n' "$plain"
 test $(((end - start) / 1000000)) -lt 6000
-# ...and the same build minimised, under the same guard: splitter-queue
-# refinement takes ~1.5 s end to end where the plain build takes ~1.3 s
-# (the round-based refinement took ~4.8 s). On the largest frame there
+# ...and the same build minimised, under the same guard: with
+# splitter-queue refinement it took ~0.54 s in the same green run (the
+# round-based refinement took ~4.8 s). On the largest frame there
 # is, the quotient must answer like the raw frame.
 start=$(date +%s%N)
 min=$($HM ask --minimize "agreement:n=4,f=3" "C{0,1,2,3} min0" --show 0)

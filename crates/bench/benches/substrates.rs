@@ -1,15 +1,16 @@
 //! Microbenchmarks of the substrates: bitset operations, partition
-//! knowledge kernels, reachability, bisimulation minimisation, and run
-//! enumeration scaling.
+//! knowledge kernels, reachability, bisimulation minimisation, run
+//! enumeration scaling, and one agent's view pass over a large system.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use hm_core::agreement::{agreement_system, AgreementSpec, Reduction, SymmetricHistory};
 use hm_engine::{Budget, Engine, Limits};
 use hm_kripke::{
     minimize, random_model, AgentGroup, AgentId, KripkeModel, ModelBuilder, Partition,
     RandomModelSpec, SplitMix64, WorldId, WorldSet,
 };
 use hm_netsim::{enumerate_runs, Command, ExecutionSpec, FnProtocol, LocalView, LossyFixedDelay};
-use hm_runs::Message;
+use hm_runs::{CompleteHistory, Message, System, ViewFunction, ViewInterner};
 use std::hint::black_box;
 
 fn random_set(n: usize, seed: u64) -> WorldSet {
@@ -163,9 +164,40 @@ fn bench_enumeration(c: &mut Criterion) {
     group.finish();
 }
 
+/// Agent 0's view id at every point of `system`, and the number of
+/// distinct views: the `interpret` layer's per-agent pass, without the
+/// budget and the partition.
+fn view_pass(system: &System, view: &dyn ViewFunction) -> (usize, usize) {
+    let mut interner = ViewInterner::new();
+    let mut ids = Vec::with_capacity(system.num_points());
+    for (_, run) in system.runs() {
+        view.intern_run(run, AgentId::new(0), &mut interner, &mut ids);
+    }
+    (ids.len(), interner.len())
+}
+
+fn bench_views(c: &mut Criterion) {
+    let mut group = c.benchmark_group("views");
+    let system = |n, f, reduction| {
+        agreement_system(AgreementSpec { n, f }, reduction, &Budget::unlimited()).unwrap()
+    };
+    let f3 = system(4, 3, Reduction::Symmetric);
+    let view = SymmetricHistory::new(4);
+    group.bench_function("symmetric_history_n4_f3_reduced", |bench| {
+        bench.iter(|| black_box(view_pass(&f3, &view)))
+    });
+    drop(f3);
+    let naive = system(4, 2, Reduction::Naive);
+    group.bench_function("complete_history_n4_f2_naive", |bench| {
+        bench.iter(|| black_box(view_pass(&naive, &CompleteHistory)))
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_bitsets, bench_partitions, bench_ck_ablation, bench_minimize, bench_enumeration
+    targets = bench_bitsets, bench_partitions, bench_ck_ablation, bench_minimize, bench_enumeration,
+        bench_views
 }
 criterion_main!(benches);

@@ -45,12 +45,16 @@ use hm_runs::{
     SystemBuilder, TimedEvent,
 };
 use std::cmp::Ordering;
+use std::fmt;
 
 /// Message tag for a round broadcast; `data` encodes the sender's current
 /// seen-set (bitmask of initial values observed, by processor).
 pub const TAG_ROUND: u32 = 20;
 /// Action code for the decision; `data` is the decided value.
 pub const ACT_DECIDE: u32 = 201;
+
+/// The most processors an agreement system has.
+const MAX_PROCS: usize = 5;
 
 /// Configuration of the agreement experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,7 +76,7 @@ impl AgreementSpec {
             "this experiment enumerates f in 1..=3"
         );
         assert!(
-            self.n >= 3 && self.n <= 5 && self.n > self.f,
+            self.n >= 3 && self.n <= MAX_PROCS && self.n > self.f,
             "need 3 <= n <= 5 and n > f"
         );
     }
@@ -379,7 +383,18 @@ impl RelabelPerm {
 
 impl SymmetricHistory {
     /// Creates the canonical view for an `n`-processor agreement system.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n > 5`: the tie state of [`intern_run`] is a `u32` mask
+    /// over the `(n-1)!` renamings that fix a processor.
+    ///
+    /// [`intern_run`]: hm_runs::ViewFunction::intern_run
     pub fn new(n: usize) -> Self {
+        assert!(
+            n <= MAX_PROCS,
+            "the symmetric view supports at most {MAX_PROCS} processors"
+        );
         let mask = (1u64 << n) - 1;
         let perms: Vec<RelabelPerm> = permutations(n)
             .into_iter()
@@ -434,7 +449,9 @@ impl hm_runs::ViewFunction for SymmetricHistory {
     /// renaming never changes how many events a tick has, so every
     /// candidate splits into ticks alike, and one that is strictly
     /// greater on a prefix stays greater: the least whole history is the
-    /// tick-by-tick least over the renamings tied so far.
+    /// tick-by-tick least over the renamings tied so far. The trie's tick
+    /// state is the set of positions in `stabs[i]` ruled out so far (at
+    /// most `4! = 24` of them), so a resumed walk picks up the ties too.
     fn intern_run(
         &self,
         run: Run<'_>,
@@ -442,16 +459,19 @@ impl hm_runs::ViewFunction for SymmetricHistory {
         interner: &mut hm_runs::ViewInterner,
         ids: &mut Vec<u32>,
     ) {
-        let mut tied = self.stabs[i.index()].clone();
+        let stab = &self.stabs[i.index()];
         let mut cand = Vec::new();
-        let canonical_tick = |tick: &[TimedEvent], least: &mut Vec<Event>| {
-            let mut kept = 0;
-            for k in 0..tied.len() {
-                let perm = &self.perms[tied[k]];
+        let canonical_tick = |ruled_out: &mut u32, tick: &[TimedEvent], least: &mut Vec<Event>| {
+            let mut tied = 0u32;
+            for (k, &perm) in stab.iter().enumerate() {
+                if *ruled_out & 1 << k != 0 {
+                    continue;
+                }
+                let perm = &self.perms[perm];
                 cand.clear();
                 cand.extend(tick.iter().map(|e| perm.rename(e.event)));
                 cand.sort_unstable();
-                let order = if kept == 0 {
+                let order = if tied == 0 {
                     Ordering::Less
                 } else {
                     cand.cmp(least)
@@ -459,19 +479,15 @@ impl hm_runs::ViewFunction for SymmetricHistory {
                 match order {
                     Ordering::Less => {
                         std::mem::swap(least, &mut cand);
-                        tied[0] = tied[k];
-                        kept = 1;
+                        tied = 1 << k;
                     }
-                    Ordering::Equal => {
-                        tied[kept] = tied[k];
-                        kept += 1;
-                    }
+                    Ordering::Equal => tied |= 1 << k,
                     Ordering::Greater => {}
                 }
             }
-            tied.truncate(kept);
+            *ruled_out = !tied;
         };
-        hm_runs::intern_history_trie(run.proc(i), run.horizon(), interner, ids, canonical_tick);
+        hm_runs::intern_history_trie(run, i, interner, ids, canonical_tick);
     }
 
     fn name(&self) -> &'static str {
@@ -483,25 +499,33 @@ impl hm_runs::ViewFunction for SymmetricHistory {
 /// `v{bits}-c{crasher}r{round}s{recipients}+…`, the naming scheme the
 /// E18 driver output and the seed-stability tests pin.
 pub fn pattern_run_name(n: usize, inputs: u64, pattern: &[Crash]) -> String {
-    if pattern.is_empty() {
-        format!("v{inputs:0width$b}-clean", width = n)
-    } else {
-        let segments = pattern
-            .iter()
-            .map(|c| {
-                format!(
-                    "c{}r{}s{}",
-                    c.crasher,
-                    c.round,
-                    c.recipients
-                        .iter()
-                        .map(|j| j.to_string())
-                        .collect::<String>()
-                )
-            })
-            .collect::<Vec<_>>()
-            .join("+");
-        format!("v{inputs:0width$b}-{segments}", width = n)
+    RunName { n, inputs, pattern }.to_string()
+}
+
+/// [`pattern_run_name`] as a [`fmt::Display`], so that enumeration writes
+/// each name straight into the run store.
+struct RunName<'a> {
+    n: usize,
+    inputs: u64,
+    pattern: &'a [Crash],
+}
+
+impl fmt::Display for RunName<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "v{:0width$b}-", self.inputs, width = self.n)?;
+        if self.pattern.is_empty() {
+            return f.write_str("clean");
+        }
+        for (k, c) in self.pattern.iter().enumerate() {
+            if k > 0 {
+                f.write_str("+")?;
+            }
+            write!(f, "c{}r{}s", c.crasher, c.round)?;
+            for j in &c.recipients {
+                write!(f, "{j}")?;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -623,8 +647,8 @@ fn execute(
     pattern: &[Crash],
 ) {
     // seen[i] = bitmask of processors whose initial value i has seen.
-    let mut seen: Vec<u64> = (0..n).map(|i| 1 << i).collect();
-    let mut b = runs.run(pattern_run_name(n, inputs, pattern), n, horizon);
+    let mut seen: [u64; MAX_PROCS] = std::array::from_fn(|i| 1 << i);
+    let mut b = runs.run(RunName { n, inputs, pattern }, n, horizon);
     for i in 0..n {
         let value = (inputs >> i) & 1;
         b = b
@@ -636,8 +660,10 @@ fn execute(
     };
     for round in 1..=rounds {
         let t = round as u64;
-        // All sends of this round, based on `seen` at the round start.
-        let mut deliveries: Vec<(usize, usize, u64)> = Vec::new(); // (from, to, payload)
+        // All sends of this round, based on `seen` at the round start:
+        // `deliveries[..delivered]` holds (from, to, payload).
+        let mut deliveries = [(0, 0, 0); MAX_PROCS * (MAX_PROCS - 1)];
+        let mut delivered = 0;
         for i in 0..n {
             if crashed(i, round) {
                 continue;
@@ -647,7 +673,7 @@ fn execute(
                 if j == i {
                     continue;
                 }
-                let delivered = match pattern.iter().find(|c| c.crasher == i && c.round == round) {
+                let delivers = match pattern.iter().find(|c| c.crasher == i && c.round == round) {
                     Some(c) => c.recipients.contains(&j),
                     None => true,
                 };
@@ -659,12 +685,13 @@ fn execute(
                         msg: Message::new(TAG_ROUND, payload),
                     },
                 );
-                if delivered {
-                    deliveries.push((i, j, payload));
+                if delivers {
+                    deliveries[delivered] = (i, j, payload);
+                    delivered += 1;
                 }
             }
         }
-        for (from, to, payload) in deliveries {
+        for &(from, to, payload) in &deliveries[..delivered] {
             b = b.event(
                 AgentId::new(to),
                 t,

@@ -31,6 +31,8 @@ use hm_core::agreement::{
     AgreementSpec,
 };
 use hm_engine::{Engine, EngineError, Query, Session, SpecError};
+use hm_runs::{RunId, System};
+use std::collections::HashMap;
 
 /// Queries whose truth value is invariant under process renaming:
 /// anonymous atoms, boolean combinations, and group operators over the
@@ -69,6 +71,12 @@ fn session(n: usize, f: usize, mode: &str, minimize: bool) -> Session {
         .expect("in-envelope agreement spec builds")
 }
 
+/// Every run of `system` by name: one pass, where `System::run_by_name`
+/// scans the whole store per lookup.
+fn runs_by_name(system: &System) -> HashMap<&str, RunId> {
+    system.runs().map(|(id, run)| (run.name(), id)).collect()
+}
+
 /// Builds naive and reduced frames for (n, f) and pins verdict parity
 /// for every query at every comparable world.
 fn assert_parity(n: usize, f: usize, minimize: bool) {
@@ -82,6 +90,7 @@ fn assert_parity(n: usize, f: usize, minimize: bool) {
         "reduction must shrink the run set (n={n}, f={f})"
     );
 
+    let (nruns, rruns) = (runs_by_name(nsys.system()), runs_by_name(rsys.system()));
     let patterns = crash_patterns(spec);
     let mut shared_worlds = 0usize;
     for (src, check_mapped) in symmetric_queries(n)
@@ -97,10 +106,10 @@ fn assert_parity(n: usize, f: usize, minimize: bool) {
             let canon = canonicalize_pattern(pattern, n);
             for inputs in 0..(1u64 << n) {
                 let name = pattern_run_name(n, inputs, pattern);
-                let nrun = nsys.system().run_by_name(&name).unwrap();
+                let nrun = nruns[name.as_str()];
                 let horizon = nsys.system().run(nrun).horizon();
                 // Shared worlds: the run survives under its own name.
-                if let Some(rrun) = rsys.system().run_by_name(&name) {
+                if let Some(&rrun) = rruns.get(name.as_str()) {
                     for t in 0..=horizon {
                         shared_worlds += 1;
                         assert_eq!(
@@ -121,7 +130,7 @@ fn assert_parity(n: usize, f: usize, minimize: bool) {
                         }
                     }
                     let mapped = pattern_run_name(n, mapped_inputs, &canon);
-                    let rrun = rsys.system().run_by_name(&mapped).unwrap();
+                    let rrun = rruns[mapped.as_str()];
                     for t in 0..=horizon {
                         assert_eq!(
                             nv.holds_at(nsys.world(nrun, t)),

@@ -8,9 +8,14 @@
 //! is one key per point. A history trie
 //! ([`intern_history_trie`](crate::intern_history_trie)) interns
 //! `[parent id, token…]` per history step, so each key is a few words and
-//! a point's id is the node its history ends at. Ids are handed out in
-//! first-intern order; partitions renumber them canonically (see
+//! a point's id is the node its history ends at; the interner also keeps
+//! the last run walked, so that the next one resumes where the two
+//! histories diverge. Ids are handed out in first-intern order;
+//! partitions renumber them canonically (see
 //! `Partition::from_dense_keys`), so only their equality matters.
+
+use crate::view::LastRun;
+
 /// A hash-consing table mapping `&[u64]` view encodings to dense `u32` ids.
 ///
 /// All distinct keys live concatenated in one arena; per-point work does no
@@ -38,6 +43,8 @@ pub struct ViewInterner {
     /// key's hash above the id in the low 32 (so most mismatches are
     /// rejected without reading the arena), or [`EMPTY`].
     table: Vec<u64>,
+    /// The last run a history trie walked, for the next one to resume.
+    pub(crate) last_run: LastRun,
 }
 
 const EMPTY: u64 = u64::MAX;
@@ -63,6 +70,7 @@ impl ViewInterner {
             data: Vec::new(),
             spans: Vec::new(),
             table: vec![EMPTY; 16],
+            last_run: LastRun::default(),
         }
     }
 

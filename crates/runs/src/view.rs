@@ -56,7 +56,8 @@ pub trait ViewFunction: Sync {
     fn encode_view(&self, run: Run<'_>, i: AgentId, t: u64, out: &mut Vec<u64>);
 
     /// Pushes onto `ids` one view id per point `(run, 0..=horizon)` of
-    /// processor `i`, from `interner` (shared by every run of one agent):
+    /// processor `i`, from `interner` (shared by every run of one agent
+    /// under this view):
     /// two points, in this run or any other run interned into the same
     /// interner, get equal ids iff [`encode_view`](Self::encode_view)
     /// gives them equal encodings. Ids are opaque — only their equality
@@ -154,9 +155,80 @@ pub fn complete_history_key(p: ProcRecord<'_>, t: u64) -> Vec<u64> {
 /// tags `0..=2`.
 const CLOCK_TOKEN: u64 = 3;
 
-/// Interns `p`'s history at every time `0..=horizon` as a node of a
-/// hash-consed history trie, pushing one id per time onto `ids`: one
-/// O(events) pass, where re-encoding every prefix costs O(h²).
+/// The last run a [`ViewInterner`] walked through [`intern_history_trie`]:
+/// its processor's raw record and the walk's state at each time, which is
+/// what the next run of the pass needs to resume where the two diverge.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LastRun {
+    /// The processor walked; `None` before the first run.
+    agent: Option<AgentId>,
+    wake: Option<u64>,
+    initial_state: u64,
+    events: Vec<TimedEvent>,
+    /// Per time `0..=horizon`: the clock reading ([`ProcRecord::clock_at`]).
+    clocks: Vec<Option<u64>>,
+    /// Per time: the trie node the history ends at (the point's id).
+    ids: Vec<u32>,
+    /// Per time: the tick state after the events before that time.
+    ticks: Vec<u32>,
+    /// Scratch for the events a tick records, kept across runs.
+    recorded: Vec<Event>,
+    /// Scratch for a trie key, kept across runs.
+    key: Vec<u64>,
+}
+
+impl LastRun {
+    /// The last time `s` at which processor `i`'s record `p` has this
+    /// run's history: the same wake time and initial state, the same clock
+    /// readings up to `s` and the same events before `s`. `None` when they
+    /// share no awake prefix.
+    fn shared_until(&self, i: AgentId, p: ProcRecord<'_>, horizon: u64) -> Option<u64> {
+        if self.agent != Some(i)
+            || self.wake != p.wake_time()
+            || self.initial_state != p.initial_state()
+        {
+            return None;
+        }
+        let wake = p.wake_time()?;
+        // Both event sequences are in time order, so the events before `s`
+        // agree iff `s` is at most the time of the first that differs.
+        let events = p.events();
+        let common = self
+            .events
+            .iter()
+            .zip(events)
+            .take_while(|(a, b)| a == b)
+            .count();
+        let diverged = [self.events.get(common), events.get(common)]
+            .into_iter()
+            .flatten()
+            .map(|e| e.time)
+            .min()
+            .unwrap_or(u64::MAX);
+        let last = horizon.min(self.ids.len() as u64 - 1).min(diverged);
+        (wake..=last)
+            .take_while(|&t| self.clocks[t as usize] == p.clock_at(t))
+            .last()
+    }
+
+    /// Records time `ids.len()`.
+    fn push(&mut self, id: u32, tick: u32, clock: Option<u64>) {
+        self.ids.push(id);
+        self.ticks.push(tick);
+        self.clocks.push(clock);
+    }
+
+    /// Forgets every time from `len` on.
+    fn truncate(&mut self, len: usize) {
+        self.ids.truncate(len);
+        self.ticks.truncate(len);
+        self.clocks.truncate(len);
+    }
+}
+
+/// Interns processor `i`'s history in `run` at every time `0..=horizon`
+/// as a node of a hash-consed history trie, pushing one id per time onto
+/// `ids`: one O(events) pass, where re-encoding every prefix costs O(h²).
 ///
 /// A node is `intern([parent, token…])`, and each step appends one
 /// self-delimiting token: an asleep point is the empty key, the awake
@@ -167,6 +239,8 @@ const CLOCK_TOKEN: u64 = 3;
 /// sequences are. The events of each tick pass through `canonical_tick`,
 /// which writes the events the view records for them, in order (the
 /// identity for [`CompleteHistory`]; a relabelled, sorted copy for a
+/// symmetry-canonical view). It also threads a `u32` tick state of the
+/// view's own, `0` at the root (which renamings are still tied, for the
 /// symmetry-canonical view).
 ///
 /// The token sequence is a function of the [`encode_history`] encoding
@@ -177,48 +251,80 @@ const CLOCK_TOKEN: u64 = 3;
 /// nodes ⇔ equal encodings. A step is one token, never one tick: without
 /// a clock the tick boundaries are not in the encoding, so chaining whole
 /// ticks would split points the encoding merges.
+///
+/// Consecutive runs of a pass mostly share a history prefix, so the walk
+/// resumes: `interner` keeps the last run it walked, and when that was
+/// processor `i` too, with the same wake time and initial state, the new
+/// run copies the ids of every time `s` up to which the clock readings
+/// agree and the events before `s` agree, and walks on from the node and
+/// tick state recorded at the last such `s`. This is exact only because
+/// `canonical_tick`'s output and new state are a function of its state
+/// and the tick alone, and because one interner serves one view: the
+/// ids are the ones a walk from the root would find.
 pub fn intern_history_trie(
-    p: ProcRecord<'_>,
-    horizon: u64,
+    run: Run<'_>,
+    i: AgentId,
     interner: &mut ViewInterner,
     ids: &mut Vec<u32>,
-    mut canonical_tick: impl FnMut(&[TimedEvent], &mut Vec<Event>),
+    mut canonical_tick: impl FnMut(&mut u32, &[TimedEvent], &mut Vec<Event>),
 ) {
-    let asleep = interner.intern(&[]);
-    let wake = p.wake_time().map_or(horizon + 1, |w| w.min(horizon + 1));
-    ids.extend(std::iter::repeat_n(asleep, wake as usize));
-    if wake > horizon {
-        return;
-    }
-    let mut node = interner.intern(&[p.initial_state()]);
-    let mut last_clock = None;
-    let mut next = 0;
-    let mut recorded = Vec::new();
-    let mut key = Vec::with_capacity(5);
+    let (p, horizon) = (run.proc(i), run.horizon());
     let events = p.events();
-    for t in wake..=horizon {
+    let mut last = std::mem::take(&mut interner.last_run);
+    // Walk from time `from`, in the state after time `from - 1`.
+    let (from, mut node, mut tick) = match last.shared_until(i, p, horizon) {
+        Some(s) => {
+            last.truncate(s as usize + 1);
+            (s + 1, last.ids[s as usize], last.ticks[s as usize])
+        }
+        None => {
+            last.truncate(0);
+            let asleep = interner.intern(&[]);
+            let wake = p.wake_time().map_or(horizon + 1, |w| w.min(horizon + 1));
+            for _ in 0..wake {
+                last.push(asleep, 0, None);
+            }
+            let root = if wake > horizon {
+                asleep
+            } else {
+                interner.intern(&[p.initial_state()])
+            };
+            (wake, root, 0)
+        }
+    };
+    let mut next = events.partition_point(|e| e.time + 1 < from);
+    let mut last_clock = from.checked_sub(1).and_then(|t| p.clock_at(t));
+    for t in from..=horizon {
         // Events before `t` enter the history at `t`, one tick at a time.
         while next < events.len() && events[next].time < t {
             let time = events[next].time;
             let end = next + events[next..].partition_point(|e| e.time == time);
-            recorded.clear();
-            canonical_tick(&events[next..end], &mut recorded);
-            for e in &recorded {
-                key.clear();
-                key.push(u64::from(node));
-                e.encode(&mut key);
-                node = interner.intern(&key);
+            last.recorded.clear();
+            canonical_tick(&mut tick, &events[next..end], &mut last.recorded);
+            for e in &last.recorded {
+                last.key.clear();
+                last.key.push(u64::from(node));
+                e.encode(&mut last.key);
+                node = interner.intern(&last.key);
             }
             next = end;
         }
-        if let Some(c) = p.clock_at(t) {
+        let clock = p.clock_at(t);
+        if let Some(c) = clock {
             if last_clock != Some(c) {
                 node = interner.intern(&[u64::from(node), CLOCK_TOKEN, c]);
                 last_clock = Some(c);
             }
         }
-        ids.push(node);
+        last.push(node, tick, clock);
     }
+    ids.extend_from_slice(&last.ids);
+    last.agent = Some(i);
+    last.wake = p.wake_time();
+    last.initial_state = p.initial_state();
+    last.events.clear();
+    last.events.extend_from_slice(events);
+    interner.last_run = last;
 }
 
 /// The complete-history interpretation (finest admissible view).
@@ -237,15 +343,9 @@ impl ViewFunction for CompleteHistory {
         interner: &mut ViewInterner,
         ids: &mut Vec<u32>,
     ) {
-        intern_history_trie(
-            run.proc(i),
-            run.horizon(),
-            interner,
-            ids,
-            |tick, recorded| {
-                recorded.extend(tick.iter().map(|e| e.event));
-            },
-        );
+        intern_history_trie(run, i, interner, ids, |_, tick, recorded| {
+            recorded.extend(tick.iter().map(|e| e.event));
+        });
     }
 
     fn name(&self) -> &'static str {

@@ -14,6 +14,13 @@
 //! over other ticks: without an advancing clock the twin's histories
 //! equal the original's, so a trie that chained whole ticks, instead of
 //! single events, would split points the definition merges.
+//!
+//! The history trie resumes each run where the previous run of the pass
+//! diverged, so every run is also followed by a chain of *siblings*, each
+//! differing from the run before it in one respect only: events redrawn
+//! from a random tick on, then the clock readings, the wake time, the
+//! initial state and the horizon. A resume condition that missed any of
+//! them would copy ids the sibling does not share.
 
 use halpern_moses::core::agreement::{
     agreement_system, AgreementSpec, Reduction, SymmetricHistory,
@@ -167,7 +174,133 @@ fn draw_run(name: String, horizon: u64, procs: &[ProcDraw], rng: &mut Rng) -> Ru
     }
 }
 
-/// 1–4 random runs over 1–3 processors, each followed by a retimed twin.
+/// Nondecreasing readings for times `0..=horizon` that equal `old` up to
+/// `from` and then advance where `old` stutters, and stutter where it
+/// advances (continuing from `old`'s last reading when it is shorter).
+fn flip_readings(old: &[u64], from: usize, horizon: u64) -> Vec<u64> {
+    let mut readings = old[..=from.min(old.len() - 1)].to_vec();
+    while readings.len() <= horizon as usize {
+        let t = readings.len();
+        let advanced = t < old.len() && old[t] > old[t - 1];
+        readings.push(readings[t - 1] + u64::from(!advanced));
+    }
+    readings
+}
+
+/// `p`'s clock readings at times `0..=horizon` (`None` without a clock).
+fn readings(p: &ProcRef, horizon: u64) -> Option<Vec<u64>> {
+    match p.clock {
+        ClockRef::None => None,
+        _ => Some((0..=horizon).map(|t| p.reading(t).unwrap()).collect()),
+    }
+}
+
+/// How a sibling differs from the run before it.
+#[derive(Clone, Copy, Debug)]
+enum Sibling {
+    /// The same events before a random tick and random ones from it on,
+    /// some of the old ones kept first, so the first difference can fall
+    /// inside a tick; clock readings agree up to that tick.
+    Diverged,
+    /// The same events, clocks that agree up to a random tick and differ
+    /// after it (a perfect clock stutters, a clockless processor gets one).
+    Clock,
+    /// The same events, another wake time (or none, if it has no events).
+    Wake,
+    /// Every initial state flipped.
+    Initial,
+    /// Another horizon: events past it dropped, explicit clocks cut or
+    /// extended.
+    Horizon,
+}
+
+/// The sibling of `run` of the given kind.
+fn sibling(kind: Sibling, run: &RunRef, n: usize, rng: &mut Rng) -> RunRef {
+    let mut horizon = run.horizon;
+    if let Sibling::Horizon = kind {
+        horizon = (horizon + 1 + rng.below(5)) % 6;
+    }
+    let procs = run
+        .procs
+        .iter()
+        .map(|p| {
+            let mut p = p.clone();
+            let Some(wake) = p.wake else {
+                if let Sibling::Wake = kind {
+                    p.wake = Some(rng.below(horizon + 1));
+                }
+                return p;
+            };
+            match kind {
+                Sibling::Diverged => {
+                    let from = rng.below(horizon + 1);
+                    let mut kept = p.events.partition_point(|e| e.time < from);
+                    kept += rng.below((p.events.len() - kept) as u64 + 1) as usize;
+                    p.events.truncate(kept);
+                    let earliest = p.events.last().map_or(from, |e| e.time.max(from));
+                    let count = rng.below(4) as usize;
+                    for t in random_times(rng, count, earliest.max(wake), horizon) {
+                        p.events.push(TimedEvent::new(t, random_event(rng, n)));
+                    }
+                    if let Some(old) = readings(&p, horizon) {
+                        let cut = from as usize + rng.below(2) as usize;
+                        p.clock = ClockRef::Readings(flip_readings(&old, cut, horizon));
+                    }
+                }
+                Sibling::Clock => {
+                    let from = rng.below(horizon + 1) as usize;
+                    p.clock = match readings(&p, horizon) {
+                        None => ClockRef::Perfect(rng.below(3)),
+                        Some(old) => ClockRef::Readings(flip_readings(&old, from, horizon)),
+                    };
+                }
+                Sibling::Wake => {
+                    let latest = p.events.first().map_or(horizon, |e| e.time);
+                    if p.events.is_empty() && rng.below(3) == 0 {
+                        p = ProcRef {
+                            wake: None,
+                            initial: 0,
+                            clock: ClockRef::None,
+                            events: Vec::new(),
+                        };
+                    } else {
+                        let other = rng.below(latest + 1);
+                        p.wake = Some(if other == wake && wake < latest {
+                            wake + 1
+                        } else {
+                            other
+                        });
+                    }
+                }
+                Sibling::Initial => p.initial ^= 1,
+                Sibling::Horizon if wake > horizon => {
+                    p = ProcRef {
+                        wake: None,
+                        initial: 0,
+                        clock: ClockRef::None,
+                        events: Vec::new(),
+                    };
+                }
+                Sibling::Horizon => {
+                    p.events.retain(|e| e.time <= horizon);
+                    if let ClockRef::Readings(old) = &p.clock {
+                        let from = (horizon as usize).min(old.len() - 1);
+                        p.clock = ClockRef::Readings(flip_readings(old, from, horizon));
+                    }
+                }
+            }
+            p
+        })
+        .collect();
+    RunRef {
+        name: format!("{}-{kind:?}", run.name),
+        horizon,
+        procs,
+    }
+}
+
+/// 1–4 random runs over 1–3 processors, each followed by its chain of
+/// [`Sibling`]s and a retimed twin.
 fn random_runs(seed: u64) -> Vec<RunRef> {
     let mut rng = Rng(seed);
     let n = 1 + rng.below(3) as usize;
@@ -193,7 +326,18 @@ fn random_runs(seed: u64) -> Vec<RunRef> {
                     .collect(),
             })
             .collect();
-        runs.push(draw_run(format!("r{r}"), horizon, &procs, &mut rng));
+        let mut run = draw_run(format!("r{r}"), horizon, &procs, &mut rng);
+        for kind in [
+            Sibling::Diverged,
+            Sibling::Clock,
+            Sibling::Wake,
+            Sibling::Initial,
+            Sibling::Horizon,
+        ] {
+            let next = sibling(kind, &run, n, &mut rng);
+            runs.push(std::mem::replace(&mut run, next));
+        }
+        runs.push(run);
         runs.push(draw_run(format!("r{r}-twin"), horizon, &procs, &mut rng));
     }
     runs
@@ -233,8 +377,7 @@ fn store(runs: &[RunRef], explicit_clocks: bool) -> System {
     sb.build()
 }
 
-/// A random system of 1–4 runs over 1–3 processors, each run followed
-/// by a retimed twin.
+/// A random system of [`random_runs`].
 fn random_system(seed: u64) -> System {
     store(&random_runs(seed), false)
 }
@@ -439,6 +582,19 @@ fn symmetric_history_intern_run_matches_on_reduced_agreement() {
         if let Err(e) = check_view(&SymmetricHistory::new(n), &system) {
             panic!("agreement n={n} f={f}: {e}");
         }
+    }
+}
+
+#[test]
+fn complete_history_intern_run_matches_on_naive_agreement() {
+    let system = agreement_system(
+        AgreementSpec { n: 3, f: 2 },
+        Reduction::Naive,
+        &Budget::unlimited(),
+    )
+    .expect("unlimited budget");
+    if let Err(e) = check_view(&CompleteHistory, &system) {
+        panic!("naive agreement n=3 f=2: {e}");
     }
 }
 
