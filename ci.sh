@@ -118,8 +118,9 @@ min=$(printf '%s\n' "$min" | grep "holds at")
 test -n "$min"
 test "$min" = "$(printf '%s\n' "$plain" | grep "holds at")"
 # ...and a peak-memory guard on the same build + ask: VmHWM under
-# 400 MiB, 1.3x over the ~304 MiB the flat run store peaks at (a heap
-# per run peaked at ~493 MiB). One test in its own binary, release only.
+# 400 MiB, 1.5x over the ~257 MiB it peaked at when last measured
+# (~304 MiB when the flat run store landed with this guard; a heap per
+# run peaked at ~493 MiB). One test in its own binary, release only.
 cargo test -q --release -p hm-engine --test memory
 
 # Fault injection: the failpoint suites force exhaustion and

@@ -62,8 +62,15 @@ fn bench_analysis_cost(c: &mut Criterion) {
     // evaluation of the same formula on the same frame.
     let compiled = compile(&f).unwrap();
     let bound = compiled.bind(&isys).unwrap();
+    let unlimited = Budget::unlimited();
     group.bench_function("eval_for_scale", |b| {
-        b.iter(|| black_box(compiled.eval_bound(&isys, &bound)))
+        b.iter(|| {
+            black_box(
+                compiled
+                    .eval_bound_budgeted(&isys, &bound, &unlimited)
+                    .unwrap(),
+            )
+        })
     });
     group.finish();
 }
@@ -76,13 +83,26 @@ fn bench_simplification_payoff(c: &mut Criterion) {
     // fixpoints become K chains; constant context disappears).
     let compiled = compile(&f).unwrap();
     let bound = compiled.bind(&isys).unwrap();
+    let unlimited = Budget::unlimited();
     group.bench_function("eval_as_written", |b| {
-        b.iter(|| black_box(compiled.eval_bound(&isys, &bound)))
+        b.iter(|| {
+            black_box(
+                compiled
+                    .eval_bound_budgeted(&isys, &bound, &unlimited)
+                    .unwrap(),
+            )
+        })
     });
     let simplified = compile(&simplify(&f)).unwrap();
     let sbound = simplified.bind(&isys).unwrap();
     group.bench_function("eval_simplified", |b| {
-        b.iter(|| black_box(simplified.eval_bound(&isys, &sbound)))
+        b.iter(|| {
+            black_box(
+                simplified
+                    .eval_bound_budgeted(&isys, &sbound, &unlimited)
+                    .unwrap(),
+            )
+        })
     });
     group.finish();
 }

@@ -6,7 +6,7 @@ use hm_core::puzzles::attack::generals_builder;
 use hm_core::puzzles::r2d2::r2d2_parts;
 use hm_engine::{Budget, Engine, Query};
 use hm_kripke::AgentId;
-use hm_logic::{compile, evaluate_tree, Formula, F};
+use hm_logic::{compile, evaluate, evaluate_tree, Formula, F};
 use hm_netsim::scenarios::R2d2Mode;
 use std::hint::black_box;
 
@@ -51,12 +51,19 @@ fn bench_compiled_vs_tree(c: &mut Criterion) {
     // per iteration.
     let compiled = compile(&f).unwrap();
     let bound = compiled.bind(&isys).unwrap();
+    let unlimited = Budget::unlimited();
     group.bench_function("compiled", |b| {
-        b.iter(|| black_box(compiled.eval_bound(&isys, &bound)))
+        b.iter(|| {
+            black_box(
+                compiled
+                    .eval_bound_budgeted(&isys, &bound, &unlimited)
+                    .unwrap(),
+            )
+        })
     });
     // Compile + bind on every iteration, for the amortisation picture.
     group.bench_function("compile_and_eval", |b| {
-        b.iter(|| black_box(compile(&f).unwrap().eval(&isys).unwrap()))
+        b.iter(|| black_box(evaluate(&isys, &f).unwrap()))
     });
     group.finish();
 }

@@ -18,7 +18,7 @@ use hm_core::variants::{check_theorem9, conjunction_gap, ok_builder, skewed_broa
 use hm_engine::Budget;
 use hm_kripke::{random_model, AgentGroup, AgentId, RandomModelSpec, WorldSet};
 use hm_logic::axioms::{check_s5, sample_sets, ModalOp};
-use hm_logic::{EvalCache, Formula, Frame};
+use hm_logic::{evaluate, EvalCache, Formula, Frame};
 use hm_netsim::scenarios::R2d2Mode;
 use hm_runs::{conditions, InterpretedSystem};
 use std::hint::black_box;
@@ -103,11 +103,11 @@ fn b08_variants(c: &mut Criterion) {
     let fact = Formula::atom("dispatched");
     c.bench_function("b08_ceps_eval", |b| {
         let f = Formula::common_eps(g2(), 2, fact.clone());
-        b.iter(|| black_box(isys.eval(&f).unwrap()))
+        b.iter(|| black_box(evaluate(&isys, &f).unwrap()))
     });
     c.bench_function("b08_cev_eval", |b| {
         let f = Formula::common_ev(g2(), fact.clone());
-        b.iter(|| black_box(isys.eval(&f).unwrap()))
+        b.iter(|| black_box(evaluate(&isys, &f).unwrap()))
     });
 }
 
@@ -154,7 +154,7 @@ fn b12_timestamped(c: &mut Criterion) {
     let isys = skewed_broadcast_builder(10, 2).unwrap().build();
     let f = Formula::common_ts(g2(), 7, Formula::atom("sent_v"));
     c.bench_function("b12_ct_eval", |b| {
-        b.iter(|| black_box(isys.eval(&f).unwrap()))
+        b.iter(|| black_box(evaluate(&isys, &f).unwrap()))
     });
 }
 
@@ -227,7 +227,7 @@ fn b18_agreement(c: &mut Criterion) {
     .build();
     let f = Formula::common(AgentGroup::all(3), Formula::atom("min0"));
     c.bench_function("b18_agreement_ck_eval", |b| {
-        b.iter(|| black_box(isys.eval(&f).unwrap()))
+        b.iter(|| black_box(evaluate(&isys, &f).unwrap()))
     });
 }
 

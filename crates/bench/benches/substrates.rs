@@ -9,6 +9,7 @@ use hm_kripke::{
     minimize, random_model, AgentGroup, AgentId, KripkeModel, ModelBuilder, Partition,
     RandomModelSpec, SplitMix64, WorldId, WorldSet,
 };
+use hm_logic::Frame;
 use hm_netsim::{enumerate_runs, Command, ExecutionSpec, FnProtocol, LocalView, LossyFixedDelay};
 use hm_runs::{CompleteHistory, Message, System, ViewFunction, ViewInterner};
 use std::hint::black_box;

@@ -39,7 +39,7 @@
 
 use hm_kripke::{AgentGroup, AgentId};
 use hm_limits::{failpoints, Admission, Budget, LimitExceeded, Phase, Resource};
-use hm_logic::{EvalError, Formula};
+use hm_logic::{evaluate, EvalError, Formula};
 use hm_runs::{
     CompleteHistory, Event, InterpretedSystem, InterpretedSystemBuilder, Message, Run, System,
     SystemBuilder, TimedEvent,
@@ -851,13 +851,14 @@ pub fn ck_onset_in_clean_run(
         })
         .expect("clean run exists for every input vector");
     let g = AgentGroup::all(n);
-    let ck = isys.eval(&Formula::common(g, Formula::atom("min0")))?;
+    let ck = evaluate(isys, &Formula::common(g, Formula::atom("min0")))?;
     Ok((0..=run.horizon()).find(|&t| ck.contains(isys.world(rid, t))))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hm_logic::Frame;
 
     const SPEC: AgreementSpec = AgreementSpec { n: 3, f: 1 };
 
@@ -918,9 +919,7 @@ mod tests {
         let isys = build_interpreted(SPEC, Reduction::Naive);
         let n = 3;
         let g = AgentGroup::all(n);
-        let ck = isys
-            .eval(&Formula::common(g, Formula::atom("min0")))
-            .unwrap();
+        let ck = evaluate(&isys, &Formula::common(g, Formula::atom("min0"))).unwrap();
         let (rid, _) = isys
             .system()
             .runs()

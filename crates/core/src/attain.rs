@@ -18,7 +18,7 @@
 
 use hm_kripke::{AgentGroup, AgentId, WorldSet};
 use hm_limits::Limits;
-use hm_logic::{EvalError, Formula, F};
+use hm_logic::{evaluate, EvalError, Formula, Frame, F};
 use hm_netsim::{
     enumerate_runs, BoundedUncertainDelay, Clocks, Command, EnumerateError, ExecutionSpec,
     FnProtocol, LocalView,
@@ -54,7 +54,7 @@ pub fn check_ck_twin_invariance(
     g: &AgentGroup,
     fact: &F,
 ) -> Result<Vec<CkViolation>, EvalError> {
-    let ck = isys.eval(&Formula::common(g.clone(), fact.clone()))?;
+    let ck = evaluate(isys, &Formula::common(g.clone(), fact.clone()))?;
     let mut violations = Vec::new();
     for (rid, run) in isys.system().runs() {
         for (tid, twin) in isys.system().runs() {
@@ -94,7 +94,7 @@ pub fn check_proposition13(
     g: &AgentGroup,
     fact: &F,
 ) -> Result<Vec<CkViolation>, EvalError> {
-    let ck = isys.eval(&Formula::common(g.clone(), fact.clone()))?;
+    let ck = evaluate(isys, &Formula::common(g.clone(), fact.clone()))?;
     let reach = isys.model().reachability_partition(g);
     let mut violations = Vec::new();
     for (rid, run) in isys.system().runs() {
@@ -138,7 +138,7 @@ pub fn check_ck_run_constant(
     g: &AgentGroup,
     fact: &F,
 ) -> Result<Vec<CkViolation>, EvalError> {
-    let ck = isys.eval(&Formula::common(g.clone(), fact.clone()))?;
+    let ck = evaluate(isys, &Formula::common(g.clone(), fact.clone()))?;
     let mut violations = Vec::new();
     for (rid, run) in isys.system().runs() {
         let at0 = ck.contains(isys.world(rid, 0));
@@ -163,7 +163,7 @@ pub fn check_ck_run_constant(
 ///
 /// Propagates [`EvalError`] from the model checker.
 pub fn ck_set(isys: &InterpretedSystem, g: &AgentGroup, fact: &F) -> Result<WorldSet, EvalError> {
-    isys.eval(&Formula::common(g.clone(), fact.clone()))
+    evaluate(isys, &Formula::common(g.clone(), fact.clone()))
 }
 
 /// Builds the Proposition 15 system: one sender, bounded-but-uncertain
@@ -327,7 +327,7 @@ mod tests {
         assert!(conditions::check_temporal_imprecision(isys.system()).is_some());
         // …and "it is 5 o'clock" becomes common knowledge at 5 o'clock.
         let f = Formula::common(g2(), Formula::atom("five_oclock"));
-        let ck = isys.eval(&f).unwrap();
+        let ck = evaluate(&isys, &f).unwrap();
         let (rid, _) = isys.system().runs().next().unwrap();
         assert!(ck.contains(isys.world(rid, 5)));
         assert!(!ck.contains(isys.world(rid, 4)));

@@ -15,6 +15,7 @@
 //! or against a provided subsystem).
 
 use hm_kripke::{AgentId, WorldSet};
+use hm_logic::Frame;
 use hm_runs::{InterpretedSystem, RunId};
 
 /// A point predicate over `(run, t)` used to express one agent's beliefs.

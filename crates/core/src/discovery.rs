@@ -14,7 +14,7 @@
 
 use hm_kripke::{AgentGroup, AgentId, WorldSet};
 use hm_limits::Limits;
-use hm_logic::{EvalError, Formula};
+use hm_logic::{evaluate, EvalError, Formula};
 use hm_netsim::{
     enumerate_runs, Clocks, Command, EnumerateError, ExecutionSpec, FnProtocol, LocalView,
     SynchronousDelay,
@@ -237,9 +237,9 @@ pub fn discovery_trajectory(
     let g = AgentGroup::all(isys.system().num_procs());
     let fact = Formula::atom("deadlock");
     let first = |set: &WorldSet| (0..=run.horizon()).find(|&t| set.contains(isys.world(rid, t)));
-    let d = isys.eval(&Formula::distributed(g.clone(), fact.clone()))?;
-    let s = isys.eval(&Formula::someone(g.clone(), fact.clone()))?;
-    let e = isys.eval(&Formula::everyone(g, fact))?;
+    let d = evaluate(isys, &Formula::distributed(g.clone(), fact.clone()))?;
+    let s = evaluate(isys, &Formula::someone(g.clone(), fact.clone()))?;
+    let e = evaluate(isys, &Formula::everyone(g, fact))?;
     Ok(DiscoveryTrajectory {
         d_onset: first(&d),
         s_onset: first(&s),
@@ -275,7 +275,7 @@ pub fn publication_stamp(
     let g = AgentGroup::all(isys.system().num_procs());
     for stamp in 0..=run.horizon() {
         let f = Formula::common_ts(g.clone(), stamp, Formula::atom("deadlock"));
-        let set = isys.eval(&f)?;
+        let set = evaluate(isys, &f)?;
         if set.contains(isys.world(rid, run.horizon())) {
             return Ok(Some(stamp));
         }

@@ -100,13 +100,13 @@ pub fn two_send_views_builder(view: ViewKind) -> InterpretedSystemBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hm_logic::Formula;
+    use hm_logic::{evaluate, Formula};
 
     #[test]
     fn consistency_frame_shape() {
         let isys = consistency_builder().build();
         assert_eq!(isys.system().num_runs(), 7, "4 fast + 3 slow");
-        let aware = isys.eval(&Formula::atom("both_aware")).unwrap();
+        let aware = evaluate(&isys, &Formula::atom("both_aware")).unwrap();
         assert!(!aware.is_empty() && !aware.is_full());
     }
 
@@ -114,9 +114,7 @@ mod tests {
     fn finer_views_know_more() {
         let k = Formula::knows(AgentId::new(0), Formula::atom("sent_twice"));
         let count = |view: ViewKind| {
-            two_send_views_builder(view)
-                .build()
-                .eval(&k)
+            evaluate(&two_send_views_builder(view).build(), &k)
                 .unwrap()
                 .count()
         };

@@ -49,16 +49,17 @@ pub struct Hierarchy {
 /// Computes the hierarchy chain for `fact` over group `g`, with `E^k`
 /// levels up to `k_max`.
 pub fn hierarchy(frame: &dyn Frame, g: &AgentGroup, fact: &WorldSet, k_max: u32) -> Hierarchy {
+    let model = frame.model();
     let mut levels = Vec::with_capacity(4 + k_max as usize);
     levels.push((Level::Fact, fact.clone()));
-    levels.push((Level::Distributed, frame.distributed_set(g, fact)));
-    levels.push((Level::Someone, frame.someone_set(g, fact)));
+    levels.push((Level::Distributed, model.distributed_knowledge(g, fact)));
+    levels.push((Level::Someone, model.someone_set(g, fact)));
     let mut e = fact.clone();
     for k in 1..=k_max {
-        e = frame.everyone_set(g, &e);
+        e = model.everyone_set(g, &e);
         levels.push((Level::EveryoneK(k), e.clone()));
     }
-    levels.push((Level::Common, frame.common_set(g, fact)));
+    levels.push((Level::Common, model.common_knowledge(g, fact)));
     Hierarchy { levels }
 }
 

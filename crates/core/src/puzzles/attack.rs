@@ -14,7 +14,7 @@
 
 use hm_kripke::{AgentGroup, AgentId, WorldSet};
 use hm_limits::Budget;
-use hm_logic::{EvalCache, Formula, F};
+use hm_logic::{evaluate, EvalCache, Formula, F};
 use hm_netsim::scenarios::{attacks_in, generals_attack_system, generals_system, ACT_ATTACK};
 use hm_netsim::{
     enumerate_runs, Command, EnumerateError, ExecutionSpec, FnProtocol, LocalView, UnboundedDelay,
@@ -287,8 +287,8 @@ pub fn proposition4_check(isys: &InterpretedSystem) -> (bool, bool) {
     let e = Formula::implies(psi.clone(), Formula::everyone(g.clone(), psi.clone()));
     let c = Formula::implies(psi.clone(), Formula::common(g, psi));
     (
-        isys.valid(&e).expect("well-formed"),
-        isys.valid(&c).expect("well-formed"),
+        evaluate(isys, &e).expect("well-formed").is_full(),
+        evaluate(isys, &c).expect("well-formed").is_full(),
     )
 }
 
@@ -300,7 +300,7 @@ pub fn proposition4_check(isys: &InterpretedSystem) -> (bool, bool) {
 /// Panics on evaluation errors (ill-formed system).
 pub fn common_knowledge_of_dispatch(isys: &InterpretedSystem) -> WorldSet {
     let f = Formula::common(AgentGroup::all(2), Formula::atom("dispatched"));
-    isys.eval(&f).expect("well-formed")
+    evaluate(isys, &f).expect("well-formed")
 }
 
 #[cfg(test)]

@@ -17,7 +17,6 @@
 use hm_kripke::{
     AgentGroup, AgentId, AtomId, KripkeModel, ModelBuilder, Restriction, WorldId, WorldSet,
 };
-use hm_logic::Frame;
 
 /// The muddy-children Kripke model: worlds are muddiness bit-vectors
 /// (world `w` has child `i` muddy iff bit `i` of `w` is set); child `i`'s

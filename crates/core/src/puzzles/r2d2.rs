@@ -116,6 +116,7 @@ pub fn ck_sent(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hm_logic::evaluate;
 
     #[test]
     #[allow(clippy::needless_range_loop)] // k is the ladder level
@@ -207,7 +208,7 @@ mod tests {
         let (builder, meta) = r2d2_parts(3, 2, 2, R2d2Mode::Uncertain);
         let isys = builder.build();
         let f = Formula::common(AgentGroup::all(2), Formula::atom("sent_focus"));
-        let set = isys.eval(&f).unwrap();
+        let set = evaluate(&isys, &f).unwrap();
         let focus = meta.focus_slow;
         let horizon = isys.system().run(focus).horizon();
         for t in 0..=horizon {

@@ -17,7 +17,7 @@
 
 use hm_kripke::{AgentGroup, AgentId, WorldId, WorldSet};
 use hm_limits::Limits;
-use hm_logic::{EvalError, Formula, F};
+use hm_logic::{evaluate, EvalError, Formula, F};
 use hm_netsim::scenarios::{ok_protocol_system, ok_psi, TAG_OK};
 use hm_netsim::{
     enumerate_runs, Clocks, Command, EnumerateError, ExecutionSpec, FnProtocol, LocalView,
@@ -40,11 +40,17 @@ pub fn check_variant_hierarchy(
     eps_list: &[u64],
 ) -> Result<Option<(usize, WorldId)>, EvalError> {
     let mut chain: Vec<WorldSet> = Vec::with_capacity(eps_list.len() + 2);
-    chain.push(isys.eval(&Formula::common(g.clone(), fact.clone()))?);
+    chain.push(evaluate(isys, &Formula::common(g.clone(), fact.clone()))?);
     for &e in eps_list {
-        chain.push(isys.eval(&Formula::common_eps(g.clone(), e, fact.clone()))?);
+        chain.push(evaluate(
+            isys,
+            &Formula::common_eps(g.clone(), e, fact.clone()),
+        )?);
     }
-    chain.push(isys.eval(&Formula::common_ev(g.clone(), fact.clone()))?);
+    chain.push(evaluate(
+        isys,
+        &Formula::common_ev(g.clone(), fact.clone()),
+    )?);
     for (i, w) in chain.windows(2).enumerate() {
         if let Some(world) = w[0].difference(&w[1]).first() {
             return Ok(Some((i, world)));
@@ -75,7 +81,7 @@ pub fn check_theorem9(
         Some(e) => Formula::common_eps(g.clone(), e, fact.clone()),
         None => Formula::common_ev(g.clone(), fact.clone()),
     };
-    let holds = isys.eval(&variant)?;
+    let holds = evaluate(isys, &variant)?;
     // Message-free runs.
     let silent: Vec<RunId> = isys
         .system()
@@ -141,7 +147,7 @@ pub fn check_theorem11(
     eps: u64,
 ) -> Result<Theorem9Outcome, EvalError> {
     let variant = Formula::common_eps(g.clone(), eps, fact.clone());
-    let holds = isys.eval(&variant)?;
+    let holds = evaluate(isys, &variant)?;
     let mut hypothesis_held = true;
     for (sid, s) in isys.system().runs() {
         for t in 0..=s.horizon() {
@@ -188,13 +194,13 @@ pub fn conjunction_gap(
     fact: &F,
     k_max: usize,
 ) -> Result<Vec<(RunId, usize, bool)>, EvalError> {
-    let cev = isys.eval(&Formula::common_ev(g.clone(), fact.clone()))?;
+    let cev = evaluate(isys, &Formula::common_ev(g.clone(), fact.clone()))?;
     // Iterated E^◇ denotations.
     let mut iterates = Vec::with_capacity(k_max);
     let mut cur = (**fact).clone().arc();
     for _ in 0..k_max {
         cur = Formula::everyone_ev(g.clone(), cur);
-        iterates.push(isys.eval(&cur)?);
+        iterates.push(evaluate(isys, &cur)?);
     }
     let mut out = Vec::new();
     for (rid, _) in isys.system().runs() {
@@ -285,8 +291,8 @@ pub fn check_theorem12a(
     fact: &F,
     stamp: u64,
 ) -> Result<Option<WorldId>, EvalError> {
-    let ct = isys.eval(&Formula::common_ts(g.clone(), stamp, fact.clone()))?;
-    let c = isys.eval(&Formula::common(g.clone(), fact.clone()))?;
+    let ct = evaluate(isys, &Formula::common_ts(g.clone(), stamp, fact.clone()))?;
+    let c = evaluate(isys, &Formula::common(g.clone(), fact.clone()))?;
     Ok(at_stamp_points(isys, g, stamp)
         .into_iter()
         .find(|&w| ct.contains(w) != c.contains(w)))
@@ -305,8 +311,8 @@ pub fn check_theorem12b(
     stamp: u64,
     eps: u64,
 ) -> Result<Option<WorldId>, EvalError> {
-    let ct = isys.eval(&Formula::common_ts(g.clone(), stamp, fact.clone()))?;
-    let ce = isys.eval(&Formula::common_eps(g.clone(), eps, fact.clone()))?;
+    let ct = evaluate(isys, &Formula::common_ts(g.clone(), stamp, fact.clone()))?;
+    let ce = evaluate(isys, &Formula::common_eps(g.clone(), eps, fact.clone()))?;
     Ok(at_stamp_points(isys, g, stamp)
         .into_iter()
         .find(|&w| ct.contains(w) && !ce.contains(w)))
@@ -340,8 +346,8 @@ pub fn check_theorem12c(
             );
         }
     }
-    let ct = isys.eval(&Formula::common_ts(g.clone(), stamp, fact.clone()))?;
-    let cev = isys.eval(&Formula::common_ev(g.clone(), fact.clone()))?;
+    let ct = evaluate(isys, &Formula::common_ts(g.clone(), stamp, fact.clone()))?;
+    let cev = evaluate(isys, &Formula::common_ev(g.clone(), fact.clone()))?;
     Ok(ct.difference(&cev).first())
 }
 
@@ -400,9 +406,7 @@ mod tests {
     fn ok_protocol_failed_communication_creates_eps_ck() {
         let isys = ok_builder(8).unwrap().build();
         let psi = Formula::atom("psi");
-        let ceps = isys
-            .eval(&Formula::common_eps(g2(), 1, psi.clone()))
-            .unwrap();
+        let ceps = evaluate(&isys, &Formula::common_eps(g2(), 1, psi.clone())).unwrap();
         // In every run whose first loss happens at t=0 (well inside the
         // window — truncation effects live near the horizon, DESIGN.md),
         // C^1 ψ holds from t=1 on: FAILED communication creates ε-common
@@ -443,10 +447,8 @@ mod tests {
         // failure: C^1 ψ holds at (lost-run, 0) where ψ itself fails.
         let isys = ok_builder(8).unwrap().build();
         let psi = Formula::atom("psi");
-        let ceps = isys
-            .eval(&Formula::common_eps(g2(), 1, psi.clone()))
-            .unwrap();
-        let psi_set = isys.eval(&psi).unwrap();
+        let ceps = evaluate(&isys, &Formula::common_eps(g2(), 1, psi.clone())).unwrap();
+        let psi_set = evaluate(&isys, &psi).unwrap();
         assert!(
             !ceps.difference(&psi_set).is_empty(),
             "C^ε φ ∧ ¬φ must be satisfiable here (knowledge axiom fails)"
@@ -518,12 +520,10 @@ mod tests {
         let fact = Formula::atom("sent_v");
         // p1 knows by real time 3; its clock then reads 3+d ≤ 5. Stamp 6
         // is safely after everyone knows.
-        let ct = isys
-            .eval(&Formula::common_ts(g2(), 6, fact.clone()))
-            .unwrap();
+        let ct = evaluate(&isys, &Formula::common_ts(g2(), 6, fact.clone())).unwrap();
         assert!(ct.is_full(), "C^T[6] sent_v should hold everywhere");
         // An early stamp fails: nobody knows at clock 1.
-        let early = isys.eval(&Formula::common_ts(g2(), 1, fact)).unwrap();
+        let early = evaluate(&isys, &Formula::common_ts(g2(), 1, fact)).unwrap();
         assert!(early.is_empty());
     }
 }

@@ -8,7 +8,7 @@
 //! wrappers), evaluated compiled-as-written vs compiled-after-simplify.
 
 use hm_engine::{Engine, ScenarioRegistry};
-use hm_logic::{compile, parse, simplify};
+use hm_logic::{compile, evaluate, parse, simplify};
 
 /// Extra paper-shaped formulas linted against every scenario whose
 /// vocabulary supports them (evaluation is skipped when the formula
@@ -41,13 +41,12 @@ fn simplified_queries_match_on_every_scenario_frame() {
         queries.extend(extra_queries());
         for src in queries {
             let f = parse(&src).unwrap_or_else(|e| panic!("{name}: `{src}`: {e}"));
-            let original = match compile(&f).and_then(|c| c.eval(session.frame())) {
+            let original = match evaluate(session.frame(), &f) {
                 Ok(set) => set,
                 Err(_) => continue, // vocabulary mismatch for this scenario
             };
             let simplified_f = simplify(&f);
-            let simplified = compile(&simplified_f)
-                .and_then(|c| c.eval(session.frame()))
+            let simplified = evaluate(session.frame(), &simplified_f)
                 .unwrap_or_else(|e| panic!("{name}: simplified `{src}` lost bindability: {e}"));
             assert_eq!(
                 original, simplified,

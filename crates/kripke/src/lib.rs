@@ -11,11 +11,10 @@
 //! - Each agent's accessibility relation is an equivalence [`Partition`]
 //!   ("same view at both points"), making every model S5 by construction.
 //! - [`KripkeModel`] bundles worlds, partitions and a ground-atom valuation
-//!   and exposes the knowledge operators that need its partitions: `K_i`,
-//!   `D_G` and `C_G` (the latter both by G-reachability and as a greatest
-//!   fixed point, [`WorldSet::gfp`]). The operators built from the `K_i`
-//!   alone (`E_G`, `S_G`, `E^k_G`) belong to any evaluation frame: see
-//!   `hm_logic::Frame`.
+//!   and exposes every knowledge operator: `K_i`, `E_G`, `S_G`, `D_G` and
+//!   `C_G` (the latter both by G-reachability and as the greatest fixed
+//!   point of `E_G`, [`WorldSet::gfp`]). Every evaluation frame of
+//!   `hm-logic` evaluates knowledge on one of these models.
 //! - [`announce`]/[`Restriction`] implement public announcements (the
 //!   father in the muddy-children puzzle).
 //! - [`random_model`] generates reproducible pseudo-random models for
@@ -25,7 +24,6 @@
 //!
 //! ```
 //! use hm_kripke::{ModelBuilder, AgentId, AgentGroup};
-//! use hm_logic::Frame;
 //!
 //! // Muddy children with n = 2: worlds are muddiness bit-vectors, child i
 //! // cannot see bit i.

@@ -177,6 +177,24 @@ impl KripkeModel {
         self.partitions[i.index()].possibility(a)
     }
 
+    /// `E_G(A) = ⋂_{i∈G} K_i(A)`: everyone in `G` knows (Section 3).
+    pub fn everyone_set(&self, g: &AgentGroup, a: &WorldSet) -> WorldSet {
+        let mut out = self.full_set();
+        for i in g.iter() {
+            out.intersect_with(&self.knowledge(i, a));
+        }
+        out
+    }
+
+    /// `S_G(A) = ⋃_{i∈G} K_i(A)`: someone in `G` knows (Section 3).
+    pub fn someone_set(&self, g: &AgentGroup, a: &WorldSet) -> WorldSet {
+        let mut out = self.empty_set();
+        for i in g.iter() {
+            out.union_with(&self.knowledge(i, a));
+        }
+        out
+    }
+
     /// `D_G(A)`: distributed knowledge — knowledge of the agent whose view is
     /// the group's joint view, i.e. the kernel under the *meet* of G's
     /// partitions (Section 6 clause (g) and surrounding discussion).
@@ -248,16 +266,10 @@ impl KripkeModel {
     /// `C_G(A)` as the greatest fixed point of `X ↦ E_G(A ∩ X)` (the
     /// definitional form, Section 10 / Appendix A), by downward iteration
     /// from the full set. This is the reference the reachability form is
-    /// tested against, so it takes each `E_G` step straight from the
-    /// members' partitions rather than through an evaluation frame.
+    /// tested against.
     pub fn common_knowledge_gfp(&self, g: &AgentGroup, a: &WorldSet) -> WorldSet {
         WorldSet::gfp(self.num_worlds, |x| {
-            let arg = a.intersection(x);
-            let mut e = self.full_set();
-            for i in g.iter() {
-                e.intersect_with(&self.knowledge(i, &arg));
-            }
-            e
+            self.everyone_set(g, &a.intersection(x))
         })
     }
 
@@ -570,7 +582,9 @@ mod tests {
         );
         // E = K0 ∩ K1 = ∅; S = K0 ∪ K1 = {w0}; D uses the meet (= discrete).
         assert!(k0.intersection(&k1).is_empty());
+        assert!(m.everyone_set(&g, &pa).is_empty());
         assert_eq!(k0.union(&k1), pa);
+        assert_eq!(m.someone_set(&g, &pa), pa);
         assert_eq!(m.distributed_knowledge(&g, &pa), pa);
     }
 

@@ -654,10 +654,7 @@ impl<'a> Analyzer<'a> {
     /// otherwise.
     fn atom_known(&self, name: &str) -> Option<bool> {
         if let Some(fr) = self.frame {
-            return Some(match fr.atom_table() {
-                Some(t) => t.atom_index(name).is_some(),
-                None => fr.atom_set(name).is_some(),
-            });
+            return Some(fr.model().atom_id(name).is_some());
         }
         self.vocabulary.map(|v| v.iter().any(|a| a == name))
     }
@@ -926,7 +923,7 @@ mod tests {
         assert_eq!(d.errors()[0].code(), "shadowed-var");
         assert_eq!(d.first_error_as_eval(), None);
         // The shadowed formula still compiles, binds and evaluates.
-        assert!(crate::compile(&f).unwrap().eval(&m).is_ok());
+        assert!(crate::evaluate(&m, &f).is_ok());
     }
 
     #[test]
@@ -950,37 +947,31 @@ mod tests {
         assert!(codes("K0 p").is_empty());
     }
 
-    /// A static frame over ragged runs: run `r` has `lens[r]` points,
-    /// laid out run after run.
+    /// A one-agent discrete frame over ragged runs: run `r` has
+    /// `lens[r]` points, laid out run after run.
     struct Ragged {
         lens: Vec<u64>,
+        model: hm_kripke::KripkeModel,
     }
 
     impl Ragged {
+        fn new(lens: Vec<u64>) -> Self {
+            let mut b = ModelBuilder::new(1);
+            b.add_worlds(lens.iter().sum::<u64>() as usize);
+            b.atom("p");
+            b.set_partition_by_key(AgentId::new(0), |w| w.index());
+            let model = b.build();
+            Ragged { lens, model }
+        }
+
         fn start(&self, run: usize) -> usize {
             self.lens[..run].iter().sum::<u64>() as usize
         }
     }
 
     impl Frame for Ragged {
-        fn num_worlds(&self) -> usize {
-            self.start(self.lens.len())
-        }
-        fn num_agents(&self) -> usize {
-            1
-        }
-        fn atom_set(&self, name: &str) -> Option<hm_kripke::WorldSet> {
-            (name == "p").then(|| hm_kripke::WorldSet::empty(self.num_worlds()))
-        }
-        fn knowledge_set(&self, _: AgentId, a: &hm_kripke::WorldSet) -> hm_kripke::WorldSet {
-            a.clone()
-        }
-        fn distributed_set(
-            &self,
-            _: &hm_kripke::AgentGroup,
-            a: &hm_kripke::WorldSet,
-        ) -> hm_kripke::WorldSet {
-            a.clone()
+        fn model(&self) -> &hm_kripke::KripkeModel {
+            &self.model
         }
         fn temporal(&self) -> Option<&dyn crate::TemporalStructure> {
             Some(self)
@@ -1025,9 +1016,7 @@ mod tests {
 
         // Frame-derived: the horizon is the longest run (4 points, so
         // horizon 3), wherever it sits among shorter ones.
-        let frame = Ragged {
-            lens: vec![2, 4, 1, 3],
-        };
+        let frame = Ragged::new(vec![2, 4, 1, 3]);
         for depth in 0..=5u32 {
             let src = format!("{}p", "next ".repeat(depth as usize));
             let d = Analyzer::new().frame(&frame).analyze(&parse(&src).unwrap());

@@ -3,11 +3,10 @@
 //! [`simplify`] rewrites a formula bottom-up into an equivalent one that
 //! compiles to at most as many instructions — strictly fewer whenever a
 //! rule fires. Every rule is justified either by the evaluator's own
-//! structure (Boolean folding) or by the [`Frame`]
-//! contract (crates/logic/src/frame.rs): `knowledge_set` and
-//! `distributed_set` are kernels of equivalence relations (S5), and the
-//! overridable `everyone_set`/`common_set` must agree with their
-//! documented defaults. Rules that would depend on anything more (the
+//! structure (Boolean folding) or by S5: every [`Frame`] evaluates
+//! knowledge on a Kripke model, whose `K_i` and `D_G` are kernels of
+//! equivalence relations and whose `E_G`/`C_G` are built from them.
+//! Rules that would depend on anything more (the
 //! ε/◇/T variants' interval edge cases, `next` at truncated run ends,
 //! `D_G` over singletons) are deliberately omitted.
 //!
@@ -16,8 +15,8 @@
 use crate::formula::{Formula, F};
 use hm_kripke::AgentId;
 
-/// Simplifies a formula, preserving its verdict on every frame honouring
-/// the [`Frame`](crate::Frame) contract.
+/// Simplifies a formula, preserving its verdict on every
+/// [`Frame`](crate::Frame).
 ///
 /// The rules, applied bottom-up (children first):
 ///

@@ -52,22 +52,23 @@ impl ModalOp {
     /// Panics if a temporal operator is applied on a frame without
     /// temporal structure.
     pub fn apply(&self, frame: &dyn Frame, a: &WorldSet) -> WorldSet {
+        let model = frame.model();
         let everyone = |var: Attain, arg: u64, g: &AgentGroup, a: &WorldSet| {
             let ts = frame
                 .temporal()
                 .expect("temporal operator needs temporal frame");
-            temporal::everyone_attain(frame, ts, var, arg, g, a)
+            temporal::everyone_attain(model, ts, var, arg, g, a)
         };
         let common = |var: Attain, arg: u64, g: &AgentGroup| {
-            WorldSet::gfp(frame.num_worlds(), |x| {
+            WorldSet::gfp(model.num_worlds(), |x| {
                 everyone(var, arg, g, &a.intersection(x))
             })
         };
         match self {
-            ModalOp::Knows(i) => frame.knowledge_set(*i, a),
-            ModalOp::Everyone(g) => frame.everyone_set(g, a),
-            ModalOp::Distributed(g) => frame.distributed_set(g, a),
-            ModalOp::Common(g) => frame.common_set(g, a),
+            ModalOp::Knows(i) => model.knowledge(*i, a),
+            ModalOp::Everyone(g) => model.everyone_set(g, a),
+            ModalOp::Distributed(g) => model.distributed_knowledge(g, a),
+            ModalOp::Common(g) => model.common_knowledge(g, a),
             ModalOp::EveryoneEps(g, eps) => everyone(Attain::Eps, *eps, g, a),
             ModalOp::EveryoneEv(g) => everyone(Attain::Ev, 0, g, a),
             ModalOp::EveryoneTs(g, t) => everyone(Attain::Ts, *t, g, a),
@@ -250,11 +251,12 @@ pub fn check_induction_rule(
 /// (3) `K_i(φ ∧ C_G φ)` for **some** `i ∈ G`. Returns a world where the
 /// tri-equivalence fails, if any.
 pub fn check_lemma2(frame: &dyn Frame, g: &AgentGroup, suite: &[WorldSet]) -> Option<WorldId> {
+    let model = frame.model();
     for a in suite {
-        let c = frame.common_set(g, a);
+        let c = model.common_knowledge(g, a);
         let arg = a.intersection(&c);
-        let all = frame.everyone_set(g, &arg);
-        let some = frame.someone_set(g, &arg);
+        let all = model.everyone_set(g, &arg);
+        let some = model.someone_set(g, &arg);
         if c != all || c != some {
             for x in [
                 c.difference(&all),

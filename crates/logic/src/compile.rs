@@ -10,9 +10,8 @@
 //! machine, with
 //!
 //! - **interned atoms**: each distinct atom name occupies one slot of an
-//!   atom table, resolved against a frame once per [`bind`] instead of
-//!   once per node per evaluation (frames exposing an
-//!   [`AtomTable`](crate::AtomTable) resolve by dense id);
+//!   atom table, resolved against a frame's model once per [`bind`]
+//!   instead of once per node per evaluation;
 //! - **interned agent groups**: each distinct [`AgentGroup`] is stored
 //!   once and referenced by index;
 //! - **preallocated fixed-point slots**: `ν`/`µ` binders are
@@ -41,7 +40,7 @@ use crate::formula::Formula;
 use crate::frame::{Frame, TemporalStructure};
 use crate::interval::IntervalSet;
 use crate::temporal::{self, Attain};
-use hm_kripke::{AgentGroup, AgentId, WorldSet};
+use hm_kripke::{AgentGroup, AgentId, KripkeModel, WorldSet};
 use hm_limits::{failpoints, Budget, LimitExceeded, Phase};
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -122,15 +121,16 @@ enum Check {
 }
 
 /// A formula lowered to the flat instruction buffer. Produce one with
-/// [`compile`]; evaluate with [`eval`](CompiledFormula::eval), or
-/// [`bind`](CompiledFormula::bind) once and run
-/// [`eval_bound`](CompiledFormula::eval_bound) many times.
+/// [`compile`], [`bind`](CompiledFormula::bind) it to a frame once, and
+/// run [`eval_bound_budgeted`](CompiledFormula::eval_bound_budgeted) as
+/// often as needed.
 ///
 /// # Examples
 ///
 /// ```
 /// use hm_logic::{compile, parse, evaluate_tree};
 /// use hm_kripke::{ModelBuilder, AgentId};
+/// use hm_limits::Budget;
 /// let mut b = ModelBuilder::new(1);
 /// let w0 = b.add_world("w0");
 /// b.add_world("w1");
@@ -140,7 +140,9 @@ enum Check {
 /// let m = b.build();
 /// let f = parse("K0 p | !p")?;
 /// let compiled = compile(&f)?;
-/// assert_eq!(compiled.eval(&m)?, evaluate_tree(&m, &f)?);
+/// let bound = compiled.bind(&m)?;
+/// let set = compiled.eval_bound_budgeted(&m, &bound, &Budget::unlimited())?;
+/// assert_eq!(set, evaluate_tree(&m, &f)?);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -311,12 +313,12 @@ impl CompiledFormula {
     /// [`EvalError::NoTemporalStructure`], reported in the same order the
     /// tree-walking evaluator would encounter them.
     pub fn bind(&self, frame: &dyn Frame) -> Result<Bound, EvalError> {
+        let model = frame.model();
         let mut atom_sets: Vec<Option<WorldSet>> = vec![None; self.atoms.len()];
-        let table = frame.atom_table();
         for check in &self.checks {
             match *check {
                 Check::Agent(i) => {
-                    if i as usize >= frame.num_agents() {
+                    if i as usize >= model.num_agents() {
                         return Err(EvalError::AgentOutOfRange(i as usize));
                     }
                 }
@@ -329,11 +331,10 @@ impl CompiledFormula {
                     let slot = &mut atom_sets[ix as usize];
                     if slot.is_none() {
                         let name = &self.atoms[ix as usize];
-                        let set = match table {
-                            Some(t) => t.atom_index(name).map(|id| t.atom_set_by_id(id)),
-                            None => frame.atom_set(name),
-                        };
-                        *slot = Some(set.ok_or_else(|| EvalError::UnknownAtom(name.clone()))?);
+                        let id = model
+                            .atom_id(name)
+                            .ok_or_else(|| EvalError::UnknownAtom(name.clone()))?;
+                        *slot = Some(model.atom_set(id));
                     }
                 }
             }
@@ -346,35 +347,14 @@ impl CompiledFormula {
         })
     }
 
-    /// Compile-once, evaluate-now convenience: [`bind`](Self::bind) +
-    /// [`eval_bound`](Self::eval_bound).
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind errors (see [`bind`](Self::bind)).
-    pub fn eval(&self, frame: &dyn Frame) -> Result<WorldSet, EvalError> {
-        Ok(self.eval_bound(frame, &self.bind(frame)?))
-    }
-
     /// Runs the instruction buffer against `frame` using atom sets
     /// resolved by a previous [`bind`](Self::bind) against the same
-    /// frame. Infallible: every failure mode was ruled out at compile or
+    /// frame, under a resource [`Budget`]: each executed instruction
+    /// charges one visited state (amortized — see `hm-limits`), and every
+    /// fixed-point iteration re-checks deadlines and cancellation, so
+    /// divergently large evaluations are interrupted at iteration
+    /// granularity. Every other failure mode was ruled out at compile or
     /// bind time.
-    ///
-    /// # Panics
-    ///
-    /// Panics (universe mismatch) if `bound` came from a frame with a
-    /// different world universe.
-    pub fn eval_bound(&self, frame: &dyn Frame, bound: &Bound) -> WorldSet {
-        self.run(frame, bound, &Budget::unlimited())
-            .expect("unlimited budget cannot be exceeded")
-    }
-
-    /// [`eval_bound`](Self::eval_bound) under a resource [`Budget`]: each
-    /// executed instruction charges one visited state (amortized — see
-    /// `hm-limits`), and every fixed-point iteration re-checks deadlines
-    /// and cancellation, so divergently large evaluations are interrupted
-    /// at iteration granularity.
     ///
     /// # Errors
     ///
@@ -426,17 +406,20 @@ impl CompiledFormula {
         self.run(frame, bound, budget)
     }
 
-    fn run<D: Domain>(
+    /// Runs the program without the failpoint; with an unlimited budget
+    /// it cannot fail.
+    pub(crate) fn run<D: Domain>(
         &self,
         frame: &dyn Frame,
         bound: &Bound,
         budget: &Budget,
     ) -> Result<D, EvalError> {
-        let n = frame.num_worlds();
+        let model = frame.model();
+        let n = model.num_worlds();
         let atoms = D::lift_atoms(&bound.atom_sets);
         let mut m = Machine {
             compiled: self,
-            frame,
+            model,
             ts: frame.temporal(),
             atoms: &atoms,
             slots: vec![D::lift(WorldSet::empty(n)); self.num_slots as usize],
@@ -478,7 +461,7 @@ impl CompiledFormula {
 ///
 /// A cache is tied to the frame it was first used with: binding encodes
 /// frame-specific atom sets, so reusing a cache across frames panics or
-/// answers wrongly, exactly like [`CompiledFormula::eval_bound`].
+/// answers wrongly, exactly like running a [`Bound`] on another frame.
 ///
 /// # Examples
 ///
@@ -525,7 +508,7 @@ impl EvalCache {
             self.entries.insert(f.clone(), (compiled, bound));
         }
         let (compiled, bound) = &self.entries[f];
-        Ok(compiled.eval_bound(frame, bound))
+        compiled.run(frame, bound, &Budget::unlimited())
     }
 
     /// Number of distinct formulas compiled so far.
@@ -845,7 +828,7 @@ enum Val<D> {
 
 struct Machine<'a, D> {
     compiled: &'a CompiledFormula,
-    frame: &'a dyn Frame,
+    model: &'a KripkeModel,
     ts: Option<&'a dyn TemporalStructure>,
     atoms: &'a [D],
     slots: Vec<D>,
@@ -931,7 +914,7 @@ impl<D: Domain> Machine<'_, D> {
                 self.stack.push(Val::Owned(both));
             }
             Op::Knows(i) => {
-                self.apply(|m, a| a.upper(|s| m.frame.knowledge_set(AgentId::new(i as usize), s)));
+                self.apply(|m, a| a.upper(|s| m.model.knowledge(AgentId::new(i as usize), s)));
             }
             // `E^0 φ = φ` (the constructors forbid k = 0, but the enum
             // variant is public; match the tree-walker): leave φ in place.
@@ -939,21 +922,21 @@ impl<D: Domain> Machine<'_, D> {
             Op::EveryoneK { group, k } => self.apply(|m, a| {
                 a.upper(|s| {
                     let g = m.group(group);
-                    let mut cur = m.frame.everyone_set(g, s);
+                    let mut cur = m.model.everyone_set(g, s);
                     for _ in 1..k {
-                        cur = m.frame.everyone_set(g, &cur);
+                        cur = m.model.everyone_set(g, &cur);
                     }
                     cur
                 })
             }),
             Op::Someone(group) => {
-                self.apply(|m, a| a.upper(|s| m.frame.someone_set(m.group(group), s)));
+                self.apply(|m, a| a.upper(|s| m.model.someone_set(m.group(group), s)));
             }
             Op::Distributed(group) => {
-                self.apply(|m, a| a.upper(|s| m.frame.distributed_set(m.group(group), s)));
+                self.apply(|m, a| a.upper(|s| m.model.distributed_knowledge(m.group(group), s)));
             }
             Op::Common(group) => {
-                self.apply(|m, a| a.upper(|s| m.frame.common_set(m.group(group), s)));
+                self.apply(|m, a| a.upper(|s| m.model.common_knowledge(m.group(group), s)));
             }
             Op::Fix { gfp, slot, body } => {
                 self.slots[slot as usize] = self.unit(gfp);
@@ -1001,7 +984,7 @@ impl<D: Domain> Machine<'_, D> {
             Op::KnowsAt { agent, stamp } => self.apply(|m, a| {
                 a.upper(|s| {
                     let i = AgentId::new(agent as usize);
-                    let k = m.frame.knowledge_set(i, s);
+                    let k = m.model.knowledge(i, s);
                     temporal::knows_at_set(m.ts(), i, stamp, &k)
                 })
             }),
@@ -1018,7 +1001,7 @@ impl<D: Domain> Machine<'_, D> {
 
     /// `E^ε_G`, `E^◇_G` or `E^T_G` of `s`.
     fn attain(&self, var: Attain, arg: u64, group: u32, s: &WorldSet) -> WorldSet {
-        temporal::everyone_attain(self.frame, self.ts(), var, arg, self.group(group), s)
+        temporal::everyone_attain(self.model, self.ts(), var, arg, self.group(group), s)
     }
 
     fn pop(&mut self) -> Val<D> {
@@ -1055,7 +1038,7 @@ impl<D: Domain> Machine<'_, D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::evaluate_tree;
+    use crate::eval::{evaluate, evaluate_tree};
     use crate::parser::parse;
     use hm_kripke::{random_model, ModelBuilder, RandomModelSpec, WorldId};
 
@@ -1092,9 +1075,8 @@ mod tests {
             "true & !false",
         ] {
             let f = parse(src).unwrap();
-            let compiled = compile(&f).unwrap();
             assert_eq!(
-                compiled.eval(&m).unwrap(),
+                evaluate(&m, &f).unwrap(),
                 evaluate_tree(&m, &f).unwrap(),
                 "{src}"
             );
@@ -1104,11 +1086,10 @@ mod tests {
     #[test]
     fn compiled_matches_tree_walk_on_random_models() {
         let f = parse("nu X. (q0 -> E{0,1} (q1 | $X)) & C{0,1} (q0 | !q0)").unwrap();
-        let compiled = compile(&f).unwrap();
         for seed in 0..10 {
             let m = random_model(seed, RandomModelSpec::default());
             assert_eq!(
-                compiled.eval(&m).unwrap(),
+                evaluate(&m, &f).unwrap(),
                 evaluate_tree(&m, &f).unwrap(),
                 "seed {seed}"
             );
@@ -1121,8 +1102,13 @@ mod tests {
         let f = parse("K0 (p & !q) | K1 q").unwrap();
         let compiled = compile(&f).unwrap();
         let bound = compiled.bind(&m).unwrap();
-        let a = compiled.eval_bound(&m, &bound);
-        let b = compiled.eval_bound(&m, &bound);
+        let unlimited = Budget::unlimited();
+        let a = compiled
+            .eval_bound_budgeted(&m, &bound, &unlimited)
+            .unwrap();
+        let b = compiled
+            .eval_bound_budgeted(&m, &bound, &unlimited)
+            .unwrap();
         assert_eq!(a, b);
         assert_eq!(a, evaluate_tree(&m, &f).unwrap());
     }
@@ -1143,24 +1129,15 @@ mod tests {
     fn bind_time_errors_in_tree_walk_order() {
         let m = model();
         assert_eq!(
-            compile(&Formula::atom("zap"))
-                .unwrap()
-                .eval(&m)
-                .unwrap_err(),
+            evaluate(&m, &Formula::atom("zap")).unwrap_err(),
             EvalError::UnknownAtom("zap".into())
         );
         // The tree-walker checks the agent range before recursing into the
         // subformula, so the agent error wins over the unknown atom.
         let f = Formula::knows(AgentId::new(9), Formula::atom("zap"));
+        assert_eq!(evaluate(&m, &f).unwrap_err(), EvalError::AgentOutOfRange(9));
         assert_eq!(
-            compile(&f).unwrap().eval(&m).unwrap_err(),
-            EvalError::AgentOutOfRange(9)
-        );
-        assert_eq!(
-            compile(&Formula::next(Formula::atom("zap")))
-                .unwrap()
-                .eval(&m)
-                .unwrap_err(),
+            evaluate(&m, &Formula::next(Formula::atom("zap"))).unwrap_err(),
             EvalError::NoTemporalStructure("next".into())
         );
     }
@@ -1180,7 +1157,7 @@ mod tests {
         let f = parse("nu X. p & (nu X. p & $X) & $X").unwrap();
         let compiled = compile(&f).unwrap();
         assert_eq!(compiled.num_slots, 2);
-        assert_eq!(compiled.eval(&m).unwrap(), evaluate_tree(&m, &f).unwrap());
+        assert_eq!(evaluate(&m, &f).unwrap(), evaluate_tree(&m, &f).unwrap());
     }
 
     #[test]
@@ -1189,12 +1166,9 @@ mod tests {
         // both evaluators must treat E^0 as the identity.
         let m = model();
         let f = Formula::EveryoneK(AgentGroup::all(2), 0, Formula::atom("p")).arc();
+        assert_eq!(evaluate(&m, &f).unwrap(), evaluate_tree(&m, &f).unwrap());
         assert_eq!(
-            compile(&f).unwrap().eval(&m).unwrap(),
-            evaluate_tree(&m, &f).unwrap()
-        );
-        assert_eq!(
-            compile(&f).unwrap().eval(&m).unwrap(),
+            evaluate(&m, &f).unwrap(),
             evaluate_tree(&m, &Formula::atom("p")).unwrap()
         );
     }

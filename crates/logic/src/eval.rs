@@ -12,7 +12,8 @@
 use crate::formula::Formula;
 use crate::frame::Frame;
 use crate::temporal;
-use hm_kripke::{AgentGroup, WorldId, WorldSet};
+use hm_kripke::{AgentGroup, KripkeModel, WorldSet};
+use hm_limits::Budget;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -99,7 +100,9 @@ impl From<hm_limits::LimitExceeded> for EvalError {
 /// # Ok::<(), hm_logic::EvalError>(())
 /// ```
 pub fn evaluate(frame: &dyn Frame, f: &Formula) -> Result<WorldSet, EvalError> {
-    crate::compile::compile(f)?.eval(frame)
+    let compiled = crate::compile::compile(f)?;
+    let bound = compiled.bind(frame)?;
+    compiled.run(frame, &bound, &Budget::unlimited())
 }
 
 /// The original tree-walking evaluator, kept as the executable reference
@@ -116,26 +119,6 @@ pub fn evaluate_tree(frame: &dyn Frame, f: &Formula) -> Result<WorldSet, EvalErr
     eval(frame, f, &mut env)
 }
 
-/// `true` iff the closed formula holds at world `w`.
-///
-/// # Errors
-///
-/// Propagates [`EvalError`] from [`evaluate`].
-pub fn holds_at(frame: &dyn Frame, f: &Formula, w: WorldId) -> Result<bool, EvalError> {
-    Ok(evaluate(frame, f)?.contains(w))
-}
-
-/// `true` iff the closed formula is *valid in the system* (holds at every
-/// world of the frame) — the validity notion of Section 6, hypothesis of
-/// the necessitation and induction rules.
-///
-/// # Errors
-///
-/// Propagates [`EvalError`] from [`evaluate`].
-pub fn is_valid(frame: &dyn Frame, f: &Formula) -> Result<bool, EvalError> {
-    Ok(evaluate(frame, f)?.is_full())
-}
-
 type Env = HashMap<String, WorldSet>;
 
 fn group_check(frame: &dyn Frame, g: &AgentGroup) -> Result<(), EvalError> {
@@ -148,7 +131,8 @@ fn group_check(frame: &dyn Frame, g: &AgentGroup) -> Result<(), EvalError> {
 }
 
 fn eval(frame: &dyn Frame, f: &Formula, env: &mut Env) -> Result<WorldSet, EvalError> {
-    let n = frame.num_worlds();
+    let model = frame.model();
+    let n = model.num_worlds();
     match f {
         Formula::True => Ok(WorldSet::full(n)),
         Formula::False => Ok(WorldSet::empty(n)),
@@ -191,13 +175,13 @@ fn eval(frame: &dyn Frame, f: &Formula, env: &mut Env) -> Result<WorldSet, EvalE
                 return Err(EvalError::AgentOutOfRange(i.index()));
             }
             let av = eval(frame, a, env)?;
-            Ok(frame.knowledge_set(*i, &av))
+            Ok(model.knowledge(*i, &av))
         }
         Formula::EveryoneK(g, k, a) => {
             group_check(frame, g)?;
             let mut cur = eval(frame, a, env)?;
             for _ in 0..*k {
-                cur = frame.everyone_set(g, &cur);
+                cur = model.everyone_set(g, &cur);
             }
             Ok(cur)
         }
@@ -206,19 +190,19 @@ fn eval(frame: &dyn Frame, f: &Formula, env: &mut Env) -> Result<WorldSet, EvalE
             let av = eval(frame, a, env)?;
             let mut out = WorldSet::empty(n);
             for i in g.iter() {
-                out.union_with(&frame.knowledge_set(i, &av));
+                out.union_with(&model.knowledge(i, &av));
             }
             Ok(out)
         }
         Formula::Distributed(g, a) => {
             group_check(frame, g)?;
             let av = eval(frame, a, env)?;
-            Ok(frame.distributed_set(g, &av))
+            Ok(model.distributed_knowledge(g, &av))
         }
         Formula::Common(g, a) => {
             group_check(frame, g)?;
             let av = eval(frame, a, env)?;
-            Ok(frame.common_set(g, &av))
+            Ok(model.common_knowledge(g, &av))
         }
         Formula::Gfp(x, body) => {
             check_positive(body, x)?;
@@ -252,14 +236,14 @@ fn eval(frame: &dyn Frame, f: &Formula, env: &mut Env) -> Result<WorldSet, EvalE
             group_check(frame, g)?;
             let ts = need_temporal(frame, "Eeps")?;
             let av = eval(frame, a, env)?;
-            let k_sets = member_knowledge(frame, g, &av);
+            let k_sets = member_knowledge(model, g, &av);
             Ok(temporal::everyone_eps_set(ts, g, *eps, &k_sets))
         }
         Formula::EveryoneEv(g, a) => {
             group_check(frame, g)?;
             let ts = need_temporal(frame, "Eev")?;
             let av = eval(frame, a, env)?;
-            let k_sets = member_knowledge(frame, g, &av);
+            let k_sets = member_knowledge(model, g, &av);
             Ok(temporal::everyone_ev_set(ts, g, &k_sets))
         }
         Formula::KnowsAt(i, stamp, a) => {
@@ -268,14 +252,14 @@ fn eval(frame: &dyn Frame, f: &Formula, env: &mut Env) -> Result<WorldSet, EvalE
             }
             let ts = need_temporal(frame, "K@")?;
             let av = eval(frame, a, env)?;
-            let k = frame.knowledge_set(*i, &av);
+            let k = model.knowledge(*i, &av);
             Ok(temporal::knows_at_set(ts, *i, *stamp, &k))
         }
         Formula::EveryoneTs(g, stamp, a) => {
             group_check(frame, g)?;
             let ts = need_temporal(frame, "ET")?;
             let av = eval(frame, a, env)?;
-            let k_sets = member_knowledge(frame, g, &av);
+            let k_sets = member_knowledge(model, g, &av);
             Ok(temporal::everyone_ts_set(ts, g, *stamp, &k_sets))
         }
         Formula::CommonEps(g, eps, a) => {
@@ -286,7 +270,7 @@ fn eval(frame: &dyn Frame, f: &Formula, env: &mut Env) -> Result<WorldSet, EvalE
             let mut x = WorldSet::full(n);
             loop {
                 let arg = av.intersection(&x);
-                let k_sets = member_knowledge(frame, g, &arg);
+                let k_sets = member_knowledge(model, g, &arg);
                 let next = temporal::everyone_eps_set(ts, g, *eps, &k_sets);
                 if next == x {
                     return Ok(x);
@@ -301,7 +285,7 @@ fn eval(frame: &dyn Frame, f: &Formula, env: &mut Env) -> Result<WorldSet, EvalE
             let mut x = WorldSet::full(n);
             loop {
                 let arg = av.intersection(&x);
-                let k_sets = member_knowledge(frame, g, &arg);
+                let k_sets = member_knowledge(model, g, &arg);
                 let next = temporal::everyone_ev_set(ts, g, &k_sets);
                 if next == x {
                     return Ok(x);
@@ -316,7 +300,7 @@ fn eval(frame: &dyn Frame, f: &Formula, env: &mut Env) -> Result<WorldSet, EvalE
             let mut x = WorldSet::full(n);
             loop {
                 let arg = av.intersection(&x);
-                let k_sets = member_knowledge(frame, g, &arg);
+                let k_sets = member_knowledge(model, g, &arg);
                 let next = temporal::everyone_ts_set(ts, g, *stamp, &k_sets);
                 if next == x {
                     return Ok(x);
@@ -327,8 +311,8 @@ fn eval(frame: &dyn Frame, f: &Formula, env: &mut Env) -> Result<WorldSet, EvalE
     }
 }
 
-fn member_knowledge(frame: &dyn Frame, g: &AgentGroup, a: &WorldSet) -> Vec<WorldSet> {
-    g.iter().map(|i| frame.knowledge_set(i, a)).collect()
+fn member_knowledge(model: &KripkeModel, g: &AgentGroup, a: &WorldSet) -> Vec<WorldSet> {
+    g.iter().map(|i| model.knowledge(i, a)).collect()
 }
 
 fn need_temporal<'a>(
@@ -430,7 +414,7 @@ pub(crate) fn check_positive(f: &Formula, var: &str) -> Result<(), EvalError> {
 mod tests {
     use super::*;
     use crate::formula::Formula;
-    use hm_kripke::{AgentGroup, AgentId, ModelBuilder};
+    use hm_kripke::{AgentGroup, AgentId, ModelBuilder, WorldId};
 
     /// Three-world chain: agent 0 merges {w0,w1}, agent 1 merges {w1,w2};
     /// p at w0, w1.
@@ -460,7 +444,7 @@ mod tests {
         assert_eq!(evaluate(&m, &Formula::tt()).unwrap(), ws(3, &[0, 1, 2]));
         assert_eq!(evaluate(&m, &Formula::ff()).unwrap(), ws(3, &[]));
         let q_impl = Formula::implies(p.clone(), p.clone());
-        assert!(is_valid(&m, &q_impl).unwrap());
+        assert!(evaluate(&m, &q_impl).unwrap().is_full());
         let iff = Formula::iff(p.clone(), Formula::not(p));
         assert!(evaluate(&m, &iff).unwrap().is_empty());
     }
@@ -623,11 +607,12 @@ mod tests {
     fn holds_at_and_validity() {
         let m = chain();
         let p = Formula::atom("p");
-        assert!(holds_at(&m, &p, WorldId::new(0)).unwrap());
-        assert!(!holds_at(&m, &p, WorldId::new(2)).unwrap());
-        assert!(!is_valid(&m, &p).unwrap());
+        let holds = evaluate(&m, &p).unwrap();
+        assert!(holds.contains(WorldId::new(0)));
+        assert!(!holds.contains(WorldId::new(2)));
+        assert!(!holds.is_full());
         // Knowledge axiom instance: K0 p -> p is valid.
         let a1 = Formula::implies(Formula::knows(AgentId::new(0), p.clone()), p);
-        assert!(is_valid(&m, &a1).unwrap());
+        assert!(evaluate(&m, &a1).unwrap().is_full());
     }
 }

@@ -11,11 +11,11 @@
 //!
 //! - [`Formula`] is the AST; [`parse`] reads the textual syntax; `Display`
 //!   round-trips through the parser.
-//! - [`Frame`] abstracts the finite structures formulas are checked
-//!   against (Kripke models from `hm-kripke`; interpreted systems from
-//!   `hm-runs` add the [`TemporalStructure`] needed by `E^ε`, `E^◇`, `E^T`
-//!   and the run-temporal operators).
-//! - [`evaluate`]/[`holds_at`]/[`is_valid`] run the model checker;
+//! - [`Frame`] is what formulas are checked against: a Kripke model from
+//!   `hm-kripke`, whose operators every knowledge clause uses, plus — for
+//!   the interpreted systems of `hm-runs` — the [`TemporalStructure`]
+//!   needed by `E^ε`, `E^◇`, `E^T` and the run-temporal operators.
+//! - [`evaluate`] runs the model checker;
 //!   [`compile`] lowers a formula once to a flat instruction buffer
 //!   ([`CompiledFormula`]) for repeated evaluation ([`EvalCache`] keeps
 //!   compiled+bound formulas across calls), and [`evaluate_tree`] keeps
@@ -74,8 +74,8 @@ mod parser;
 
 pub use analysis::{simplify, Analyzer, DiagKind, Diagnostic, Diagnostics, Facts, Severity};
 pub use compile::{compile, Bound, CompiledFormula, EvalCache};
-pub use eval::{evaluate, evaluate_tree, holds_at, is_valid, EvalError};
+pub use eval::{evaluate, evaluate_tree, EvalError};
 pub use formula::{Formula, F};
-pub use frame::{AtomTable, Frame, TemporalStructure};
+pub use frame::{Frame, TemporalStructure};
 pub use interval::{evaluate_interval, IntervalSet};
-pub use parser::{parse, ParseError};
+pub use parser::{parse, ParseError, MAX_FORMULA_DEPTH};

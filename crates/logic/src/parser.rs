@@ -25,10 +25,22 @@
 //! The identifiers `true false nu mu next even alw once` and the modal
 //! heads `K<digits> E S D C Eeps Ceps Eev Cev ET CT` are reserved and
 //! cannot be used as atom names.
+//!
+//! The parser reads adversarial input (`hm serve` parses any `formula`
+//! string of a `POST /query` body), so nesting deeper than [`MAX_FORMULA_DEPTH`]
+//! is rejected with a [`ParseError`] instead of recursing until the
+//! stack runs out.
 
 use crate::formula::{Formula, F};
 use hm_kripke::{AgentGroup, AgentId};
 use std::fmt;
+
+/// Deepest accepted nesting of `!`, modal and temporal prefixes,
+/// `nu`/`mu` binders, parentheses and chained `->`/`<->`. Far beyond
+/// any formula a person writes, and far below what overflows a worker
+/// stack in the recursive passes that follow the parser (analysis,
+/// simplification, compilation).
+pub const MAX_FORMULA_DEPTH: usize = 128;
 
 /// A parse error with a byte offset into the input.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,6 +77,7 @@ pub fn parse(input: &str) -> Result<F, ParseError> {
     let mut p = Parser {
         src: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let f = p.formula()?;
     p.skip_ws();
@@ -77,6 +90,8 @@ pub fn parse(input: &str) -> Result<F, ParseError> {
 struct Parser<'a> {
     src: &'a [u8],
     pos: usize,
+    /// Current nesting, checked against [`MAX_FORMULA_DEPTH`].
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -85,6 +100,15 @@ impl<'a> Parser<'a> {
             offset: self.pos,
             message: msg.into(),
         }
+    }
+
+    /// Charges one level of nesting; fails past [`MAX_FORMULA_DEPTH`].
+    fn descend(&mut self) -> Result<(), ParseError> {
+        self.depth += 1;
+        if self.depth > MAX_FORMULA_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_FORMULA_DEPTH}")));
+        }
+        Ok(())
     }
 
     fn skip_ws(&mut self) {
@@ -178,11 +202,15 @@ impl<'a> Parser<'a> {
     }
 
     fn formula(&mut self) -> Result<F, ParseError> {
+        let base = self.depth;
         let mut lhs = self.implication()?;
         while self.eat("<->") {
+            // Each `<->` nests the (left-associated) tree one level deeper.
+            self.descend()?;
             let rhs = self.implication()?;
             lhs = Formula::iff(lhs, rhs);
         }
+        self.depth = base;
         Ok(lhs)
     }
 
@@ -190,7 +218,9 @@ impl<'a> Parser<'a> {
         let lhs = self.disjunction()?;
         // Look ahead: `->` but not `<->` (the `<` is consumed elsewhere).
         if self.eat("->") {
+            self.descend()?;
             let rhs = self.implication()?;
+            self.depth -= 1;
             return Ok(Formula::implies(lhs, rhs));
         }
         Ok(lhs)
@@ -222,7 +252,17 @@ impl<'a> Parser<'a> {
         })
     }
 
+    /// One operand; every recursive production (`!`, prefixes, binders,
+    /// parentheses) passes through here, so this is where nesting is
+    /// charged.
     fn unary(&mut self) -> Result<F, ParseError> {
+        self.descend()?;
+        let f = self.operand()?;
+        self.depth -= 1;
+        Ok(f)
+    }
+
+    fn operand(&mut self) -> Result<F, ParseError> {
         match self.peek() {
             Some(b'!') => {
                 self.pos += 1;
@@ -441,6 +481,46 @@ mod tests {
         assert!(parse("nu X p").is_err(), "missing dot");
         let e = parse("&").unwrap_err();
         assert!(e.to_string().contains("parse error"));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        // The stack a `std::thread::spawn` worker gets.
+        let worker = std::thread::Builder::new().stack_size(2 << 20);
+        worker
+            .spawn(|| {
+                let n = 100_000;
+                for (open, close) in [
+                    ("(", ")"),
+                    ("!", ""),
+                    ("K0 ", ""),
+                    ("C{0,1} ", ""),
+                    ("ET[3]{0} ", ""),
+                    ("next ", ""),
+                    ("nu X. ", ""),
+                    ("p -> ", ""),
+                    ("p <-> ", ""),
+                ] {
+                    let src = format!("{}p{}", open.repeat(n), close.repeat(n));
+                    let e = parse(&src).unwrap_err();
+                    assert!(e.message.contains("nesting deeper than"), "{open}: {e}");
+                    // Just past the cap fails at the first extra level…
+                    let at = MAX_FORMULA_DEPTH + 1;
+                    let src = format!("{}p{}", open.repeat(at), close.repeat(at));
+                    assert!(parse(&src).is_err(), "{open} x {at}");
+                    // …and the cap itself parses.
+                    let src = format!(
+                        "{}p{}",
+                        open.repeat(MAX_FORMULA_DEPTH - 1),
+                        close.repeat(MAX_FORMULA_DEPTH - 1)
+                    );
+                    parse(&src)
+                        .unwrap_or_else(|e| panic!("{open} x {}: {e}", MAX_FORMULA_DEPTH - 1));
+                }
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! already-computed per-agent knowledge sets as input, so the evaluator
 //! controls how `K_i` itself is interpreted.
 
-use crate::frame::{Frame, TemporalStructure};
-use hm_kripke::{AgentGroup, AgentId, WorldSet};
+use crate::frame::TemporalStructure;
+use hm_kripke::{AgentGroup, AgentId, KripkeModel, WorldSet};
 
 /// `○(A)`: worlds whose successor point (same run, next time) is in `A`.
 /// The last point of a (truncated) run has no successor and never
@@ -208,19 +208,20 @@ pub(crate) enum Attain {
     Ts,
 }
 
-/// `E^ε_G(A)`, `E^◇_G(A)` or `E^T_G(A)` on `frame`, whose run structure
-/// is `ts`; `arg` is `ε` or `T` (unused for `◇`). The members' `K_i(A)`
-/// come from the frame. The compiled machine and the axiom checker both
-/// evaluate the attainable operators through this function.
+/// `E^ε_G(A)`, `E^◇_G(A)` or `E^T_G(A)` on a frame with model `model`
+/// and run structure `ts`; `arg` is `ε` or `T` (unused for `◇`). The
+/// members' `K_i(A)` come from the model. The compiled machine and the
+/// axiom checker both evaluate the attainable operators through this
+/// function.
 pub(crate) fn everyone_attain(
-    frame: &dyn Frame,
+    model: &KripkeModel,
     ts: &dyn TemporalStructure,
     var: Attain,
     arg: u64,
     g: &AgentGroup,
     a: &WorldSet,
 ) -> WorldSet {
-    let k_sets: Vec<WorldSet> = g.iter().map(|i| frame.knowledge_set(i, a)).collect();
+    let k_sets: Vec<WorldSet> = g.iter().map(|i| model.knowledge(i, a)).collect();
     match var {
         Attain::Eps => everyone_eps_set(ts, g, arg, &k_sets),
         Attain::Ev => everyone_ev_set(ts, g, &k_sets),

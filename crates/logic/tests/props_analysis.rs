@@ -22,7 +22,7 @@
 //! temporal operators against static frames.
 
 use hm_kripke::{random_model, AgentGroup, AgentId, RandomModelSpec};
-use hm_logic::{compile, simplify, Analyzer, Formula, F};
+use hm_logic::{compile, evaluate, simplify, Analyzer, Formula, F};
 use proptest::prelude::*;
 use proptest::strategy::BoxedStrategy;
 
@@ -164,14 +164,13 @@ proptest! {
             Ok(c) => c,
             Err(_) => return Ok(()), // structurally ill-formed: nothing to compare
         };
-        let original = match compiled.eval(&m) {
+        let original = match evaluate(&m, &f) {
             Ok(set) => set,
             Err(_) => return Ok(()), // does not bind to this frame
         };
         let simplified_f = simplify(&f);
         let simplified_c = compile(&simplified_f).expect("simplify preserves well-formedness");
-        let simplified = simplified_c
-            .eval(&m)
+        let simplified = evaluate(&m, &simplified_f)
             .expect("simplify only removes frame requirements");
         prop_assert_eq!(
             &original,
@@ -248,8 +247,8 @@ proptest! {
                 max_blocks: 6,
             },
         );
-        let original = compile(&f).unwrap().eval(&m).unwrap();
-        let simplified = compile(&simplify(&f)).unwrap().eval(&m).unwrap();
+        let original = evaluate(&m, &f).unwrap();
+        let simplified = evaluate(&m, &simplify(&f)).unwrap();
         prop_assert_eq!(original, simplified);
     }
 }

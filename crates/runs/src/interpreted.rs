@@ -3,22 +3,21 @@
 //! An [`InterpretedSystem`] packages a view-based knowledge interpretation
 //! `I = (R, π, v)` (Halpern–Moses Section 6): a [`System`] `R`, a truth
 //! assignment `π` given by named *fact* predicates over points, and a
-//! [`ViewFunction`] `v`. Internally it materialises the finite Kripke
-//! model whose worlds are the points of `R` and whose agent partitions are
-//! induced by `v`, and it implements both [`Frame`] (static operators) and
-//! [`TemporalStructure`] (the `E^ε/E^◇/E^T` and run-temporal operators of
-//! Sections 11–12) for the `hm-logic` model checker.
+//! [`ViewFunction`] `v`. As a [`Frame`] it is the finite Kripke model
+//! whose worlds are the points of `R` and whose agent partitions are
+//! induced by `v`, plus the run/time structure ([`TemporalStructure`])
+//! that the `E^ε/E^◇/E^T` and run-temporal operators of Sections 11–12
+//! need.
 
 use crate::intern::ViewInterner;
 use crate::run::Run;
 use crate::system::{Point, RunId, System};
 use crate::view::ViewFunction;
 use hm_kripke::{
-    minimize, AgentGroup, AgentId, KripkeModel, Minimized, ModelBuilder, Partition, WorldId,
-    WorldSet,
+    minimize, AgentId, KripkeModel, Minimized, ModelBuilder, Partition, WorldId, WorldSet,
 };
 use hm_limits::{failpoints, run_jobs, Budget, LimitExceeded, Phase};
-use hm_logic::{evaluate, AtomTable, EvalError, Formula, Frame, TemporalStructure};
+use hm_logic::{Frame, TemporalStructure};
 
 /// A fact predicate: the truth of a ground atom at each point of a run.
 ///
@@ -321,11 +320,6 @@ impl InterpretedSystem {
         &self.system
     }
 
-    /// The materialised Kripke model (worlds = points).
-    pub fn model(&self) -> &KripkeModel {
-        &self.model
-    }
-
     /// Name of the view function used.
     pub fn view_name(&self) -> &'static str {
         self.view_name
@@ -364,33 +358,6 @@ impl InterpretedSystem {
         Point::new(RunId::from(run), (idx - self.offsets[run]) as u64)
     }
 
-    /// Evaluates a closed formula over this interpretation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`EvalError`] from the model checker.
-    pub fn eval(&self, f: &Formula) -> Result<WorldSet, EvalError> {
-        evaluate(self, f)
-    }
-
-    /// `true` iff `f` holds at point `(run, t)`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`EvalError`] from the model checker.
-    pub fn holds(&self, f: &Formula, run: RunId, t: u64) -> Result<bool, EvalError> {
-        Ok(self.eval(f)?.contains(self.world(run, t)))
-    }
-
-    /// `true` iff `f` holds at every point (validity in the system).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`EvalError`] from the model checker.
-    pub fn valid(&self, f: &Formula) -> Result<bool, EvalError> {
-        Ok(self.eval(f)?.is_full())
-    }
-
     /// The set of points of one run.
     pub fn run_points(&self, run: RunId) -> WorldSet {
         let mut out = self.model.empty_set();
@@ -412,46 +379,13 @@ impl std::fmt::Debug for InterpretedSystem {
 }
 
 impl Frame for InterpretedSystem {
-    fn num_worlds(&self) -> usize {
-        self.model.num_worlds()
-    }
-
-    fn num_agents(&self) -> usize {
-        self.model.num_agents()
-    }
-
-    fn atom_set(&self, name: &str) -> Option<WorldSet> {
-        self.model.atom_id(name).map(|a| self.model.atom_set(a))
-    }
-
-    fn knowledge_set(&self, i: AgentId, a: &WorldSet) -> WorldSet {
-        self.model.knowledge(i, a)
-    }
-
-    fn distributed_set(&self, g: &AgentGroup, a: &WorldSet) -> WorldSet {
-        self.model.distributed_knowledge(g, a)
-    }
-
-    fn common_set(&self, g: &AgentGroup, a: &WorldSet) -> WorldSet {
-        self.model.common_knowledge(g, a)
+    /// The materialised Kripke model (worlds = points).
+    fn model(&self) -> &KripkeModel {
+        &self.model
     }
 
     fn temporal(&self) -> Option<&dyn TemporalStructure> {
         Some(self)
-    }
-
-    fn atom_table(&self) -> Option<&dyn AtomTable> {
-        Some(self)
-    }
-}
-
-impl AtomTable for InterpretedSystem {
-    fn atom_index(&self, name: &str) -> Option<usize> {
-        self.model.atom_id(name).map(|a| a.index())
-    }
-
-    fn atom_set_by_id(&self, id: usize) -> WorldSet {
-        self.model.atom_set(id.into())
     }
 }
 
@@ -488,10 +422,21 @@ mod tests {
     use crate::event::{Event, Message};
     use crate::system::SystemBuilder;
     use crate::view::{CompleteHistory, SharedLambda};
-    use hm_logic::parse;
+    use hm_logic::{evaluate, parse};
 
     fn a(i: usize) -> AgentId {
         AgentId::new(i)
+    }
+
+    /// `true` iff `src` holds at point `(run, t)`.
+    fn holds(isys: &InterpretedSystem, src: &str, run: RunId, t: u64) -> bool {
+        let set = evaluate(isys, &parse(src).unwrap()).unwrap();
+        set.contains(isys.world(run, t))
+    }
+
+    /// `true` iff `src` holds at every point.
+    fn valid(isys: &InterpretedSystem, src: &str) -> bool {
+        evaluate(isys, &parse(src).unwrap()).unwrap().is_full()
     }
 
     /// Two runs: in "sent", p0 sends to p1 at t=1, delivered at t=2.
@@ -544,16 +489,15 @@ mod tests {
         let sent_run = RunId(0);
         // The receive at t=2 enters p1's history at t=3 (histories exclude
         // events at the current tick, Section 5), so p1 knows `sent` at 3.
-        assert!(!isys.holds(&parse("K1 sent").unwrap(), sent_run, 2).unwrap());
-        assert!(isys.holds(&parse("K1 sent").unwrap(), sent_run, 3).unwrap());
+        assert!(!holds(&isys, "K1 sent", sent_run, 2));
+        assert!(holds(&isys, "K1 sent", sent_run, 3));
         // p0 cannot tell delivery from loss: ¬K0 K1 sent at any time.
-        let k0k1 = parse("K0 K1 sent").unwrap();
         for t in 0..=3 {
-            assert!(!isys.holds(&k0k1, sent_run, t).unwrap(), "t={t}");
+            assert!(!holds(&isys, "K0 K1 sent", sent_run, t), "t={t}");
         }
         // And common knowledge of `sent` fails everywhere.
         let c = parse("C{0,1} sent").unwrap();
-        assert!(isys.eval(&c).unwrap().is_empty());
+        assert!(evaluate(&isys, &c).unwrap().is_empty());
     }
 
     #[test]
@@ -561,14 +505,12 @@ mod tests {
         let isys = interp(msg_system());
         // In the delivered run, at t=0: even(delivered) holds; in the lost
         // run it does not.
-        let f = parse("even delivered").unwrap();
-        assert!(isys.holds(&f, RunId(0), 0).unwrap());
-        assert!(!isys.holds(&f, RunId(1), 0).unwrap());
+        assert!(holds(&isys, "even delivered", RunId(0), 0));
+        assert!(!holds(&isys, "even delivered", RunId(1), 0));
         // E^◇: p1 eventually knows `sent` only in the delivered run; p0
         // knows it from the start in both.
-        let eev = parse("Eev{0,1} sent").unwrap();
-        assert!(isys.holds(&eev, RunId(0), 0).unwrap());
-        assert!(!isys.holds(&eev, RunId(1), 0).unwrap());
+        assert!(holds(&isys, "Eev{0,1} sent", RunId(0), 0));
+        assert!(!holds(&isys, "Eev{0,1} sent", RunId(1), 0));
     }
 
     #[test]
@@ -577,14 +519,14 @@ mod tests {
             .fact("sent", |_, _| true) // valid fact
             .build();
         // Everything valid is common knowledge under Λ.
-        assert!(isys.valid(&parse("C{0,1} sent").unwrap()).unwrap());
+        assert!(valid(&isys, "C{0,1} sent"));
     }
 
     #[test]
     fn valid_and_holds() {
         let isys = interp(msg_system());
-        assert!(isys.valid(&parse("sent -> sent").unwrap()).unwrap());
-        assert!(!isys.valid(&parse("delivered").unwrap()).unwrap());
+        assert!(valid(&isys, "sent -> sent"));
+        assert!(!valid(&isys, "delivered"));
         assert_eq!(isys.run_points(RunId(1)).count(), 4);
         let dbg = format!("{isys:?}");
         assert!(dbg.contains("complete-history"));
@@ -615,8 +557,8 @@ mod tests {
         // Verdict invariance on the D-free static fragment.
         for src in ["sent", "K0 sent", "K1 sent", "C{0,1} sent", "S{0,1} !sent"] {
             let f = parse(src).unwrap();
-            let full = isys.eval(&f).unwrap();
-            let quot = hm_logic::evaluate(&q.model, &f).unwrap();
+            let full = evaluate(&isys, &f).unwrap();
+            let quot = evaluate(&q.model, &f).unwrap();
             for w in 0..isys.model().num_worlds() {
                 let w = WorldId::new(w);
                 assert_eq!(full.contains(w), quot.contains(q.image(w)), "{src} at {w}");

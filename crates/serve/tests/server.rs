@@ -185,6 +185,29 @@ fn oversized_and_bad_method_requests_are_rejected() {
     handle.shutdown();
 }
 
+#[test]
+fn deeply_nested_formulas_are_parse_errors_not_fatal() {
+    // Nesting past the parser's cap is answered like any other parse
+    // error, and the worker survives to serve the next request.
+    let (handle, addr) = start(1);
+    // Each of these overflowed a worker stack before the cap existed.
+    let n = 20_000;
+    for (open, close) in [("(", ")"), ("!", ""), ("K0 ", ""), ("nu X. ", "")] {
+        let formula = format!("{}dispatched{}", open.repeat(n), close.repeat(n));
+        let body = format!(r#"{{"spec":"generals","formula":"{formula}"}}"#);
+        assert!(body.len() < 1 << 20, "inside the body cap");
+        let (status, response) = http_call(addr, "POST", "/query", &body).expect("deep call");
+        assert_eq!(status, 400, "{open}: {response}");
+        assert!(
+            response.contains(r#""kind":"parse""#) && response.contains("nesting deeper than"),
+            "{open}: {response}"
+        );
+        let (status, _) = http_call(addr, "GET", "/healthz", "").expect("healthz");
+        assert_eq!(status, 200, "after {open}");
+    }
+    handle.shutdown();
+}
+
 /// Sends `head` (request line and headers, without the blank line) plus
 /// an empty body on a fresh connection and returns the status.
 fn raw_status(addr: SocketAddr, head: &str) -> u16 {

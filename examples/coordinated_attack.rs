@@ -13,7 +13,7 @@ use halpern_moses::core::puzzles::attack::{
     AttackRuleOutcome,
 };
 use halpern_moses::limits::Budget;
-use halpern_moses::logic::EvalCache;
+use halpern_moses::logic::{EvalCache, Frame};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let horizon: u64 = std::env::args()

@@ -9,6 +9,7 @@
 //! common knowledge is what the broadcast actually achieves.
 
 use halpern_moses::core::discovery::{deadlock_system, discovery_trajectory, publication_stamp};
+use halpern_moses::logic::Frame;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let isys = deadlock_system(3, 12)?;

@@ -16,7 +16,7 @@ use halpern_moses::core::puzzles::attack::{
 };
 use halpern_moses::kripke::AgentGroup;
 use halpern_moses::limits::Budget;
-use halpern_moses::logic::{EvalCache, Formula};
+use halpern_moses::logic::{evaluate, EvalCache, Formula};
 use halpern_moses::runs::conditions;
 use halpern_moses::runs::InterpretedSystem;
 
@@ -121,9 +121,7 @@ fn e3_ek_attainable_but_never_c() {
     // end of runs with enough deliveries, while C never does.
     let isys = generals(10);
     let fact = Formula::atom("dispatched");
-    let e2 = isys
-        .eval(&Formula::everyone_k(g2(), 2, fact.clone()))
-        .unwrap();
+    let e2 = evaluate(&isys, &Formula::everyone_k(g2(), 2, fact.clone())).unwrap();
     assert!(!e2.is_empty(), "E² dispatched is attainable");
     assert!(ck_set(&isys, &g2(), &fact).unwrap().is_empty());
 }

@@ -8,7 +8,7 @@ use halpern_moses::core::puzzles::r2d2::{
     ck_sent, first_time, ladder_onsets, r2d2_parts, rd_ladder,
 };
 use halpern_moses::kripke::AgentGroup;
-use halpern_moses::logic::{EvalCache, Formula};
+use halpern_moses::logic::{evaluate, EvalCache, Formula};
 use halpern_moses::netsim::scenarios::R2d2Mode;
 use halpern_moses::runs::conditions;
 
@@ -39,7 +39,7 @@ fn e6_ladder_not_earlier() {
     let onsets = ladder_onsets(&isys, &meta, 3, &mut EvalCache::new()).unwrap();
     for k in 1..=3usize {
         let f = rd_ladder(k, Formula::atom("sent"));
-        let set = isys.eval(&f).unwrap();
+        let set = evaluate(&isys, &f).unwrap();
         let onset = onsets[k].unwrap();
         for t in 0..onset {
             assert!(!set.contains(isys.world(meta.focus_slow, t)), "k={k} t={t}");
@@ -100,7 +100,7 @@ fn e7_global_clock_breaks_imprecision_and_gains_ck() {
         "a global clock admits no shift witnesses"
     );
     let f = Formula::common(g2(), Formula::atom("five_oclock"));
-    let ck = isys.eval(&f).unwrap();
+    let ck = evaluate(&isys, &f).unwrap();
     assert!(!ck.is_empty(), "it is commonly known that it is 5 o'clock");
 }
 

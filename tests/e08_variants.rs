@@ -20,7 +20,7 @@ use halpern_moses::limits::{Budget, Limits};
 use halpern_moses::logic::axioms::{
     check_fixed_point_axiom, check_induction_rule, check_s5, sample_sets, ModalOp,
 };
-use halpern_moses::logic::{EvalCache, Formula};
+use halpern_moses::logic::{evaluate, EvalCache, Formula};
 use halpern_moses::netsim::scenarios::ok_psi;
 use halpern_moses::runs::InterpretedSystem;
 
@@ -106,8 +106,8 @@ fn e8_cev_strictly_weaker_than_ceps() {
         })
         .build();
     let fact = Formula::atom("sent");
-    let cev = isys.eval(&Formula::common_ev(g2(), fact.clone())).unwrap();
-    let ceps = isys.eval(&Formula::common_eps(g2(), 1, fact)).unwrap();
+    let cev = evaluate(&isys, &Formula::common_ev(g2(), fact.clone())).unwrap();
+    let ceps = evaluate(&isys, &Formula::common_eps(g2(), 1, fact)).unwrap();
     assert!(!cev.is_empty(), "C^◇ sent attained on the reliable channel");
     assert!(ceps.is_empty(), "C^1 sent still unattainable (Theorem 11)");
     assert!(ceps.is_subset(&cev));
@@ -124,7 +124,7 @@ fn e8_ceps_strictly_weaker_than_c() {
     let (builder, meta) = r2d2_parts(eps, pre, post, R2d2Mode::Uncertain);
     let isys = builder.build();
     let fact = Formula::atom("sent");
-    let ceps = isys.eval(&Formula::common_eps(g2(), eps, fact)).unwrap();
+    let ceps = evaluate(&isys, &Formula::common_eps(g2(), eps, fact)).unwrap();
     let c = ck_sent(&isys, &mut EvalCache::new()).unwrap();
     let last_send = (pre + post) as u64 * eps;
     // C^ε holds at the focus run shortly after the send…
@@ -168,9 +168,7 @@ fn e9_theorem9_for_eps_and_ev() {
 fn e9_ok_protocol_shape() {
     let isys = ok_builder(8).unwrap().build();
     let psi = Formula::atom("psi");
-    let ceps = isys
-        .eval(&Formula::common_eps(g2(), 1, psi.clone()))
-        .unwrap();
+    let ceps = evaluate(&isys, &Formula::common_eps(g2(), 1, psi.clone())).unwrap();
     // ψ ⊃ C^1 ψ at every point of every early-loss run.
     for (rid, run) in isys.system().runs() {
         if !ok_psi(run, 1) {
@@ -190,7 +188,7 @@ fn e9_ok_protocol_shape() {
         assert!(!ceps.contains(isys.world(full, t)));
     }
     // And the knowledge axiom fails: C^1 ψ ∧ ¬ψ at (lost-run, 0).
-    let psi_set = isys.eval(&psi).unwrap();
+    let psi_set = evaluate(&isys, &psi).unwrap();
     assert!(!ceps.difference(&psi_set).is_empty());
 }
 
@@ -235,11 +233,9 @@ fn e12_theorem12_parts_and_attainment() {
     let isys = skewed_broadcast_builder(10, 2).unwrap().build();
     assert_eq!(check_theorem12c(&isys, &g2(), &fact, 7).unwrap(), None);
     // Attainment: C^T for a late stamp, empty for an early one.
-    let late = isys
-        .eval(&Formula::common_ts(g2(), 7, fact.clone()))
-        .unwrap();
+    let late = evaluate(&isys, &Formula::common_ts(g2(), 7, fact.clone())).unwrap();
     assert!(late.is_full());
-    let early = isys.eval(&Formula::common_ts(g2(), 1, fact)).unwrap();
+    let early = evaluate(&isys, &Formula::common_ts(g2(), 1, fact)).unwrap();
     assert!(early.is_empty());
 }
 
@@ -250,7 +246,7 @@ fn e12_weak_converse_shape() {
     // common timestamp (the paper's weak converse).
     let sync = skewed_broadcast_builder(10, 0).unwrap().build();
     let fact = Formula::atom("sent_v");
-    let c = sync.eval(&Formula::common(g2(), fact.clone())).unwrap();
+    let c = evaluate(&sync, &Formula::common(g2(), fact.clone())).unwrap();
     assert!(!c.is_empty(), "C is attainable with a global clock");
     for stamp in 0..=9u64 {
         assert_eq!(check_theorem12a(&sync, &g2(), &fact, stamp).unwrap(), None);
@@ -279,7 +275,7 @@ fn e8_eeps_phi_and_not_phi_satisfiable() {
         Formula::everyone_eps(g2(), 1, Formula::atom("phi")),
         Formula::everyone_eps(g2(), 1, Formula::not(Formula::atom("phi"))),
     ]);
-    let holds = isys.eval(&both).unwrap();
+    let holds = evaluate(&isys, &both).unwrap();
     assert!(
         !holds.is_empty(),
         "E^1 phi ∧ E^1 ¬phi should be satisfiable (consequence closure fails)"

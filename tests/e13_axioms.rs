@@ -11,7 +11,7 @@ use halpern_moses::kripke::{random_model, AgentGroup, AgentId, RandomModelSpec};
 use halpern_moses::logic::axioms::{
     check_fixed_point_axiom, check_induction_rule, check_lemma2, check_s5, sample_sets, ModalOp,
 };
-use halpern_moses::logic::Frame;
+use halpern_moses::logic::{evaluate, Frame};
 use proptest::prelude::*;
 
 fn spec_from(seed: u64) -> RandomModelSpec {
@@ -116,9 +116,11 @@ fn simultaneity_corollary_of_lemma2() {
 
     let isys = uncertain_start_builder(8, true).unwrap().build();
     let g = AgentGroup::all(2);
-    let ck = isys
-        .eval(&Formula::common(g.clone(), Formula::atom("five_oclock")))
-        .unwrap();
+    let ck = evaluate(
+        &isys,
+        &Formula::common(g.clone(), Formula::atom("five_oclock")),
+    )
+    .unwrap();
     for (rid, run) in isys.system().runs() {
         for t in 1..=run.horizon() {
             let before = ck.contains(isys.world(rid, t - 1));

@@ -96,8 +96,8 @@ fn truthful_beliefs_are_trivially_internally_consistent() {
     let fact = Frame::atom_set(&isys, "both_aware").unwrap();
     // Believing exactly when the fact is known is knowledge consistent,
     // hence internally consistent with the FULL system.
-    let k0 = Frame::knowledge_set(&isys, a(0), &fact);
-    let k1 = Frame::knowledge_set(&isys, a(1), &fact);
+    let k0 = isys.model().knowledge(a(0), &fact);
+    let k1 = isys.model().knowledge(a(1), &fact);
     let beliefs = BeliefAssignment {
         believes: vec![k0, k1],
     };

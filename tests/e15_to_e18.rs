@@ -13,7 +13,7 @@ use halpern_moses::core::kbp::{knows_own_state_rule, KnowledgeProtocol, Turns};
 use halpern_moses::core::puzzles::muddy::MuddyChildren;
 use halpern_moses::kripke::{AgentGroup, AgentId, WorldSet};
 use halpern_moses::limits::Budget;
-use halpern_moses::logic::Formula;
+use halpern_moses::logic::{evaluate, Formula};
 
 #[test]
 fn e15_every_cyclic_graph_is_discovered_no_acyclic_one_is() {
@@ -144,9 +144,7 @@ fn e18_no_ck_before_decision_round_anywhere() {
     .unwrap()
     .build();
     let g = AgentGroup::all(3);
-    let ck = isys
-        .eval(&Formula::common(g, Formula::atom("min0")))
-        .unwrap();
+    let ck = evaluate(&isys, &Formula::common(g, Formula::atom("min0"))).unwrap();
     for (rid, run) in isys.system().runs() {
         for t in 0..=2u64 {
             assert!(

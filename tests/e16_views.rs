@@ -10,7 +10,7 @@
 //!   least as much knowledge as any other view.
 
 use halpern_moses::kripke::{AgentGroup, AgentId};
-use halpern_moses::logic::{Formula, Frame};
+use halpern_moses::logic::{evaluate, Formula, Frame};
 use halpern_moses::runs::{
     last_event_view, ClockOnly, CompleteHistory, Event, InterpretedSystem, Message, SharedLambda,
     System, SystemBuilder, ViewFunction, ViewInterner,
@@ -71,10 +71,10 @@ fn lambda_view_collapses_everything_valid_to_common_knowledge() {
         g,
         Formula::implies(Formula::atom("sent"), Formula::atom("sent")),
     );
-    assert!(isys.valid(&f).unwrap());
+    assert!(evaluate(&isys, &f).unwrap().is_full());
     // And nothing contingent is even known: K_0 sent fails everywhere.
     let k = Formula::knows(a(0), Formula::atom("sent"));
-    assert!(isys.eval(&k).unwrap().is_empty());
+    assert!(evaluate(&isys, &k).unwrap().is_empty());
 }
 
 #[test]
@@ -86,7 +86,7 @@ fn complete_history_never_forgets() {
         Formula::knows(a(0), Formula::atom("sent")),
         Formula::always(Formula::knows(a(0), Formula::once(Formula::atom("sent")))),
     );
-    assert!(isys.valid(&f).unwrap());
+    assert!(evaluate(&isys, &f).unwrap().is_full());
 }
 
 #[test]
@@ -96,10 +96,14 @@ fn last_event_view_forgets_the_count() {
     let k_twice = Formula::knows(a(0), Formula::atom("sent_twice"));
     // Under complete history the sender knows it sent twice…
     let twice_run = full.system().run_by_name("twice").unwrap();
-    assert!(full.holds(&k_twice, twice_run, 3).unwrap());
+    assert!(evaluate(&full, &k_twice)
+        .unwrap()
+        .contains(full.world(twice_run, 3)));
     // …under the last-event view it cannot tell two sends from one.
     let twice_run = forgetful.system().run_by_name("twice").unwrap();
-    assert!(!forgetful.holds(&k_twice, twice_run, 3).unwrap());
+    assert!(!evaluate(&forgetful, &k_twice)
+        .unwrap()
+        .contains(forgetful.world(twice_run, 3)));
 }
 
 #[test]
@@ -185,8 +189,8 @@ fn complete_history_knows_at_least_as_much_as_any_view() {
             let set_coarse = Frame::atom_set(&coarse, atom).unwrap();
             assert_eq!(set_full, set_coarse, "same facts, same worlds");
             for i in 0..2 {
-                let k_coarse = Frame::knowledge_set(&coarse, a(i), &set_coarse);
-                let k_full = Frame::knowledge_set(&full, a(i), &set_full);
+                let k_coarse = coarse.model().knowledge(a(i), &set_coarse);
+                let k_full = full.model().knowledge(a(i), &set_full);
                 assert!(
                     k_coarse.is_subset(&k_full),
                     "view {} atom {atom} agent {i}",

@@ -6,7 +6,7 @@ use halpern_moses::core::puzzles::attack::generals_builder;
 use halpern_moses::core::puzzles::muddy::MuddyChildren;
 use halpern_moses::kripke::{minimize, random_model, AgentGroup, AgentId, RandomModelSpec};
 use halpern_moses::limits::Budget;
-use halpern_moses::logic::{evaluate, Formula};
+use halpern_moses::logic::{evaluate, Formula, Frame};
 
 #[test]
 fn generals_points_compress_and_answers_agree() {

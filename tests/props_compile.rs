@@ -144,21 +144,18 @@ proptest! {
     fn compiled_matches_tree_walk_static(f in static_formula(), seed in 0u64..400) {
         let m = random_model(seed, RandomModelSpec::default());
         let compiled = compile(&f).unwrap();
-        prop_assert_eq!(
-            compiled.eval(&m).unwrap(),
-            evaluate_tree(&m, &f).unwrap(),
-            "formula {}", f
-        );
+        let bound = compiled.bind(&m).unwrap();
+        let set = compiled.eval_bound_budgeted(&m, &bound, &Budget::unlimited()).unwrap();
+        prop_assert_eq!(&set, &evaluate_tree(&m, &f).unwrap(), "formula {}", f);
         // The public `evaluate` wrapper is the compiled path.
-        prop_assert_eq!(compiled.eval(&m).unwrap(), evaluate(&m, &f).unwrap());
+        prop_assert_eq!(set, evaluate(&m, &f).unwrap());
     }
 
     #[test]
     fn compiled_matches_tree_walk_temporal(f in temporal_formula(), seed in 0u64..400) {
         let isys = random_system(seed);
-        let compiled = compile(&f).unwrap();
         prop_assert_eq!(
-            compiled.eval(&isys).unwrap(),
+            evaluate(&isys, &f).unwrap(),
             evaluate_tree(&isys, &f).unwrap(),
             "formula {}", f
         );
@@ -170,8 +167,9 @@ proptest! {
         let m = random_model(seed, RandomModelSpec::default());
         let compiled = compile(&f).unwrap();
         let bound = compiled.bind(&m).unwrap();
-        let first = compiled.eval_bound(&m, &bound);
-        prop_assert_eq!(&first, &compiled.eval_bound(&m, &bound));
+        let unlimited = Budget::unlimited();
+        let first = compiled.eval_bound_budgeted(&m, &bound, &unlimited).unwrap();
+        prop_assert_eq!(&first, &compiled.eval_bound_budgeted(&m, &bound, &unlimited).unwrap());
         prop_assert_eq!(first, evaluate_tree(&m, &f).unwrap());
     }
 }
@@ -314,9 +312,8 @@ proptest! {
             num_atoms: 2,
             max_blocks: n / 8 + 1,
         });
-        let compiled = compile(&f).unwrap();
         prop_assert_eq!(
-            compiled.eval(&m).unwrap(),
+            evaluate(&m, &f).unwrap(),
             evaluate_tree(&m, &f).unwrap(),
             "n={} formula {}", n, f
         );
@@ -347,7 +344,7 @@ fn spot_check_known_denotations() {
     ];
     for (src, worlds) in cases {
         let f = halpern_moses::logic::parse(src).unwrap();
-        let got = compile(&f).unwrap().eval(&m).unwrap();
+        let got = evaluate(&m, &f).unwrap();
         let want: Vec<usize> = got.iter().map(|w| w.index()).collect();
         assert_eq!(&want, worlds, "{src}");
     }

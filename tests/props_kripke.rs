@@ -5,7 +5,6 @@ use halpern_moses::kripke::{
     announce, random_model, AgentGroup, AgentId, Partition, RandomModelSpec, Restriction,
     SplitMix64, WorldId, WorldSet,
 };
-use halpern_moses::logic::Frame;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 

@@ -3,7 +3,7 @@
 //! fixed-point/conjunction equivalence where downward continuity holds.
 
 use halpern_moses::kripke::{random_model, AgentGroup, AgentId, RandomModelSpec};
-use halpern_moses::logic::{evaluate, parse, Formula, Frame, F};
+use halpern_moses::logic::{evaluate, parse, Formula, F};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -158,38 +158,31 @@ fn formula_sharing_is_cheap() {
 
 // ---------------------------------------------------------------------
 // Appendix A, fact 1: positive occurrence ⇒ monotone denotation.
-// We realise "free variable" as a controllable extra atom on a shim
-// frame, build random positive contexts around it, and check
+// We realise "free variable" as a controllable extra atom on a copy of
+// the model, build random positive contexts around it, and check
 // A ⊆ B ⇒ ctx[A] ⊆ ctx[B].
 // ---------------------------------------------------------------------
 
-use halpern_moses::kripke::{KripkeModel, SplitMix64, WorldId, WorldSet};
+use halpern_moses::kripke::{AtomId, KripkeModel, ModelBuilder, SplitMix64, WorldId, WorldSet};
 
-struct WithAtom<'a> {
-    inner: &'a KripkeModel,
-    set: WorldSet,
-}
-
-impl Frame for WithAtom<'_> {
-    fn num_worlds(&self) -> usize {
-        Frame::num_worlds(self.inner)
-    }
-    fn num_agents(&self) -> usize {
-        Frame::num_agents(self.inner)
-    }
-    fn atom_set(&self, name: &str) -> Option<WorldSet> {
-        if name == "XSET" {
-            Some(self.set.clone())
-        } else {
-            Frame::atom_set(self.inner, name)
+/// `m` with one more atom, `XSET`, holding exactly on `set`.
+fn with_atom(m: &KripkeModel, set: &WorldSet) -> KripkeModel {
+    let mut b = ModelBuilder::new(m.num_agents());
+    b.add_worlds(m.num_worlds());
+    for a in (0..m.num_atoms()).map(AtomId::new) {
+        let id = b.atom(m.atom_name(a));
+        for w in m.atom_set(a).iter() {
+            b.set_atom(id, w, true);
         }
     }
-    fn knowledge_set(&self, i: halpern_moses::kripke::AgentId, a: &WorldSet) -> WorldSet {
-        self.inner.knowledge(i, a)
+    let x = b.atom("XSET");
+    for w in set.iter() {
+        b.set_atom(x, w, true);
     }
-    fn distributed_set(&self, g: &AgentGroup, a: &WorldSet) -> WorldSet {
-        self.inner.distributed_knowledge(g, a)
+    for i in (0..m.num_agents()).map(AgentId::new) {
+        b.set_partition(i, m.partition(i).clone());
     }
+    b.build()
 }
 
 /// Random monotone context around the hole atom `XSET`.
@@ -246,10 +239,8 @@ proptest! {
                 a.insert(WorldId::new(w));
             }
         }
-        let fa = WithAtom { inner: &m, set: a };
-        let fb = WithAtom { inner: &m, set: b };
-        let va = evaluate(&fa, &ctx).unwrap();
-        let vb = evaluate(&fb, &ctx).unwrap();
+        let va = evaluate(&with_atom(&m, &a), &ctx).unwrap();
+        let vb = evaluate(&with_atom(&m, &b), &ctx).unwrap();
         prop_assert!(va.is_subset(&vb), "context {} not monotone", ctx);
     }
 }
