@@ -190,7 +190,7 @@ fn deeply_nested_formulas_are_parse_errors_not_fatal() {
     // Nesting past the parser's cap is answered like any other parse
     // error, and the worker survives to serve the next request.
     let (handle, addr) = start(1);
-    // Each of these overflowed a worker stack before the cap existed.
+    // Deep enough to overflow a worker stack if the parser recursed.
     let n = 20_000;
     for (open, close) in [("(", ")"), ("!", ""), ("K0 ", ""), ("nu X. ", "")] {
         let formula = format!("{}dispatched{}", open.repeat(n), close.repeat(n));
