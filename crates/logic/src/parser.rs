@@ -27,9 +27,9 @@
 //! cannot be used as atom names.
 //!
 //! The parser reads adversarial input (`hm serve` parses any `formula`
-//! string of a `POST /query` body), so nesting deeper than [`MAX_FORMULA_DEPTH`]
-//! is rejected with a [`ParseError`] instead of recursing until the
-//! stack runs out.
+//! string of a `POST /query` body), so nesting deeper than
+//! [`MAX_FORMULA_DEPTH`] is rejected with a [`ParseError`] instead of
+//! recursing until the stack runs out.
 
 use crate::formula::{Formula, F};
 use hm_kripke::{AgentGroup, AgentId};
